@@ -9,7 +9,6 @@ over which the model is expected to be Pareto-optimal, within a configurable
 
 from .errors import (
     ArgumentError,
-    BoundViolationError,
     DegenerateStateError,
     EnumerationCapError,
     EstimatorFailure,
@@ -49,9 +48,6 @@ from .search import (
     div_score,
     param_eps_dominates,
     run_algorithm,
-    run_apx,
-    run_bi,
-    run_div,
 )
 from .skyline import (
     GridPosition,
@@ -59,8 +55,6 @@ from .skyline import (
     dominates,
     eps_dominates,
     exact_pareto,
-    grid_pos,
-    u_pareto,
 )
 from .tabular import (
     Literal,

@@ -22,8 +22,8 @@ import jsonschema
 from .errors import ArgumentError, EnumerationCapError, SkyforgeError
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
-from .operators import Bitmap, SearchState, StateSpace
-from .oracle import check_div_bound, check_eps_cover, enumerate_all
+from .operators import Bitmap, SearchState
+from .oracle import check_div_bound, check_eps_cover, enumerate_all, state_count_bound
 from .search import RunResult, SearchConfig, run_algorithm
 from .skyline import eps_dominates
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
@@ -121,7 +121,6 @@ CONFIG_SCHEMA = {
                 "k": {"type": "integer", "minimum": 1},
                 "alpha": {"type": "number", "minimum": 0, "maximum": 1},
                 "theta": {"type": "number", "minimum": 0},
-                "workers": {"type": "integer", "minimum": 1},
             },
         },
         "output_dir": {"type": "string"},
@@ -147,13 +146,10 @@ class RunConfig:
         est = self.raw["estimator"]
         if "builtin" not in est and "command" not in est:
             raise ConfigError("estimator needs either a builtin name or a command")
-        names = [m["name"] for m in self.raw["measures"]]
-        decisive_flags = [m["name"] for m in self.raw["measures"] if m.get("decisive")]
-        if len(decisive_flags) > 1:
-            raise ConfigError("at most one measure may be flagged decisive")
-        override = self.raw.get("decisive")
-        if override and override not in names:
-            raise ConfigError(f"decisive override {override!r} is not a declared measure")
+        try:
+            self.measure_set()
+        except ArgumentError as exc:
+            raise ConfigError(f"config invalid: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -198,7 +194,6 @@ class RunConfig:
             alpha=s.get("alpha", 0.5),
             theta=s.get("theta", 0.8),
             target=self.raw.get("target"),
-            workers=s.get("workers", 1),
         )
 
     def build_universal(self) -> UniversalTable:
@@ -236,7 +231,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     for flag, key in (
         ("epsilon", "epsilon"), ("max_length", "max_len"), ("budget", "budget"),
         ("k", "k"), ("alpha", "alpha"), ("theta", "theta"),
-        ("algorithm", "algorithm"), ("workers", "workers"),
+        ("algorithm", "algorithm"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -246,7 +241,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
     return RunConfig(raw, base_dir=cfg.base_dir)
 
 
-def _provenance(result: RunResult, space: StateSpace, bitmap: Bitmap) -> list:
+def _provenance(result: RunResult, bitmap: Bitmap) -> list:
     steps = []
     for edge in result.graph.path_to(bitmap):
         steps.append({
@@ -259,16 +254,16 @@ def _provenance(result: RunResult, space: StateSpace, bitmap: Bitmap) -> list:
     return steps
 
 
-def build_manifest(cfg: RunConfig, result: RunResult, space: StateSpace,
-                   out_dir: str, wall_time: float, write_files: bool = True) -> dict:
+def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
+                   wall_time: float) -> dict:
     measures = result.grid.measures
+    space = result.space
     entries = []
     for occupant in result.grid.occupants():
         entry_log = result.log.get(occupant.bitmap)
         dataset = space.dataset(occupant.bitmap)
         csv_name = f"dataset_{occupant.bitmap.to_hex()}.csv"
-        if write_files:
-            write_csv(os.path.join(out_dir, csv_name), dataset, expand=True)
+        write_csv(os.path.join(out_dir, csv_name), dataset, expand=True)
         entries.append({
             "bitmap": occupant.bitmap.to_hex(),
             "csv": csv_name,
@@ -282,7 +277,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, space: StateSpace,
                 }
                 for i, name in enumerate(measures.names)
             },
-            "provenance": _provenance(result, space, occupant.bitmap),
+            "provenance": _provenance(result, occupant.bitmap),
         })
     manifest = {
         "config_hash": cfg.semantic_hash(),
@@ -319,9 +314,8 @@ def execute_run(cfg: RunConfig):
     result = run_algorithm(universal, measures, estimator, search_cfg)
     wall = time.perf_counter() - started
 
-    protected = (search_cfg.target,) if search_cfg.target else ()
-    space = StateSpace(universal, protected=protected)
-    manifest = build_manifest(cfg, result, space, out_dir, wall)
+    space = result.space
+    manifest = build_manifest(cfg, result, out_dir, wall)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -361,7 +355,7 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
         return EXIT_CAP, {"error": str(exc), "required": exc.required}
 
     report = check_eps_cover(result.grid, everything, search_cfg.epsilon)
-    report.degenerate = _degenerate_count(universal, search_cfg.target, len(everything))
+    report.degenerate = state_count_bound(result.space) - len(everything)
 
     valuated = [s for s in everything if result.log.get(s.bitmap) is not None]
     for pruned in result.pruned:
@@ -402,19 +396,6 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
     return (EXIT_OK if payload["ok"] else EXIT_VIOLATIONS), payload
 
 
-def _degenerate_count(universal: UniversalTable, target: Optional[str],
-                      live_states: int) -> int:
-    protected = (target,) if target else ()
-    space = StateSpace(universal, protected=protected)
-    total = 1
-    for a in universal.schema:
-        if a in space.protected:
-            continue
-        total *= 2 ** len(space.attr_bits[a])
-    total -= 0 if space.protected else 1  # empty schema is not a state
-    return total - live_states
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="skyforge",
                                      description="skyline dataset generation")
@@ -429,7 +410,6 @@ def main(argv=None) -> int:
         p.add_argument("--alpha", type=float)
         p.add_argument("--theta", type=float)
         p.add_argument("--algorithm", choices=["apx", "bi", "nobi", "div"])
-        p.add_argument("--workers", type=int)
 
     add_common(sub.add_parser("run", help="generate skyline datasets"))
     verify_p = sub.add_parser("verify", help="check a run against full enumeration")

@@ -21,10 +21,6 @@ class DegenerateStateError(SkyforgeError):
     """An operator produced a state with an empty dataset."""
 
 
-class BoundViolationError(SkyforgeError):
-    """A performance value sits below the declared lower bound."""
-
-
 class EstimatorFailure(SkyforgeError):
     """The estimator timed out, crashed, or violated the protocol.
 

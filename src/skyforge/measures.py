@@ -9,7 +9,6 @@ valuated performance vectors and doubles as the estimator cache.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -172,7 +171,6 @@ class TestLog:
     def __init__(self):
         self.entries: list = []
         self._index: dict = {}
-        self._lock = threading.Lock()
         self.version = 0
 
     def __len__(self):
@@ -185,20 +183,19 @@ class TestLog:
         return self._index.get(bitmap.bits)
 
     def append(self, entry: LogEntry) -> LogEntry:
-        with self._lock:
-            existing = self._index.get(entry.bitmap.bits)
-            if existing is not None:
-                if existing.perf.is_fully_valuated() or not entry.perf.is_fully_valuated():
-                    return existing
-                # upgrading a partially seeded entry fills its gaps; fully
-                # valuated values never change
-                self.entries[self.entries.index(existing)] = entry
-                self._index[entry.bitmap.bits] = entry
-                self.version += 1
-                return entry
-            self.entries.append(entry)
+        existing = self._index.get(entry.bitmap.bits)
+        if existing is not None:
+            if existing.perf.is_fully_valuated() or not entry.perf.is_fully_valuated():
+                return existing
+            # upgrading a partially seeded entry fills its gaps; fully
+            # valuated values never change
+            self.entries[self.entries.index(existing)] = entry
             self._index[entry.bitmap.bits] = entry
             self.version += 1
+            return entry
+        self.entries.append(entry)
+        self._index[entry.bitmap.bits] = entry
+        self.version += 1
         return entry
 
 

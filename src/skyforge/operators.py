@@ -8,7 +8,6 @@ datasets, so bitmaps serve as state keys everywhere.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -90,21 +89,18 @@ class _LruCache:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
+        if key in self._data:
+            self._data.move_to_end(key)
+            return self._data[key]
         return None
 
     def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
 
 
 class StateSpace:

@@ -1,11 +1,10 @@
-"""The three generation algorithms over the running graph.
+"""The generation algorithms: one level-wise walk over the running graph.
 
-``run_apx``   level-wise reduce-from-universal search.
-``run_bi``    bidirectional search (reducts forward, augments backward) with
-              optional correlation-based pruning; pruning off is the
-              no-pruning variant.
-``run_div``   bidirectional search whose per-level survivors are greedily
-              diversified down to k states before expansion continues.
+``apx``   reduce-from-universal: reducts forward from the full bitmap only.
+``nobi``  bidirectional: reducts forward, augments backward from ``back_st``.
+``bi``    bidirectional with correlation-based pruning of sandwiched states.
+``div``   ``bi`` whose per-level survivors are greedily diversified down to
+          k states before expansion continues.
 
 Everything is deterministic: children valuate and submit in bitmap order,
 queues advance level by level, and no RNG is involved anywhere.
@@ -14,7 +13,6 @@ queues advance level by level, and no RNG is involved anywhere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,7 +27,7 @@ from .measures import (
     estimate_bounds,
     valuate,
 )
-from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace, Transition
+from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
 from .skyline import SkylineGrid
 from .tabular import UniversalTable
 
@@ -46,8 +44,6 @@ class SearchConfig:
     alpha: float = 0.5
     theta: float = 0.8
     target: Optional[str] = None
-    workers: int = 1
-    cache_size: int = 256
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -58,6 +54,8 @@ class SearchConfig:
             raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "div" and self.k < 1:
             raise ArgumentError("diversified search needs k >= 1")
+        if self.algorithm != "apx" and not self.target:
+            raise ArgumentError("bidirectional search needs a target attribute")
         if not 0.0 <= self.alpha <= 1.0:
             raise ArgumentError("alpha must lie in [0, 1]")
 
@@ -67,20 +65,8 @@ class RunningGraph:
     """DAG of explored states connected by one-flip transitions."""
 
     nodes: dict = field(default_factory=dict)   # bits -> SearchState (valuated)
-    edges: list = field(default_factory=list)
     roots: list = field(default_factory=list)
     parents: dict = field(default_factory=dict)  # bits -> first inbound Transition
-
-    def add_root(self, state: SearchState):
-        self.roots.append(state.bitmap)
-        self.nodes[state.bitmap.bits] = state
-
-    def add_edge(self, transition: Transition):
-        self.edges.append(transition)
-        self.parents.setdefault(transition.target.bits, transition)
-
-    def add_node(self, state: SearchState):
-        self.nodes[state.bitmap.bits] = state
 
     def path_to(self, bitmap: Bitmap) -> list:
         """Operator path from a root to the bitmap, for provenance replay."""
@@ -111,17 +97,15 @@ class RunResult:
     graph: RunningGraph
     log: TestLog
     algorithm: str
+    space: StateSpace
     valuations: int = 0
     partial: bool = False
     failure: Optional[str] = None
     pruned: list = field(default_factory=list)
     div_set: list = field(default_factory=list)
 
-    def as_tuple(self):
-        return self.grid, self.graph, self.log
 
-
-def back_st(space: StateSpace, target: str) -> SearchState:
+def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> SearchState:
     """Minimal backward start: the target attribute with all of its value
     clusters retained, so no class of the target is missed.
 
@@ -134,7 +118,7 @@ def back_st(space: StateSpace, target: str) -> SearchState:
     bits = list(space.attr_bits[target])
     if not bits:
         raise ArgumentError(f"target {target!r} has no literals")
-    if getattr(space, "_needs_feature", False):
+    if needs_feature:
         for a in u.schema:
             if a != target and space.attr_bits[a]:
                 bits.append(space.attr_bits[a][0])
@@ -326,16 +310,19 @@ class _Runner:
     def __init__(self, universal: UniversalTable, measures: MeasureSet,
                  estimator, cfg: SearchConfig):
         protected = (cfg.target,) if cfg.target else ()
-        self.space = StateSpace(universal, protected=protected,
-                                cache_size=cfg.cache_size)
-        self.space._needs_feature = bool(getattr(estimator, "requires_feature", False))
+        self.space = StateSpace(universal, protected=protected)
         self.measures = measures
         self.estimator = estimator
         self.cfg = cfg
+        self.pruning = cfg.algorithm in ("bi", "div")
         self.grid = SkylineGrid(cfg.epsilon, measures)
         self.log = TestLog()
         self.graph = RunningGraph()
         self.valuations = 0
+        self.regions: list = []  # validated (forward state, backward state) pairs
+        self.pruned: list = []
+        self.pruned_bits: set = set()  # once pruned, never revisited from either side
+        self.div_set: list = []
         self._corr_cache = None
 
     def corr_graph(self) -> CorrelationGraph:
@@ -357,23 +344,8 @@ class _Runner:
         return state.valuated(perf)
 
     def valuate_level(self, children: list) -> tuple:
-        """Valuate a sorted batch; returns (valuated, budget_hit).
-
-        With several workers the estimator calls overlap but results apply
-        in the given order, keeping runs reproducible.
-        """
+        """Valuate a sorted batch; returns (valuated, budget_hit)."""
         out = []
-        if self.cfg.workers > 1:
-            fresh = [c for c in children
-                     if self.log.get(c.bitmap) is None][: max(self.cfg.budget - self.valuations, 0)]
-            if fresh:
-                with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                    list(pool.map(
-                        lambda s: valuate(s, self.estimator, self.log,
-                                          self.measures, self.space),
-                        fresh,
-                    ))
-                self.valuations += len(fresh)
         for child in children:
             try:
                 out.append(self.valuate_one(child))
@@ -385,7 +357,7 @@ class _Runner:
         children = []
         for state in frontier:
             for child, transition in self.space.op_gen(state, direction):
-                self.graph.add_edge(transition)
+                self.graph.parents.setdefault(child.bitmap.bits, transition)
                 if child.bitmap.bits in seen:
                     continue
                 seen.add(child.bitmap.bits)
@@ -393,179 +365,108 @@ class _Runner:
         children.sort(key=lambda s: s.bitmap.bits)
         return children
 
-    def submit(self, state: SearchState) -> str:
-        self.graph.add_node(state)
-        return self.grid.submit(state)
-
     def start_root(self, state: SearchState) -> SearchState:
         valuated = self.valuate_one(state)
-        self.graph.add_root(valuated)
+        self.graph.roots.append(valuated.bitmap)
+        self.graph.nodes[valuated.bitmap.bits] = valuated
         self.grid.submit(valuated)
         return valuated
 
-    def result(self, algorithm: str, **kw) -> RunResult:
-        return RunResult(grid=self.grid, graph=self.graph, log=self.log,
-                         algorithm=algorithm, valuations=self.valuations, **kw)
-
-
-def run_apx(universal: UniversalTable, measures: MeasureSet, estimator,
-            cfg: SearchConfig) -> RunResult:
-    """Reduce-from-universal search: breadth-first reducts from the full
-    bitmap, each valuated child submitted to the grid."""
-    runner = _Runner(universal, measures, estimator, cfg)
-    try:
-        root = runner.start_root(runner.space.root_state())
-    except _BudgetExhausted:
-        return runner.result("apx")
-    except EstimatorFailure as exc:
-        return runner.result("apx", partial=True, failure=str(exc))
-
-    frontier = [root]
-    seen = {root.bitmap.bits}
-    level = 0
-    try:
-        while frontier:
-            if cfg.max_len is not None and level >= cfg.max_len:
-                break
-            children = runner.expand(frontier, FORWARD, seen)
-            valuated, budget_hit = runner.valuate_level(children)
-            for child in valuated:
-                runner.submit(child)
-            if budget_hit:
-                break
-            frontier = valuated
-            level += 1
-    except EstimatorFailure as exc:
-        return runner.result("apx", partial=True, failure=str(exc))
-    return runner.result("apx")
-
-
-def run_bi(universal: UniversalTable, measures: MeasureSet, estimator,
-           cfg: SearchConfig, pruning: bool = True) -> RunResult:
-    """Bidirectional search; ``pruning=False`` is the no-pruning variant."""
-    if not cfg.target:
-        raise ArgumentError("bidirectional search needs a target attribute")
-    algorithm = "bi" if pruning else "nobi"
-    runner = _Runner(universal, measures, estimator, cfg)
-    try:
-        fwd_root = runner.start_root(runner.space.root_state())
-        bwd_start = back_st(runner.space, cfg.target)
-        if bwd_start.bitmap.bits == fwd_root.bitmap.bits:
-            return runner.result(algorithm)
-        bwd_root = runner.start_root(bwd_start)
-    except _BudgetExhausted:
-        return runner.result(algorithm)
-    except EstimatorFailure as exc:
-        return runner.result(algorithm, partial=True, failure=str(exc))
-
-    fwd_frontier, bwd_frontier = [fwd_root], [bwd_root]
-    seen_f = {fwd_root.bitmap.bits}
-    seen_b = {bwd_root.bitmap.bits}
-    regions: list = []  # validated (forward state, backward state) pairs
-    pruned: list = []
-    pruned_bits: set = set()  # once pruned, never revisited from either side
-    div_set: list = []
-    level = 0
-
-    def try_prune(child: SearchState) -> bool:
-        if not pruning or not regions:
+    def try_prune(self, child: SearchState) -> bool:
+        if not self.pruning or not self.regions:
             return False
-        if child.bitmap.bits in pruned_bits:
+        if child.bitmap.bits in self.pruned_bits:
             return True
-        cached = runner.log.get(child.bitmap)
+        cached = self.log.get(child.bitmap)
         if cached is not None and cached.perf.is_fully_valuated():
             return False  # nothing to save: valuation is a cache hit
-        graph = runner.corr_graph()
+        graph = self.corr_graph()
         if graph.is_empty():
             return False
-        for f_state, b_state in regions:
-            if can_prune(child, f_state, b_state, cfg.epsilon, graph,
-                         runner.log, measures, runner.space):
-                pruned.append(PrunedState(child.bitmap, f_state.bitmap,
-                                          b_state.bitmap, child.level))
-                pruned_bits.add(child.bitmap.bits)
+        for f_state, b_state in self.regions:
+            if can_prune(child, f_state, b_state, self.cfg.epsilon, graph,
+                         self.log, self.measures, self.space):
+                self.pruned.append(PrunedState(child.bitmap, f_state.bitmap,
+                                               b_state.bitmap, child.level))
+                self.pruned_bits.add(child.bitmap.bits)
                 return True
         return False
 
-    try:
-        while fwd_frontier or bwd_frontier:
+    def add_regions(self, valuated_f: list, valuated_b: list):
+        for f_state in valuated_f:
+            for b_state in valuated_b:
+                if f_state.bitmap.bits == b_state.bitmap.bits:
+                    continue
+                if not f_state.bitmap.contains(b_state.bitmap):
+                    continue
+                if param_eps_dominates(b_state.perf, f_state.perf, self.cfg.epsilon):
+                    self.regions.append((f_state, b_state))
+
+    def diversify(self, valuated: list) -> list:
+        unique: dict = {}
+        for s in valuated[0] + valuated[1]:
+            unique.setdefault(s.bitmap.bits, s)
+        self.div_set = diversify_level(list(unique.values()), self.cfg.k,
+                                       self.cfg.alpha, self.log, self.measures)
+        chosen = {s.bitmap.bits for s in self.div_set}
+        return [[s for s in side if s.bitmap.bits in chosen] for side in valuated]
+
+    def walk(self):
+        """Valuate the start states, then expand forward (reducts) and
+        backward (augments) level by level until the frontiers empty or
+        meet, or ``max_len`` or the budget stops the walk."""
+        cfg = self.cfg
+        try:
+            fwd_root = self.start_root(self.space.root_state())
+            frontiers = [[fwd_root], []]
+            if cfg.algorithm != "apx":
+                needs_feature = bool(getattr(self.estimator, "requires_feature", False))
+                bwd_start = back_st(self.space, cfg.target, needs_feature)
+                if bwd_start.bitmap.bits == fwd_root.bitmap.bits:
+                    return
+                frontiers[1].append(self.start_root(bwd_start))
+        except _BudgetExhausted:
+            return
+        seen = [{s.bitmap.bits for s in side} for side in frontiers]
+        level = 0
+        while frontiers[0] or frontiers[1]:
             if cfg.max_len is not None and level >= cfg.max_len:
                 break
-            if fwd_frontier and bwd_frontier:
-                if {s.bitmap.bits for s in fwd_frontier} & {s.bitmap.bits for s in bwd_frontier}:
-                    break  # frontiers met: every candidate between is explored
-            new_f = runner.expand(fwd_frontier, FORWARD, seen_f)
-            new_b = runner.expand(bwd_frontier, BACKWARD, seen_b)
-
-            budget_hit = False
-            valuated_f: list = []
-            valuated_b: list = []
-            for bucket, children in ((valuated_f, new_f), (valuated_b, new_b)):
-                kept = [c for c in children if not try_prune(c)]
-                got, hit = runner.valuate_level(kept)
+            if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
+                break  # frontiers met: every candidate between is explored
+            children = [self.expand(frontiers[0], FORWARD, seen[0]),
+                        self.expand(frontiers[1], BACKWARD, seen[1])]
+            valuated: list = [[], []]
+            for side, batch in enumerate(children):
+                got, budget_hit = self.valuate_level(
+                    [c for c in batch if not self.try_prune(c)])
                 for child in got:
-                    runner.submit(child)
-                bucket.extend(got)
-                if hit:
-                    budget_hit = True
+                    self.graph.nodes[child.bitmap.bits] = child
+                    self.grid.submit(child)
+                valuated[side] = got
+                if budget_hit:
                     break
-
-            if pruning:
-                for f_state in valuated_f:
-                    for b_state in valuated_b:
-                        if f_state.bitmap.bits == b_state.bitmap.bits:
-                            continue
-                        if not f_state.bitmap.contains(b_state.bitmap):
-                            continue
-                        if param_eps_dominates(b_state.perf, f_state.perf, cfg.epsilon):
-                            regions.append((f_state, b_state))
-
+            if self.pruning:
+                self.add_regions(*valuated)
             if budget_hit:
                 break
-
-            if cfg.algorithm == "div" and cfg.k >= 1:
-                unique: dict = {}
-                for s in valuated_f + valuated_b:
-                    unique.setdefault(s.bitmap.bits, s)
-                pool = list(unique.values())
-                chosen = diversify_level(pool, cfg.k, cfg.alpha, runner.log, measures)
-                div_set = chosen
-                chosen_bits = {s.bitmap.bits for s in chosen}
-                valuated_f = [s for s in valuated_f if s.bitmap.bits in chosen_bits]
-                valuated_b = [s for s in valuated_b if s.bitmap.bits in chosen_bits]
-
-            fwd_frontier, bwd_frontier = valuated_f, valuated_b
+            if cfg.algorithm == "div":
+                valuated = self.diversify(valuated)
+            frontiers = valuated
             level += 1
-    except EstimatorFailure as exc:
-        return runner.result(algorithm, partial=True, failure=str(exc),
-                             pruned=pruned, div_set=div_set)
-    return runner.result(algorithm, pruned=pruned, div_set=div_set)
-
-
-def run_div(universal: UniversalTable, measures: MeasureSet, estimator,
-            cfg: SearchConfig) -> RunResult:
-    """Diversified bidirectional search: each level's survivors are pruned,
-    grid-submitted, then thinned to the k most mutually distant states."""
-    if cfg.k < 1:
-        raise ArgumentError("diversified search needs k >= 1")
-    div_cfg = SearchConfig(
-        epsilon=cfg.epsilon, budget=cfg.budget, max_len=cfg.max_len,
-        algorithm="div", k=cfg.k, alpha=cfg.alpha, theta=cfg.theta,
-        target=cfg.target, workers=cfg.workers, cache_size=cfg.cache_size,
-    )
-    result = run_bi(universal, measures, estimator, div_cfg, pruning=True)
-    result.algorithm = "div"
-    return result
 
 
 def run_algorithm(universal: UniversalTable, measures: MeasureSet, estimator,
                   cfg: SearchConfig) -> RunResult:
-    if cfg.algorithm == "apx":
-        return run_apx(universal, measures, estimator, cfg)
-    if cfg.algorithm == "bi":
-        return run_bi(universal, measures, estimator, cfg, pruning=True)
-    if cfg.algorithm == "nobi":
-        return run_bi(universal, measures, estimator, cfg, pruning=False)
-    if cfg.algorithm == "div":
-        return run_div(universal, measures, estimator, cfg)
-    raise ArgumentError(f"unknown algorithm {cfg.algorithm!r}")
+    """Run ``cfg.algorithm``; an estimator failure ends the walk early and
+    returns what was found so far, flagged ``partial``."""
+    runner = _Runner(universal, measures, estimator, cfg)
+    failure = None
+    try:
+        runner.walk()
+    except EstimatorFailure as exc:
+        failure = str(exc)
+    return RunResult(grid=runner.grid, graph=runner.graph, log=runner.log,
+                     algorithm=cfg.algorithm, space=runner.space,
+                     valuations=runner.valuations, partial=failure is not None,
+                     failure=failure, pruned=runner.pruned, div_set=runner.div_set)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ArgumentError, BoundViolationError
+from .errors import ArgumentError
 from .measures import MeasureSet, PerfVector
 from .operators import Bitmap, SearchState
 
@@ -139,22 +139,6 @@ class SkylineGrid:
     def covers(self, perf: PerfVector) -> bool:
         """Some occupant eps-dominates the vector."""
         return any(eps_dominates(o.perf, perf, self.epsilon) for o in self.cells.values())
-
-
-def grid_pos(perf: PerfVector, grid: SkylineGrid) -> GridPosition:
-    """Floor-log coordinates of a vector; errors below the declared floor."""
-    if not perf.is_fully_valuated():
-        raise ArgumentError("vector must be fully valuated")
-    for i, spec in enumerate(grid.measures.specs):
-        if float(perf.values[i]) < spec.p_low:
-            raise BoundViolationError(
-                f"{spec.name} value {perf.values[i]} below p_low {spec.p_low}"
-            )
-    return grid.position_unchecked(perf)
-
-
-def u_pareto(grid: SkylineGrid, candidate: SearchState) -> str:
-    return grid.submit(candidate)
 
 
 def exact_pareto(states: Sequence[SearchState]) -> list:

@@ -7,6 +7,7 @@ join and never appear in active domains.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -181,6 +182,11 @@ def ingest_csv(path: str, name: str) -> Relation:
         if len(row) != len(header):
             raise ArgumentError(f"{path}: ragged row of width {len(row)}")
     cols = infer_column_types(header, raw)
+    for c, col in enumerate(cols):
+        for r, v in enumerate(col):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ArgumentError(f"{path}: non-finite value {raw[r][c]!r} "
+                                    f"in column {header[c]!r}, row {r + 1}")
     rows = list(zip(*cols)) if cols and raw else []
     return Relation(name, tuple(header), tuple(rows))
 

@@ -32,8 +32,6 @@ from skyforge import (
     exact_pareto,
     naive_exact_pareto,
     run_algorithm,
-    run_apx,
-    run_bi,
     valuate,
 )
 from skyforge.estimators import RidgeEstimator
@@ -172,8 +170,8 @@ def audit_pruned(result, u, measures, estimator, eps):
 
 def test_criterion_4_pruning_soundness():
     u, measures, estimator, names, vectors = build_pruning_fixture()
-    cfg = SearchConfig(epsilon=0.3, target="t", theta=0.55)
-    result = run_bi(u, measures, estimator, cfg, pruning=True)
+    cfg = SearchConfig(epsilon=0.3, target="t", theta=0.55, algorithm="bi")
+    result = run_algorithm(u, measures, estimator, cfg)
     pruned_bits = {p.bitmap.bits for p in result.pruned}
     fixture_ok = pruned_bits == {names["s_4"], names["s_5"]}
     fixture_ok &= all(result.log.get(Bitmap(b, 5)) is None for b in pruned_bits)
@@ -183,8 +181,8 @@ def test_criterion_4_pruning_soundness():
     for seed in range(20):
         mu, mms, mest = make_monotone_instance(seed)
         for eps in (0.2, 0.5):
-            res = run_bi(mu, mms, mest, SearchConfig(epsilon=eps, target="t"),
-                         pruning=True)
+            res = run_algorithm(mu, mms, mest, SearchConfig(epsilon=eps, target="t",
+                                                            algorithm="bi"))
             bad = audit_pruned(res, mu, mms, mest, eps)
             audited += len({p.bitmap.bits for p in res.pruned})
             unsound += len(bad)
@@ -274,14 +272,13 @@ def test_criterion_7_efficiency_smoke():
     assert len(u.relation.rows) == 4000
 
     started = time.perf_counter()
-    res_apx = run_apx(u, measures, RidgeEstimator("y"),
-                      SearchConfig(epsilon=0.2, budget=500, target="y"))
+    res_apx = run_algorithm(u, measures, RidgeEstimator("y"),
+                            SearchConfig(epsilon=0.2, budget=500, target="y"))
     t_apx = time.perf_counter() - started
 
     started = time.perf_counter()
-    res_bi = run_bi(u, measures, RidgeEstimator("y"),
-                    SearchConfig(epsilon=0.2, budget=500, target="y"),
-                    pruning=True)
+    res_bi = run_algorithm(u, measures, RidgeEstimator("y"),
+                           SearchConfig(epsilon=0.2, budget=500, target="y", algorithm="bi"))
     t_bi = time.perf_counter() - started
 
     ok = (t_apx < 60.0 and t_bi <= t_apx

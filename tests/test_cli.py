@@ -83,6 +83,26 @@ class TestConfigValidation:
         path.write_text("{}")
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
 
+    def test_workers_key_rejected(self, tmp_path):
+        path = base_config(tmp_path, search={"algorithm": "apx", "epsilon": 0.3, "workers": 2})
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(str(path))
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+
+    def test_bad_measure_range_rejected_at_load(self, tmp_path):
+        path = base_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["measures"][0]["raw_high"] = raw["measures"][0]["raw_low"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(str(path))
+
+    def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys):
+        path = base_config(tmp_path)
+        (tmp_path / "pool.csv").write_text(POOL_CSV.replace("\n3.0,", "\nnan,", 1))
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+
     def test_semantic_hash_ignores_output_dir(self, tmp_path):
         c1 = RunConfig.from_file(str(base_config(tmp_path)))
         raw = dict(c1.raw)
@@ -99,6 +119,7 @@ class TestRunCommand:
         cfg = RunConfig.from_file(str(base_config(tmp_path)))
         code, manifest, result, space = execute_run(cfg)
         assert code == EXIT_OK
+        assert space is result.space  # the search's own state space, not a rebuild
         assert manifest["grid"], "expected at least one output dataset"
         assert manifest["valuations"] == result.valuations
         out = cfg.output_dir()

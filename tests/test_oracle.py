@@ -22,7 +22,7 @@ from skyforge import (
     enumerate_all,
     exact_pareto,
     naive_exact_pareto,
-    run_apx,
+    run_algorithm,
 )
 from skyforge.measures import LogEntry
 from skyforge.operators import StateSpace
@@ -205,6 +205,6 @@ class TestOracleAgainstSearch:
         }
         est = LookupEstimator(table)
         ms = flat_measures()
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.2))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.2))
         states = enumerate_all(u, est, ms)
         assert check_eps_cover(res.grid, states, 0.2).ok()

@@ -29,9 +29,6 @@ from skyforge import (
     eps_dominates,
     param_eps_dominates,
     run_algorithm,
-    run_apx,
-    run_bi,
-    run_div,
     valuate,
 )
 from skyforge.measures import LogEntry
@@ -88,8 +85,7 @@ class TestBackSt:
 
     def test_feature_needing_estimator_gets_first_literal(self, toy_universal):
         space = StateSpace(toy_universal, protected=("t",))
-        space._needs_feature = True
-        s = back_st(space, "t")
+        s = back_st(space, "t", needs_feature=True)
         extra = set(s.bitmap.ones()) - set(space.attr_bits["t"])
         assert extra == {space.attr_bits["A"][0]}
 
@@ -126,21 +122,21 @@ def walkthrough_fixture():
 class TestRunApx:
     def test_budget_one_valuates_exactly_one_state(self):
         u, ms, est = toy_setup()
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.3, target="t", budget=1))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", budget=1))
         assert res.valuations == 1
         assert est.calls == 1
         assert res.grid.occupant_count() <= 1
 
     def test_exhaustive_grid_covers_every_valuated_state(self):
         u, ms, est = toy_setup()
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.5, target="t"))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.5, target="t"))
         everything = enumerate_all(u, est, ms, target="t")
         report = check_eps_cover(res.grid, everything, 0.5)
         assert report.eps_cover_violations == []
 
     def test_walkthrough_ends_with_the_two_survivors(self):
         u, ms, est = walkthrough_fixture()
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.3, budget=5))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, budget=5))
         assert res.valuations == 5
         got = {o.bitmap.bits for o in res.grid.occupants()}
         assert got == {0b1011, 0b1101}  # D2 and D3
@@ -153,7 +149,7 @@ class TestRunApx:
 
     def test_max_len_limits_depth(self):
         u, ms, est = toy_setup()
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.3, target="t", max_len=1))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", max_len=1))
         assert all(s.level <= 1 for s in res.graph.nodes.values())
         # root plus its four feature flips
         assert res.valuations == 5
@@ -169,17 +165,17 @@ class TestRunApx:
                     raise EstimatorFailure("boom", bitmap=state.bitmap)
                 return {"rmse": 0.5, "r2_inv": 0.5, "train_cost": 0.5}
 
-        res = run_apx(toy_universal, three_measures(p_low=0.05), Flaky(),
-                      SearchConfig(epsilon=0.3, target="t"))
+        res = run_algorithm(toy_universal, three_measures(p_low=0.05), Flaky(),
+                            SearchConfig(epsilon=0.3, target="t"))
         assert res.partial
         assert "boom" in res.failure
 
 
 class TestRunBi:
     def test_needs_target(self):
-        u, ms, est = toy_setup()
-        with pytest.raises(ArgumentError):
-            run_bi(u, ms, est, SearchConfig(epsilon=0.3), pruning=False)
+        for algo in ("bi", "nobi", "div"):
+            with pytest.raises(ArgumentError):
+                SearchConfig(epsilon=0.3, algorithm=algo, k=1)
 
     def test_meet_in_the_middle_on_single_attribute(self):
         rel = Relation.from_rows("u", ["t", "a"], [[1, "p"], [1, "q"]])
@@ -191,25 +187,27 @@ class TestRunBi:
         u.invalidate_caches()
         ms = three_measures(p_low=0.05)
         est = LookupEstimator({}, default={"rmse": 0.5, "r2_inv": 0.5, "train_cost": 0.5})
-        res = run_bi(u, ms, est, SearchConfig(epsilon=0.3, target="t"), pruning=False)
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="nobi"))
         # frontiers meet at the one-literal states; all four states valuated,
         # nothing expanded past the meeting level
         assert res.valuations == 4
-        assert len(res.graph.edges) == 4
+        assert all(s.level <= 1 for s in res.graph.nodes.values())
+        assert len(res.graph.parents) == 2
 
     def test_exhaustive_no_pruning_covers_full_space(self):
         u, ms, est = toy_setup()
         eps = 0.3
-        res_bi = run_bi(u, ms, est, SearchConfig(epsilon=eps, target="t"), pruning=False)
-        res_apx = run_apx(u, ms, est, SearchConfig(epsilon=eps, target="t"))
+        res_bi = run_algorithm(u, ms, est, SearchConfig(epsilon=eps, target="t",
+                                                        algorithm="nobi"))
+        res_apx = run_algorithm(u, ms, est, SearchConfig(epsilon=eps, target="t"))
         everything = enumerate_all(u, est, ms, target="t")
         for res in (res_bi, res_apx):
             assert check_eps_cover(res.grid, everything, eps).eps_cover_violations == []
 
     def test_worked_fixture_prunes_the_sandwiched_states(self):
         u, ms, est, names, vectors = build_pruning_fixture()
-        cfg = SearchConfig(epsilon=0.3, target="t", theta=0.55)
-        res = run_bi(u, ms, est, cfg, pruning=True)
+        cfg = SearchConfig(epsilon=0.3, target="t", theta=0.55, algorithm="bi")
+        res = run_algorithm(u, ms, est, cfg)
         pruned_bits = {p.bitmap.bits for p in res.pruned}
         assert pruned_bits == {names["s_4"], names["s_5"]}
         # pruned states were skipped without valuation
@@ -227,8 +225,8 @@ class TestRunBi:
 
     def test_pruning_never_breaks_cover_of_the_full_space(self):
         u, ms, est, names, vectors = build_pruning_fixture()
-        res = run_bi(u, ms, est, SearchConfig(epsilon=0.3, target="t", theta=0.55),
-                     pruning=True)
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", theta=0.55,
+                                                     algorithm="bi"))
         everything = enumerate_all(u, est, ms, target="t")
         assert check_eps_cover(res.grid, everything, 0.3).eps_cover_violations == []
 
@@ -429,15 +427,15 @@ class TestDiversifyLevel:
 class TestRunDiv:
     def test_large_k_matches_unconstrained_run(self):
         u, ms, est = toy_setup()
-        res_div = run_div(u, ms, est, SearchConfig(
+        res_div = run_algorithm(u, ms, est, SearchConfig(
             epsilon=0.3, target="t", algorithm="div", k=10_000))
-        res_bi = run_bi(u, ms, est, SearchConfig(epsilon=0.3, target="t"), pruning=True)
+        res_bi = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="bi"))
         assert {p: o.bitmap.bits for p, o in res_div.grid.cells.items()} == \
                {p: o.bitmap.bits for p, o in res_bi.grid.cells.items()}
 
     def test_k_one_propagates_single_state_per_level(self):
         u, ms, est = toy_setup()
-        res = run_div(u, ms, est, SearchConfig(
+        res = run_algorithm(u, ms, est, SearchConfig(
             epsilon=0.3, target="t", algorithm="div", k=1))
         assert len(res.div_set) <= 1
         assert not res.partial
@@ -470,17 +468,8 @@ class TestDeterminismAndBudget:
             assert {p.coords: o.bitmap.bits for p, o in r1.grid.cells.items()} == \
                    {p.coords: o.bitmap.bits for p, o in r2.grid.cells.items()}
             assert [e.bitmap.bits for e in r1.log] == [e.bitmap.bits for e in r2.log]
-            assert [(t.source.bits, t.target.bits) for t in r1.graph.edges] == \
-                   [(t.source.bits, t.target.bits) for t in r2.graph.edges]
-
-    def test_worker_count_does_not_change_results(self):
-        u, ms, est1 = toy_setup(seed=5)
-        _, _, est2 = toy_setup(seed=5)
-        r1 = run_apx(u, ms, est1, SearchConfig(epsilon=0.2, target="t", workers=1))
-        r2 = run_apx(u, ms, est2, SearchConfig(epsilon=0.2, target="t", workers=3))
-        assert {p.coords: o.bitmap.bits for p, o in r1.grid.cells.items()} == \
-               {p.coords: o.bitmap.bits for p, o in r2.grid.cells.items()}
-        assert {e.bitmap.bits for e in r1.log} == {e.bitmap.bits for e in r2.log}
+            assert [(b, t.source.bits, t.kind) for b, t in r1.graph.parents.items()] == \
+                   [(b, t.source.bits, t.kind) for b, t in r2.graph.parents.items()]
 
     @pytest.mark.parametrize("budget", [1, 3, 7])
     def test_budget_compliance(self, budget):
@@ -494,7 +483,7 @@ class TestDeterminismAndBudget:
     def test_provenance_paths_replay(self):
         u, ms, est = toy_setup(seed=1)
         space = StateSpace(u, protected=("t",))
-        res = run_apx(u, ms, est, SearchConfig(epsilon=0.3, target="t"))
+        res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t"))
         for occupant in res.grid.occupants():
             path = res.graph.path_to(occupant.bitmap)
             state = SearchState(res.graph.roots[0])

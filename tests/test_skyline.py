@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from skyforge import (
     ArgumentError,
     Bitmap,
-    BoundViolationError,
     MeasureSet,
     MeasureSpec,
     SearchState,
@@ -15,8 +14,6 @@ from skyforge import (
     dominates,
     eps_dominates,
     exact_pareto,
-    grid_pos,
-    u_pareto,
 )
 from skyforge.oracle import naive_dominates, naive_exact_pareto
 
@@ -87,17 +84,12 @@ def make_grid(eps=0.3, p_low=0.1, p_high=1.0):
 class TestGridPos:
     def test_all_lower_bound_is_origin(self):
         grid = make_grid(p_low=0.1)
-        assert grid_pos(perf(0.1, 0.1, 0.1), grid).coords == (0, 0)
+        assert grid.position_unchecked(perf(0.1, 0.1, 0.1)).coords == (0, 0)
 
     def test_floor_log_coordinates(self):
         grid = make_grid(eps=0.3, p_low=0.1)
-        pos = grid_pos(perf(0.26, 0.15, 0.37), grid)
+        pos = grid.position_unchecked(perf(0.26, 0.15, 0.37))
         assert pos.coords == (3, 1)
-
-    def test_below_lower_bound_rejected(self):
-        grid = make_grid(p_low=0.1)
-        with pytest.raises(BoundViolationError):
-            grid_pos(perf(0.05, 0.2, 0.2), grid)
 
     def test_same_cell_values_within_factor(self):
         grid = make_grid(eps=0.3, p_low=0.1)
@@ -118,30 +110,30 @@ def state(bits, vec, n=5):
 class TestUPareto:
     def test_upper_bound_filter_rejects(self):
         grid = make_grid(p_high=0.5)
-        assert u_pareto(grid, state(1, (0.2, 0.6, 0.2))) == "rejected"
+        assert grid.submit(state(1, (0.2, 0.6, 0.2))) == "rejected"
         assert grid.occupant_count() == 0
 
     def test_insert_into_empty_cell(self):
         grid = make_grid()
-        assert u_pareto(grid, state(1, (0.3, 0.3, 0.3))) == "inserted"
+        assert grid.submit(state(1, (0.3, 0.3, 0.3))) == "inserted"
 
     def test_replacement_on_strictly_lower_decisive(self):
         grid = make_grid()
-        u_pareto(grid, state(1, (0.26, 0.15, 0.37)))
-        assert u_pareto(grid, state(2, (0.26, 0.15, 0.35))) == "replaced"
+        grid.submit(state(1, (0.26, 0.15, 0.37)))
+        assert grid.submit(state(2, (0.26, 0.15, 0.35))) == "replaced"
         (occ,) = grid.occupants()
         assert occ.perf.values[2] == 0.35
 
     def test_decisive_tie_keeps_incumbent(self):
         grid = make_grid()
-        u_pareto(grid, state(1, (0.3, 0.3, 0.3)))
-        assert u_pareto(grid, state(2, (0.3, 0.3, 0.3))) == "rejected"
+        grid.submit(state(1, (0.3, 0.3, 0.3)))
+        assert grid.submit(state(2, (0.3, 0.3, 0.3))) == "rejected"
         (occ,) = grid.occupants()
         assert occ.bitmap.bits == 1
 
     def test_below_floor_reported_not_rejected(self):
         grid = make_grid(p_low=0.2)
-        assert u_pareto(grid, state(1, (0.05, 0.3, 0.3))) == "inserted"
+        assert grid.submit(state(1, (0.05, 0.3, 0.3))) == "inserted"
         assert grid.below_floor == {1}
 
     def test_single_measure_degenerates_to_scalar_minimum(self):

@@ -61,6 +61,21 @@ class TestCsvIngest:
         with pytest.raises(ArgumentError):
             ingest_csv(str(p), "e")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_float_rejected_with_location(self, tmp_path, cell):
+        p = tmp_path / "n.csv"
+        p.write_text(f"a,x\n1,0.5\n2,{cell}\n")
+        with pytest.raises(ArgumentError) as info:
+            ingest_csv(str(p), "n")
+        message = str(info.value)
+        assert str(p) in message and "'x'" in message and "row 2" in message
+
+    def test_nan_text_in_string_column_stays_a_category(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("s\nnan\nabc\n")
+        r = ingest_csv(str(p), "s")
+        assert r.adom("s") == ("abc", "nan")
+
 
 class TestBuildUniversal:
     def test_join_on_full_key_match(self):

@@ -146,18 +146,25 @@ class RunConfig:
         est = self.raw["estimator"]
         if "builtin" not in est and "command" not in est:
             raise ConfigError("estimator needs either a builtin name or a command")
+        if est.get("builtin") == "ridge" and not (est.get("target") or self.raw.get("target")):
+            raise ConfigError("ridge estimator needs a target column")
         try:
             self.measure_set()
+            self.search_config()
         except ArgumentError as exc:
             raise ConfigError(f"config invalid: {exc}") from None
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, args=None) -> "RunConfig":
+        """Load a config; ``args``' search flags override the file's values
+        before anything is validated."""
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
+        if args is not None and isinstance(raw, dict) and isinstance(raw.get("search"), dict):
+            raw = _with_flag_overrides(raw, args)
         return cls(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def semantic_hash(self) -> str:
@@ -193,7 +200,8 @@ class RunConfig:
             k=s.get("k", 0),
             alpha=s.get("alpha", 0.5),
             theta=s.get("theta", 0.8),
-            target=self.raw.get("target"),
+            # the estimator's own target is protected too
+            target=self.raw.get("target") or self.raw["estimator"].get("target"),
         )
 
     def build_universal(self) -> UniversalTable:
@@ -209,10 +217,8 @@ class RunConfig:
     def build_estimator(self):
         est = self.raw["estimator"]
         if est.get("builtin") == "ridge":
-            target = est.get("target") or self.raw.get("target")
-            if not target:
-                raise ConfigError("ridge estimator needs a target column")
-            return RidgeEstimator(target, lam=est.get("lam", 1e-8))
+            return RidgeEstimator(est.get("target") or self.raw.get("target"),
+                                  lam=est.get("lam", 1e-8))
         if est.get("builtin") == "lookup":
             table = {}
             if "path" in est:
@@ -226,8 +232,8 @@ class RunConfig:
         return self._path(self.raw.get("output_dir", "skyforge_out"))
 
 
-def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
-    search = dict(cfg.raw.get("search", {}))
+def _with_flag_overrides(raw: dict, args) -> dict:
+    search = dict(raw["search"])
     for flag, key in (
         ("epsilon", "epsilon"), ("max_length", "max_len"), ("budget", "budget"),
         ("k", "k"), ("alpha", "alpha"), ("theta", "theta"),
@@ -236,9 +242,7 @@ def apply_flag_overrides(cfg: RunConfig, args) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             search[key] = value
-    raw = dict(cfg.raw)
-    raw["search"] = search
-    return RunConfig(raw, base_dir=cfg.base_dir)
+    return {**raw, "search": search}
 
 
 def _provenance(result: RunResult, bitmap: Bitmap) -> list:
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = apply_flag_overrides(RunConfig.from_file(args.config), args)
+        cfg = RunConfig.from_file(args.config, args)
     except ConfigError as exc:
         print(f"skyforge: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

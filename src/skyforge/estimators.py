@@ -34,13 +34,6 @@ class LookupEstimator:
         self.default = default
         self.calls = 0
 
-    @classmethod
-    def from_named_vectors(cls, names: Sequence[str], vectors: dict,
-                           default: Optional[Sequence[float]] = None) -> "LookupEstimator":
-        table = {bits: dict(zip(names, vec)) for bits, vec in vectors.items()}
-        dflt = dict(zip(names, default)) if default is not None else None
-        return cls(table, dflt)
-
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
         self.calls += 1
         row = self.table.get(state.bitmap.bits, self.default)
@@ -71,54 +64,42 @@ class RidgeEstimator:
 
     requires_feature = True
 
-    def __init__(self, target: str, lam: float = 1e-8,
-                 worst_error: float = 1.0, max_rows: float = 1.0, max_cols: float = 1.0):
+    def __init__(self, target: str, lam: float = 1e-8, worst_error: float = 1.0):
         if not target:
             raise ArgumentError("ridge estimator needs a target column")
         self.target = target
         self.lam = lam
         self.worst_error = worst_error
-        self.max_rows = max_rows
-        self.max_cols = max_cols
         self.calls = 0
 
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
         self.calls += 1
-        data = space.dataset(state.bitmap)
-        if self.target not in data.schema:
+        attrs = space.active_attributes(state.bitmap)
+        if self.target not in attrs:
             raise EstimatorFailure(
                 f"target column {self.target!r} missing from state",
                 bitmap=state.bitmap,
             )
+        view = space.columns
+        mask = space.row_mask(state.bitmap)
+        # a feature has at least one number and nothing else among the rows
         feature_names = [
-            a for a in data.schema
-            if a != self.target and _is_numeric_column(data.column(a))
+            a for a in attrs
+            if a != self.target and mask & view.number[a] and not mask & view.non_numeric[a]
         ]
-        n_rows = data.expanded_row_count
         out = {
-            TRAIN_COST: float(n_rows),
+            TRAIN_COST: float(space.row_count(state.bitmap)),
             MODEL_SIZE: float(len(feature_names)),
         }
-        ti = data.schema.index(self.target)
-        fi = [data.schema.index(a) for a in feature_names]
-        xs, ys = [], []
-        for row, w in zip(data.rows, data.row_weights):
-            y = row[ti]
-            if y is None or not isinstance(y, (int, float)):
-                continue
-            feats = [row[i] for i in fi]
-            for _ in range(w):
-                xs.append(feats)
-                ys.append(float(y))
-        if not ys or not feature_names:
+        # rows with a numeric target, each repeated by its multiplicity
+        rows = space.row_indices(mask & view.number[self.target])
+        rows = np.repeat(rows, view.weights[rows])
+        if not len(rows) or not feature_names:
             out[TRAIN_ERROR] = self.worst_error
             out[HOLDOUT_ERROR] = self.worst_error
             return out
-        x = np.array(
-            [[np.nan if v is None else float(v) for v in row] for row in xs],
-            dtype=float,
-        )
-        y = np.array(ys, dtype=float)
+        x = view.values[np.ix_(rows, [view.column[a] for a in feature_names])]
+        y = view.values[rows, view.column[self.target]]
         col_mean = np.nanmean(x, axis=0)
         col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
         nan_at = np.isnan(x)
@@ -146,17 +127,6 @@ class RidgeEstimator:
         xb = np.hstack([x, np.ones((x.shape[0], 1))])
         resid = xb @ beta - y
         return float(np.mean(resid * resid))
-
-
-def _is_numeric_column(cells) -> bool:
-    saw = False
-    for v in cells:
-        if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return False
-        saw = True
-    return saw
 
 
 class SubprocessEstimator:

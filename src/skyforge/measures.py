@@ -281,14 +281,6 @@ class CorrelationGraph:
     def weight(self, a: str, b: str) -> Optional[float]:
         return self.edges.get(frozenset((a, b)))
 
-    def neighbors(self, name: str) -> list:
-        out = []
-        for key, rho in self.edges.items():
-            if name in key:
-                (other,) = key - {name}
-                out.append((other, rho))
-        return out
-
     def is_empty(self) -> bool:
         return not self.edges
 

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import and_
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import ArgumentError, DegenerateStateError, InapplicableOperatorError
 from .tabular import Literal, Relation, UniversalTable
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-_BYTE_BITS = [[i for i in range(8) if b >> i & 1] for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,32 @@ class _LruCache:
             self._data.popitem(last=False)
 
 
+def _mask_of(flags) -> int:
+    """Row mask (bit r set for each true ``flags[r]``) of a boolean sequence."""
+    packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+@dataclass(frozen=True)
+class ColumnarView:
+    """Column arrays of the universal relation, for scoring a state from its
+    row mask without materializing its rows."""
+
+    values: np.ndarray  # rows x attributes, NaN for null and non-numeric cells
+    column: dict        # attribute -> column of ``values``
+    number: dict        # attribute -> row mask of int/float cells (bools count)
+    non_numeric: dict   # attribute -> row mask of non-null bool or non-number cells
+    weights: np.ndarray  # row multiplicities
+
+
 class StateSpace:
     """Materialization and transition engine over one universal table.
 
     Row membership per (attribute, literal) bit is precomputed as integer
     bitsets, so row counts and filters cost a few word operations per
     attribute.  Materialized relations go through a bounded LRU cache since
-    most explored states are never output.
+    most explored states are never output; estimators that only need
+    numbers read the lazily built ``columns`` view instead.
     """
 
     def __init__(self, universal: UniversalTable, protected: Iterable[str] = (),
@@ -122,6 +144,7 @@ class StateSpace:
         self.bit_attrs: list = []
         self.bit_literals: list = []
         self.attr_bits: dict = {}
+        self._attr_field: dict = {}  # attribute -> its bits as a bitmap mask
         for a in universal.schema:
             lits = universal.literals(a)
             start = len(self.bit_literals)
@@ -129,38 +152,51 @@ class StateSpace:
                 self.bit_attrs.append(a)
                 self.bit_literals.append(lit)
             self.attr_bits[a] = tuple(range(start, len(self.bit_literals)))
+            self._attr_field[a] = ((1 << len(lits)) - 1) << start
         self.n_bits = len(self.bit_literals)
         if self.n_bits == 0:
             raise ArgumentError("universal table has no literals; derive them first")
 
         rel = universal.relation
-        n_rows = len(rel.rows)
-        self._all_rows_mask = (1 << n_rows) - 1
+        self._n_rows = len(rel.rows)
+        self._all_rows_mask = (1 << self._n_rows) - 1
         self._null_mask = {}
         self._bit_mask = [0] * self.n_bits
-        col_index = {a: i for i, a in enumerate(rel.schema)}
         for a in universal.schema:
-            ci = col_index[a]
-            nulls = 0
-            for r, row in enumerate(rel.rows):
-                if row[ci] is None:
-                    nulls |= 1 << r
-            self._null_mask[a] = nulls
-        for r, row in enumerate(rel.rows):
-            for a in universal.schema:
-                v = row[col_index[a]]
-                if v is None:
-                    continue
-                cluster = universal.cluster_of(a, v)
-                if cluster is None:
-                    continue
-                self._bit_mask[self.attr_bits[a][cluster]] |= 1 << r
+            cells = rel.column(a)
+            self._null_mask[a] = _mask_of([v is None for v in cells])
+            # cluster index per row; NaN where the cell is null or in no cluster
+            clusters = np.array([universal.cluster_of(a, v) for v in cells], dtype=float)
+            for k, i in enumerate(self.attr_bits[a]):
+                self._bit_mask[i] = _mask_of(clusters == k)
 
         self._row_count_cache: dict = {}
         self._dataset_cache = _LruCache(cache_size)
         self._weights = rel.row_weights
-        self._uniform_weights = all(w == 1 for w in self._weights)
-        self._n_rows = n_rows
+        weights = np.array(self._weights, dtype=np.int64)
+        # plane k holds the rows whose weight has bit k set, so a weighted
+        # count is a handful of popcounts
+        self._weight_planes = [_mask_of(weights >> k & 1)
+                               for k in range(max(self._weights, default=0).bit_length())]
+
+    @cached_property
+    def columns(self) -> ColumnarView:
+        """The universal relation as a float matrix plus per-column masks of
+        numeric and non-numeric cells, built on first use."""
+        rel = self.universal.relation
+        values = np.full((self._n_rows, len(rel.schema)), np.nan)
+        number, non_numeric = {}, {}
+        for c, a in enumerate(rel.schema):
+            cells = rel.column(a)
+            is_number = [isinstance(v, (int, float)) for v in cells]
+            values[:, c] = [float(v) if ok else np.nan for v, ok in zip(cells, is_number)]
+            number[a] = _mask_of(is_number)
+            non_numeric[a] = _mask_of([
+                v is not None and (isinstance(v, bool) or not ok)
+                for v, ok in zip(cells, is_number)
+            ])
+        return ColumnarView(values, {a: c for c, a in enumerate(rel.schema)},
+                            number, non_numeric, np.array(self._weights, dtype=np.int64))
 
     # -- bitmap construction -------------------------------------------------
 
@@ -184,14 +220,27 @@ class StateSpace:
 
     # -- semantics -----------------------------------------------------------
 
-    def _set_indices(self, mask: int) -> list:
-        out = []
-        offset = 0
-        for byte in mask.to_bytes((self._n_rows + 7) // 8, "little"):
-            if byte:
-                out.extend(offset + i for i in _BYTE_BITS[byte])
-            offset += 8
-        return out
+    def row_indices(self, mask: int) -> np.ndarray:
+        """Ascending indices of the rows set in a row mask."""
+        raw = np.frombuffer(mask.to_bytes((self._n_rows + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, count=self._n_rows, bitorder="little"))
+
+    def _allowed(self, attribute: str, bits: int) -> int:
+        """Rows attribute ``attribute`` keeps under bitmap ``bits``: every row
+        when none of its bits is set (column absent), else its nulls plus the
+        rows of each retained value cluster."""
+        present = bits & self._attr_field[attribute]
+        if not present:
+            return self._all_rows_mask
+        allowed = self._null_mask[attribute]
+        for i in self.attr_bits[attribute]:
+            if present >> i & 1:
+                allowed |= self._bit_mask[i]
+        return allowed
+
+    def _count(self, mask: int) -> int:
+        return sum((mask & plane).bit_count() << k
+                   for k, plane in enumerate(self._weight_planes))
 
     def row_mask(self, bitmap: Bitmap) -> int:
         cached = self._row_count_cache.get(bitmap.bits)
@@ -199,18 +248,8 @@ class StateSpace:
             return cached[0]
         mask = self._all_rows_mask
         for a in self.universal.schema:
-            bits = [i for i in self.attr_bits[a] if bitmap.test(i)]
-            if not bits:
-                continue  # attribute absent: no constraint
-            allowed = self._null_mask[a]
-            for i in bits:
-                allowed |= self._bit_mask[i]
-            mask &= allowed
-        if self._uniform_weights:
-            count = mask.bit_count()
-        else:
-            count = sum(self._weights[r] for r in self._set_indices(mask))
-        self._row_count_cache[bitmap.bits] = (mask, count)
+            mask &= self._allowed(a, bitmap.bits)
+        self._row_count_cache[bitmap.bits] = (mask, self._count(mask))
         return mask
 
     def row_count(self, bitmap: Bitmap) -> int:
@@ -219,8 +258,7 @@ class StateSpace:
         return self._row_count_cache[bitmap.bits][1]
 
     def active_attributes(self, bitmap: Bitmap) -> list:
-        return [a for a in self.universal.schema
-                if any(bitmap.test(i) for i in self.attr_bits[a])]
+        return [a for a in self.universal.schema if bitmap.bits & self._attr_field[a]]
 
     def is_degenerate(self, bitmap: Bitmap) -> bool:
         if bitmap.bits == 0:
@@ -234,16 +272,11 @@ class StateSpace:
             return cached
         rel = self.universal.relation
         attrs = self.active_attributes(bitmap)
-        col_index = {a: i for i, a in enumerate(rel.schema)}
-        mask = self.row_mask(bitmap)
-        cols = [col_index[a] for a in attrs]
-        rows = []
-        weights = []
-        for r in self._set_indices(mask):
-            row = rel.rows[r]
-            rows.append(tuple(row[c] for c in cols))
-            weights.append(self._weights[r])
-        result = Relation("state", tuple(attrs), tuple(rows), weights=tuple(weights))
+        cols = [rel.schema.index(a) for a in attrs]
+        kept = self.row_indices(self.row_mask(bitmap)).tolist()
+        result = Relation("state", tuple(attrs),
+                          tuple(tuple(rel.rows[r][c] for c in cols) for r in kept),
+                          weights=tuple(self._weights[r] for r in kept))
         self._dataset_cache.put(bitmap.bits, result)
         return result
 
@@ -270,22 +303,40 @@ class StateSpace:
 
         Forward yields reducts, backward yields augments, attributes in
         schema order and literals in derivation order.  Children with empty
-        datasets are skipped, as are bits of protected attributes.
+        datasets are skipped, as are bits of protected attributes.  A child
+        differs from its parent in one attribute, so its row mask is the
+        parent's other attributes' masks (prefix and suffix ANDs) and the
+        flipped attribute's new mask; every child's (mask, count) is cached.
         """
         if direction not in (FORWARD, BACKWARD):
             raise ArgumentError(f"unknown direction {direction!r}")
         out = []
         want_set = direction == FORWARD
         kind = "reduct" if want_set else "augment"
-        for a in self.universal.schema:
+        bits = state.bitmap.bits
+        schema = self.universal.schema
+        allowed = [self._allowed(a, bits) for a in schema]
+        # before[j] is the AND of allowed[:j], after[j] the AND of allowed[j:]
+        before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
+        after = list(accumulate(reversed(allowed), and_, initial=self._all_rows_mask))[::-1]
+        cache = self._row_count_cache
+        for j, a in enumerate(schema):
             if a in self.protected:
                 continue
+            others = before[j] & after[j + 1]
             for i in self.attr_bits[a]:
-                if state.bitmap.test(i) != want_set:
+                if bool(bits >> i & 1) != want_set:
                     continue
-                child = state.bitmap.with_bit(i, not want_set)
-                if self.is_degenerate(child):
+                child_bits = bits ^ (1 << i)
+                if not child_bits:
                     continue
+                entry = cache.get(child_bits)
+                if entry is None:
+                    mask = others & self._allowed(a, child_bits)
+                    entry = cache[child_bits] = (mask, self._count(mask))
+                if entry[1] == 0:
+                    continue
+                child = Bitmap(child_bits, state.bitmap.length)
                 transition = Transition(state.bitmap, kind, self.bit_literals[i], child)
                 out.append((SearchState(child, state.level + 1), transition))
         return out

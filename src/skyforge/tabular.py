@@ -64,10 +64,6 @@ class Relation:
         return tuple(sorted(seen, key=_sort_key))
 
     @property
-    def adoms(self) -> dict:
-        return {a: self.adom(a) for a in self.schema}
-
-    @property
     def row_weights(self) -> tuple:
         return self.weights if self.weights is not None else (1,) * len(self.rows)
 
@@ -104,12 +100,6 @@ class UniversalTable:
 
     def literals(self, attribute: str) -> tuple:
         return self.literal_index.get(attribute, ())
-
-    def all_literals(self) -> list:
-        out = []
-        for a in self.schema:
-            out.extend(self.literal_index.get(a, ()))
-        return out
 
     def cluster_of(self, attribute: str, value: Cell) -> Optional[int]:
         """Index into ``literals(attribute)`` of the cluster a cell belongs to.

@@ -103,6 +103,26 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["bi", "apx"])  # bi: search, apx: ridge
+    def test_missing_target_reported_before_ingest(self, tmp_path, capsys, algorithm):
+        path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}],
+                           search={"algorithm": algorithm, "epsilon": 0.3})
+        raw = json.loads(path.read_text())
+        del raw["target"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="target"):
+            RunConfig.from_file(str(path))
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "target" in err and "missing.csv" not in err
+
+    def test_flags_apply_before_search_validation(self, tmp_path):
+        # the file alone is an invalid div search (no k); the flag completes it
+        path = base_config(tmp_path, search={"algorithm": "div", "epsilon": 0.3, "budget": 40})
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(str(path))
+        assert main(["run", "--config", str(path), "--k", "2"]) == EXIT_OK
+
     def test_semantic_hash_ignores_output_dir(self, tmp_path):
         c1 = RunConfig.from_file(str(base_config(tmp_path)))
         raw = dict(c1.raw)
@@ -204,6 +224,19 @@ class TestRunCommand:
         assert manifest["algorithm"] == "nobi"
         assert manifest["epsilon"] == 0.5
         assert manifest["valuations"] <= 50
+
+    def test_ridge_target_protected_without_top_level_target(self, tmp_path):
+        path = base_config(tmp_path, estimator={"builtin": "ridge", "target": "y"})
+        raw = json.loads(path.read_text())
+        del raw["target"]
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        manifest = load_manifest(str(tmp_path / "out"))
+        assert manifest["grid"]
+        for entry in manifest["grid"]:
+            assert "y" in entry["columns"]
+            header = (tmp_path / "out" / entry["csv"]).read_text().splitlines()[0]
+            assert "y" in header.split(",")
 
     def test_lookup_estimator_from_file(self, tmp_path):
         (tmp_path / "small.csv").write_text("c\na\na\nb\n")

@@ -128,6 +128,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate re-checks the schema on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 class ConfigError(SkyforgeError):
     pass
@@ -139,13 +142,15 @@ class RunConfig:
     base_dir: str = "."
 
     def __post_init__(self):
-        try:
-            jsonschema.validate(self.raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config invalid: {exc.message} at {list(exc.absolute_path)}")
+        error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(self.raw))
+        if error is not None:
+            raise ConfigError(f"config invalid: {error.message} at {list(error.absolute_path)}")
         est = self.raw["estimator"]
         if "builtin" not in est and "command" not in est:
             raise ConfigError("estimator needs either a builtin name or a command")
+        if "target" in est and "target" in self.raw and est["target"] != self.raw["target"]:
+            raise ConfigError(f"target {self.raw['target']!r} and estimator target "
+                              f"{est['target']!r} differ")
         if est.get("builtin") == "ridge" and not (est.get("target") or self.raw.get("target")):
             raise ConfigError("ridge estimator needs a target column")
         try:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,7 +101,10 @@ class RidgeEstimator:
             return out
         x = view.values[np.ix_(rows, [view.column[a] for a in feature_names])]
         y = view.values[rows, view.column[self.target]]
-        col_mean = np.nanmean(x, axis=0)
+        with warnings.catch_warnings():
+            # an all-NaN column ("Mean of empty slice") is imputed with 0 below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            col_mean = np.nanmean(x, axis=0)
         col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
         nan_at = np.isnan(x)
         x[nan_at] = np.take(col_mean, np.nonzero(nan_at)[1])

@@ -11,9 +11,48 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ArgumentError, SchemaConflictError
 
 Cell = Any  # int | float | str | None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# distance-matrix cells _nearest holds at once, which bounds its memory for
+# any number of points
+_NEAREST_CELLS = 1 << 16
+
+
+def _nearest(points, centers) -> np.ndarray:
+    """Index of each point's nearest center, ties to the lowest index.
+
+    Equals ``min(range(len(centers)), key=lambda i: (abs(p - centers[i]), i))``
+    for every point ``p``: float64 subtraction and ``abs`` round as Python
+    floats do, and ``argmin`` keeps the first minimum.  Python subtracts two
+    ints exactly, so an int beyond 2**52 (where a float64 difference may
+    round) sends both sides through object arrays and Python's own arithmetic.
+    """
+    p, c = _number_array(points), _number_array(centers)
+    if p.dtype == object or c.dtype == object:
+        p, c = p.astype(object), c.astype(object)
+    step = max(1, _NEAREST_CELLS // len(c))
+    out = np.empty(len(p), dtype=np.intp)
+    for start in range(0, len(p), step):
+        block = p[start:start + step]
+        out[start:start + step] = np.abs(block[:, None] - c[None, :]).argmin(axis=1)
+    return out
+
+
+def _number_array(values) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values
+    if any(type(v) is int and abs(v) > 2**52 for v in values):
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.float64)
 
 
 def _sort_key(v):
@@ -123,14 +162,16 @@ class UniversalTable:
             lits = self.literal_index.get(a)
             if not lits:
                 continue
-            mapping = {}
             values = [lit.value for lit in lits]
-            numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-            for v in self.relation.adom(a):
-                if numeric and isinstance(v, (int, float)) and not isinstance(v, bool):
-                    best = min(range(len(values)), key=lambda i: (abs(v - values[i]), i))
-                    mapping[v] = best
-                elif v in values:
+            adom = self.relation.adom(a)
+            if all(_is_number(v) for v in values):
+                numbers = [v for v in adom if _is_number(v)]
+                mapping = dict(zip(numbers, _nearest(numbers, values).tolist()))
+                rest = [v for v in adom if not _is_number(v)]
+            else:
+                mapping, rest = {}, adom
+            for v in rest:
+                if v in values:
                     mapping[v] = values.index(v)
                 # truncated categorical values map to no cluster
             tables[a] = mapping
@@ -161,13 +202,16 @@ def infer_column_types(header: Sequence[str], raw_rows: list) -> list:
 
 def ingest_csv(path: str, name: str) -> Relation:
     """Load an RFC-4180 CSV with a header row into a Relation."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ArgumentError(f"{path}: empty CSV") from None
-        raw = [row for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ArgumentError(f"{path}: empty CSV") from None
+            raw = [row for row in reader]
+    except OSError as exc:
+        raise ArgumentError(f"{path}: cannot read CSV: {exc.strerror or exc}") from None
     for row in raw:
         if len(row) != len(header):
             raise ArgumentError(f"{path}: ragged row of width {len(row)}")
@@ -308,12 +352,12 @@ def kmeans_1d(values: Sequence[float], k: int, tol: float = 1e-9, max_iter: int 
     k = min(k, n)
     if k <= 0:
         return []
+    points = np.array(vals)
     centroids = [vals[(2 * j + 1) * n // (2 * k)] for j in range(k)]
     for _ in range(max_iter):
-        clusters = [[] for _ in range(k)]
-        for v in vals:
-            best = min(range(k), key=lambda i: (abs(v - centroids[i]), i))
-            clusters[best].append(v)
+        labels = _nearest(points, centroids)
+        # ascending Python floats, so ``sum`` adds them in the same order
+        clusters = [points[labels == i].tolist() for i in range(k)]
         new_centroids = [
             (sum(c) / len(c)) if c else centroids[i] for i, c in enumerate(clusters)
         ]
@@ -339,13 +383,14 @@ def derive_literals(u: UniversalTable, attribute: str, max_clusters: int = 30) -
     adom = u.relation.adom(attribute)
     if not adom:
         return []
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in adom)
-    if numeric:
+    if all(_is_number(v) for v in adom):
         clusters = kmeans_1d(adom, min(max_clusters, len(adom)))
+        centroids = [sum(cluster) / len(cluster) for cluster in clusters]
         reps = []
-        for cluster in clusters:
-            centroid = sum(cluster) / len(cluster)
-            rep = min(adom, key=lambda v: (abs(v - centroid), _sort_key(v)))
+        # adom ascends by _sort_key, so the first nearest member is the one
+        # with the least _sort_key
+        for i in _nearest(centroids, adom).tolist():
+            rep = adom[i]
             if rep not in reps:
                 reps.append(rep)
         reps.sort(key=_sort_key)

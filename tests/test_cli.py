@@ -3,6 +3,7 @@ import json
 import os
 import sys
 
+import jsonschema
 import pytest
 
 from skyforge import SearchState
@@ -13,6 +14,7 @@ from skyforge.cli import (
     EXIT_ESTIMATOR,
     EXIT_OK,
     EXIT_VIOLATIONS,
+    CONFIG_SCHEMA,
     ConfigError,
     RunConfig,
     execute_run,
@@ -63,6 +65,38 @@ class TestConfigValidation:
         path.write_text(json.dumps({"sources": []}))
         with pytest.raises(ConfigError):
             RunConfig.from_file(str(path))
+
+    def test_config_schema_is_a_valid_schema(self):
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("raw", [
+        {},
+        {"sources": []},
+        {"sources": [{"path": "p.csv"}], "measures": [], "estimator": {}, "search": {}},
+        {"sources": [{"path": "p.csv", "name": "p"}], "measures": [{"name": "m"}],
+         "estimator": {"builtin": "ridge"}, "search": {"epsilon": 0, "workers": 2}},
+    ])
+    def test_schema_messages_match_jsonschema_validate(self, raw):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        exc = expected.value
+        with pytest.raises(ConfigError) as info:
+            RunConfig(raw)
+        assert str(info.value) == f"config invalid: {exc.message} at {list(exc.absolute_path)}"
+
+    def test_conflicting_targets_rejected_before_ingest(self, tmp_path, capsys):
+        path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}],
+                           target="f1", estimator={"builtin": "ridge", "target": "y"})
+        with pytest.raises(ConfigError, match="'f1'.*'y'"):
+            RunConfig.from_file(str(path))
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "'f1'" in err and "'y'" in err and "missing.csv" not in err
+
+    def test_missing_source_csv_exits_2(self, tmp_path, capsys):
+        path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}])
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert "missing.csv" in capsys.readouterr().err
 
     def test_two_decisive_measures_rejected(self, tmp_path):
         path = base_config(tmp_path)

@@ -8,6 +8,7 @@ must produce the same children and cache the same (mask, count) pairs.
 """
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,6 @@ from skyforge.tabular import build_universal, compress_rows, derive_all_literals
 from conftest import build_pruning_fixture, build_toy_universal, make_monotone_instance
 
 MEASURES = (TRAIN_ERROR, HOLDOUT_ERROR, TRAIN_COST, MODEL_SIZE)
-
-# a feature whose numbers sit only on rows with a non-numeric target imputes
-# from an all-NaN column, as the estimator always has
-pytestmark = pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
 
 
 # -- row-wise references -------------------------------------------------------
@@ -72,7 +69,11 @@ def reference_ridge(est: RidgeEstimator, bitmap: Bitmap, space: StateSpace) -> d
         return out
     x = np.array([[np.nan if v is None else float(v) for v in row] for row in xs], dtype=float)
     y = np.array(ys, dtype=float)
-    col_mean = np.nanmean(x, axis=0)
+    with warnings.catch_warnings():
+        # a feature whose numbers sit only on rows with a non-numeric target
+        # imputes from an all-NaN column, as the estimator always has
+        warnings.simplefilter("ignore", RuntimeWarning)
+        col_mean = np.nanmean(x, axis=0)
     col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
     nan_at = np.isnan(x)
     x[nan_at] = np.take(col_mean, np.nonzero(nan_at)[1])

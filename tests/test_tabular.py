@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from skyforge import (
     ingest_csv,
     kmeans_1d,
 )
+from skyforge.tabular import _sort_key
 
 
 def rel(name, schema, rows):
@@ -265,3 +268,161 @@ class TestCompressRows:
         u.invalidate_caches()
         c = compress_rows(u)
         assert set(c.relation.rows) == {("x",), (None,)}
+
+
+# -- literal derivation against the scalar reference ---------------------------
+#
+# kmeans_1d, the representative pick and the cluster tables share one numpy
+# nearest-center kernel.  The references below do the same work one value at
+# a time in plain Python; every comparison is exact (no tolerance), types
+# included.
+
+
+def reference_kmeans_1d(values, k, tol=1e-9, max_iter=200):
+    vals = sorted(float(v) for v in values)
+    n = len(vals)
+    k = min(k, n)
+    if k <= 0:
+        return []
+    centroids = [vals[(2 * j + 1) * n // (2 * k)] for j in range(k)]
+    for _ in range(max_iter):
+        clusters = [[] for _ in range(k)]
+        for v in vals:
+            best = min(range(k), key=lambda i: (abs(v - centroids[i]), i))
+            clusters[best].append(v)
+        new_centroids = [(sum(c) / len(c)) if c else centroids[i] for i, c in enumerate(clusters)]
+        shift = max(abs(a - b) for a, b in zip(centroids, new_centroids))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    return [c for c in clusters if c]
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def reference_literal_values(u, attribute, max_clusters):
+    adom = u.relation.adom(attribute)
+    if not adom:
+        return []
+    if all(is_number(v) for v in adom):
+        reps = []
+        for cluster in reference_kmeans_1d(adom, min(max_clusters, len(adom))):
+            centroid = sum(cluster) / len(cluster)
+            rep = min(adom, key=lambda v: (abs(v - centroid), _sort_key(v)))
+            if rep not in reps:
+                reps.append(rep)
+        return sorted(reps, key=_sort_key)
+    counts = {}
+    for v, w in zip(u.relation.column(attribute), u.relation.row_weights):
+        if v is not None:
+            counts[v] = counts.get(v, 0) + w
+    ranked = sorted(adom, key=lambda v: (-counts.get(v, 0), _sort_key(v)))
+    return sorted(ranked[:max_clusters], key=_sort_key)
+
+
+def reference_cluster_tables(u):
+    tables = {}
+    for a in u.schema:
+        values = [lit.value for lit in u.literal_index.get(a, ())]
+        if not values:
+            continue
+        numeric = all(is_number(v) for v in values)
+        mapping = {}
+        for v in u.relation.adom(a):
+            if numeric and is_number(v):
+                mapping[v] = min(range(len(values)), key=lambda i: (abs(v - values[i]), i))
+            elif v in values:
+                mapping[v] = values.index(v)
+        tables[a] = mapping
+    return tables
+
+
+def reference_compress(u, tables):
+    merged = {}
+    for row, w in zip(u.relation.rows, u.relation.row_weights):
+        cells = []
+        for a, v in zip(u.schema, row):
+            ci = None if v is None else tables[a].get(v)
+            cells.append(None if ci is None else u.literal_index[a][ci].value)
+        merged[tuple(cells)] = merged.get(tuple(cells), 0) + w
+    return list(merged), list(merged.values())
+
+
+def typed(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+def assert_same_derivation(columns, k):
+    schema = list(columns)
+    u = UniversalTable(relation=rel("u", schema, zip(*columns.values())))
+    derive_all_literals(u, k)
+    for a in schema:
+        adom = u.relation.adom(a)
+        if adom and all(is_number(v) for v in adom):
+            kk = min(k, len(adom))
+            assert kmeans_1d(adom, kk) == reference_kmeans_1d(adom, kk), a
+        literals = [lit.value for lit in u.literals(a)]
+        assert typed(literals) == typed(reference_literal_values(u, a, k)), a
+    tables = reference_cluster_tables(u)
+    for a in schema:
+        for v in u.relation.adom(a):
+            assert u.cluster_of(a, v) == tables[a].get(v), (a, v)
+    out = compress_rows(u)
+    rows, weights = reference_compress(u, tables)
+    assert repr(out.relation.rows) == repr(tuple(rows))
+    assert list(out.relation.weights) == weights
+
+
+def _cases(rng, n):
+    mixed = [rng.choice([None, rng.randrange(-40, 40), rng.uniform(-40, 40)]) for _ in range(n)]
+    return {
+        "gauss-1e-9": [rng.gauss(0, 1e-9) for _ in range(n)],
+        "gauss-1": [rng.gauss(0, 1) for _ in range(n)],
+        "gauss-1e6": [rng.gauss(0, 1e6) for _ in range(n)],
+        "ints": [rng.randrange(-n, n) for _ in range(n)],
+        "grid-0.1": [rng.randrange(2 * n) * 0.1 for _ in range(n)],
+        "mixed-nulls": mixed,
+        "adjacent": [1 + i * 2**-52 for i in range(n)],
+        "ints-beyond-2**53": [2**53 + rng.randrange(-2 * n, 2 * n) for _ in range(n)],
+    }
+
+
+CASE_NAMES = sorted(_cases(random.Random(0), 1))
+
+
+class TestLiteralDifferential:
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 30])
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_fixed_cases(self, case, k):
+        for n in (1, 2, 9, 100, 800):
+            column = _cases(random.Random(n), n)[case]
+            labels = [random.Random(n).choice("pq") for _ in range(n)]
+            assert_same_derivation({"x": column, "label": labels}, k)
+
+    @given(
+        st.lists(st.one_of(
+            st.none(),
+            st.integers(-1000, 1000),
+            st.integers(-2**60, 2**60),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ), min_size=1, max_size=60),
+        st.sampled_from([1, 2, 3, 12, 30]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_columns(self, column, k):
+        assert_same_derivation({"x": column}, k)
+
+    @pytest.mark.parametrize("literals, cell, cluster", [
+        # float64 rounds 2**53+3 and 2**53+5 both to 2**53+4
+        ((2**53 + 2, 2**53 + 5), 2**53 + 3, 0),
+        # exact distances 2**54 and 2**54-1 both round to 2**54 in float64
+        ((-2**53, -2**53 + 1), 2**53, 1),
+    ])
+    def test_big_ints_compare_exactly(self, literals, cell, cluster):
+        u = UniversalTable(relation=rel("u", ["x"], [[v] for v in (*literals, cell)]))
+        u.literal_index = {"x": tuple(Literal("x", v) for v in literals)}
+        u.invalidate_caches()
+        assert u.cluster_of("x", cell) == cluster
+        assert u._cluster_tables() == reference_cluster_tables(u)

@@ -23,9 +23,8 @@ from .errors import ArgumentError, EnumerationCapError, SkyforgeError
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
 from .operators import Bitmap, SearchState
-from .oracle import check_div_bound, check_eps_cover, enumerate_all, state_count_bound
+from .oracle import check_div_bound, check_eps_cover, check_pruned, enumerate_all, state_count_bound
 from .search import RunResult, SearchConfig, run_algorithm
-from .skyline import eps_dominates
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
 
 EXIT_OK = 0
@@ -320,8 +319,11 @@ def execute_run(cfg: RunConfig):
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
-    result = run_algorithm(universal, measures, estimator, search_cfg)
-    wall = time.perf_counter() - started
+    try:
+        result = run_algorithm(universal, measures, estimator, search_cfg)
+        wall = time.perf_counter() - started
+    finally:
+        estimator.close()
 
     space = result.space
     manifest = build_manifest(cfg, result, out_dir, wall)
@@ -348,38 +350,29 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
     search_cfg = cfg.search_config()
     cap = max_bits if max_bits is not None else cfg.raw.get("verify_max_bits", 20)
 
-    result = run_algorithm(universal, measures, estimator, search_cfg)
-    if result.partial:
-        return EXIT_ESTIMATOR, {"error": result.failure or "estimator failure"}
-
-    if _corrupt_grid is not None:
-        _corrupt_grid(result.grid)
-
-    oracle_log = TestLog()
     try:
-        everything = enumerate_all(universal, estimator, measures,
-                                   target=search_cfg.target, max_bits=cap,
-                                   log=oracle_log)
-    except EnumerationCapError as exc:
-        return EXIT_CAP, {"error": str(exc), "required": exc.required}
+        result = run_algorithm(universal, measures, estimator, search_cfg)
+        if result.partial:
+            return EXIT_ESTIMATOR, {"error": result.failure or "estimator failure"}
+
+        if _corrupt_grid is not None:
+            _corrupt_grid(result.grid)
+
+        oracle_log = TestLog()
+        try:
+            everything = enumerate_all(universal, estimator, measures,
+                                       target=search_cfg.target, max_bits=cap,
+                                       log=oracle_log)
+        except EnumerationCapError as exc:
+            return EXIT_CAP, {"error": str(exc), "required": exc.required}
+    finally:
+        estimator.close()
 
     report = check_eps_cover(result.grid, everything, search_cfg.epsilon)
     report.degenerate = state_count_bound(result.space) - len(everything)
 
-    valuated = [s for s in everything if result.log.get(s.bitmap) is not None]
-    for pruned in result.pruned:
-        entry = oracle_log.get(pruned.bitmap)
-        if entry is None:
-            continue
-        covered = any(
-            eps_dominates(v.perf, entry.perf, search_cfg.epsilon) for v in valuated
-        )
-        if covered:
-            report.pruned_validated += 1
-        else:
-            report.eps_cover_violations.append(
-                (pruned.bitmap.to_hex(), "pruned state not eps-dominated by a valuated state")
-            )
+    check_pruned(report, result.pruned, everything, result.log, oracle_log,
+                 search_cfg.epsilon)
 
     payload = report.to_dict()
     if search_cfg.algorithm == "div" and result.div_set:

@@ -45,6 +45,9 @@ class LookupEstimator:
             )
         return dict(row)
 
+    def close(self):
+        """Nothing to release (every estimator has ``close``)."""
+
 
 TRAIN_ERROR = "train_error"
 HOLDOUT_ERROR = "holdout_error"
@@ -122,6 +125,9 @@ class RidgeEstimator:
             out[HOLDOUT_ERROR] = out[TRAIN_ERROR]
         return out
 
+    def close(self):
+        """Nothing to release (every estimator has ``close``)."""
+
     def _fit(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         xb = np.hstack([x, np.ones((x.shape[0], 1))])
         gram = xb.T @ xb + self.lam * np.eye(xb.shape[1])
@@ -158,7 +164,9 @@ class SubprocessEstimator:
         self.calls = 0
 
     def _ensure_proc(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()  # a dead child's pipes are still open
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -233,14 +241,19 @@ class SubprocessEstimator:
         return line
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
+        """Close both pipes and reap the child, alive or not; idempotent."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        for pipe in (proc.stdin, proc.stdout):
             try:
-                self._proc.stdin.close()
-            except OSError:
+                pipe.close()
+            except OSError:  # a dead child leaves a broken pipe to flush
                 pass
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-        self._proc = None
+        if proc.poll() is None:
+            proc.terminate()
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()

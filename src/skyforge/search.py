@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ArgumentError, EstimatorFailure
 from .measures import (
     Bounds,
@@ -29,7 +31,7 @@ from .measures import (
 )
 from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
 from .skyline import SkylineGrid
-from .tabular import UniversalTable
+from .tabular import UniversalTable, _row_blocks
 
 ALGORITHMS = ("apx", "bi", "nobi", "div")
 
@@ -198,23 +200,40 @@ def can_prune(s_mid: SearchState, fwd: SearchState, bwd: SearchState, eps: float
 
 
 def _euc(a: PerfVector, b: PerfVector) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.as_floats(), b.as_floats())))
+    sq = 0.0
+    for x, y in zip(a.as_floats(), b.as_floats()):
+        # plain left-to-right adds, as _euc_max does (sum() compensates
+        # rounding from Python 3.12 on)
+        sq += (x - y) ** 2
+    return math.sqrt(sq)
 
 
 def _euc_max(log: TestLog, measures: MeasureSet) -> float:
+    """Largest ``_euc`` between two fully valuated log entries, cached per
+    log version (``sqrt(len(measures))`` when there is no positive one).
+
+    Blocked over rows, one measure column at a time, in ``_euc``'s order of
+    subtractions, squares and additions.  ``np.float_power`` squares through
+    the C library's ``pow``, as Python's ``**`` does; ``d * d`` differs from
+    it in the last bit for about one ``d`` in a thousand.  ``sqrt`` is
+    correctly rounded and monotone, so ``sqrt`` of the largest square sum is
+    the largest distance bit for bit.
+    """
     cached = getattr(log, "_euc_max_cache", None)
     if cached is not None and cached[0] == log.version:
         return cached[1]
-    vectors = [e.perf for e in log if e.perf.is_fully_valuated()]
-    if len(vectors) < 2:
-        value = math.sqrt(len(measures))
-    else:
-        value = 0.0
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                value = max(value, _euc(vectors[i], vectors[j]))
-        if value == 0.0:
-            value = math.sqrt(len(measures))
+    x = np.array([e.perf.as_floats() for e in log if e.perf.is_fully_valuated()],
+                 dtype=np.float64)
+    largest = 0.0
+    if len(x) >= 2:
+        for rows in _row_blocks(len(x), len(x)):
+            # row i against every j >= the block's first row: each pair once
+            # or twice, never skipped
+            sq = np.zeros((len(x[rows]), len(x) - rows.start))
+            for m in range(x.shape[1]):
+                sq += np.float_power(x[rows, None, m] - x[None, rows.start:, m], 2.0)
+            largest = max(largest, float(sq.max()))
+    value = math.sqrt(largest) if largest > 0.0 else math.sqrt(len(measures))
     log._euc_max_cache = (log.version, value)
     return value
 

@@ -22,9 +22,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# distance-matrix cells _nearest holds at once, which bounds its memory for
-# any number of points
-_NEAREST_CELLS = 1 << 16
+# cells a blocked pairwise kernel (here, in the oracle and in search) holds
+# at once, which bounds its memory for any number of points
+_BLOCK_CELLS = 1 << 16
+
+# the least int that float() cannot convert: it rounds up to 2**1024
+_FLOAT_OVERFLOW_INT = 2**1024 - 2**970
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices cutting ``n_rows`` rows into blocks of at most ``_BLOCK_CELLS``
+    cells against ``n_cols`` columns (one row a block when a row is larger)."""
+    step = max(1, _BLOCK_CELLS // max(1, n_cols))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _nearest(points, centers) -> np.ndarray:
@@ -39,11 +49,9 @@ def _nearest(points, centers) -> np.ndarray:
     p, c = _number_array(points), _number_array(centers)
     if p.dtype == object or c.dtype == object:
         p, c = p.astype(object), c.astype(object)
-    step = max(1, _NEAREST_CELLS // len(c))
     out = np.empty(len(p), dtype=np.intp)
-    for start in range(0, len(p), step):
-        block = p[start:start + step]
-        out[start:start + step] = np.abs(block[:, None] - c[None, :]).argmin(axis=1)
+    for rows in _row_blocks(len(p), len(c)):
+        out[rows] = np.abs(p[rows, None] - c[None, :]).argmin(axis=1)
     return out
 
 
@@ -221,6 +229,9 @@ def ingest_csv(path: str, name: str) -> Relation:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ArgumentError(f"{path}: non-finite value {raw[r][c]!r} "
                                     f"in column {header[c]!r}, row {r + 1}")
+            if isinstance(v, int) and abs(v) >= _FLOAT_OVERFLOW_INT:
+                raise ArgumentError(f"{path}: {v.bit_length()}-bit integer beyond "
+                                    f"float range in column {header[c]!r}, row {r + 1}")
     rows = list(zip(*cols)) if cols and raw else []
     return Relation(name, tuple(header), tuple(rows))
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import subprocess
 import sys
 
 import jsonschema
@@ -25,6 +26,16 @@ from skyforge.cli import (
 POOL_CSV = "y,f1,f2\n" + "\n".join(
     f"{2.0 * i + (i % 3)},{float(i)},{float(i % 4)}" for i in range(12)
 ) + "\n"
+
+
+# a command estimator answering every request with the same measures
+CONSTANT_CHILD = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    print(json.dumps({'id': req['id'], 'measures': {'holdout_error': 50.0,"
+    " 'train_cost': 5.0, 'model_size': 2.0}}), flush=True)\n"
+)
 
 
 def base_config(tmp_path, **overrides):
@@ -137,6 +148,14 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
         assert "non-finite" in capsys.readouterr().err
 
+    def test_int_cell_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = base_config(tmp_path)
+        rows = [f"{2 * i},{'9' * 400 if i == 5 else i},{i % 4}" for i in range(12)]
+        (tmp_path / "pool.csv").write_text("y,f1,f2\n" + "\n".join(rows) + "\n")
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "float range" in err and "'f1'" in err and "row 6" in err
+
     @pytest.mark.parametrize("algorithm", ["bi", "apx"])  # bi: search, apx: ridge
     def test_missing_target_reported_before_ingest(self, tmp_path, capsys, algorithm):
         path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}],
@@ -248,6 +267,27 @@ class TestRunCommand:
         code, manifest, _, _ = execute_run(cfg)
         assert code == EXIT_ESTIMATOR
         assert manifest["partial"] is True
+
+    @pytest.mark.parametrize("execute", [execute_run, execute_verify])
+    def test_estimator_child_exits_with_the_operation(self, tmp_path, monkeypatch, execute):
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        spawned = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", CONSTANT_CHILD], "timeout": 10}
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        assert execute(RunConfig.from_file(str(path)))[0] == EXIT_OK
+        assert len(spawned) == 1
+        child = spawned[0]
+        assert child.returncode is not None  # exited and reaped
+        assert child.stdin.closed and child.stdout.closed
 
     def test_cli_flags_override_config(self, tmp_path):
         path = base_config(tmp_path)

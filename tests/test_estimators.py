@@ -108,6 +108,9 @@ CHILD_GARBAGE = textwrap.dedent("""
 """)
 
 
+CHILD_CRASH = "import sys; sys.exit(1)"
+
+
 class TestSubprocess:
     def make(self, tmp_path, script, **kw):
         path = tmp_path / "child.py"
@@ -143,5 +146,34 @@ class TestSubprocess:
         try:
             with pytest.raises(EstimatorFailure):
                 est.estimate(space.root_state(), space)
+        finally:
+            est.close()
+
+    def test_close_reaps_a_dead_child_and_is_idempotent(self, tmp_path):
+        u = numeric_universal([[1.0, 2.0]])
+        space = StateSpace(u)
+        est = self.make(tmp_path, CHILD_CRASH, timeout=5)
+        with pytest.raises(EstimatorFailure):
+            est.estimate(space.root_state(), space)
+        proc = est._proc
+        proc.wait(timeout=5)  # dead before close() runs
+        est.close()
+        assert proc.returncode == 1 and proc.stdin.closed and proc.stdout.closed
+        est.close()
+        assert est._proc is None
+
+    def test_respawn_closes_the_dead_childs_pipes(self, tmp_path):
+        u = numeric_universal([[1.0, 2.0]])
+        space = StateSpace(u)
+        est = self.make(tmp_path, CHILD_CRASH, timeout=5)
+        try:
+            with pytest.raises(EstimatorFailure):
+                est.estimate(space.root_state(), space)
+            first = est._proc
+            first.wait(timeout=5)
+            with pytest.raises(EstimatorFailure):
+                est.estimate(space.root_state(), space)
+            assert est._proc is not first
+            assert first.stdin.closed and first.stdout.closed
         finally:
             est.close()

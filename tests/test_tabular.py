@@ -73,6 +73,22 @@ class TestCsvIngest:
         message = str(info.value)
         assert str(p) in message and "'x'" in message and "row 2" in message
 
+    @pytest.mark.parametrize("cell", [2**1024 - 2**970, -(2**1024 - 2**970), int("9" * 400)],
+                             ids=["limit", "minus-limit", "400-digits"])
+    def test_int_beyond_float_range_rejected_with_location(self, tmp_path, cell):
+        p = tmp_path / "i.csv"
+        p.write_text(f"a,x\n1,5\n2,{cell}\n")
+        with pytest.raises(ArgumentError) as info:
+            ingest_csv(str(p), "i")
+        message = str(info.value)
+        assert str(p) in message and "'x'" in message and "row 2" in message
+
+    def test_largest_float_convertible_int_accepted(self, tmp_path):
+        cell = 2**1024 - 2**970 - 1  # float() rounds it down to the largest float
+        p = tmp_path / "i.csv"
+        p.write_text(f"x\n5\n{cell}\n")
+        assert ingest_csv(str(p), "i").column("x") == [5, cell]
+
     def test_nan_text_in_string_column_stays_a_category(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("s\nnan\nabc\n")

@@ -21,7 +21,6 @@ from .measures import (
     Bounds,
     MeasureSet,
     MeasureSpec,
-    PerfVector,
     TestLog,
     build_correlation_graph,
     estimate_bounds,
@@ -35,6 +34,8 @@ from .oracle import (
     check_div_bound,
     check_eps_cover,
     enumerate_all,
+    naive_dominates,
+    naive_eps_dominates,
     naive_exact_pareto,
 )
 from .search import (
@@ -49,13 +50,7 @@ from .search import (
     param_eps_dominates,
     run_algorithm,
 )
-from .skyline import (
-    GridPosition,
-    SkylineGrid,
-    dominates,
-    eps_dominates,
-    exact_pareto,
-)
+from .skyline import SkylineGrid
 from .tabular import (
     Literal,
     Relation,

@@ -19,10 +19,10 @@ from typing import Optional
 
 import jsonschema
 
-from .errors import ArgumentError, EnumerationCapError, SkyforgeError
+from .errors import ArgumentError, EnumerationCapError, EstimatorFailure, SkyforgeError
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
-from .operators import Bitmap, SearchState
+from .operators import Bitmap
 from .oracle import check_div_bound, check_eps_cover, check_pruned, enumerate_all, state_count_bound
 from .search import RunResult, SearchConfig, run_algorithm
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
@@ -275,13 +275,13 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
         entries.append({
             "bitmap": occupant.bitmap.to_hex(),
             "csv": csv_name,
-            "position": list(result.grid.position_unchecked(occupant.perf).coords),
+            "position": list(result.grid.position_unchecked(occupant.perf)),
             "rows": dataset.expanded_row_count,
             "columns": list(dataset.schema),
             "measures": {
                 name: {
                     "raw": (entry_log.raw or {}).get(name) if entry_log else None,
-                    "normalized": float(occupant.perf.values[i]),
+                    "normalized": float(occupant.perf[i]),
                 }
                 for i, name in enumerate(measures.names)
             },
@@ -365,6 +365,8 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
                                        log=oracle_log)
         except EnumerationCapError as exc:
             return EXIT_CAP, {"error": str(exc), "required": exc.required}
+        except EstimatorFailure as exc:
+            return EXIT_ESTIMATOR, {"error": str(exc)}
     finally:
         estimator.close()
 
@@ -377,10 +379,7 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
     payload = report.to_dict()
     if search_cfg.algorithm == "div" and result.div_set:
         ground = list({s.bitmap.bits: s for s in result.div_set}.values())
-        occupant_states = [
-            SearchState(o.bitmap, perf=o.perf) for o in result.grid.occupants()
-        ]
-        for s in occupant_states:
+        for s in result.grid.occupants():
             if all(s.bitmap.bits != g.bitmap.bits for g in ground):
                 ground.append(s)
         if len(ground) <= 14 and search_cfg.k <= len(ground):

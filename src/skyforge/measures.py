@@ -2,8 +2,9 @@
 correlation machinery feeding interval estimates for unvaluated states.
 
 Every measure is normalized into (0,1] and minimized; maximized raw measures
-invert during normalization.  The test log is the single source of truth for
-valuated performance vectors and doubles as the estimator cache.
+invert during normalization.  A valuated performance vector is a plain tuple
+of normalized floats in measure order.  The test log is the single source of
+truth for valuated vectors and doubles as the estimator cache.
 """
 
 from __future__ import annotations
@@ -79,55 +80,12 @@ class MeasureSet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def spec(self, name: str) -> MeasureSpec:
-        return self.specs[self.index(name)]
-
 
 class Bounds(NamedTuple):
+    """Interval estimate of one normalized measure of an unvaluated state."""
+
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class PerfVector:
-    """Per-measure entries: a normalized float, a Bounds interval estimate,
-    or None while unvaluated.  Entry order follows the MeasureSet."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    @classmethod
-    def of(cls, *values) -> "PerfVector":
-        return cls(tuple(values))
-
-    def entry(self, i: int):
-        return self.values[i]
-
-    def is_fully_valuated(self) -> bool:
-        return all(isinstance(v, (int, float)) and not isinstance(v, Bounds)
-                   for v in self.values)
-
-    def lower(self, i: int) -> Optional[float]:
-        v = self.values[i]
-        if isinstance(v, Bounds):
-            return v.lo
-        return float(v) if v is not None else None
-
-    def upper(self, i: int) -> Optional[float]:
-        v = self.values[i]
-        if isinstance(v, Bounds):
-            return v.hi
-        return float(v) if v is not None else None
-
-    def as_floats(self) -> tuple:
-        if not self.is_fully_valuated():
-            raise ArgumentError("performance vector is not fully valuated")
-        return tuple(float(v) for v in self.values)
-
-    def __len__(self):
-        return len(self.values)
 
 
 def normalize(spec: MeasureSpec, raw: float) -> float:
@@ -148,22 +106,21 @@ def normalize(spec: MeasureSpec, raw: float) -> float:
 @dataclass(frozen=True)
 class LogEntry:
     bitmap: Bitmap
-    perf: PerfVector
+    perf: tuple  # normalized floats; a seeded entry may hold None
     row_count: int
     raw: Optional[dict] = None  # un-normalized estimator output, for reporting
 
     def value(self, i: int) -> Optional[float]:
-        v = self.perf.values[i]
-        if isinstance(v, Bounds) or v is None:
-            return None
-        return float(v)
+        v = self.perf[i]
+        return None if v is None else float(v)
 
 
 class TestLog:
     """Append-only log of valuated tests, keyed by bitmap.
 
-    Entries are never mutated; fixtures may seed partially valuated vectors,
-    the runtime always appends fully valuated ones.
+    Entries are never mutated; fixtures may seed partially valuated vectors
+    (None for an unvaluated measure), the runtime always appends fully
+    valuated ones.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -185,7 +142,7 @@ class TestLog:
     def append(self, entry: LogEntry) -> LogEntry:
         existing = self._index.get(entry.bitmap.bits)
         if existing is not None:
-            if existing.perf.is_fully_valuated() or not entry.perf.is_fully_valuated():
+            if None not in existing.perf or None in entry.perf:
                 return existing
             # upgrading a partially seeded entry fills its gaps; fully
             # valuated values never change
@@ -207,7 +164,7 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
     bitmap are served from the log.  Returns ``(perf, invoked)``.
     """
     cached = log.get(state.bitmap)
-    if cached is not None and cached.perf.is_fully_valuated():
+    if cached is not None and None not in cached.perf:
         return cached.perf, False
     try:
         raw = estimator.estimate(state, space)
@@ -227,7 +184,7 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
         except EstimatorFailure as exc:
             exc.bitmap = state.bitmap
             raise
-    perf = PerfVector(tuple(values))
+    perf = tuple(values)
     log.append(LogEntry(state.bitmap, perf, space.row_count(state.bitmap),
                         raw={s.name: float(raw[s.name]) for s in measures}))
     return perf, True
@@ -318,9 +275,10 @@ def build_correlation_graph(log: TestLog, theta: float, measures: MeasureSet) ->
 
 
 def estimate_bounds(bitmap: Bitmap, row_count: int, log: TestLog,
-                    graph: CorrelationGraph, measures: MeasureSet) -> PerfVector:
+                    graph: CorrelationGraph, measures: MeasureSet) -> tuple:
     """Interval-estimate a state's vector from correlated, already-valuated
-    measures.
+    measures: a tuple holding a float per valuated measure and a Bounds per
+    estimated one.
 
     For each unvaluated measure p, the strongest correlated anchor q whose
     value is known for this state (a valuated measure of the state itself, or
@@ -357,7 +315,7 @@ def estimate_bounds(bitmap: Bitmap, row_count: int, log: TestLog,
             lo = min(max(interval[0], spec.p_low), spec.p_high)
             hi = min(max(interval[1], spec.p_low), spec.p_high)
             values.append(Bounds(min(lo, hi), max(lo, hi)))
-    return PerfVector(tuple(values))
+    return tuple(values)
 
 
 def _bracket(p: str, q: str, qval: float, log: TestLog, measures: MeasureSet):

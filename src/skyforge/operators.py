@@ -8,7 +8,6 @@ datasets, so bitmaps serve as state keys everywhere.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -64,11 +63,11 @@ class Bitmap:
 @dataclass(frozen=True)
 class SearchState:
     """A node of the running graph: bitmap, depth, and (once valuated) its
-    performance vector."""
+    performance vector, a tuple of normalized floats."""
 
     bitmap: Bitmap
     level: int = 0
-    perf: Optional[object] = None
+    perf: Optional[tuple] = None
 
     def valuated(self, perf) -> "SearchState":
         return SearchState(self.bitmap, self.level, perf)
@@ -86,24 +85,6 @@ class Transition:
     def __post_init__(self):
         if (self.source.bits ^ self.target.bits).bit_count() != 1:
             raise ArgumentError("transitions must differ in exactly one bit")
-
-
-class _LruCache:
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        if key in self._data:
-            self._data.move_to_end(key)
-            return self._data[key]
-        return None
-
-    def put(self, key, value):
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
 
 
 def _mask_of(flags) -> int:
@@ -129,13 +110,11 @@ class StateSpace:
 
     Row membership per (attribute, literal) bit is precomputed as integer
     bitsets, so row counts and filters cost a few word operations per
-    attribute.  Materialized relations go through a bounded LRU cache since
-    most explored states are never output; estimators that only need
-    numbers read the lazily built ``columns`` view instead.
+    attribute.  Estimators that only need numbers read the lazily built
+    ``columns`` view instead of materializing relations.
     """
 
-    def __init__(self, universal: UniversalTable, protected: Iterable[str] = (),
-                 cache_size: int = 256):
+    def __init__(self, universal: UniversalTable, protected: Iterable[str] = ()):
         self.universal = universal
         self.protected = tuple(a for a in protected if a)
         for a in self.protected:
@@ -171,7 +150,6 @@ class StateSpace:
                 self._bit_mask[i] = _mask_of(clusters == k)
 
         self._row_count_cache: dict = {}
-        self._dataset_cache = _LruCache(cache_size)
         self._weights = rel.row_weights
         weights = np.array(self._weights, dtype=np.int64)
         # plane k holds the rows whose weight has bit k set, so a weighted
@@ -267,18 +245,13 @@ class StateSpace:
 
     def dataset(self, bitmap: Bitmap) -> Relation:
         """Materialize the state's table (schema-projected, row-filtered)."""
-        cached = self._dataset_cache.get(bitmap.bits)
-        if cached is not None:
-            return cached
         rel = self.universal.relation
         attrs = self.active_attributes(bitmap)
         cols = [rel.schema.index(a) for a in attrs]
         kept = self.row_indices(self.row_mask(bitmap)).tolist()
-        result = Relation("state", tuple(attrs),
-                          tuple(tuple(rel.rows[r][c] for c in cols) for r in kept),
-                          weights=tuple(self._weights[r] for r in kept))
-        self._dataset_cache.put(bitmap.bits, result)
-        return result
+        return Relation("state", tuple(attrs),
+                        tuple(tuple(rel.rows[r][c] for c in cols) for r in kept),
+                        weights=tuple(self._weights[r] for r in kept))
 
     # -- operators -----------------------------------------------------------
 

@@ -5,8 +5,9 @@ oracle owns its dominance and relaxed-dominance predicates, the front comes
 from an O(n^2) pairwise filter, and enumeration walks the whole bitmap space
 directly instead of following any transition order.  The pairwise work runs
 as blocked numpy comparisons, one measure column at a time, so its memory is
-bounded for any number of states; ``naive_dominates`` is the scalar
-specification the front kernel computes.
+bounded for any number of states; ``naive_dominates`` and
+``naive_eps_dominates`` are the scalar specifications the front and cover
+kernels compute.
 """
 
 from __future__ import annotations
@@ -48,10 +49,29 @@ class EnumerationReport:
 
 
 def naive_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    # kept separate from skyline.dominates on purpose: this is the oracle
+    """True when ``a`` is no worse than ``b`` everywhere and better somewhere."""
+    if len(a) != len(b):
+        raise ArgumentError("performance vectors cover different measure sets")
     no_worse = all(x <= y for x, y in zip(a, b))
     better = any(x < y for x, y in zip(a, b))
     return no_worse and better
+
+
+def naive_eps_dominates(a: Sequence[float], b: Sequence[float], eps: float) -> bool:
+    """Relaxed dominance: within a (1+eps) factor everywhere, and no worse
+    than ``b`` outright on at least one measure (non-strict)."""
+    if len(a) != len(b):
+        raise ArgumentError("performance vectors cover different measure sets")
+    if eps < 0:
+        raise ArgumentError("eps must be non-negative")
+    factor = 1.0 + eps
+    anchored = False
+    for x, y in zip(a, b):
+        if x > factor * y:
+            return False
+        if x <= y:
+            anchored = True
+    return anchored
 
 
 def _dominated(v: np.ndarray) -> np.ndarray:
@@ -70,7 +90,7 @@ def _dominated(v: np.ndarray) -> np.ndarray:
 
 def naive_exact_pareto(states: Sequence[SearchState]) -> list:
     """The non-dominated states in input order, the first of each vector."""
-    vectors = [s.perf.as_floats() for s in states]
+    vectors = [s.perf for s in states]
     if not vectors:
         return []
     out = []
@@ -84,11 +104,11 @@ def naive_exact_pareto(states: Sequence[SearchState]) -> list:
 
 
 def eps_covered(dominators, targets, eps: float) -> np.ndarray:
-    """``out[i]``: some dominator eps-dominates ``targets[i]``.
+    """``out[i]``: some dominator ``naive_eps_dominates`` ``targets[i]``.
 
-    Both arguments are float vectors of one width (``as_floats()`` tuples or
-    matrix rows).  ``a`` eps-dominates ``b`` when no ``a[m] > (1+eps) * b[m]``
-    and some ``a[m] <= b[m]``, the relaxed dominance the grid promises.
+    Both arguments are float vectors of one width (valuated tuples or matrix
+    rows).  ``a`` eps-dominates ``b`` when no ``a[m] > (1+eps) * b[m]`` and
+    some ``a[m] <= b[m]``, the relaxed dominance the grid promises.
     """
     if eps < 0:
         raise ArgumentError("eps must be non-negative")
@@ -169,10 +189,10 @@ def check_eps_cover(grid: SkylineGrid, all_states: Sequence[SearchState],
     """Assert every valuated in-bounds state is eps-dominated by an occupant."""
     report = EnumerationReport(total_states=len(all_states))
     specs = grid.measures.specs
-    values = np.array([s.perf.as_floats() for s in all_states],
+    values = np.array([s.perf for s in all_states],
                       dtype=np.float64).reshape(len(all_states), len(specs))
     in_bounds = np.flatnonzero((values <= [spec.p_high for spec in specs]).all(axis=1))
-    covered = eps_covered([o.perf.as_floats() for o in grid.cells.values()],
+    covered = eps_covered([o.perf for o in grid.cells.values()],
                           values[in_bounds], eps)
     for i in in_bounds[~covered].tolist():
         report.eps_cover_violations.append(
@@ -188,10 +208,10 @@ def check_pruned(report: EnumerationReport, pruned: Sequence[PrunedState],
     """Audit pruning into ``report``: every pruned state the oracle valuated
     must be eps-dominated by some state the search valuated (``searched``),
     both taken at their oracle vectors."""
-    valuated = [s.perf.as_floats() for s in all_states if searched.get(s.bitmap) is not None]
+    valuated = [s.perf for s in all_states if searched.get(s.bitmap) is not None]
     audited = [(p, oracle_log.get(p.bitmap)) for p in pruned]
     audited = [(p, entry) for p, entry in audited if entry is not None]
-    covered = eps_covered(valuated, [entry.perf.as_floats() for _, entry in audited], eps)
+    covered = eps_covered(valuated, [entry.perf for _, entry in audited], eps)
     for (p, _), ok in zip(audited, covered.tolist()):
         if ok:
             report.pruned_validated += 1

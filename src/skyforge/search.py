@@ -23,7 +23,6 @@ from .measures import (
     Bounds,
     CorrelationGraph,
     MeasureSet,
-    PerfVector,
     TestLog,
     build_correlation_graph,
     estimate_bounds,
@@ -129,25 +128,34 @@ def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> Sear
 
 
 def _bounds_of(state: SearchState, space: StateSpace, log: TestLog,
-               graph: CorrelationGraph, measures: MeasureSet) -> PerfVector:
-    if state.perf is not None and state.perf.is_fully_valuated():
+               graph: CorrelationGraph, measures: MeasureSet) -> tuple:
+    if state.perf is not None and None not in state.perf:
         return state.perf
     return estimate_bounds(state.bitmap, space.row_count(state.bitmap),
                            log, graph, measures)
 
 
-def param_eps_dominates(a: PerfVector, b: PerfVector, eps: float) -> bool:
+def _lower(v) -> Optional[float]:
+    return v.lo if isinstance(v, Bounds) else v
+
+
+def _upper(v) -> Optional[float]:
+    return v.hi if isinstance(v, Bounds) else v
+
+
+def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
     """Interval form of eps-dominance of ``b`` by ``a``.
 
-    Valuated entries are point intervals, so all the mixed cases collapse to
+    Entries are floats, Bounds estimates or None.  Valuated entries are
+    point intervals, so all the mixed cases collapse to
     upper(a) <= (1+eps) * lower(b) per measure.  Any unvaluated-and-unbounded
     entry makes the relation indeterminate, reported as False.
     """
     if len(a) != len(b):
         raise ArgumentError("vectors cover different measure sets")
     factor = 1.0 + eps
-    for i in range(len(a)):
-        ua, lb = a.upper(i), b.lower(i)
+    for x, y in zip(a, b):
+        ua, lb = _upper(x), _lower(y)
         if ua is None or lb is None:
             return False
         if ua > factor * lb:
@@ -155,9 +163,8 @@ def param_eps_dominates(a: PerfVector, b: PerfVector, eps: float) -> bool:
     return True
 
 
-def _informative(bounds: PerfVector, measures: MeasureSet) -> bool:
-    for i, spec in enumerate(measures.specs):
-        v = bounds.values[i]
+def _informative(bounds: tuple, measures: MeasureSet) -> bool:
+    for v, spec in zip(bounds, measures.specs):
         if isinstance(v, Bounds):
             if (v.lo, v.hi) != (spec.p_low, spec.p_high):
                 return True
@@ -199,9 +206,9 @@ def can_prune(s_mid: SearchState, fwd: SearchState, bwd: SearchState, eps: float
 # -- diversification ---------------------------------------------------------
 
 
-def _euc(a: PerfVector, b: PerfVector) -> float:
+def _euc(a: tuple, b: tuple) -> float:
     sq = 0.0
-    for x, y in zip(a.as_floats(), b.as_floats()):
+    for x, y in zip(a, b):
         # plain left-to-right adds, as _euc_max does (sum() compensates
         # rounding from Python 3.12 on)
         sq += (x - y) ** 2
@@ -222,8 +229,7 @@ def _euc_max(log: TestLog, measures: MeasureSet) -> float:
     cached = getattr(log, "_euc_max_cache", None)
     if cached is not None and cached[0] == log.version:
         return cached[1]
-    x = np.array([e.perf.as_floats() for e in log if e.perf.is_fully_valuated()],
-                 dtype=np.float64)
+    x = np.array([e.perf for e in log if None not in e.perf], dtype=np.float64)
     largest = 0.0
     if len(x) >= 2:
         for rows in _row_blocks(len(x), len(x)):
@@ -352,7 +358,7 @@ class _Runner:
 
     def valuate_one(self, state: SearchState) -> SearchState:
         cached = self.log.get(state.bitmap)
-        if cached is not None and cached.perf.is_fully_valuated():
+        if cached is not None and None not in cached.perf:
             return state.valuated(cached.perf)
         if self.valuations >= self.cfg.budget:
             raise _BudgetExhausted
@@ -397,7 +403,7 @@ class _Runner:
         if child.bitmap.bits in self.pruned_bits:
             return True
         cached = self.log.get(child.bitmap)
-        if cached is not None and cached.perf.is_fully_valuated():
+        if cached is not None and None not in cached.perf:
             return False  # nothing to save: valuation is a cache hit
         graph = self.corr_graph()
         if graph.is_empty():

@@ -20,7 +20,6 @@ from skyforge import (
     LookupEstimator,
     MeasureSet,
     MeasureSpec,
-    PerfVector,
     Relation,
     SearchState,
     UniversalTable,
@@ -38,8 +37,8 @@ EXAMPLE_VECTORS = {
 }
 
 
-def perf(*values) -> PerfVector:
-    return PerfVector(tuple(values))
+def perf(*values) -> tuple:
+    return tuple(values)
 
 
 def three_measures(p_low=1e-6, p_high=1.0) -> MeasureSet:

@@ -26,10 +26,9 @@ from skyforge import (
     dis_score,
     diversify_level,
     div_score,
-    dominates,
     enumerate_all,
-    eps_dominates,
-    exact_pareto,
+    naive_dominates,
+    naive_eps_dominates,
     naive_exact_pareto,
     run_algorithm,
     valuate,
@@ -69,18 +68,18 @@ def checked(criterion: str, ok: bool, detail: str = "") -> bool:
 def test_criterion_1_worked_example_fidelity(example_states):
     started = time.perf_counter()
     states = example_states
-    front = exact_pareto(list(states.values()))
+    front = naive_exact_pareto(list(states.values()))
     front_names = {
         name for name, s in states.items()
         if s.bitmap.bits in {f.bitmap.bits for f in front}
     }
     relations = (
-        dominates(states["D2"].perf, states["D1"].perf),
-        dominates(states["D3"].perf, states["D2"].perf),
-        dominates(states["D3"].perf, states["D1"].perf),
-        dominates(states["D5"].perf, states["D4"].perf),
-        not dominates(states["D3"].perf, states["D5"].perf),
-        not dominates(states["D5"].perf, states["D3"].perf),
+        naive_dominates(states["D2"].perf, states["D1"].perf),
+        naive_dominates(states["D3"].perf, states["D2"].perf),
+        naive_dominates(states["D3"].perf, states["D1"].perf),
+        naive_dominates(states["D5"].perf, states["D4"].perf),
+        not naive_dominates(states["D3"].perf, states["D5"].perf),
+        not naive_dominates(states["D5"].perf, states["D3"].perf),
     )
     elapsed = time.perf_counter() - started
     ok = front_names == {"D3", "D5"} and all(relations) and elapsed < 1e-3
@@ -114,7 +113,7 @@ def sweep():
                 for violation in report.eps_cover_violations:
                     cover_violations.append((seed, eps, algo, violation))
                 for s in front:
-                    if not any(eps_dominates(o.perf, s.perf, eps)
+                    if not any(naive_eps_dominates(o.perf, s.perf, eps)
                                for o in result.grid.cells.values()):
                         front_misses.append((seed, eps, algo, s.bitmap.to_hex()))
                 if result.grid.occupant_count() > result.grid.max_cells():
@@ -158,12 +157,12 @@ def audit_pruned(result, u, measures, estimator, eps):
     the run valuated."""
     space = StateSpace(u, protected=("t",))
     audit_log = TestLog()
-    valuated = [e.perf for e in result.log if e.perf.is_fully_valuated()]
+    valuated = [e.perf for e in result.log if None not in e.perf]
     bad = []
     for p in {p.bitmap.bits for p in result.pruned}:
         got, _ = valuate(SearchState(Bitmap(p, space.n_bits)), estimator,
                          audit_log, measures, space)
-        if not any(eps_dominates(v, got, eps) for v in valuated):
+        if not any(naive_eps_dominates(v, got, eps) for v in valuated):
             bad.append(p)
     return bad
 

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from skyforge import SearchState
+from skyforge.operators import StateSpace
 from skyforge.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CAP,
@@ -363,6 +364,21 @@ class TestVerifyCommand:
         code, payload = execute_verify(cfg, max_bits=3)
         assert code == EXIT_CAP
         assert payload["required"] > 0
+
+    def test_estimator_failure_in_enumeration_exits_3(self, tmp_path, capsys):
+        # the run valuates only the full bitmap, which the table answers;
+        # the oracle's enumeration then asks for a bitmap it does not hold
+        raw = json.loads(base_config(tmp_path).read_text())
+        space = StateSpace(RunConfig(raw, base_dir=str(tmp_path)).build_universal())
+        full = {"holdout_error": 50.0, "train_cost": 5.0, "model_size": 2.0}
+        (tmp_path / "table.json").write_text(json.dumps({space.full_bitmap().to_hex(): full}))
+        raw["estimator"] = {"builtin": "lookup", "path": "table.json"}
+        raw["search"]["budget"] = 1
+        path = tmp_path / "full_only.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == EXIT_ESTIMATOR
+        payload = json.loads(capsys.readouterr().out)
+        assert "no lookup entry" in payload["error"]
 
     def test_cli_verify_smoke(self, tmp_path, capsys):
         path = base_config(tmp_path)

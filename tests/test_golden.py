@@ -33,8 +33,8 @@ def fingerprint(res) -> dict:
         "valuations": res.valuations,
         "partial": res.partial,
         "failure": res.failure,
-        "log": [(e.bitmap.bits, list(e.perf.values), e.row_count) for e in res.log],
-        "cells": sorted((list(p.coords), o.bitmap.bits, list(o.perf.values))
+        "log": [(e.bitmap.bits, list(e.perf), e.row_count) for e in res.log],
+        "cells": sorted((list(p), o.bitmap.bits, list(o.perf))
                         for p, o in res.grid.cells.items()),
         "below_floor": sorted(res.grid.below_floor),
         "nodes": [(bits, s.level) for bits, s in res.graph.nodes.items()],

@@ -99,7 +99,7 @@ class TestValuate:
         est = LookupEstimator({bitmap.bits: dict(zip(ms.names, EXAMPLE_VECTORS["D3"]))})
         log = TestLog()
         got, _ = valuate(SearchState(bitmap), est, log, ms, space)
-        assert got.as_floats() == pytest.approx(EXAMPLE_VECTORS["D3"])
+        assert got == pytest.approx(EXAMPLE_VECTORS["D3"])
 
     def test_missing_measure_is_protocol_violation(self, toy_universal):
         space = StateSpace(toy_universal)
@@ -121,7 +121,7 @@ class TestValuate:
         ms = MeasureSet([MeasureSpec(TRAIN_ERROR)])
         est = RidgeEstimator(target="y")
         got, _ = valuate(space.root_state(), est, TestLog(), ms, space)
-        assert got.values[0] == NORMALIZED_FLOOR
+        assert got[0] == NORMALIZED_FLOOR
 
 
 class TestSpearman:
@@ -218,9 +218,9 @@ class TestEstimateBounds:
         graph = build_correlation_graph(log, 0.8, ms)
         s3 = Bitmap(names["s_3"], space.n_bits)
         bounds = estimate_bounds(s3, 3, log, graph, ms)
-        assert bounds.values[0] == pytest.approx(0.45)  # valuated stays a point
-        assert bounds.values[1] == Bounds(0.18, 0.22)   # bracketed by neighbors
-        assert bounds.values[2] == Bounds(0.1, 0.13)    # declared-range fallback
+        assert bounds[0] == pytest.approx(0.45)  # valuated stays a point
+        assert bounds[1] == Bounds(0.18, 0.22)   # bracketed by neighbors
+        assert bounds[2] == Bounds(0.1, 0.13)    # declared-range fallback
 
     def test_rowcount_anchor_for_fully_unvaluated_state(self, worked_example):
         space, ms, names, log = worked_example
@@ -228,8 +228,8 @@ class TestEstimateBounds:
         s4 = Bitmap(names["s_4"], space.n_bits)
         bounds = estimate_bounds(s4, 2, log, graph, ms)
         # row count 2 sits between the seeded counts 1 and 3
-        assert bounds.values[0] == Bounds(0.45, 0.60)
-        assert bounds.values[1] == Bounds(0.22, 0.40)
+        assert bounds[0] == Bounds(0.45, 0.60)
+        assert bounds[1] == Bounds(0.22, 0.40)
 
     def test_no_graph_means_declared_ranges(self, worked_example):
         space, ms, names, log = worked_example
@@ -237,7 +237,7 @@ class TestEstimateBounds:
 
         bounds = estimate_bounds(Bitmap(names["s_4"], space.n_bits), 2, log,
                                  CorrelationGraph(theta=0.8), ms)
-        assert bounds.values[0] == Bounds(0.1, 1.0)
+        assert bounds[0] == Bounds(0.1, 1.0)
 
 
 class TestTestLog:
@@ -248,7 +248,7 @@ class TestTestLog:
         assert log.append(e1) is e1
         assert log.append(e2) is e1  # first write wins
         assert len(log) == 1
-        assert log.get(Bitmap(3, 4)).perf.values[0] == 0.1
+        assert log.get(Bitmap(3, 4)).perf[0] == 0.1
 
     def test_partial_entry_upgrades_to_full(self):
         log = TestLog()
@@ -257,7 +257,7 @@ class TestTestLog:
         log.append(seeded)
         assert log.append(full) is full
         assert len(log) == 1
-        assert log.get(Bitmap(3, 4)).perf.is_fully_valuated()
+        assert None not in log.get(Bitmap(3, 4)).perf
         # but never downgrade or overwrite full values
         other = LogEntry(Bitmap(3, 4), perf(0.5, None, None), 7)
         assert log.append(other) is full

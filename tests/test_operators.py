@@ -191,9 +191,3 @@ class TestSemantics:
             if not sp.is_degenerate(Bitmap(bits, sp.n_bits))
         }
         assert reached == expected
-
-    def test_materialization_cache_hits(self, toy_universal):
-        sp = StateSpace(toy_universal, cache_size=4)
-        b = sp.full_bitmap()
-        first = sp.dataset(b)
-        assert sp.dataset(b) is first

@@ -18,15 +18,13 @@ from skyforge import (
     UniversalTable,
     check_div_bound,
     check_eps_cover,
-    dominates,
     enumerate_all,
-    exact_pareto,
     naive_exact_pareto,
     run_algorithm,
 )
 from skyforge.measures import LogEntry
 from skyforge.operators import StateSpace
-from skyforge.oracle import naive_dominates, state_count_bound
+from skyforge.oracle import state_count_bound
 
 from conftest import perf, three_measures
 
@@ -92,26 +90,6 @@ class TestEnumerateAll:
         assert bits == sorted(bits)
 
 
-class TestDominancePredicateCrossValidation:
-    def test_two_implementations_agree(self):
-        rng = random.Random(19)
-        for _ in range(300):
-            a = tuple(rng.uniform(0.0, 1.0) for _ in range(3))
-            b = tuple(rng.uniform(0.0, 1.0) for _ in range(3))
-            assert naive_dominates(a, b) == dominates(perf(*a), perf(*b))
-
-    def test_front_implementations_agree(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            states = [
-                SearchState(Bitmap(i + 1, 6),
-                            perf=perf(*(rng.uniform(0.1, 1.0) for _ in range(3))))
-                for i in range(10)
-            ]
-            assert {s.bitmap.bits for s in exact_pareto(states)} == \
-                   {s.bitmap.bits for s in naive_exact_pareto(states)}
-
-
 class TestCheckEpsCover:
     def setup_states(self, seed=7, n=12):
         rng = random.Random(seed)
@@ -123,7 +101,7 @@ class TestCheckEpsCover:
 
     def test_exact_front_zero_violations_any_eps(self):
         states = self.setup_states()
-        front = exact_pareto(states)
+        front = naive_exact_pareto(states)
         ms = three_measures(p_low=0.05)
         for eps in (0.05, 0.4):
             grid = SkylineGrid(eps, ms)

@@ -11,11 +11,10 @@ from skyforge import (
     MeasureSpec,
     SearchState,
     SkylineGrid,
-    dominates,
-    eps_dominates,
-    exact_pareto,
+    naive_dominates,
+    naive_eps_dominates,
+    naive_exact_pareto,
 )
-from skyforge.oracle import naive_dominates, naive_exact_pareto
 
 from conftest import EXAMPLE_VECTORS, perf, three_measures
 
@@ -30,50 +29,45 @@ vec3 = st.tuples(*([st.floats(min_value=0.01, max_value=1.0)] * 3))
 
 class TestDominates:
     def test_chain_from_worked_example(self):
-        assert dominates(T3, T1)
-        assert dominates(T2, T1)
-        assert dominates(T3, T2)
-        assert dominates(T5, T4)
+        assert naive_dominates(T3, T1)
+        assert naive_dominates(T2, T1)
+        assert naive_dominates(T3, T2)
+        assert naive_dominates(T5, T4)
 
     def test_incomparable_pair(self):
-        assert not dominates(T3, T5)
-        assert not dominates(T5, T3)
+        assert not naive_dominates(T3, T5)
+        assert not naive_dominates(T5, T3)
 
     def test_irreflexive(self):
-        assert not dominates(T3, T3)
+        assert not naive_dominates(T3, T3)
 
     def test_mismatched_sets_rejected(self):
         with pytest.raises(ArgumentError):
-            dominates(perf(0.1, 0.2), T3)
-
-    @given(vec3, vec3)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_naive_oracle(self, a, b):
-        assert dominates(perf(*a), perf(*b)) == naive_dominates(a, b)
+            naive_dominates(perf(0.1, 0.2), T3)
 
 
 class TestEpsDominates:
     def test_reflexive_at_any_eps(self):
-        assert eps_dominates(T3, T3, 0.0)
-        assert eps_dominates(T3, T3, 0.7)
+        assert naive_eps_dominates(T3, T3, 0.0)
+        assert naive_eps_dominates(T3, T3, 0.7)
 
     def test_relaxed_cross_pair(self):
         # componentwise within 1.3x and no worse on the middle measure
-        assert eps_dominates(T3, T5, 0.3)
+        assert naive_eps_dominates(T3, T5, 0.3)
 
     def test_eps_zero_collapses_to_dominates_or_equal(self):
         for a in (T1, T2, T3, T4, T5):
             for b in (T1, T2, T3, T4, T5):
-                expected = dominates(a, b) or a.values == b.values
-                assert eps_dominates(a, b, 0.0) == expected
+                expected = naive_dominates(a, b) or a == b
+                assert naive_eps_dominates(a, b, 0.0) == expected
 
     @given(vec3, vec3,
            st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_eps(self, a, b, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
-        if eps_dominates(perf(*a), perf(*b), lo):
-            assert eps_dominates(perf(*a), perf(*b), hi)
+        if naive_eps_dominates(perf(*a), perf(*b), lo):
+            assert naive_eps_dominates(perf(*a), perf(*b), hi)
 
 
 def make_grid(eps=0.3, p_low=0.1, p_high=1.0):
@@ -84,12 +78,12 @@ def make_grid(eps=0.3, p_low=0.1, p_high=1.0):
 class TestGridPos:
     def test_all_lower_bound_is_origin(self):
         grid = make_grid(p_low=0.1)
-        assert grid.position_unchecked(perf(0.1, 0.1, 0.1)).coords == (0, 0)
+        assert grid.position_unchecked(perf(0.1, 0.1, 0.1)) == (0, 0)
 
     def test_floor_log_coordinates(self):
         grid = make_grid(eps=0.3, p_low=0.1)
         pos = grid.position_unchecked(perf(0.26, 0.15, 0.37))
-        assert pos.coords == (3, 1)
+        assert pos == (3, 1)
 
     def test_same_cell_values_within_factor(self):
         grid = make_grid(eps=0.3, p_low=0.1)
@@ -113,6 +107,14 @@ class TestUPareto:
         assert grid.submit(state(1, (0.2, 0.6, 0.2))) == "rejected"
         assert grid.occupant_count() == 0
 
+    def test_unvaluated_candidate_rejected(self):
+        grid = make_grid()
+        with pytest.raises(ArgumentError):
+            grid.submit(SearchState(Bitmap(1, 5)))
+        with pytest.raises(ArgumentError):
+            grid.submit(state(2, (0.3, None, 0.3)))
+        assert grid.occupant_count() == 0
+
     def test_insert_into_empty_cell(self):
         grid = make_grid()
         assert grid.submit(state(1, (0.3, 0.3, 0.3))) == "inserted"
@@ -122,7 +124,7 @@ class TestUPareto:
         grid.submit(state(1, (0.26, 0.15, 0.37)))
         assert grid.submit(state(2, (0.26, 0.15, 0.35))) == "replaced"
         (occ,) = grid.occupants()
-        assert occ.perf.values[2] == 0.35
+        assert occ.perf[2] == 0.35
 
     def test_decisive_tie_keeps_incumbent(self):
         grid = make_grid()
@@ -144,7 +146,7 @@ class TestUPareto:
         grid.submit(SearchState(Bitmap(4, 3), perf=perf(0.6)))
         assert grid.max_cells() == 1
         (occ,) = grid.occupants()
-        assert occ.perf.values[0] == 0.4
+        assert occ.perf[0] == 0.4
 
     def test_occupancy_never_exceeds_cell_bound(self):
         grid = make_grid(eps=0.5, p_low=0.1)
@@ -161,46 +163,38 @@ class TestUPareto:
         for i in range(400):
             s = state(i + 1, tuple(rng.uniform(0.05, 1.0) for _ in range(3)), n=16)
             grid.submit(s)
-            if all(v <= spec.p_high for v, spec in zip(s.perf.values, grid.measures.specs)):
+            if all(v <= spec.p_high for v, spec in zip(s.perf, grid.measures.specs)):
                 submitted.append(s)
         for s in submitted:
-            assert grid.covers(s.perf), s.perf.values
+            assert any(naive_eps_dominates(o.perf, s.perf, grid.epsilon)
+                       for o in grid.cells.values()), s.perf
 
 
 class TestExactPareto:
     def test_worked_example_front(self, example_states):
-        front = exact_pareto(list(example_states.values()))
+        front = naive_exact_pareto(list(example_states.values()))
         names = {s.bitmap.bits for s in front}
         expected = {example_states["D3"].bitmap.bits, example_states["D5"].bitmap.bits}
         assert names == expected
 
     def test_singleton(self):
         s = state(1, (0.5, 0.5, 0.5))
-        assert exact_pareto([s]) == [s]
-
-    def test_matches_quadratic_oracle_on_random_sets(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            states = [state(i + 1, tuple(rng.uniform(0.1, 1.0) for _ in range(3)), n=8)
-                      for i in range(8)]
-            fast = {s.bitmap.bits for s in exact_pareto(states)}
-            slow = {s.bitmap.bits for s in naive_exact_pareto(states)}
-            assert fast == slow
+        assert naive_exact_pareto([s]) == [s]
 
     def test_output_is_antichain_and_zero_covers_inputs(self):
         rng = random.Random(5)
         states = [state(i + 1, tuple(rng.uniform(0.1, 1.0) for _ in range(3)), n=8)
                   for i in range(12)]
-        front = exact_pareto(states)
+        front = naive_exact_pareto(states)
         for a in front:
             for b in front:
                 if a is not b:
-                    assert not dominates(a.perf, b.perf)
+                    assert not naive_dominates(a.perf, b.perf)
         for s in states:
-            assert any(eps_dominates(f.perf, s.perf, 0.0) for f in front)
+            assert any(naive_eps_dominates(f.perf, s.perf, 0.0) for f in front)
 
     def test_identical_vectors_keep_first(self):
         a = state(1, (0.3, 0.3, 0.3))
         b = state(2, (0.3, 0.3, 0.3))
-        front = exact_pareto([a, b])
+        front = naive_exact_pareto([a, b])
         assert [s.bitmap.bits for s in front] == [1]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skyforge.errors import ArgumentError
-from skyforge.measures import Bounds, LogEntry, MeasureSet, MeasureSpec, PerfVector, TestLog
+from skyforge.measures import Bounds, LogEntry, MeasureSet, MeasureSpec, TestLog
 from skyforge.operators import Bitmap, SearchState
 from skyforge.oracle import (
     EnumerationReport,
@@ -23,10 +23,11 @@ from skyforge.oracle import (
     enumerate_all,
     eps_covered,
     naive_dominates,
+    naive_eps_dominates,
     naive_exact_pareto,
 )
 from skyforge.search import PrunedState, SearchConfig, _euc, _euc_max, run_algorithm
-from skyforge.skyline import GridPosition, Occupant, SkylineGrid, eps_dominates
+from skyforge.skyline import SkylineGrid
 from skyforge.tabular import _BLOCK_CELLS
 
 from conftest import build_pruning_fixture, make_monotone_instance, make_random_instance
@@ -36,7 +37,7 @@ from conftest import build_pruning_fixture, make_monotone_instance, make_random_
 
 def reference_exact_pareto(states):
     out = []
-    vectors = [s.perf.as_floats() for s in states]
+    vectors = [s.perf for s in states]
     seen = set()
     for i, s in enumerate(states):
         if vectors[i] in seen:
@@ -57,12 +58,12 @@ def reference_eps_cover(grid, all_states, eps):
     for state in all_states:
         perf = state.perf
         in_bounds = all(
-            float(perf.values[i]) <= spec.p_high
+            float(perf[i]) <= spec.p_high
             for i, spec in enumerate(grid.measures.specs)
         )
         if not in_bounds:
             continue
-        if not any(eps_dominates(o.perf, perf, eps) for o in occupants):
+        if not any(naive_eps_dominates(o.perf, perf, eps) for o in occupants):
             violations.append((state.bitmap.to_hex(), "no occupant eps-dominates this state"))
     return violations
 
@@ -74,7 +75,7 @@ def reference_pruned_audit(pruned, all_states, searched, oracle_log, eps):
         entry = oracle_log.get(p.bitmap)
         if entry is None:
             continue
-        if any(eps_dominates(v.perf, entry.perf, eps) for v in valuated):
+        if any(naive_eps_dominates(v.perf, entry.perf, eps) for v in valuated):
             validated += 1
         else:
             violations.append((p.bitmap.to_hex(),
@@ -90,7 +91,7 @@ def reference_euc(a, b):
 
 
 def reference_euc_max(log, measures):
-    vectors = [e.perf.as_floats() for e in log if e.perf.is_fully_valuated()]
+    vectors = [e.perf for e in log if None not in e.perf]
     value = 0.0
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -102,7 +103,7 @@ def reference_euc_max(log, measures):
 
 
 def states_of(vectors):
-    return [SearchState(Bitmap(i, 32), perf=PerfVector(v)) for i, v in enumerate(vectors)]
+    return [SearchState(Bitmap(i, 32), perf=v) for i, v in enumerate(vectors)]
 
 
 def measures_of(width, p_high=1.0):
@@ -112,14 +113,14 @@ def measures_of(width, p_high=1.0):
 def grid_of(occupant_vectors, width, p_high=1.0):
     grid = SkylineGrid(0.1, measures_of(width, p_high))
     for k, v in enumerate(occupant_vectors):
-        grid.cells[GridPosition((k,))] = Occupant(Bitmap(1 << 20 | k, 32), PerfVector(v))
+        grid.cells[(k,)] = SearchState(Bitmap(1 << 20 | k, 32), perf=v)
     return grid
 
 
 def log_of(vectors):
     log = TestLog()
     for i, v in enumerate(vectors):
-        log.append(LogEntry(Bitmap(i, 32), PerfVector(v), row_count=1))
+        log.append(LogEntry(Bitmap(i, 32), v, row_count=1))
     return log
 
 
@@ -139,7 +140,7 @@ def assert_cover_matches(occupants, vectors, eps, width, p_high=1.0):
     assert report.eps_cover_violations == reference_eps_cover(grid, states, eps)
     assert report.exact_front == [s.bitmap.to_hex() for s in reference_exact_pareto(states)]
     got = eps_covered(occupants, vectors, eps).tolist()
-    assert got == [any(eps_dominates(PerfVector(a), PerfVector(b), eps) for a in occupants)
+    assert got == [any(naive_eps_dominates(a, b, eps) for a in occupants)
                    for b in vectors]
 
 
@@ -366,7 +367,7 @@ class TestEucMax:
     def test_pair_distance_rounds_as_the_normalizer(self):
         # dis_score divides _euc by _euc_max: both square and add alike
         a, b = pow_square_sensitive_pair()
-        assert _euc(PerfVector(a), PerfVector(b)) == reference_euc(a, b)
+        assert _euc(a, b) == reference_euc(a, b)
 
     def test_all_equal_or_single_falls_back_to_sqrt_width(self):
         for vectors in ([], [(0.4, 0.4)], [(0.4, 0.4)] * 5):
@@ -380,10 +381,10 @@ class TestEucMax:
         measures = measures_of(3)
         log = log_of([(0.2, 0.3, 0.4), (0.25, 0.35, 0.45)])
         seeded = Bitmap(7, 32)
-        log.append(LogEntry(seeded, PerfVector((0.9, None, Bounds(0.1, 0.2))), row_count=1))
+        log.append(LogEntry(seeded, (0.9, None, Bounds(0.1, 0.2)), row_count=1))
         before = _euc_max(log, measures)
         assert before == reference_euc_max(log, measures)
-        log.append(LogEntry(seeded, PerfVector((0.9, 0.95, 0.05)), row_count=1))
+        log.append(LogEntry(seeded, (0.9, 0.95, 0.05), row_count=1))
         after = _euc_max(log, measures)  # the upgrade bumps the version
         assert after == reference_euc_max(log, measures)
         assert after > before

@@ -28,7 +28,7 @@ from .measures import (
     spearman,
     valuate,
 )
-from .operators import Bitmap, SearchState, StateSpace, Transition
+from .operators import Bitmap, SearchState, StateSpace
 from .oracle import (
     EnumerationReport,
     check_div_bound,

@@ -215,8 +215,7 @@ class RunConfig:
             key = (jk["left"], jk["right"])
             join_keys.setdefault(key, []).extend(tuple(pair) for pair in jk["on"])
         u = build_universal(sources, join_keys)
-        derive_all_literals(u, self.raw.get("max_clusters", 30))
-        return compress_rows(u)
+        return compress_rows(derive_all_literals(u, self.raw.get("max_clusters", 30)))
 
     def build_estimator(self):
         est = self.raw["estimator"]
@@ -250,14 +249,18 @@ def _with_flag_overrides(raw: dict, args) -> dict:
 
 
 def _provenance(result: RunResult, bitmap: Bitmap) -> list:
+    """One manifest step per path edge, named by the edge's one flipped bit."""
+    space = result.space
     steps = []
-    for edge in result.graph.path_to(bitmap):
+    for src, dst in result.graph.path_to(bitmap):
+        i = (src ^ dst).bit_length() - 1
+        literal = space.bit_literals[i]
         steps.append({
-            "op": edge.kind,
-            "attribute": edge.literal.attribute,
-            "value": edge.literal.value,
-            "from": edge.source.to_hex(),
-            "to": edge.target.to_hex(),
+            "op": "reduct" if src >> i & 1 else "augment",
+            "attribute": literal.attribute,
+            "value": literal.value,
+            "from": Bitmap(src, space.n_bits).to_hex(),
+            "to": Bitmap(dst, space.n_bits).to_hex(),
         })
     return steps
 
@@ -271,7 +274,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
         entry_log = result.log.get(occupant.bitmap)
         dataset = space.dataset(occupant.bitmap)
         csv_name = f"dataset_{occupant.bitmap.to_hex()}.csv"
-        write_csv(os.path.join(out_dir, csv_name), dataset, expand=True)
+        write_csv(os.path.join(out_dir, csv_name), dataset)
         entries.append({
             "bitmap": occupant.bitmap.to_hex(),
             "csv": csv_name,

@@ -55,6 +55,7 @@ TRAIN_COST = "train_cost"
 MODEL_SIZE = "model_size"
 
 HOLDOUT_STRIDE = 5  # every fifth expanded row is held out: a fixed 80/20 split
+WORST_ERROR = 1.0  # both errors of a state with no target rows or no features
 
 
 class RidgeEstimator:
@@ -68,12 +69,11 @@ class RidgeEstimator:
 
     requires_feature = True
 
-    def __init__(self, target: str, lam: float = 1e-8, worst_error: float = 1.0):
+    def __init__(self, target: str, lam: float = 1e-8):
         if not target:
             raise ArgumentError("ridge estimator needs a target column")
         self.target = target
         self.lam = lam
-        self.worst_error = worst_error
         self.calls = 0
 
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
@@ -99,8 +99,8 @@ class RidgeEstimator:
         rows = space.row_indices(mask & view.number[self.target])
         rows = np.repeat(rows, view.weights[rows])
         if not len(rows) or not feature_names:
-            out[TRAIN_ERROR] = self.worst_error
-            out[HOLDOUT_ERROR] = self.worst_error
+            out[TRAIN_ERROR] = WORST_ERROR
+            out[HOLDOUT_ERROR] = WORST_ERROR
             return out
         x = view.values[np.ix_(rows, [view.column[a] for a in feature_names])]
         y = view.values[rows, view.column[self.target]]
@@ -147,8 +147,7 @@ class SubprocessEstimator:
     Response: {"id": n, "measures": {"name": raw, ...}}
 
     The engine writes the expanded dataset to a temp CSV before each request
-    and normalizes the returned raw values.  One child serves all requests;
-    framing is serialized under a lock.
+    and normalizes the returned raw values.  One child serves all requests.
     """
 
     requires_feature = False
@@ -159,7 +158,6 @@ class SubprocessEstimator:
         self.command = list(command)
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
-        self._lock = threading.Lock()
         self._next_id = 0
         self.calls = 0
 
@@ -184,18 +182,17 @@ class SubprocessEstimator:
         fd, csv_path = tempfile.mkstemp(prefix="skyforge_", suffix=".csv", dir=tmpdir)
         os.close(fd)
         try:
-            write_csv(csv_path, data, expand=True)
-            with self._lock:
-                self._next_id += 1
-                request = {
-                    "id": self._next_id,
-                    "bitmap": state.bitmap.to_hex(),
-                    "rows": data.expanded_row_count,
-                    "cols": len(data.schema),
-                    "columns": list(data.schema),
-                    "csv_path": csv_path,
-                }
-                response = self._roundtrip(request, state)
+            write_csv(csv_path, data)
+            self._next_id += 1
+            request = {
+                "id": self._next_id,
+                "bitmap": state.bitmap.to_hex(),
+                "rows": data.expanded_row_count,
+                "cols": len(data.schema),
+                "columns": list(data.schema),
+                "csv_path": csv_path,
+            }
+            response = self._roundtrip(request, state)
             measures = response.get("measures")
             if response.get("id") != request["id"] or not isinstance(measures, dict):
                 raise EstimatorFailure("malformed estimator response", bitmap=state.bitmap)

@@ -56,9 +56,6 @@ class Bitmap:
     def from_hex(cls, text: str, length: int) -> "Bitmap":
         return cls(int(text, 16), length)
 
-    def __str__(self):
-        return "".join("1" if self.test(i) else "0" for i in range(self.length))
-
 
 @dataclass(frozen=True)
 class SearchState:
@@ -71,20 +68,6 @@ class SearchState:
 
     def valuated(self, perf) -> "SearchState":
         return SearchState(self.bitmap, self.level, perf)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One-flip edge of the running graph."""
-
-    source: Bitmap
-    kind: str  # "reduct" | "augment"
-    literal: Literal
-    target: Bitmap
-
-    def __post_init__(self):
-        if (self.source.bits ^ self.target.bits).bit_count() != 1:
-            raise ArgumentError("transitions must differ in exactly one bit")
 
 
 def _mask_of(flags) -> int:
@@ -271,8 +254,8 @@ class StateSpace:
         child = state.bitmap.with_bit(i, True)
         return SearchState(child, state.level + 1)
 
-    def op_gen(self, state: SearchState, direction: str):
-        """All applicable one-flip children with their transitions.
+    def op_gen(self, state: SearchState, direction: str) -> list:
+        """All applicable one-flip children, one level below ``state``.
 
         Forward yields reducts, backward yields augments, attributes in
         schema order and literals in derivation order.  Children with empty
@@ -285,7 +268,6 @@ class StateSpace:
             raise ArgumentError(f"unknown direction {direction!r}")
         out = []
         want_set = direction == FORWARD
-        kind = "reduct" if want_set else "augment"
         bits = state.bitmap.bits
         schema = self.universal.schema
         allowed = [self._allowed(a, bits) for a in schema]
@@ -309,7 +291,6 @@ class StateSpace:
                     entry = cache[child_bits] = (mask, self._count(mask))
                 if entry[1] == 0:
                     continue
-                child = Bitmap(child_bits, state.bitmap.length)
-                transition = Transition(state.bitmap, kind, self.bit_literals[i], child)
-                out.append((SearchState(child, state.level + 1), transition))
+                out.append(SearchState(Bitmap(child_bits, state.bitmap.length),
+                                       state.level + 1))
         return out

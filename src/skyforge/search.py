@@ -67,19 +67,20 @@ class RunningGraph:
 
     nodes: dict = field(default_factory=dict)   # bits -> SearchState (valuated)
     roots: list = field(default_factory=list)
-    parents: dict = field(default_factory=dict)  # bits -> first inbound Transition
+    parents: dict = field(default_factory=dict)  # child bits -> first inbound parent bits
 
     def path_to(self, bitmap: Bitmap) -> list:
-        """Operator path from a root to the bitmap, for provenance replay."""
+        """``(parent bits, child bits)`` steps from a root to the bitmap, for
+        provenance replay; each step flips one bit."""
         path = []
         bits = bitmap.bits
         root_bits = {b.bits for b in self.roots}
         while bits not in root_bits:
-            edge = self.parents.get(bits)
-            if edge is None:
+            parent = self.parents.get(bits)
+            if parent is None:
                 raise ArgumentError(f"no recorded path to bitmap {bits:x}")
-            path.append(edge)
-            bits = edge.source.bits
+            path.append((parent, bits))
+            bits = parent
         path.reverse()
         return path
 
@@ -381,8 +382,8 @@ class _Runner:
     def expand(self, frontier: list, direction: str, seen: set) -> list:
         children = []
         for state in frontier:
-            for child, transition in self.space.op_gen(state, direction):
-                self.graph.parents.setdefault(child.bitmap.bits, transition)
+            for child in self.space.op_gen(state, direction):
+                self.graph.parents.setdefault(child.bitmap.bits, state.bitmap.bits)
                 if child.bitmap.bits in seen:
                     continue
                 seen.add(child.bitmap.bits)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -133,7 +134,7 @@ class Literal:
     value: Cell
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniversalTable:
     """Outer-joined pool table plus provenance and derived value-cluster literals."""
 
@@ -156,15 +157,14 @@ class UniversalTable:
         """
         if value is None:
             return None
-        table = self._cluster_tables().get(attribute)
+        table = self._cluster_tables.get(attribute)
         if table is None:
             return None
         return table.get(value)
 
+    @cached_property
     def _cluster_tables(self) -> dict:
-        cached = getattr(self, "_cluster_cache", None)
-        if cached is not None:
-            return cached
+        """Attribute -> {cell value: cluster index}, built on first use."""
         tables = {}
         for a in self.schema:
             lits = self.literal_index.get(a)
@@ -183,14 +183,10 @@ class UniversalTable:
                     mapping[v] = values.index(v)
                 # truncated categorical values map to no cluster
             tables[a] = mapping
-        object.__setattr__(self, "_cluster_cache", tables)
         return tables
 
-    def invalidate_caches(self):
-        object.__setattr__(self, "_cluster_cache", None)
 
-
-def infer_column_types(header: Sequence[str], raw_rows: list) -> list:
+def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
     """Per-column parse as int, then float, then str; empty string is null."""
     typed = []
     for i in range(len(header)):
@@ -223,7 +219,7 @@ def ingest_csv(path: str, name: str) -> Relation:
     for row in raw:
         if len(row) != len(header):
             raise ArgumentError(f"{path}: ragged row of width {len(row)}")
-    cols = infer_column_types(header, raw)
+    cols = _infer_column_types(header, raw)
     for c, col in enumerate(cols):
         for r, v in enumerate(col):
             if isinstance(v, float) and not math.isfinite(v):
@@ -236,12 +232,12 @@ def ingest_csv(path: str, name: str) -> Relation:
     return Relation(name, tuple(header), tuple(rows))
 
 
-def write_csv(path: str, relation: Relation, expand: bool = True):
-    rows = relation.expanded_rows() if expand else list(relation.rows)
+def write_csv(path: str, relation: Relation):
+    """Write the relation's expanded rows (each repeated by its weight)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(relation.schema)
-        for r in rows:
+        for r in relation.expanded_rows():
             writer.writerow(["" if c is None else c for c in r])
 
 
@@ -352,7 +348,11 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
     return UniversalTable(relation=relation, provenance=provenance)
 
 
-def kmeans_1d(values: Sequence[float], k: int, tol: float = 1e-9, max_iter: int = 200) -> list:
+_KMEANS_TOL = 1e-9  # Lloyd stops once no centroid moves this far
+_KMEANS_MAX_ITER = 200
+
+
+def kmeans_1d(values: Sequence[float], k: int) -> list:
     """Deterministic 1-D Lloyd clustering.
 
     Centroids seed at the k quantile midpoints of the sorted values; no RNG.
@@ -365,7 +365,7 @@ def kmeans_1d(values: Sequence[float], k: int, tol: float = 1e-9, max_iter: int 
         return []
     points = np.array(vals)
     centroids = [vals[(2 * j + 1) * n // (2 * k)] for j in range(k)]
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         labels = _nearest(points, centroids)
         # ascending Python floats, so ``sum`` adds them in the same order
         clusters = [points[labels == i].tolist() for i in range(k)]
@@ -374,7 +374,7 @@ def kmeans_1d(values: Sequence[float], k: int, tol: float = 1e-9, max_iter: int 
         ]
         shift = max(abs(a - b) for a, b in zip(centroids, new_centroids))
         centroids = new_centroids
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     return [c for c in clusters if c]
 
@@ -418,11 +418,9 @@ def derive_literals(u: UniversalTable, attribute: str, max_clusters: int = 30) -
 
 
 def derive_all_literals(u: UniversalTable, max_clusters: int = 30) -> UniversalTable:
-    """Populate ``literal_index`` for every attribute in place and return ``u``."""
-    for a in u.schema:
-        u.literal_index[a] = tuple(derive_literals(u, a, max_clusters))
-    u.invalidate_caches()
-    return u
+    """A copy of ``u`` whose ``literal_index`` holds every attribute's literals."""
+    return replace(u, literal_index={a: tuple(derive_literals(u, a, max_clusters))
+                                     for a in u.schema})
 
 
 def compress_rows(u: UniversalTable) -> UniversalTable:

@@ -65,13 +65,11 @@ def build_toy_universal():
         [1, 10, 100], [1, 10, 200], [1, 20, 100],
         [1, 20, 200], [0, 10, 100], [0, 20, None],
     ])
-    u = UniversalTable(relation=rel)
-    u.literal_index = {
+    u = UniversalTable(relation=rel, literal_index={
         "t": (Literal("t", 0), Literal("t", 1)),
         "A": (Literal("A", 10), Literal("A", 20)),
         "B": (Literal("B", 100), Literal("B", 200)),
-    }
-    u.invalidate_caches()
+    })
     return u
 
 
@@ -98,9 +96,7 @@ def make_random_instance(seed: int):
         for a, k in zip(attrs[1:], lit_counts):
             row.append(None if rng.random() < 0.15 else rng.randint(0, k - 1))
         rows.append(tuple(row))
-    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows))
-    u.literal_index = lit_index
-    u.invalidate_caches()
+    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index=lit_index)
     space = StateSpace(u, protected=("t",))
     table = {}
     for bits in range(2 ** space.n_bits):
@@ -128,9 +124,7 @@ def make_monotone_instance(seed: int):
         for a, k in zip(attrs[1:], lit_counts):
             row.append(None if rng.random() < 0.2 else rng.randint(0, k - 1))
         rows.append(tuple(row))
-    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows))
-    u.literal_index = lit_index
-    u.invalidate_caches()
+    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index=lit_index)
     space = StateSpace(u, protected=("t",))
     total = len(rows)
     coef = [rng.uniform(0.3, 0.7) for _ in range(3)]
@@ -161,13 +155,11 @@ def build_pruning_fixture():
         (1, "b", None), (1, None, "c"), (1, "a", "zz"), (1, "a", "zz"),
     ]
     rel = Relation.from_rows("u", ["t", "x", "y"], rows)
-    u = UniversalTable(relation=rel)
-    u.literal_index = {
+    u = UniversalTable(relation=rel, literal_index={
         "t": (Literal("t", 1),),
         "x": (Literal("x", "a"), Literal("x", "b")),
         "y": (Literal("y", "c"), Literal("y", "d")),
-    }
-    u.invalidate_caches()
+    })
     space = StateSpace(u, protected=("t",))
 
     def bits(*ixs):

@@ -7,8 +7,9 @@ import sys
 import jsonschema
 import pytest
 
-from skyforge import SearchState
+from skyforge import Bitmap, SearchState
 from skyforge.operators import StateSpace
+from skyforge.tabular import Literal
 from skyforge.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CAP,
@@ -204,21 +205,29 @@ class TestRunCommand:
                 assert vals["raw"] is not None
                 assert 0 < vals["normalized"] <= 1
 
-    def test_provenance_replays_to_each_output(self, tmp_path):
-        cfg = RunConfig.from_file(str(base_config(tmp_path)))
+    @pytest.mark.parametrize("algorithm", ["apx", "nobi"])
+    def test_provenance_replays_to_each_output(self, tmp_path, algorithm):
+        cfg = RunConfig.from_file(str(base_config(
+            tmp_path, search={"algorithm": algorithm, "epsilon": 0.3, "budget": 500})))
         code, manifest, result, space = execute_run(cfg)
         assert code == EXIT_OK
+        ops = []
         for entry in manifest["grid"]:
-            state = SearchState(result.graph.roots[0])
-            for step in entry["provenance"]:
-                from skyforge.tabular import Literal
-
+            steps = entry["provenance"]
+            start = steps[0]["from"] if steps else entry["bitmap"]
+            state = SearchState(Bitmap.from_hex(start, space.n_bits))
+            for step in steps:
+                assert step["from"] == state.bitmap.to_hex()
                 lit = Literal(step["attribute"], step["value"])
                 if step["op"] == "reduct":
                     state = space.apply_reduct(state, lit)
                 else:
                     state = space.apply_augment(state, lit)
+                assert step["to"] == state.bitmap.to_hex()
+                ops.append(step["op"])
             assert state.bitmap.to_hex() == entry["bitmap"]
+        if algorithm == "nobi":
+            assert "augment" in ops  # paths from the backward root
 
     def test_rerun_is_byte_identical_modulo_timing(self, tmp_path):
         cfg1 = RunConfig.from_file(str(base_config(tmp_path)))

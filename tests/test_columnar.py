@@ -22,7 +22,14 @@ from skyforge import (
     SearchState,
     UniversalTable,
 )
-from skyforge.estimators import HOLDOUT_ERROR, HOLDOUT_STRIDE, MODEL_SIZE, TRAIN_COST, TRAIN_ERROR
+from skyforge.estimators import (
+    HOLDOUT_ERROR,
+    HOLDOUT_STRIDE,
+    MODEL_SIZE,
+    TRAIN_COST,
+    TRAIN_ERROR,
+    WORST_ERROR,
+)
 from skyforge.operators import BACKWARD, FORWARD, StateSpace
 from skyforge.tabular import build_universal, compress_rows, derive_all_literals
 
@@ -65,7 +72,7 @@ def reference_ridge(est: RidgeEstimator, bitmap: Bitmap, space: StateSpace) -> d
             xs.append([row[i] for i in fi])
             ys.append(float(y))
     if not ys or not feature_names:
-        out[TRAIN_ERROR] = out[HOLDOUT_ERROR] = est.worst_error
+        out[TRAIN_ERROR] = out[HOLDOUT_ERROR] = WORST_ERROR
         return out
     x = np.array([[np.nan if v is None else float(v) for v in row] for row in xs], dtype=float)
     y = np.array(ys, dtype=float)
@@ -110,7 +117,6 @@ def reference_mask(space: StateSpace, bits: int) -> tuple:
 
 def reference_children(space: StateSpace, bitmap: Bitmap, direction: str) -> list:
     want_set = direction == FORWARD
-    kind = "reduct" if want_set else "augment"
     out = []
     for i in range(space.n_bits):
         if space.bit_attrs[i] in space.protected or bitmap.test(i) != want_set:
@@ -118,7 +124,7 @@ def reference_children(space: StateSpace, bitmap: Bitmap, direction: str) -> lis
         child = bitmap.bits ^ (1 << i)
         if child == 0 or reference_mask(space, child)[1] == 0:
             continue
-        out.append((child, kind, space.bit_literals[i]))
+        out.append(child)
     return out
 
 
@@ -127,12 +133,9 @@ def reference_children(space: StateSpace, bitmap: Bitmap, direction: str) -> lis
 
 def universal_of(schema, rows, weights=None):
     """One literal per distinct value of every column."""
-    u = UniversalTable(relation=Relation("u", tuple(schema), tuple(map(tuple, rows)),
-                                         weights=weights))
-    for a in schema:
-        u.literal_index[a] = tuple(Literal(a, v) for v in u.relation.adom(a))
-    u.invalidate_caches()
-    return u
+    rel = Relation("u", tuple(schema), tuple(map(tuple, rows)), weights=weights)
+    return UniversalTable(relation=rel, literal_index={
+        a: tuple(Literal(a, v) for v in rel.adom(a)) for a in schema})
 
 
 def weighted_compressed(seed: int) -> UniversalTable:
@@ -146,8 +149,7 @@ def weighted_compressed(seed: int) -> UniversalTable:
         feats = [None if rng.random() < 0.15 else round(rng.uniform(0, 3), 1) for _ in range(3)]
         rows.append((None if rng.random() < 0.1 else y, *feats))
     u = build_universal([Relation.from_rows("pool", schema, rows)])
-    derive_all_literals(u, max_clusters=3)
-    return compress_rows(u)
+    return compress_rows(derive_all_literals(u, max_clusters=3))
 
 
 def mixed_universal() -> UniversalTable:
@@ -235,7 +237,7 @@ class TestRidgeDifferential:
         assert assert_ridge_matches(space, est, all_bitmaps(space)) > 10
         only_target = space.bitmap_from_bits(space.attr_bits["y"])
         out = est.estimate(SearchState(only_target), space)
-        assert out[MODEL_SIZE] == 0.0 and out[TRAIN_ERROR] == est.worst_error
+        assert out[MODEL_SIZE] == 0.0 and out[TRAIN_ERROR] == WORST_ERROR
 
     def test_target_missing_fails(self):
         space = StateSpace(mixed_universal())
@@ -274,11 +276,9 @@ def test_op_gen_matches_from_scratch_reference(name, space):
         for direction in (FORWARD, BACKWARD):
             state = SearchState(parent, level=3)
             got = space.op_gen(state, direction)
-            assert [(c.bitmap.bits, t.kind, t.literal) for c, t in got] == \
-                reference_children(space, parent, direction)
-            for child, transition in got:
+            assert [c.bitmap.bits for c in got] == reference_children(space, parent, direction)
+            for child in got:
                 assert child.level == 4 and child.bitmap.length == space.n_bits
-                assert transition.source == parent and transition.target == child.bitmap
                 assert (child.bitmap.bits ^ parent.bits) & protected_bits == 0
     assert space._row_count_cache
     for bits, entry in space._row_count_cache.items():

@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -13,16 +14,14 @@ from skyforge import (
     SubprocessEstimator,
     UniversalTable,
 )
-from skyforge.estimators import HOLDOUT_ERROR, MODEL_SIZE, TRAIN_COST, TRAIN_ERROR
+from skyforge.estimators import HOLDOUT_ERROR, MODEL_SIZE, TRAIN_COST, TRAIN_ERROR, WORST_ERROR
 from skyforge.operators import StateSpace
 
 
 def numeric_universal(rows, schema=("x", "y")):
-    u = UniversalTable(relation=Relation.from_rows("u", schema, rows))
-    for a in schema:
-        u.literal_index[a] = tuple(Literal(a, v) for v in u.relation.adom(a))
-    u.invalidate_caches()
-    return u
+    rel = Relation.from_rows("u", schema, rows)
+    return UniversalTable(relation=rel, literal_index={
+        a: tuple(Literal(a, v) for v in rel.adom(a)) for a in schema})
 
 
 class TestLookup:
@@ -56,7 +55,7 @@ class TestRidge:
     def test_compressed_weights_expand(self):
         rows = [[1.0, 1.0], [2.0, 2.0]]
         u = numeric_universal(rows)
-        u.relation = Relation("u", u.schema, u.relation.rows, weights=(3, 2))
+        u = replace(u, relation=Relation("u", u.schema, u.relation.rows, weights=(3, 2)))
         space = StateSpace(u)
         out = RidgeEstimator(target="y").estimate(space.root_state(), space)
         assert out[TRAIN_COST] == 5.0
@@ -64,9 +63,8 @@ class TestRidge:
     def test_no_feature_columns_returns_worst_error(self):
         u = numeric_universal([[1.0]], schema=("y",))
         space = StateSpace(u)
-        out = RidgeEstimator(target="y", worst_error=0.77).estimate(
-            space.root_state(), space)
-        assert out[TRAIN_ERROR] == 0.77
+        out = RidgeEstimator(target="y").estimate(space.root_state(), space)
+        assert out[TRAIN_ERROR] == out[HOLDOUT_ERROR] == WORST_ERROR
         assert out[MODEL_SIZE] == 0.0
 
     def test_missing_target_is_failure(self):
@@ -120,7 +118,7 @@ class TestSubprocess:
     def test_protocol_roundtrip_sees_expanded_rows(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
         u = numeric_universal([[1.0, 2.0], [2.0, 3.0]])
-        u.relation = Relation("u", u.schema, u.relation.rows, weights=(2, 3))
+        u = replace(u, relation=Relation("u", u.schema, u.relation.rows, weights=(2, 3)))
         space = StateSpace(u)
         est = self.make(tmp_path, CHILD_OK, timeout=10)
         try:

@@ -39,8 +39,8 @@ def fingerprint(res) -> dict:
         "below_floor": sorted(res.grid.below_floor),
         "nodes": [(bits, s.level) for bits, s in res.graph.nodes.items()],
         "roots": [b.bits for b in res.graph.roots],
-        "parents": [(bits, t.source.bits, t.kind)
-                    for bits, t in res.graph.parents.items()],
+        "parents": [(bits, parent, "reduct" if parent & ~bits else "augment")
+                    for bits, parent in res.graph.parents.items()],
         "pruned": [(p.bitmap.bits, p.forward.bits, p.backward.bits, p.level)
                    for p in res.pruned],
         "div_set": [s.bitmap.bits for s in res.div_set],

@@ -111,12 +111,10 @@ class TestValuate:
 
     def test_ridge_perfect_fit_hits_floor(self):
         rel = Relation.from_rows("u", ["x", "y"], [[0.0, 0.0], [1.0, 2.0]])
-        u = UniversalTable(relation=rel)
-        u.literal_index = {
+        u = UniversalTable(relation=rel, literal_index={
             "x": (Literal("x", 0.0), Literal("x", 1.0)),
             "y": (Literal("y", 0.0), Literal("y", 2.0)),
-        }
-        u.invalidate_caches()
+        })
         space = StateSpace(u)
         ms = MeasureSet([MeasureSpec(TRAIN_ERROR)])
         est = RidgeEstimator(target="y")

@@ -37,11 +37,8 @@ def plain_universal(lit_counts):
     values = {a: list(range(k)) for a, k in zip(attrs, lit_counts)}
     for combo in range(max(lit_counts)):
         rows.append([values[a][combo % k] for a, k in zip(attrs, lit_counts)])
-    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows))
-    for a, k in zip(attrs, lit_counts):
-        u.literal_index[a] = tuple(Literal(a, v) for v in range(k))
-    u.invalidate_caches()
-    return u
+    return UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index={
+        a: tuple(Literal(a, v) for v in range(k)) for a, k in zip(attrs, lit_counts)})
 
 
 def flat_estimator(names=("m0", "m1", "m2")):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,15 @@ class TestDeriveLiterals:
         for lit in derive_literals(u, "a", k):
             assert lit.value in adom
 
+    def test_table_is_frozen_and_derivation_copies_it(self):
+        u = self.make_u([1, 2])
+        with pytest.raises(FrozenInstanceError):
+            u.literal_index = {}
+        derived = derive_all_literals(u, 2)
+        assert u.literal_index == {}
+        assert derived.literals("a") == (Literal("a", 1), Literal("a", 2))
+        assert derived.relation is u.relation
+
 
 class TestCompressRows:
     def make_u(self, rows):
@@ -279,9 +289,7 @@ class TestCompressRows:
 
     def test_truncated_categorical_becomes_null(self):
         r = rel("u", ["a"], [["x"], ["x"], ["y"]])
-        u = UniversalTable(relation=r)
-        u.literal_index = {"a": (Literal("a", "x"),)}
-        u.invalidate_caches()
+        u = UniversalTable(relation=r, literal_index={"a": (Literal("a", "x"),)})
         c = compress_rows(u)
         assert set(c.relation.rows) == {("x",), (None,)}
 
@@ -372,8 +380,7 @@ def typed(values):
 
 def assert_same_derivation(columns, k):
     schema = list(columns)
-    u = UniversalTable(relation=rel("u", schema, zip(*columns.values())))
-    derive_all_literals(u, k)
+    u = derive_all_literals(UniversalTable(relation=rel("u", schema, zip(*columns.values()))), k)
     for a in schema:
         adom = u.relation.adom(a)
         if adom and all(is_number(v) for v in adom):
@@ -437,8 +444,7 @@ class TestLiteralDifferential:
         ((-2**53, -2**53 + 1), 2**53, 1),
     ])
     def test_big_ints_compare_exactly(self, literals, cell, cluster):
-        u = UniversalTable(relation=rel("u", ["x"], [[v] for v in (*literals, cell)]))
-        u.literal_index = {"x": tuple(Literal("x", v) for v in literals)}
-        u.invalidate_caches()
+        u = UniversalTable(relation=rel("u", ["x"], [[v] for v in (*literals, cell)]),
+                           literal_index={"x": tuple(Literal("x", v) for v in literals)})
         assert u.cluster_of("x", cell) == cluster
-        assert u._cluster_tables() == reference_cluster_tables(u)
+        assert u._cluster_tables == reference_cluster_tables(u)

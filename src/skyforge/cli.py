@@ -271,7 +271,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
     space = result.space
     entries = []
     for occupant in result.grid.occupants():
-        entry_log = result.log.get(occupant.bitmap)
+        raw = result.log.get(occupant.bitmap).raw
         dataset = space.dataset(occupant.bitmap)
         csv_name = f"dataset_{occupant.bitmap.to_hex()}.csv"
         write_csv(os.path.join(out_dir, csv_name), dataset)
@@ -283,7 +283,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
             "columns": list(dataset.schema),
             "measures": {
                 name: {
-                    "raw": (entry_log.raw or {}).get(name) if entry_log else None,
+                    "raw": raw[name],
                     "normalized": float(occupant.perf[i]),
                 }
                 for i, name in enumerate(measures.names)

@@ -1,16 +1,17 @@
 """Measure declarations, normalization, the valuated-test log, and the
-correlation machinery feeding interval estimates for unvaluated states.
+row-count correlations feeding interval estimates for unvaluated states.
 
 Every measure is normalized into (0,1] and minimized; maximized raw measures
 invert during normalization.  A valuated performance vector is a plain tuple
-of normalized floats in measure order.  The test log is the single source of
-truth for valuated vectors and doubles as the estimator cache.
+of normalized floats in measure order, always complete.  The test log is the
+single source of truth for valuated vectors and doubles as the estimator
+cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ArgumentError, EstimatorFailure
@@ -20,10 +21,6 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
 NORMALIZED_FLOOR = 1e-6
-
-#: pseudo-measure name for the (always known) dataset row count, used only
-#: inside the correlation graph to anchor interval estimates
-ROWCOUNT = "__rows__"
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,6 @@ class MeasureSpec:
             raise ArgumentError(f"{self.name}: raw_high must exceed raw_low")
         if not (0.0 < self.p_low <= self.p_high <= 1.0):
             raise ArgumentError(f"{self.name}: need 0 < p_low <= p_high <= 1")
-        if self.name == ROWCOUNT:
-            raise ArgumentError(f"{ROWCOUNT!r} is reserved")
 
 
 class MeasureSet:
@@ -106,21 +101,16 @@ def normalize(spec: MeasureSpec, raw: float) -> float:
 @dataclass(frozen=True)
 class LogEntry:
     bitmap: Bitmap
-    perf: tuple  # normalized floats; a seeded entry may hold None
+    perf: tuple  # normalized floats, one per measure
     row_count: int
     raw: Optional[dict] = None  # un-normalized estimator output, for reporting
-
-    def value(self, i: int) -> Optional[float]:
-        v = self.perf[i]
-        return None if v is None else float(v)
 
 
 class TestLog:
     """Append-only log of valuated tests, keyed by bitmap.
 
-    Entries are never mutated; fixtures may seed partially valuated vectors
-    (None for an unvaluated measure), the runtime always appends fully
-    valuated ones.
+    Entries are never mutated and the first write for a bitmap wins, so the
+    log only grows and its length identifies its contents.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -128,7 +118,6 @@ class TestLog:
     def __init__(self):
         self.entries: list = []
         self._index: dict = {}
-        self.version = 0
 
     def __len__(self):
         return len(self.entries)
@@ -140,20 +129,10 @@ class TestLog:
         return self._index.get(bitmap.bits)
 
     def append(self, entry: LogEntry) -> LogEntry:
-        existing = self._index.get(entry.bitmap.bits)
-        if existing is not None:
-            if None not in existing.perf or None in entry.perf:
-                return existing
-            # upgrading a partially seeded entry fills its gaps; fully
-            # valuated values never change
-            self.entries[self.entries.index(existing)] = entry
-            self._index[entry.bitmap.bits] = entry
-            self.version += 1
-            return entry
-        self.entries.append(entry)
-        self._index[entry.bitmap.bits] = entry
-        self.version += 1
-        return entry
+        existing = self._index.setdefault(entry.bitmap.bits, entry)
+        if existing is entry:
+            self.entries.append(entry)
+        return existing
 
 
 def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
@@ -164,7 +143,7 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
     bitmap are served from the log.  Returns ``(perf, invoked)``.
     """
     cached = log.get(state.bitmap)
-    if cached is not None and None not in cached.perf:
+    if cached is not None:
         return cached.perf, False
     try:
         raw = estimator.estimate(state, space)
@@ -228,114 +207,50 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
 CORRELATION_MIN_SUPPORT = 3
 
 
-@dataclass
-class CorrelationGraph:
-    """Undirected graph over measures; an edge means |spearman| >= theta."""
-
-    theta: float
-    edges: dict = field(default_factory=dict)  # frozenset({a,b}) -> rho
-
-    def weight(self, a: str, b: str) -> Optional[float]:
-        return self.edges.get(frozenset((a, b)))
-
-    def is_empty(self) -> bool:
-        return not self.edges
-
-
-def build_correlation_graph(log: TestLog, theta: float, measures: MeasureSet) -> CorrelationGraph:
-    """Correlate every measure pair (plus the row-count pseudo-measure) over
-    log entries where both sides are valuated; below three co-valuated
-    entries no edge forms."""
-    graph = CorrelationGraph(theta=theta)
+def build_correlation_graph(log: TestLog, theta: float, measures: MeasureSet) -> dict:
+    """Measure index -> Spearman rho of that measure against the row count
+    over the log, for every measure with ``|rho| >= theta``; below three
+    logged entries no measure correlates."""
     if len(log) < CORRELATION_MIN_SUPPORT:
-        return graph
-    names = list(measures.names) + [ROWCOUNT]
-
-    def series(entry: LogEntry, name: str) -> Optional[float]:
-        if name == ROWCOUNT:
-            return float(entry.row_count)
-        return entry.value(measures.index(name))
-
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = names[i], names[j]
-            xs, ys = [], []
-            for entry in log:
-                va, vb = series(entry, a), series(entry, b)
-                if va is not None and vb is not None:
-                    xs.append(va)
-                    ys.append(vb)
-            if len(xs) < CORRELATION_MIN_SUPPORT:
-                continue
-            rho = spearman(xs, ys)
-            if rho is None or abs(rho) < theta:
-                continue
-            graph.edges[frozenset((a, b))] = rho
+        return {}
+    rows = [float(entry.row_count) for entry in log]
+    graph = {}
+    for i in range(len(measures)):
+        rho = spearman([entry.perf[i] for entry in log], rows)
+        if rho is not None and abs(rho) >= theta:
+            graph[i] = rho
     return graph
 
 
-def estimate_bounds(bitmap: Bitmap, row_count: int, log: TestLog,
-                    graph: CorrelationGraph, measures: MeasureSet) -> tuple:
-    """Interval-estimate a state's vector from correlated, already-valuated
-    measures: a tuple holding a float per valuated measure and a Bounds per
-    estimated one.
+def estimate_bounds(row_count: int, log: TestLog, graph: dict,
+                    measures: MeasureSet) -> tuple:
+    """Interval-estimate an unvaluated state's vector from its row count: a
+    tuple of Bounds in measure order.
 
-    For each unvaluated measure p, the strongest correlated anchor q whose
-    value is known for this state (a valuated measure of the state itself, or
-    its row count) brackets the state between the two log entries whose
-    q-values most tightly enclose it; the p-interval spans their p-values.
-    With no usable bracket the declared [p_low, p_high] range applies.
+    A measure in the correlation graph spans its values at the two log
+    entries whose row counts most tightly enclose the state's.  Any other
+    measure, or a row count outside the logged ones, gets the declared
+    [p_low, p_high] range.
     """
-    entry = log.get(bitmap)
-    values: list = []
+    below, above = _bracket(row_count, log)
+    values = []
     for i, spec in enumerate(measures):
-        known = entry.value(i) if entry is not None else None
-        if known is not None:
-            values.append(known)
-            continue
-        anchors = [(ROWCOUNT, float(row_count))]
-        if entry is not None:
-            for j in range(len(measures)):
-                vj = entry.value(j)
-                if vj is not None:
-                    anchors.append((measures.names[j], vj))
-        best = None
-        for qname, qval in anchors:
-            rho = graph.weight(spec.name, qname)
-            if rho is None:
-                continue
-            if best is None or abs(rho) > abs(best[2]):
-                best = (qname, qval, rho)
-        interval = None
-        if best is not None:
-            interval = _bracket(spec.name, best[0], best[1], log, measures)
-        if interval is None:
+        if i not in graph or below is None or above is None:
             values.append(Bounds(spec.p_low, spec.p_high))
-        else:
-            lo = min(max(interval[0], spec.p_low), spec.p_high)
-            hi = min(max(interval[1], spec.p_low), spec.p_high)
-            values.append(Bounds(min(lo, hi), max(lo, hi)))
+            continue
+        lo, hi = sorted((below.perf[i], above.perf[i]))
+        values.append(Bounds(min(max(lo, spec.p_low), spec.p_high),
+                             min(max(hi, spec.p_low), spec.p_high)))
     return tuple(values)
 
 
-def _bracket(p: str, q: str, qval: float, log: TestLog, measures: MeasureSet):
-    pi = measures.index(p)
-
-    def qvalue(entry: LogEntry) -> Optional[float]:
-        if q == ROWCOUNT:
-            return float(entry.row_count)
-        return entry.value(measures.index(q))
-
-    lo_entry = hi_entry = None
+def _bracket(row_count: int, log: TestLog) -> tuple:
+    """The first-logged entries with the nearest row counts at or below and
+    at or above ``row_count``; None for an empty side."""
+    below = above = None
     for entry in log:
-        qv = qvalue(entry)
-        pv = entry.value(pi)
-        if qv is None or pv is None:
-            continue
-        if qv <= qval and (lo_entry is None or qv > lo_entry[0]):
-            lo_entry = (qv, pv)
-        if qv >= qval and (hi_entry is None or qv < hi_entry[0]):
-            hi_entry = (qv, pv)
-    if lo_entry is None or hi_entry is None:
-        return None
-    return (min(lo_entry[1], hi_entry[1]), max(lo_entry[1], hi_entry[1]))
+        if entry.row_count <= row_count and (below is None or entry.row_count > below.row_count):
+            below = entry
+        if entry.row_count >= row_count and (above is None or entry.row_count < above.row_count):
+            above = entry
+    return below, above

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ArgumentError, EstimatorFailure
 from .measures import (
     Bounds,
-    CorrelationGraph,
     MeasureSet,
     TestLog,
     build_correlation_graph,
@@ -128,80 +127,52 @@ def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> Sear
     return SearchState(space.bitmap_from_bits(bits), level=0)
 
 
-def _bounds_of(state: SearchState, space: StateSpace, log: TestLog,
-               graph: CorrelationGraph, measures: MeasureSet) -> tuple:
-    if state.perf is not None and None not in state.perf:
-        return state.perf
-    return estimate_bounds(state.bitmap, space.row_count(state.bitmap),
-                           log, graph, measures)
-
-
-def _lower(v) -> Optional[float]:
+def _lower(v) -> float:
     return v.lo if isinstance(v, Bounds) else v
 
 
-def _upper(v) -> Optional[float]:
+def _upper(v) -> float:
     return v.hi if isinstance(v, Bounds) else v
 
 
 def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
     """Interval form of eps-dominance of ``b`` by ``a``.
 
-    Entries are floats, Bounds estimates or None.  Valuated entries are
-    point intervals, so all the mixed cases collapse to
-    upper(a) <= (1+eps) * lower(b) per measure.  Any unvaluated-and-unbounded
-    entry makes the relation indeterminate, reported as False.
+    Entries are floats or Bounds estimates.  Valuated entries are point
+    intervals, so all the mixed cases collapse to
+    upper(a) <= (1+eps) * lower(b) per measure.
     """
     if len(a) != len(b):
         raise ArgumentError("vectors cover different measure sets")
     factor = 1.0 + eps
-    for x, y in zip(a, b):
-        ua, lb = _upper(x), _lower(y)
-        if ua is None or lb is None:
-            return False
-        if ua > factor * lb:
-            return False
-    return True
-
-
-def _informative(bounds: tuple, measures: MeasureSet) -> bool:
-    for v, spec in zip(bounds, measures.specs):
-        if isinstance(v, Bounds):
-            if (v.lo, v.hi) != (spec.p_low, spec.p_high):
-                return True
-        elif v is not None:
-            return True
-    return False
+    return all(_upper(x) <= factor * _lower(y) for x, y in zip(a, b))
 
 
 def can_prune(s_mid: SearchState, fwd: SearchState, bwd: SearchState, eps: float,
-              graph: CorrelationGraph, log: TestLog, measures: MeasureSet,
+              graph: dict, log: TestLog, measures: MeasureSet,
               space: StateSpace) -> bool:
     """Skip ``s_mid`` without valuating it?
 
-    Requires: the mid state sandwiched between the endpoints by bitmap
-    containment, the backward endpoint interval-dominating the forward one
+    Requires: the mid state sandwiched between the valuated endpoints by
+    bitmap containment, the backward endpoint eps-dominating the forward one
     within (1+eps), and the same interval relation holding against the mid's
-    own estimated bounds, so an already-valuated state eps-dominates whatever
-    value the mid could take.  A mid whose bounds all come from the declared
-    measure ranges carries no evidence and is never pruned; with an empty
-    correlation graph no bounds are derivable at all.
+    row-count estimated bounds, so an already-valuated state eps-dominates
+    whatever value the mid could take.  A mid whose bounds all come from the
+    declared measure ranges carries no evidence and is never pruned; with an
+    empty correlation graph no bounds are derivable at all.
     """
-    if graph.is_empty():
+    if not graph:
         return False
     if s_mid.bitmap.bits in (fwd.bitmap.bits, bwd.bitmap.bits):
         return False
     if not (fwd.bitmap.contains(s_mid.bitmap) and s_mid.bitmap.contains(bwd.bitmap)):
         return False
-    fwd_b = _bounds_of(fwd, space, log, graph, measures)
-    bwd_b = _bounds_of(bwd, space, log, graph, measures)
-    if not param_eps_dominates(bwd_b, fwd_b, eps):
+    if not param_eps_dominates(bwd.perf, fwd.perf, eps):
         return False
-    mid_b = estimate_bounds(s_mid.bitmap, space.row_count(s_mid.bitmap),
-                            log, graph, measures)
-    if not _informative(mid_b, measures):
+    mid_b = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
+    if not any(b != (spec.p_low, spec.p_high) for b, spec in zip(mid_b, measures)):
         return False
-    return param_eps_dominates(bwd_b, mid_b, eps)
+    return param_eps_dominates(bwd.perf, mid_b, eps)
 
 
 # -- diversification ---------------------------------------------------------
@@ -217,8 +188,8 @@ def _euc(a: tuple, b: tuple) -> float:
 
 
 def _euc_max(log: TestLog, measures: MeasureSet) -> float:
-    """Largest ``_euc`` between two fully valuated log entries, cached per
-    log version (``sqrt(len(measures))`` when there is no positive one).
+    """Largest ``_euc`` between two log entries, cached per log length (the
+    log only grows; ``sqrt(len(measures))`` when there is no positive one).
 
     Blocked over rows, one measure column at a time, in ``_euc``'s order of
     subtractions, squares and additions.  ``np.float_power`` squares through
@@ -228,9 +199,9 @@ def _euc_max(log: TestLog, measures: MeasureSet) -> float:
     the largest distance bit for bit.
     """
     cached = getattr(log, "_euc_max_cache", None)
-    if cached is not None and cached[0] == log.version:
+    if cached is not None and cached[0] == len(log):
         return cached[1]
-    x = np.array([e.perf for e in log if None not in e.perf], dtype=np.float64)
+    x = np.array([e.perf for e in log], dtype=np.float64)
     largest = 0.0
     if len(x) >= 2:
         for rows in _row_blocks(len(x), len(x)):
@@ -241,7 +212,7 @@ def _euc_max(log: TestLog, measures: MeasureSet) -> float:
                 sq += np.float_power(x[rows, None, m] - x[None, rows.start:, m], 2.0)
             largest = max(largest, float(sq.max()))
     value = math.sqrt(largest) if largest > 0.0 else math.sqrt(len(measures))
-    log._euc_max_cache = (log.version, value)
+    log._euc_max_cache = (len(log), value)
     return value
 
 
@@ -351,15 +322,15 @@ class _Runner:
         self.div_set: list = []
         self._corr_cache = None
 
-    def corr_graph(self) -> CorrelationGraph:
-        if self._corr_cache is None or self._corr_cache[0] != self.log.version:
+    def corr_graph(self) -> dict:
+        if self._corr_cache is None or self._corr_cache[0] != len(self.log):
             graph = build_correlation_graph(self.log, self.cfg.theta, self.measures)
-            self._corr_cache = (self.log.version, graph)
+            self._corr_cache = (len(self.log), graph)
         return self._corr_cache[1]
 
     def valuate_one(self, state: SearchState) -> SearchState:
         cached = self.log.get(state.bitmap)
-        if cached is not None and None not in cached.perf:
+        if cached is not None:
             return state.valuated(cached.perf)
         if self.valuations >= self.cfg.budget:
             raise _BudgetExhausted
@@ -403,11 +374,10 @@ class _Runner:
             return False
         if child.bitmap.bits in self.pruned_bits:
             return True
-        cached = self.log.get(child.bitmap)
-        if cached is not None and None not in cached.perf:
+        if self.log.get(child.bitmap) is not None:
             return False  # nothing to save: valuation is a cache hit
         graph = self.corr_graph()
-        if graph.is_empty():
+        if not graph:
             return False
         for f_state, b_state in self.regions:
             if can_prune(child, f_state, b_state, self.cfg.epsilon, graph,

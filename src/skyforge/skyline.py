@@ -62,7 +62,7 @@ class SkylineGrid:
         incumbent so replays are stable.
         """
         perf = state.perf
-        if perf is None or None in perf:
+        if perf is None:
             raise ArgumentError("candidate must be valuated before submission")
         specs = self.measures.specs
         if any(v > spec.p_high for v, spec in zip(perf, specs)):

@@ -10,6 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -141,6 +142,11 @@ class UniversalTable:
     relation: Relation
     provenance: dict = field(default_factory=dict)
     literal_index: dict = field(default_factory=dict)  # attribute -> tuple[Literal]
+
+    def __post_init__(self):
+        # read-only copies, so no literal can change under _cluster_tables
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        object.__setattr__(self, "literal_index", MappingProxyType(dict(self.literal_index)))
 
     @property
     def schema(self) -> tuple:

@@ -22,8 +22,10 @@ from skyforge import (
     MeasureSpec,
     Relation,
     SearchState,
+    TestLog,
     UniversalTable,
 )
+from skyforge.measures import LogEntry
 from skyforge.operators import StateSpace
 
 # The running example's five valuated vectors (measures normalized to
@@ -147,8 +149,8 @@ def build_pruning_fixture():
     correlation-based pruning must skip.
 
     Bit layout: 0 = t:1 (protected target), 1 = x:a, 2 = x:b, 3 = y:c,
-    4 = y:d.  The rows give the states distinct row counts so the row-count
-    pseudo-measure correlates with the performance field.
+    4 = y:d.  The rows give the states distinct row counts so the row count
+    correlates with the performance field.
     """
     rows = [
         (1, "a", "c"), (1, "a", "d"), (1, "a", "d"), (1, "b", "c"),
@@ -201,3 +203,21 @@ def build_pruning_fixture():
         {b: {"p1": v[0], "p2": v[1], "p3": v[2]} for b, v in vectors.items()}
     )
     return u, measures, estimator, names, vectors
+
+
+def seeded_worked_log(names, vectors, space):
+    """The worked bidirectional example's five historical tests, with their
+    published vectors and descending fictional row counts.
+
+    Row counts 6, 5, 4, 3, 1 rank 5, 4, 3, 2, 1.  p1 (0.42, 0.40, 0.50,
+    0.45, 0.60) and p2 (0.18, 0.17, 0.22, 0.20, 0.40) both rank 2, 1, 4, 3,
+    5: the rank differences are -3, -3, 1, 1, 4, so rho = 1 - 6 * 36 / 120
+    = -0.8.  p3 (0.90, 0.10, 0.12, 0.12, 0.30) ranks 5, 1, 2.5, 2.5, 4; on
+    centered ranks sxy = 0.5, sxx = 9.5 and syy = 10, so rho = 0.5 /
+    sqrt(95) ~ 0.05.
+    """
+    log = TestLog()
+    for name, count in (("s_U", 6), ("s_1", 5), ("s_2", 4), ("s_3", 3), ("s_b", 1)):
+        bitmap = Bitmap(names[name], space.n_bits)
+        log.append(LogEntry(bitmap, vectors[names[name]], count))
+    return log

@@ -20,11 +20,17 @@ from skyforge import (
     valuate,
 )
 from skyforge.estimators import TRAIN_ERROR
-from skyforge.measures import NORMALIZED_FLOOR, ROWCOUNT, LogEntry
+from skyforge.measures import NORMALIZED_FLOOR, LogEntry
 from skyforge.operators import StateSpace
 from skyforge.tabular import Literal, Relation, UniversalTable
 
-from conftest import EXAMPLE_VECTORS, build_pruning_fixture, perf, three_measures
+from conftest import (
+    EXAMPLE_VECTORS,
+    build_pruning_fixture,
+    perf,
+    seeded_worked_log,
+    three_measures,
+)
 
 
 class TestNormalize:
@@ -77,6 +83,11 @@ class TestMeasureSet:
     def test_two_decisive_flags_rejected(self):
         with pytest.raises(ArgumentError):
             MeasureSet([MeasureSpec("a", decisive=True), MeasureSpec("b", decisive=True)])
+
+    def test_any_name_may_be_declared(self):
+        # row counts are not a measure, so no measure name is reserved
+        ms = MeasureSet([MeasureSpec("__rows__"), MeasureSpec("b")])
+        assert ms.index("__rows__") == 0
 
 
 class TestValuate:
@@ -145,22 +156,6 @@ class TestSpearman:
             spearman([1], [1, 2])
 
 
-def seeded_partial_log(names, space):
-    """The worked bidirectional example's five historical tests, with partial
-    vectors and descending fictional row counts."""
-    log = TestLog()
-    entries = [
-        ("s_U", (0.42, 0.18, 0.90), 6),
-        ("s_1", (0.40, 0.17, 0.10), 5),
-        ("s_2", (0.50, 0.22, None), 4),
-        ("s_3", (0.45, None, None), 3),
-        ("s_b", (0.60, 0.40, 0.30), 1),
-    ]
-    for name, vec, count in entries:
-        log.append(LogEntry(Bitmap(names[name], space.n_bits), perf(*vec), count))
-    return log
-
-
 @pytest.fixture
 def worked_example():
     u, measures, estimator, names, vectors = build_pruning_fixture()
@@ -172,7 +167,7 @@ def worked_example():
         MeasureSpec("p2", p_low=0.1),
         MeasureSpec("p3", p_low=0.1, p_high=0.13),
     ])
-    log = seeded_partial_log(names, space)
+    log = seeded_worked_log(names, vectors, space)
     return space, unit_measures, names, log
 
 
@@ -180,17 +175,16 @@ class TestCorrelationGraph:
     def test_strong_pair_has_edge(self, worked_example):
         space, ms, names, log = worked_example
         graph = build_correlation_graph(log, 0.8, ms)
-        assert graph.weight("p1", "p2") == pytest.approx(1.0)
-        # both performance measures track the row count inversely
-        assert graph.weight("p1", ROWCOUNT) == pytest.approx(-0.8)
-        assert graph.weight("p2", ROWCOUNT) == pytest.approx(-0.8)
+        # p1 and p2 track the row count inversely; p3 barely correlates
+        assert graph == {0: pytest.approx(-0.8), 1: pytest.approx(-0.8)}
+        assert 2 in build_correlation_graph(log, 0.05, ms)
 
     def test_below_minimum_support_graph_empty(self):
         ms = three_measures()
         log = TestLog()
         log.append(LogEntry(Bitmap(1, 3), perf(0.1, 0.2, 0.3), 5))
         log.append(LogEntry(Bitmap(2, 3), perf(0.2, 0.3, 0.4), 4))
-        assert build_correlation_graph(log, 0.5, ms).is_empty()
+        assert build_correlation_graph(log, 0.5, ms) == {}
 
     def test_constant_measure_never_correlates(self):
         ms = three_measures()
@@ -198,7 +192,8 @@ class TestCorrelationGraph:
         for i, v in enumerate((0.1, 0.2, 0.3)):
             log.append(LogEntry(Bitmap(1 << i, 4), perf(0.5, v, v), 5 + i))
         graph = build_correlation_graph(log, 0.5, ms)
-        assert graph.weight("rmse", "r2_inv") is None
+        assert 0 not in graph
+        assert graph == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
 
     def test_weak_pair_has_no_edge(self):
         ms = three_measures()
@@ -207,34 +202,24 @@ class TestCorrelationGraph:
         for i, (a, b) in enumerate(vals):
             log.append(LogEntry(Bitmap(1 << i, 5), perf(a, b, 0.1 * (i + 1)), i))
         graph = build_correlation_graph(log, 0.9, ms)
-        assert graph.weight("rmse", "r2_inv") is None
+        # r2_inv ranks 2, 1, 4, 3 against row counts 0..3: rho 0.6
+        assert 1 not in graph
+        assert graph == {0: pytest.approx(1.0), 2: pytest.approx(1.0)}
 
 
 class TestEstimateBounds:
-    def test_interpolates_between_tight_bracket(self, worked_example):
-        space, ms, names, log = worked_example
-        graph = build_correlation_graph(log, 0.8, ms)
-        s3 = Bitmap(names["s_3"], space.n_bits)
-        bounds = estimate_bounds(s3, 3, log, graph, ms)
-        assert bounds[0] == pytest.approx(0.45)  # valuated stays a point
-        assert bounds[1] == Bounds(0.18, 0.22)   # bracketed by neighbors
-        assert bounds[2] == Bounds(0.1, 0.13)    # declared-range fallback
-
     def test_rowcount_anchor_for_fully_unvaluated_state(self, worked_example):
         space, ms, names, log = worked_example
         graph = build_correlation_graph(log, 0.8, ms)
-        s4 = Bitmap(names["s_4"], space.n_bits)
-        bounds = estimate_bounds(s4, 2, log, graph, ms)
-        # row count 2 sits between the seeded counts 1 and 3
+        bounds = estimate_bounds(2, log, graph, ms)
+        # row count 2 sits between the seeded counts 1 (s_b) and 3 (s_3)
         assert bounds[0] == Bounds(0.45, 0.60)
-        assert bounds[1] == Bounds(0.22, 0.40)
+        assert bounds[1] == Bounds(0.20, 0.40)
+        assert bounds[2] == Bounds(0.1, 0.13)  # uncorrelated: declared range
 
     def test_no_graph_means_declared_ranges(self, worked_example):
         space, ms, names, log = worked_example
-        from skyforge.measures import CorrelationGraph
-
-        bounds = estimate_bounds(Bitmap(names["s_4"], space.n_bits), 2, log,
-                                 CorrelationGraph(theta=0.8), ms)
+        bounds = estimate_bounds(2, log, {}, ms)
         assert bounds[0] == Bounds(0.1, 1.0)
 
 
@@ -247,15 +232,3 @@ class TestTestLog:
         assert log.append(e2) is e1  # first write wins
         assert len(log) == 1
         assert log.get(Bitmap(3, 4)).perf[0] == 0.1
-
-    def test_partial_entry_upgrades_to_full(self):
-        log = TestLog()
-        seeded = LogEntry(Bitmap(3, 4), perf(0.1, None, None), 7)
-        full = LogEntry(Bitmap(3, 4), perf(0.1, 0.2, 0.3), 7)
-        log.append(seeded)
-        assert log.append(full) is full
-        assert len(log) == 1
-        assert None not in log.get(Bitmap(3, 4)).perf
-        # but never downgrade or overwrite full values
-        other = LogEntry(Bitmap(3, 4), perf(0.5, None, None), 7)
-        assert log.append(other) is full

@@ -37,6 +37,7 @@ from conftest import (
     build_pruning_fixture,
     build_toy_universal,
     perf,
+    seeded_worked_log,
     three_measures,
 )
 
@@ -213,7 +214,7 @@ class TestRunBi:
         # soundness: force-valuating each pruned state, some valuated state
         # eps-dominates it
         audit = TestLog()
-        valuated = [e.perf for e in res.log if None not in e.perf]
+        valuated = [e.perf for e in res.log]
         for b in pruned_bits:
             got, _ = valuate(SearchState(Bitmap(b, space.n_bits)), est, audit, ms, space)
             assert any(naive_eps_dominates(v, got, 0.3) for v in valuated)
@@ -226,7 +227,7 @@ class TestRunBi:
         assert check_eps_cover(res.grid, everything, 0.3).eps_cover_violations == []
 
 
-def worked_partial_setup():
+def worked_log_setup():
     u, ms_run, est, names, vectors = build_pruning_fixture()
     space = StateSpace(u, protected=("t",))
     ms = MeasureSet([
@@ -234,31 +235,27 @@ def worked_partial_setup():
         MeasureSpec("p2", p_low=0.1),
         MeasureSpec("p3", p_low=0.1, p_high=0.13),
     ])
-    log = TestLog()
-    seeded = [
-        ("s_U", (0.42, 0.18, 0.90), 6),
-        ("s_1", (0.40, 0.17, 0.10), 5),
-        ("s_2", (0.50, 0.22, None), 4),
-        ("s_3", (0.45, None, None), 3),
-        ("s_b", (0.60, 0.40, 0.30), 1),
-    ]
-    for name, vec, count in seeded:
-        log.append(LogEntry(Bitmap(names[name], space.n_bits), perf(*vec), count))
+    log = seeded_worked_log(names, vectors, space)
     graph = build_correlation_graph(log, 0.8, ms)
     return space, ms, names, log, graph
 
 
 class TestParamEpsDominates:
     def test_worked_partial_example(self):
-        # 0.45 <= 1.3 * 0.40 on the valuated measure and 0.22 <= 1.3 * 0.17
-        # on the interval-estimated one
-        space, ms, names, log, graph = worked_partial_setup()
+        # at s_3's row count the correlated measures bracket to s_3's own
+        # values and p3 falls back to its declared range: 0.45 <= 1.3 * 0.40,
+        # 0.20 <= 1.3 * 0.17 and 0.13 <= 1.3 * 0.10
+        space, ms, names, log, graph = worked_log_setup()
         from skyforge.measures import estimate_bounds
 
-        s3 = estimate_bounds(Bitmap(names["s_3"], space.n_bits), 3, log, graph, ms)
         s1 = log.get(Bitmap(names["s_1"], space.n_bits)).perf
-        assert s3[1] == Bounds(0.18, 0.22)
-        assert param_eps_dominates(s3, s1, 0.3)
+        at_s3 = estimate_bounds(3, log, graph, ms)
+        assert at_s3 == (Bounds(0.45, 0.45), Bounds(0.20, 0.20), Bounds(0.1, 0.13))
+        assert param_eps_dominates(at_s3, s1, 0.3)
+        # one row fewer brackets with s_b as well: 0.60 > 1.3 * 0.40
+        at_two = estimate_bounds(2, log, graph, ms)
+        assert at_two[0] == Bounds(0.45, 0.60)
+        assert not param_eps_dominates(at_two, s1, 0.3)
 
     def test_all_valuated_collapses_to_componentwise_factor(self):
         # strictly worse everywhere but within the factor: the interval form
@@ -272,11 +269,6 @@ class TestParamEpsDominates:
         a = (Bounds(0.2, 0.6), 0.3, 0.3)
         b = (Bounds(0.1, 0.2), 0.3, 0.3)
         assert not param_eps_dominates(a, b, 0.3)  # 0.6 > 1.3 * 0.1
-
-    def test_unbounded_entry_is_indeterminate(self):
-        a = (None, 0.3, 0.3)
-        b = perf(0.5, 0.5, 0.5)
-        assert not param_eps_dominates(a, b, 0.3)
 
 
 class TestCanPrune:
@@ -319,11 +311,8 @@ class TestCanPrune:
 
     def test_empty_graph_never_prunes(self):
         space, ms, names, log, graph, est = self.level_one_log()
-        from skyforge.measures import CorrelationGraph
-
         mk = self.states(names, log, space)
-        assert not can_prune(mk("s_4"), mk("s_1"), mk("s_3"), 0.3,
-                             CorrelationGraph(theta=0.9), log, ms, space)
+        assert not can_prune(mk("s_4"), mk("s_1"), mk("s_3"), 0.3, {}, log, ms, space)
 
     def test_sandwich_required(self):
         space, ms, names, log, graph, est = self.level_one_log()

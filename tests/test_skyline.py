@@ -111,8 +111,6 @@ class TestUPareto:
         grid = make_grid()
         with pytest.raises(ArgumentError):
             grid.submit(SearchState(Bitmap(1, 5)))
-        with pytest.raises(ArgumentError):
-            grid.submit(state(2, (0.3, None, 0.3)))
         assert grid.occupant_count() == 0
 
     def test_insert_into_empty_cell(self):

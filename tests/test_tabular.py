@@ -245,6 +245,18 @@ class TestDeriveLiterals:
         assert u.literal_index == {}
         assert derived.literals("a") == (Literal("a", 1), Literal("a", 2))
         assert derived.relation is u.relation
+        # the literal maps are read-only copies, so no literal can change
+        # under the cached cluster tables
+        index = {"a": derived.literals("a")}
+        v = UniversalTable(relation=u.relation, provenance={"a": "s"}, literal_index=index)
+        assert v.cluster_of("a", 2) == 1
+        with pytest.raises(TypeError):
+            v.literal_index["a"] = (Literal("a", 2),)
+        with pytest.raises(TypeError):
+            v.provenance["a"] = "elsewhere"
+        index["a"] = ()
+        assert v.literals("a") == (Literal("a", 1), Literal("a", 2))
+        assert v.cluster_of("a", 2) == 1
 
 
 class TestCompressRows:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skyforge.errors import ArgumentError
-from skyforge.measures import Bounds, LogEntry, MeasureSet, MeasureSpec, TestLog
+from skyforge.measures import LogEntry, MeasureSet, MeasureSpec, TestLog
 from skyforge.operators import Bitmap, SearchState
 from skyforge.oracle import (
     EnumerationReport,
@@ -91,7 +91,7 @@ def reference_euc(a, b):
 
 
 def reference_euc_max(log, measures):
-    vectors = [e.perf for e in log if None not in e.perf]
+    vectors = [e.perf for e in log]
     value = 0.0
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
@@ -376,15 +376,3 @@ class TestEucMax:
     def test_int_valued_vectors(self):
         log = log_of([(1, 2, 3), (4, 2, 1), (1, 1, 1), (2, 5, 3)])
         assert _euc_max(log, measures_of(3)) == reference_euc_max(log, measures_of(3))
-
-    def test_partially_seeded_entry_upgraded(self):
-        measures = measures_of(3)
-        log = log_of([(0.2, 0.3, 0.4), (0.25, 0.35, 0.45)])
-        seeded = Bitmap(7, 32)
-        log.append(LogEntry(seeded, (0.9, None, Bounds(0.1, 0.2)), row_count=1))
-        before = _euc_max(log, measures)
-        assert before == reference_euc_max(log, measures)
-        log.append(LogEntry(seeded, (0.9, 0.95, 0.05), row_count=1))
-        after = _euc_max(log, measures)  # the upgrade bumps the version
-        assert after == reference_euc_max(log, measures)
-        assert after > before

@@ -9,11 +9,8 @@ over which the model is expected to be Pareto-optimal, within a configurable
 
 from .errors import (
     ArgumentError,
-    DegenerateStateError,
     EnumerationCapError,
     EstimatorFailure,
-    InapplicableOperatorError,
-    SchemaConflictError,
     SkyforgeError,
 )
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator

@@ -24,7 +24,7 @@ from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
 from .operators import Bitmap
 from .oracle import check_div_bound, check_eps_cover, check_pruned, enumerate_all, state_count_bound
-from .search import RunResult, SearchConfig, run_algorithm
+from .search import ALGORITHMS, RunResult, SearchConfig, run_algorithm
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ CONFIG_SCHEMA = {
             "required": ["epsilon"],
             "additionalProperties": False,
             "properties": {
-                "algorithm": {"enum": ["apx", "bi", "nobi", "div"]},
+                "algorithm": {"enum": list(ALGORITHMS)},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "budget": {"type": "integer", "minimum": 1},
                 "max_len": {"type": ["integer", "null"], "minimum": 0},
@@ -179,34 +179,16 @@ class RunConfig:
     def _path(self, p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(self.base_dir, p)
 
+    # the schema's measure and search keys are MeasureSpec's and
+    # SearchConfig's field names, so the dataclasses hold every default
     def measure_set(self) -> MeasureSet:
-        specs = [
-            MeasureSpec(
-                name=m["name"],
-                direction=m.get("direction", "minimize"),
-                raw_low=m.get("raw_low", 0.0),
-                raw_high=m.get("raw_high", 1.0),
-                p_low=m.get("p_low", 1e-6),
-                p_high=m.get("p_high", 1.0),
-                decisive=m.get("decisive", False),
-            )
-            for m in self.raw["measures"]
-        ]
+        specs = [MeasureSpec(**m) for m in self.raw["measures"]]
         return MeasureSet(specs, decisive_override=self.raw.get("decisive"))
 
     def search_config(self) -> SearchConfig:
-        s = dict(self.raw["search"])
-        return SearchConfig(
-            epsilon=s["epsilon"],
-            budget=s.get("budget", 2**31),
-            max_len=s.get("max_len"),
-            algorithm=s.get("algorithm", "apx"),
-            k=s.get("k", 0),
-            alpha=s.get("alpha", 0.5),
-            theta=s.get("theta", 0.8),
-            # the estimator's own target is protected too
-            target=self.raw.get("target") or self.raw["estimator"].get("target"),
-        )
+        # the estimator's own target is protected too
+        return SearchConfig(**self.raw["search"],
+                            target=self.raw.get("target") or self.raw["estimator"].get("target"))
 
     def build_universal(self) -> UniversalTable:
         sources = [ingest_csv(self._path(s["path"]), s["name"]) for s in self.raw["sources"]]
@@ -225,9 +207,13 @@ class RunConfig:
         if est.get("builtin") == "lookup":
             table = {}
             if "path" in est:
-                with open(self._path(est["path"]), encoding="utf-8") as fh:
-                    loaded = json.load(fh)
-                table = {int(hex_bits, 16): dict(vals) for hex_bits, vals in loaded.items()}
+                path = self._path(est["path"])
+                try:
+                    with open(path, encoding="utf-8") as fh:
+                        loaded = json.load(fh)
+                    table = {int(hex_bits, 16): dict(vals) for hex_bits, vals in loaded.items()}
+                except (OSError, ValueError, TypeError, AttributeError) as exc:
+                    raise ConfigError(f"cannot read lookup table {path}: {exc}") from None
             return LookupEstimator(table, default=est.get("default"))
         return SubprocessEstimator(est["command"], timeout=est.get("timeout", 60.0))
 
@@ -235,14 +221,18 @@ class RunConfig:
         return self._path(self.raw.get("output_dir", "skyforge_out"))
 
 
+# (flag, search key, type) of every command-line search override
+_SEARCH_FLAGS = (
+    ("--epsilon", "epsilon", float), ("--max-length", "max_len", int),
+    ("--budget", "budget", int), ("--k", "k", int), ("--alpha", "alpha", float),
+    ("--theta", "theta", float), ("--algorithm", "algorithm", str),
+)
+
+
 def _with_flag_overrides(raw: dict, args) -> dict:
     search = dict(raw["search"])
-    for flag, key in (
-        ("epsilon", "epsilon"), ("max_length", "max_len"), ("budget", "budget"),
-        ("k", "k"), ("alpha", "alpha"), ("theta", "theta"),
-        ("algorithm", "algorithm"),
-    ):
-        value = getattr(args, flag, None)
+    for _, key, _ in _SEARCH_FLAGS:
+        value = getattr(args, key, None)
         if value is not None:
             search[key] = value
     return {**raw, "search": search}
@@ -309,15 +299,18 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
     return manifest
 
 
+def _build(cfg: RunConfig) -> tuple:
+    """``(universal, measures, search config, estimator)``; the estimator
+    comes last, so nothing it holds is left open by a failure before it."""
+    return cfg.build_universal(), cfg.measure_set(), cfg.search_config(), cfg.build_estimator()
+
+
 def execute_run(cfg: RunConfig):
     """Build everything and run the configured algorithm.
 
     Returns ``(exit_code, manifest, result, space)``.
     """
-    universal = cfg.build_universal()
-    measures = cfg.measure_set()
-    estimator = cfg.build_estimator()
-    search_cfg = cfg.search_config()
+    universal, measures, search_cfg, estimator = _build(cfg)
     out_dir = cfg.output_dir()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -347,10 +340,7 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
     ``_corrupt_grid`` is a test hook mutating the grid before the check.
     Returns ``(exit_code, report_dict)``.
     """
-    universal = cfg.build_universal()
-    measures = cfg.measure_set()
-    estimator = cfg.build_estimator()
-    search_cfg = cfg.search_config()
+    universal, measures, search_cfg, estimator = _build(cfg)
     cap = max_bits if max_bits is not None else cfg.raw.get("verify_max_bits", 20)
 
     try:
@@ -407,13 +397,9 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--config", required=True)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--max-length", dest="max_length", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--algorithm", choices=["apx", "bi", "nobi", "div"])
+        for flag, key, kind in _SEARCH_FLAGS:
+            p.add_argument(flag, dest=key, type=kind,
+                           choices=ALGORITHMS if key == "algorithm" else None)
 
     add_common(sub.add_parser("run", help="generate skyline datasets"))
     verify_p = sub.add_parser("verify", help="check a run against full enumeration")

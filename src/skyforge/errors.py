@@ -9,18 +9,6 @@ class ArgumentError(SkyforgeError):
     """A caller passed an argument violating a precondition."""
 
 
-class SchemaConflictError(SkyforgeError):
-    """Two sources share an attribute name without a join key for it."""
-
-
-class InapplicableOperatorError(SkyforgeError):
-    """An operator was applied to a state whose bitmap does not admit it."""
-
-
-class DegenerateStateError(SkyforgeError):
-    """An operator produced a state with an empty dataset."""
-
-
 class EstimatorFailure(SkyforgeError):
     """The estimator timed out, crashed, or violated the protocol.
 

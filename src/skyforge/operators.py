@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateStateError, InapplicableOperatorError
+from .errors import ArgumentError
 from .tabular import Literal, Relation, UniversalTable
 
 FORWARD = "forward"
@@ -241,16 +241,16 @@ class StateSpace:
     def apply_reduct(self, state: SearchState, literal: Literal) -> SearchState:
         i = self.bit_of(literal)
         if not state.bitmap.test(i):
-            raise InapplicableOperatorError(f"value bit for {literal!r} already clear")
+            raise ArgumentError(f"value bit for {literal!r} already clear")
         child = state.bitmap.with_bit(i, False)
         if self.is_degenerate(child):
-            raise DegenerateStateError(f"reduct by {literal!r} empties the dataset")
+            raise ArgumentError(f"reduct by {literal!r} empties the dataset")
         return SearchState(child, state.level + 1)
 
     def apply_augment(self, state: SearchState, literal: Literal) -> SearchState:
         i = self.bit_of(literal)
         if state.bitmap.test(i):
-            raise InapplicableOperatorError(f"value bit for {literal!r} already set")
+            raise ArgumentError(f"value bit for {literal!r} already set")
         child = state.bitmap.with_bit(i, True)
         return SearchState(child, state.level + 1)
 

@@ -19,14 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EstimatorFailure
-from .measures import (
-    Bounds,
-    MeasureSet,
-    TestLog,
-    build_correlation_graph,
-    estimate_bounds,
-    valuate,
-)
+from .measures import MeasureSet, TestLog, build_correlation_graph, estimate_bounds, valuate
 from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
@@ -127,52 +120,41 @@ def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> Sear
     return SearchState(space.bitmap_from_bits(bits), level=0)
 
 
-def _lower(v) -> float:
-    return v.lo if isinstance(v, Bounds) else v
-
-
-def _upper(v) -> float:
-    return v.hi if isinstance(v, Bounds) else v
-
-
 def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
-    """Interval form of eps-dominance of ``b`` by ``a``.
-
-    Entries are floats or Bounds estimates.  Valuated entries are point
-    intervals, so all the mixed cases collapse to
-    upper(a) <= (1+eps) * lower(b) per measure.
-    """
+    """``a`` eps-dominates ``b`` in the interval sense: every measure of
+    ``a`` is at most (1+eps) times the same measure of ``b``."""
     if len(a) != len(b):
         raise ArgumentError("vectors cover different measure sets")
     factor = 1.0 + eps
-    return all(_upper(x) <= factor * _lower(y) for x, y in zip(a, b))
+    return all(x <= factor * y for x, y in zip(a, b))
 
 
-def can_prune(s_mid: SearchState, fwd: SearchState, bwd: SearchState, eps: float,
-              graph: dict, log: TestLog, measures: MeasureSet,
-              space: StateSpace) -> bool:
-    """Skip ``s_mid`` without valuating it?
+def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: dict,
+              log: TestLog, measures: MeasureSet, space: StateSpace) -> Optional[tuple]:
+    """The first ``(forward, backward)`` region that certifies skipping
+    ``s_mid`` without valuating it, or None.
 
-    Requires: the mid state sandwiched between the valuated endpoints by
-    bitmap containment, the backward endpoint eps-dominating the forward one
-    within (1+eps), and the same interval relation holding against the mid's
-    row-count estimated bounds, so an already-valuated state eps-dominates
-    whatever value the mid could take.  A mid whose bounds all come from the
-    declared measure ranges carries no evidence and is never pruned; with an
-    empty correlation graph no bounds are derivable at all.
+    A region certifies the skip when its bitmaps sandwich the mid by
+    containment and its valuated backward endpoint eps-dominates the lower
+    bounds of the mid's row-count estimate, so an already-valuated state
+    eps-dominates whatever value the mid could take.  Regions are admitted
+    only when the backward endpoint eps-dominates the forward one.  The
+    estimate depends on the mid alone and is made once; when every measure
+    falls back to its declared range (an empty correlation graph, or no
+    bracketing log entries) it carries no evidence and nothing is pruned.
     """
-    if not graph:
-        return False
-    if s_mid.bitmap.bits in (fwd.bitmap.bits, bwd.bitmap.bits):
-        return False
-    if not (fwd.bitmap.contains(s_mid.bitmap) and s_mid.bitmap.contains(bwd.bitmap)):
-        return False
-    if not param_eps_dominates(bwd.perf, fwd.perf, eps):
-        return False
-    mid_b = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
-    if not any(b != (spec.p_low, spec.p_high) for b, spec in zip(mid_b, measures)):
-        return False
-    return param_eps_dominates(bwd.perf, mid_b, eps)
+    lower = None
+    for fwd, bwd in regions:
+        if not (fwd.bitmap.contains(s_mid.bitmap) and s_mid.bitmap.contains(bwd.bitmap)):
+            continue
+        if lower is None:
+            bounds = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
+            if all(b == (spec.p_low, spec.p_high) for b, spec in zip(bounds, measures)):
+                return None
+            lower = tuple(b.lo for b in bounds)
+        if param_eps_dominates(bwd.perf, lower, eps):
+            return fwd, bwd
+    return None
 
 
 # -- diversification ---------------------------------------------------------
@@ -378,15 +360,15 @@ class _Runner:
             return False  # nothing to save: valuation is a cache hit
         graph = self.corr_graph()
         if not graph:
+            return False  # every estimate would be the declared ranges
+        region = can_prune(child, self.regions, self.cfg.epsilon, graph, self.log,
+                           self.measures, self.space)
+        if region is None:
             return False
-        for f_state, b_state in self.regions:
-            if can_prune(child, f_state, b_state, self.cfg.epsilon, graph,
-                         self.log, self.measures, self.space):
-                self.pruned.append(PrunedState(child.bitmap, f_state.bitmap,
-                                               b_state.bitmap, child.level))
-                self.pruned_bits.add(child.bitmap.bits)
-                return True
-        return False
+        self.pruned.append(PrunedState(child.bitmap, region[0].bitmap, region[1].bitmap,
+                                       child.level))
+        self.pruned_bits.add(child.bitmap.bits)
+        return True
 
     def add_regions(self, valuated_f: list, valuated_b: list):
         for f_state in valuated_f:

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaConflictError
+from .errors import ArgumentError
 
 Cell = Any  # int | float | str | None
 
@@ -341,7 +341,7 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
         keyed_right = {ra for la, ra in pairs if la == ra}
         overlap = (set(acc_schema) & set(right.schema)) - keyed_right
         if overlap:
-            raise SchemaConflictError(
+            raise ArgumentError(
                 f"attributes {sorted(overlap)} appear in {right.name!r} and an earlier "
                 f"source without a join key"
             )

@@ -322,6 +322,31 @@ class TestRunCommand:
             header = (tmp_path / "out" / entry["csv"]).read_text().splitlines()[0]
             assert "y" in header.split(",")
 
+    def test_schema_conflict_exits_2(self, tmp_path, capsys):
+        (tmp_path / "left.csv").write_text("id,a\n1,2\n")
+        (tmp_path / "right.csv").write_text("id,a\n1,3\n")
+        path = base_config(tmp_path, target="id",
+                           sources=[{"path": "left.csv", "name": "left"},
+                                    {"path": "right.csv", "name": "right"}],
+                           join_keys=[{"left": "left", "right": "right", "on": [["id", "id"]]}])
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "['a']" in err and "without a join key" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [None, '{"zz": {"m": 0.4}}', '{"1": '],
+                             ids=["missing", "non-hex-key", "invalid-json"])
+    def test_bad_lookup_table_exits_2(self, tmp_path, capsys, content):
+        (tmp_path / "small.csv").write_text("c\na\nb\n")
+        if content is not None:
+            (tmp_path / "table.json").write_text(content)
+        path = base_config(tmp_path, sources=[{"path": "small.csv", "name": "small"}],
+                           target="c", measures=[{"name": "m", "p_low": 0.01}],
+                           estimator={"builtin": "lookup", "path": "table.json"})
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot read lookup table" in err and "table.json" in err
+        assert "Traceback" not in err
+
     def test_lookup_estimator_from_file(self, tmp_path):
         (tmp_path / "small.csv").write_text("c\na\na\nb\n")
         # bit 0 = c:a, bit 1 = c:b after literal derivation

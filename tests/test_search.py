@@ -30,12 +30,14 @@ from skyforge import (
     run_algorithm,
     valuate,
 )
+import skyforge.search as search_module
 from skyforge.measures import LogEntry
 from skyforge.operators import BACKWARD, StateSpace
 
 from conftest import (
     build_pruning_fixture,
     build_toy_universal,
+    make_monotone_instance,
     perf,
     seeded_worked_log,
     three_measures,
@@ -242,20 +244,26 @@ def worked_log_setup():
 
 class TestParamEpsDominates:
     def test_worked_partial_example(self):
-        # at s_3's row count the correlated measures bracket to s_3's own
-        # values and p3 falls back to its declared range: 0.45 <= 1.3 * 0.40,
-        # 0.20 <= 1.3 * 0.17 and 0.13 <= 1.3 * 0.10
+        # the engine tests a valuated backward point against the lower bounds
+        # of a mid's estimate.  At s_3's row count the correlated measures
+        # bracket to s_3's own values and p3 falls back to its declared
+        # range, so s_3's point eps-dominates the lower bounds: 0.45 <= 1.3 *
+        # 0.45, 0.20 <= 1.3 * 0.20 and 0.12 <= 1.3 * 0.10
         space, ms, names, log, graph = worked_log_setup()
         from skyforge.measures import estimate_bounds
 
-        s1 = log.get(Bitmap(names["s_1"], space.n_bits)).perf
+        s3 = log.get(Bitmap(names["s_3"], space.n_bits)).perf
+        sb = log.get(Bitmap(names["s_b"], space.n_bits)).perf
         at_s3 = estimate_bounds(3, log, graph, ms)
         assert at_s3 == (Bounds(0.45, 0.45), Bounds(0.20, 0.20), Bounds(0.1, 0.13))
-        assert param_eps_dominates(at_s3, s1, 0.3)
-        # one row fewer brackets with s_b as well: 0.60 > 1.3 * 0.40
+        lower = tuple(b.lo for b in at_s3)
+        assert param_eps_dominates(s3, lower, 0.3)
+        assert not param_eps_dominates(sb, lower, 0.3)  # 0.60 > 1.3 * 0.45
+        # one row fewer brackets with s_b as well: the upper bounds widen,
+        # the lower bounds the engine reads stay
         at_two = estimate_bounds(2, log, graph, ms)
         assert at_two[0] == Bounds(0.45, 0.60)
-        assert not param_eps_dominates(at_two, s1, 0.3)
+        assert tuple(b.lo for b in at_two) == lower
 
     def test_all_valuated_collapses_to_componentwise_factor(self):
         # strictly worse everywhere but within the factor: the interval form
@@ -264,11 +272,6 @@ class TestParamEpsDominates:
         b = perf(0.40, 0.40, 0.40)
         assert param_eps_dominates(a, b, 0.3)
         assert not naive_eps_dominates(a, b, 0.3)
-
-    def test_bounded_vs_bounded_failure(self):
-        a = (Bounds(0.2, 0.6), 0.3, 0.3)
-        b = (Bounds(0.1, 0.2), 0.3, 0.3)
-        assert not param_eps_dominates(a, b, 0.3)  # 0.6 > 1.3 * 0.1
 
 
 class TestCanPrune:
@@ -287,37 +290,81 @@ class TestCanPrune:
         return space, ms, names, log, graph, est
 
     def states(self, names, log, space):
-        def mk(name):
-            entry = log.get(Bitmap(names[name], space.n_bits))
+        def mk(name_or_bits):
+            bits = names.get(name_or_bits, name_or_bits)
+            entry = log.get(Bitmap(bits, space.n_bits))
             p = entry.perf if entry else None
-            return SearchState(Bitmap(names[name], space.n_bits), perf=p)
+            return SearchState(Bitmap(bits, space.n_bits), perf=p)
         return mk
 
     def test_worked_fixture_mid_states_prune(self):
         space, ms, names, log, graph, est = self.level_one_log()
         mk = self.states(names, log, space)
+        region = (mk("s_1"), mk("s_3"))
         for mid in ("s_4", "s_5"):
-            assert can_prune(mk(mid), mk("s_1"), mk("s_3"), 0.3, graph, log, ms, space)
+            assert can_prune(mk(mid), [region], 0.3, graph, log, ms, space) == region
 
     def test_mid_without_bracket_evidence_is_kept(self):
         space, ms, names, log, graph, est = self.level_one_log()
         mk = self.states(names, log, space)
-        # row count below every logged count: no bracket, only declared
-        # ranges, hence no evidence and no prune
-        s2 = SearchState(Bitmap(names["s_2"], space.n_bits))
-        fwd = SearchState(Bitmap(names["s_1"] | names["s_2"], space.n_bits),
-                          perf=log.get(Bitmap(names["s_U"], space.n_bits)).perf)
-        assert not can_prune(s2, mk("s_1"), mk("s_3"), 0.3, graph, log, ms, space)
+        # s_2's row count (2) is below every logged count: no bracket, only
+        # declared ranges, hence no evidence and no prune, although at eps 5
+        # the backward point is within the factor of those ranges' lower ends
+        s2 = mk("s_2")
+        region = (mk("s_U"), mk(space.bitmap_from_bits((0, 4)).bits))
+        assert region[0].bitmap.contains(s2.bitmap) and s2.bitmap.contains(region[1].bitmap)
+        assert param_eps_dominates(region[1].perf, tuple(s.p_low for s in ms), 5.0)
+        assert can_prune(s2, [region], 5.0, graph, log, ms, space) is None
 
     def test_empty_graph_never_prunes(self):
         space, ms, names, log, graph, est = self.level_one_log()
         mk = self.states(names, log, space)
-        assert not can_prune(mk("s_4"), mk("s_1"), mk("s_3"), 0.3, {}, log, ms, space)
+        region = (mk("s_1"), mk("s_3"))
+        assert can_prune(mk("s_4"), [region], 0.3, {}, log, ms, space) is None
 
     def test_sandwich_required(self):
         space, ms, names, log, graph, est = self.level_one_log()
         mk = self.states(names, log, space)
-        assert not can_prune(mk("s_2"), mk("s_1"), mk("s_3"), 0.3, graph, log, ms, space)
+        region = (mk("s_1"), mk("s_3"))
+        assert can_prune(mk("s_2"), [region], 0.3, graph, log, ms, space) is None
+
+    def test_first_certifying_region_is_returned(self, monkeypatch):
+        space, ms, names, log, graph, est = self.level_one_log()
+        mk = self.states(names, log, space)
+        estimates = []
+        real = search_module.estimate_bounds
+        monkeypatch.setattr(search_module, "estimate_bounds",
+                            lambda *args: estimates.append(args) or real(*args))
+        regions = [
+            (mk("s_U"), mk(space.bitmap_from_bits((0, 4)).bits)),  # no sandwich
+            (mk("s_U"), mk("s_b")),  # sandwich, but 0.60 > 1.3 * 0.37
+            (mk("s_1"), mk("s_3")),
+            (mk("s_U"), mk("s_3")),
+        ]
+        assert can_prune(mk("s_5"), regions, 0.3, graph, log, ms, space) == regions[2]
+        assert len(estimates) == 1
+
+    def test_mid_is_estimated_at_most_once_per_call(self, monkeypatch):
+        per_call = []
+        estimate, prune = search_module.estimate_bounds, search_module.can_prune
+
+        def counting_estimate(*args):
+            per_call[-1] += 1
+            return estimate(*args)
+
+        def counting_prune(*args):
+            per_call.append(0)
+            return prune(*args)
+
+        monkeypatch.setattr(search_module, "estimate_bounds", counting_estimate)
+        monkeypatch.setattr(search_module, "can_prune", counting_prune)
+        pruned = 0
+        for seed in range(4):
+            u, ms, est = make_monotone_instance(seed)
+            cfg = SearchConfig(epsilon=0.2, theta=0.5, algorithm="bi", target="t")
+            pruned += len(run_algorithm(u, ms, est, cfg).pruned)
+        assert pruned > 0 and sum(per_call) > 0
+        assert max(per_call) <= 1
 
 
 class TestDisScore:

@@ -9,7 +9,6 @@ from skyforge import (
     ArgumentError,
     Literal,
     Relation,
-    SchemaConflictError,
     UniversalTable,
     build_universal,
     compress_rows,
@@ -123,7 +122,7 @@ class TestBuildUniversal:
     def test_schema_conflict_without_key(self):
         left = rel("l", ["id", "v"], [[1, 2]])
         right = rel("r", ["id", "v"], [[1, 3]])
-        with pytest.raises(SchemaConflictError):
+        with pytest.raises(ArgumentError, match="without a join key"):
             build_universal([left, right], {("l", "r"): [("id", "id")]})
 
     def test_empty_sources_rejected(self):

@@ -118,6 +118,9 @@ class StateSpace:
         self.n_bits = len(self.bit_literals)
         if self.n_bits == 0:
             raise ArgumentError("universal table has no literals; derive them first")
+        self.protected_bits = 0  # bits that op_gen never flips
+        for a in self.protected:
+            self.protected_bits |= self._attr_field[a]
 
         rel = universal.relation
         self._n_rows = len(rel.rows)

@@ -13,6 +13,7 @@ queues advance level by level, and no RNG is involved anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -59,7 +60,8 @@ class RunningGraph:
 
     nodes: dict = field(default_factory=dict)   # bits -> SearchState (valuated)
     roots: list = field(default_factory=list)
-    parents: dict = field(default_factory=dict)  # child bits -> first inbound parent bits
+    # child bits -> first inbound parent bits, for every child the walk reached
+    parents: dict = field(default_factory=dict)
 
     def path_to(self, bitmap: Bitmap) -> list:
         """``(parent bits, child bits)`` steps from a root to the bitmap, for
@@ -322,27 +324,89 @@ class _Runner:
             self.valuations += 1
         return state.valuated(perf)
 
-    def valuate_level(self, children: list) -> tuple:
-        """Valuate a sorted batch; returns (valuated, budget_hit)."""
-        out = []
-        for child in children:
-            try:
-                out.append(self.valuate_one(child))
-            except _BudgetExhausted:
-                return out, True
-        return out, False
+    def open_order(self, frontier: list, direction: str) -> list:
+        """``(frontier indices, limit)`` batches in the order ``expand``
+        opens the parents; once a batch is open, every child below ``limit``
+        (the bound of the next unopened parent, None when none is left) is
+        final.
 
-    def expand(self, frontier: list, direction: str, seen: set) -> list:
-        children = []
-        for state in frontier:
-            for child in self.space.op_gen(state, direction):
-                self.graph.parents.setdefault(child.bitmap.bits, state.bitmap.bits)
-                if child.bitmap.bits in seen:
-                    continue
-                seen.add(child.bitmap.bits)
-                children.append(child)
-        children.sort(key=lambda s: s.bitmap.bits)
-        return children
+        A parent's bound is the smallest bitmap one of its children could
+        have: the parent with its highest unprotected set bit cleared
+        (reducts) or its lowest unprotected clear bit set (augments).
+        Parents open in bound order, in batches that double from one, or all
+        in one batch when the walk prunes or the remaining budget covers
+        every possible child (one per flippable bit of each parent).
+        """
+        free = self.space.full_bitmap().bits & ~self.space.protected_bits
+        remaining = self.cfg.budget - self.valuations
+        everything = [(range(len(frontier)), None)]
+        # the first test skips the bounds when even a full level fits the budget
+        if self.pruning or remaining >= len(frontier) * free.bit_count():
+            return everything
+        forward = direction == FORWARD
+        order = []  # (bound, frontier index) of every parent with a flippable bit
+        possible = 0
+        for index, state in enumerate(frontier):
+            bits = state.bitmap.bits
+            eligible = (bits if forward else ~bits) & free
+            if eligible:
+                possible += eligible.bit_count()
+                flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
+                order.append((bits ^ flip, index))
+        if remaining >= possible:
+            return everything
+        order.sort()
+        batches, opened, size = [], 0, 1
+        while opened < len(order):
+            indices = [index for _, index in order[opened:opened + size]]
+            opened += size
+            batches.append((indices, order[opened][0] if opened < len(order) else None))
+            size *= 2
+        return batches
+
+    def expand(self, frontier: list, direction: str):
+        """Yield the frontier's children in ascending bitmap order, as sorted
+        batches, opening parents (calling their ``op_gen``) as
+        ``open_order`` says, and record for each child the lowest-index
+        frontier state that generates it as its parent.  A child's level is
+        its popcount distance from its root, so only same-level duplicates
+        occur.
+        """
+        pending: dict = {}  # child bits -> (lowest frontier index, child)
+        for indices, limit in self.open_order(frontier, direction):
+            for index in indices:
+                for child in self.space.op_gen(frontier[index], direction):
+                    known = pending.get(child.bitmap.bits)
+                    if known is None or index < known[0]:
+                        pending[child.bitmap.bits] = (index, child)
+            keys = sorted(pending)
+            final = len(keys) if limit is None else bisect_left(keys, limit)
+            if final:
+                batch = []
+                for bits in keys[:final]:
+                    index, child = pending.pop(bits)
+                    self.graph.parents.setdefault(bits, frontier[index].bitmap.bits)
+                    batch.append(child)
+                yield batch
+
+    def valuate_children(self, frontier: list, direction: str) -> tuple:
+        """Valuate the frontier's unpruned children in bitmap order as
+        ``expand`` yields them; returns (valuated, budget_hit).
+
+        When the walk prunes, ``expand`` yields the whole level as one batch,
+        so every prune check reads the log as it stood before this side's
+        valuations.
+        """
+        out = []
+        for batch in self.expand(frontier, direction):
+            if self.pruning:
+                batch = [c for c in batch if not self.try_prune(c)]
+            for child in batch:
+                try:
+                    out.append(self.valuate_one(child))
+                except _BudgetExhausted:
+                    return out, True
+        return out, False
 
     def start_root(self, state: SearchState) -> SearchState:
         valuated = self.valuate_one(state)
@@ -352,7 +416,7 @@ class _Runner:
         return valuated
 
     def try_prune(self, child: SearchState) -> bool:
-        if not self.pruning or not self.regions:
+        if not self.regions:
             return False
         if child.bitmap.bits in self.pruned_bits:
             return True
@@ -405,23 +469,18 @@ class _Runner:
                 frontiers[1].append(self.start_root(bwd_start))
         except _BudgetExhausted:
             return
-        seen = [{s.bitmap.bits for s in side} for side in frontiers]
         level = 0
         while frontiers[0] or frontiers[1]:
             if cfg.max_len is not None and level >= cfg.max_len:
                 break
             if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
                 break  # frontiers met: every candidate between is explored
-            children = [self.expand(frontiers[0], FORWARD, seen[0]),
-                        self.expand(frontiers[1], BACKWARD, seen[1])]
             valuated: list = [[], []]
-            for side, batch in enumerate(children):
-                got, budget_hit = self.valuate_level(
-                    [c for c in batch if not self.try_prune(c)])
-                for child in got:
+            for side, direction in enumerate((FORWARD, BACKWARD)):
+                valuated[side], budget_hit = self.valuate_children(frontiers[side], direction)
+                for child in valuated[side]:
                     self.graph.nodes[child.bitmap.bits] = child
                     self.grid.submit(child)
-                valuated[side] = got
                 if budget_hit:
                     break
             if self.pruning:

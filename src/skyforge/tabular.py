@@ -52,8 +52,17 @@ def _nearest(points, centers) -> np.ndarray:
     if p.dtype == object or c.dtype == object:
         p, c = p.astype(object), c.astype(object)
     out = np.empty(len(p), dtype=np.intp)
+    # one block-sized array holds every block's distances, written in place:
+    # a fresh pair of them per block costs a page fault per 4 KiB whenever
+    # the allocator has handed that memory back to the system
+    d = None
     for rows in _row_blocks(len(p), len(c)):
-        out[rows] = np.abs(p[rows, None] - c[None, :]).argmin(axis=1)
+        block = p[rows, None]
+        if d is None:
+            d = block - c
+        else:
+            d = np.subtract(block, c, out=d[:len(block)])
+        out[rows] = np.abs(d, out=d).argmin(axis=1)
     return out
 
 

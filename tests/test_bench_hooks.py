@@ -18,6 +18,9 @@ finally:
     sys.path.remove(PERFBENCH)
 
 from skyforge import cli
+from skyforge.operators import BACKWARD, FORWARD, SearchState, StateSpace
+
+from conftest import build_toy_universal
 
 HOOKS = [(owner, attr) for owner, attr, _, _ in tracing.SPANNED] + \
         [(owner, attr) for owner, attr, _ in tracing.COUNTED]
@@ -37,6 +40,14 @@ def test_probe_targets_exist():
     # perfbench/run.py's Probe wraps these two
     assert callable(cli.run_algorithm)
     assert callable(cli.RunConfig.__dict__["build_estimator"])
+
+
+def test_op_gen_returns_a_list():
+    # the tracer counts operators.children with len() of op_gen's result
+    space = StateSpace(build_toy_universal(), protected=("t",))
+    back = SearchState(space.bitmap_from_bits(space.attr_bits["t"]))
+    assert isinstance(space.op_gen(space.root_state(), FORWARD), list)
+    assert isinstance(space.op_gen(back, BACKWARD), list)
 
 
 def test_install_then_uninstall_restores_every_original():

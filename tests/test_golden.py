@@ -3,10 +3,11 @@
 Each algorithm runs over the toy pool (several lookup tables and budgets),
 the pruning worked example and a few monotone instances.  Everything a run
 leaves behind is serialized in order: the test log (bitmaps, vectors, row
-counts), grid cells, running-graph nodes, roots and first-inbound parents,
-pruned states, the diversified set and the valuation count.  Any change to
-search order, pruning or diversification changes the digest.  Only lookup
-estimators are used, so the digests do not depend on floating-point BLAS.
+counts), grid cells, running-graph nodes, roots, the first-inbound parent of
+every child the walk reached (in the order reached), pruned states, the
+diversified set and the valuation count.  Any change to search order,
+pruning or diversification changes the digest.  Only lookup estimators are
+used, so the digests do not depend on floating-point BLAS.
 """
 
 import hashlib
@@ -20,10 +21,10 @@ from conftest import build_pruning_fixture, make_monotone_instance
 from test_search import toy_setup
 
 GOLDEN = {
-    "apx": "77e308f5798f17e51b73331d3e0107f482af778bdf44ab78c14096fb2a98b94c",
-    "bi": "67ecec22a9335832274987e3fb534c9d605cdabf9bfb90482ef1e025693ae4dd",
-    "nobi": "d14140a256c03a444549ca42be569800766007cd2cba38dba510bb992f3fa153",
-    "div": "345b504d03afef87cfea5ddc8546aa21870d4fade04c3fc6b9dd29d915a1ce7a",
+    "apx": "6c818f8b6a8b85734759d363e3961e8a74ee0de5b7ca8ff47b279ef4f55368ea",
+    "bi": "f05675b75e3c9fa883cfcad93da12fe68f9b41cfdfa0e23a223adbebfafa4306",
+    "nobi": "fe24afd9d53ce92fb128c593d26d4e10ab7f9989d1873319cbff99e77650dd3f",
+    "div": "1b05038c1c3299044ce6302b8d796ba5cf1cda434a67264449af04eec7f8594b",
 }
 
 

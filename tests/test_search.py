@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyforge import (
     ArgumentError,
@@ -15,6 +17,7 @@ from skyforge import (
     Relation,
     SearchConfig,
     SearchState,
+    SkylineGrid,
     TestLog,
     UniversalTable,
     back_st,
@@ -32,12 +35,13 @@ from skyforge import (
 )
 import skyforge.search as search_module
 from skyforge.measures import LogEntry
-from skyforge.operators import BACKWARD, StateSpace
+from skyforge.operators import BACKWARD, FORWARD, StateSpace
 
 from conftest import (
     build_pruning_fixture,
     build_toy_universal,
     make_monotone_instance,
+    make_random_instance,
     perf,
     seeded_worked_log,
     three_measures,
@@ -485,6 +489,96 @@ class TestRunDiv:
         bits = {s.bitmap.bits for s in chosen}
         assert any(s.bitmap.bits in bits for s in cluster_a)
         assert any(s.bitmap.bits in bits for s in cluster_b)
+
+
+@st.composite
+def same_level_frontiers(draw):
+    """A random instance, a direction, a search config and a frontier of
+    distinct same-popcount states in random order, some drawn in pairs
+    that differ by one swapped bit and so share a child."""
+    u, ms, est = make_random_instance(draw(st.integers(0, 40)))
+    n = StateSpace(u).n_bits
+    pop = draw(st.integers(0, n))
+    cfg = SearchConfig(epsilon=0.3, target="t", algorithm=draw(st.sampled_from(["apx", "bi"])),
+                       budget=draw(st.sampled_from([1, 5, 2**31])))
+    frontier = []
+    for members in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=pop, max_size=pop),
+                                 max_size=10)):
+        bits = sum(1 << i for i in members)
+        frontier.append(bits)
+        outside = [i for i in range(n) if not bits >> i & 1]
+        if members and outside and draw(st.booleans()):
+            drop, add = draw(st.sampled_from(sorted(members))), draw(st.sampled_from(outside))
+            frontier.append(bits ^ (1 << drop) ^ (1 << add))
+    frontier = [SearchState(Bitmap(b, n), level=2) for b in dict.fromkeys(frontier)]
+    return u, ms, est, cfg, draw(st.sampled_from([FORWARD, BACKWARD])), frontier
+
+
+class TestLazyExpansion:
+    @given(same_level_frontiers())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_matches_eager_children(self, case):
+        u, ms, est, cfg, direction, frontier = case
+        runner = search_module._Runner(u, ms, est, cfg)
+        first_parent = {}
+        for state in frontier:
+            for child in runner.space.op_gen(state, direction):
+                first_parent.setdefault(child.bitmap.bits, state.bitmap.bits)
+        batches = list(runner.expand(frontier, direction))
+        streamed = [c.bitmap.bits for batch in batches for c in batch]
+        assert all(batches)
+        assert streamed == sorted(first_parent)
+        assert all(c.level == 3 for batch in batches for c in batch)
+        assert runner.graph.parents == first_parent
+        if cfg.algorithm == "bi" or cfg.budget == 2**31:
+            assert len(batches) <= 1
+
+    @staticmethod
+    def eager_apx(u, ms, est, budget):
+        """Reference walk: valuate each level, built eagerly and sorted, in
+        order until the budget is spent."""
+        space = StateSpace(u, protected=("t",))
+        log, grid = TestLog(), SkylineGrid(0.3, ms)
+        level, used = [space.root_state()], 0
+        while level:
+            valuated = []
+            for state in level:
+                if used == budget:
+                    return log, grid
+                perf_, invoked = valuate(state, est, log, ms, space)
+                used += invoked
+                valuated.append(state.valuated(perf_))
+                grid.submit(valuated[-1])
+            children = {c.bitmap.bits: c for s in valuated for c in space.op_gen(s, FORWARD)}
+            level = [children[b] for b in sorted(children)]
+        return log, grid
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 9])
+    def test_budget_stop_opens_fewer_parents(self, seed, monkeypatch):
+        opened = []
+        op_gen = StateSpace.op_gen
+
+        def counting_op_gen(space, state, direction):
+            opened.append(state.bitmap.bits)
+            return op_gen(space, state, direction)
+
+        monkeypatch.setattr(StateSpace, "op_gen", counting_op_gen)
+        u, ms, est = make_random_instance(seed)
+        space = StateSpace(u, protected=("t",))
+        level_one = len(op_gen(space, space.root_state(), FORWARD))
+        assert level_one >= 3
+        for budget in range(1, 1 + level_one + 4):
+            opened.clear()
+            res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t",
+                                                         budget=budget))
+            calls = len(opened)
+            log, grid = self.eager_apx(u, ms, est, budget)
+            assert [(e.bitmap, e.perf, e.row_count) for e in res.log] == \
+                   [(e.bitmap, e.perf, e.row_count) for e in log]
+            assert res.grid.cells == grid.cells
+            if budget == 1 + level_one + 1:
+                # one level-2 valuation: the root's call plus a few parents
+                assert 1 < calls < 1 + level_one
 
 
 class TestDeterminismAndBudget:

@@ -17,7 +17,7 @@ from skyforge import (
     ingest_csv,
     kmeans_1d,
 )
-from skyforge.tabular import _sort_key
+from skyforge.tabular import _BLOCK_CELLS, _nearest, _sort_key
 
 
 def rel(name, schema, rows):
@@ -459,3 +459,19 @@ class TestLiteralDifferential:
                            literal_index={"x": tuple(Literal("x", v) for v in literals)})
         assert u.cluster_of("x", cell) == cluster
         assert u._cluster_tables == reference_cluster_tables(u)
+
+
+@pytest.mark.parametrize("kind", ["floats", "ints-beyond-2**53"])
+@pytest.mark.parametrize("n", [_BLOCK_CELLS // 30 - 1, _BLOCK_CELLS // 30,
+                               _BLOCK_CELLS // 30 + 1, 3 * (_BLOCK_CELLS // 30) + 7])
+def test_nearest_across_block_boundaries(kind, n):
+    # 30 centers: blocks of _BLOCK_CELLS // 30 points, the last one partial
+    rng = random.Random(n)
+    if kind == "floats":
+        centers = sorted(rng.uniform(-5, 5) for _ in range(30))
+        points = [rng.uniform(-6, 6) for _ in range(n)]
+    else:
+        centers = sorted(2**53 + rng.randrange(-100, 100) for _ in range(30))
+        points = [2**53 + rng.randrange(-120, 120) for _ in range(n)]
+    expect = [min(range(30), key=lambda i: (abs(p - centers[i]), i)) for p in points]
+    assert _nearest(points, centers).tolist() == expect

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import os
+import selectors
 import subprocess
 import tempfile
-import threading
+import time
 import warnings
 from typing import Optional, Sequence
 
@@ -158,6 +159,7 @@ class SubprocessEstimator:
         self.command = list(command)
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
+        self._unread = b""  # bytes of the child's stdout past the last reply
         self._next_id = 0
         self.calls = 0
 
@@ -169,8 +171,6 @@ class SubprocessEstimator:
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
             )
         return self._proc
 
@@ -193,10 +193,10 @@ class SubprocessEstimator:
                 "csv_path": csv_path,
             }
             response = self._roundtrip(request, state)
-            measures = response.get("measures")
-            if response.get("id") != request["id"] or not isinstance(measures, dict):
+            if not (isinstance(response, dict) and response.get("id") == request["id"]
+                    and isinstance(response.get("measures"), dict)):
                 raise EstimatorFailure("malformed estimator response", bitmap=state.bitmap)
-            return {k: float(v) for k, v in measures.items()}
+            return {k: float(v) for k, v in response["measures"].items()}
         finally:
             try:
                 os.unlink(csv_path)
@@ -205,41 +205,37 @@ class SubprocessEstimator:
 
     def _roundtrip(self, request: dict, state: SearchState) -> dict:
         proc = self._ensure_proc()
-        line: dict = {}
-        error: list = []
-
-        def read():
-            try:
-                raw = proc.stdout.readline()
-                if not raw:
-                    error.append("estimator closed its stdout")
-                    return
-                line.update(json.loads(raw))
-            except Exception as exc:
-                error.append(str(exc))
-
         try:
-            proc.stdin.write(json.dumps(request) + "\n")
+            proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise EstimatorFailure(f"estimator pipe broke: {exc}", bitmap=state.bitmap)
-        reader = threading.Thread(target=read)
-        reader.start()
-        reader.join(self.timeout)
-        if reader.is_alive():
-            proc.kill()
-            reader.join()
-            raise EstimatorFailure(
-                f"estimator timed out after {self.timeout}s", bitmap=state.bitmap
-            )
-        if error:
-            raise EstimatorFailure(f"estimator protocol error: {error[0]}",
-                                   bitmap=state.bitmap)
-        return line
+        deadline = time.monotonic() + self.timeout
+        fd = proc.stdout.fileno()
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._unread:
+                if not selector.select(max(deadline - time.monotonic(), 0.0)):
+                    proc.kill()
+                    self.close()
+                    raise EstimatorFailure(
+                        f"estimator timed out after {self.timeout}s", bitmap=state.bitmap
+                    )
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    raise EstimatorFailure("estimator protocol error: estimator closed "
+                                           "its stdout", bitmap=state.bitmap)
+                self._unread += chunk
+        raw, _, self._unread = self._unread.partition(b"\n")
+        try:
+            return json.loads(raw)
+        except ValueError as exc:
+            raise EstimatorFailure(f"estimator protocol error: {exc}", bitmap=state.bitmap)
 
     def close(self):
         """Close both pipes and reap the child, alive or not; idempotent."""
         proc, self._proc = self._proc, None
+        self._unread = b""
         if proc is None:
             return
         for pipe in (proc.stdin, proc.stdout):

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import ArgumentError
-from .tabular import Literal, Relation, UniversalTable
+from .tabular import Literal, Relation, UniversalTable, _csv_cell, _csv_lines
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -229,15 +229,27 @@ class StateSpace:
             return True
         return self.row_count(bitmap) == 0
 
+    @cached_property
+    def _csv(self) -> tuple:
+        """Every universal cell rendered once by ``_csv_cell``, row by row,
+        and every universal row's whole CSV line."""
+        cells = [tuple(map(_csv_cell, row)) for row in self.universal.relation.rows]
+        return cells, _csv_lines(cells, len(self.universal.schema))
+
     def dataset(self, bitmap: Bitmap) -> Relation:
-        """Materialize the state's table (schema-projected, row-filtered)."""
-        rel = self.universal.relation
+        """Materialize the state's table (schema-projected, row-filtered) with its CSV lines."""
+        rel, (cells, full_lines) = self.universal.relation, self._csv
         attrs = self.active_attributes(bitmap)
-        cols = [rel.schema.index(a) for a in attrs]
         kept = self.row_indices(self.row_mask(bitmap)).tolist()
-        return Relation("state", tuple(attrs),
-                        tuple(tuple(rel.rows[r][c] for c in cols) for r in kept),
-                        weights=tuple(self._weights[r] for r in kept))
+        rows, lines = map(rel.rows.__getitem__, kept), map(full_lines.__getitem__, kept)
+        if len(attrs) < len(rel.schema):
+            cols = [rel.schema.index(a) for a in attrs]
+            # itemgetter returns a bare cell, not a tuple, for one column
+            pick = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple(row[c] for c in cols)
+            rows = map(pick, rows)
+            lines = _csv_lines(map(pick, map(cells.__getitem__, kept)), len(cols))
+        return Relation("state", tuple(attrs), rows,
+                        weights=list(map(self._weights.__getitem__, kept)), lines=lines)
 
     # -- operators -----------------------------------------------------------
 

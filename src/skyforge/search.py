@@ -391,7 +391,9 @@ class _Runner:
 
     def valuate_children(self, frontier: list, direction: str) -> tuple:
         """Valuate the frontier's unpruned children in bitmap order as
-        ``expand`` yields them; returns (valuated, budget_hit).
+        ``expand`` yields them, adding each to the graph and the grid as
+        soon as it is valuated, so an estimator failure loses no paid
+        valuation; returns (valuated, budget_hit).
 
         When the walk prunes, ``expand`` yields the whole level as one batch,
         so every prune check reads the log as it stood before this side's
@@ -403,16 +405,19 @@ class _Runner:
                 batch = [c for c in batch if not self.try_prune(c)]
             for child in batch:
                 try:
-                    out.append(self.valuate_one(child))
+                    out.append(self.keep(self.valuate_one(child)))
                 except _BudgetExhausted:
                     return out, True
         return out, False
 
-    def start_root(self, state: SearchState) -> SearchState:
-        valuated = self.valuate_one(state)
-        self.graph.roots.append(valuated.bitmap)
+    def keep(self, valuated: SearchState) -> SearchState:
         self.graph.nodes[valuated.bitmap.bits] = valuated
         self.grid.submit(valuated)
+        return valuated
+
+    def start_root(self, state: SearchState) -> SearchState:
+        valuated = self.keep(self.valuate_one(state))
+        self.graph.roots.append(valuated.bitmap)
         return valuated
 
     def try_prune(self, child: SearchState) -> bool:
@@ -478,9 +483,6 @@ class _Runner:
             valuated: list = [[], []]
             for side, direction in enumerate((FORWARD, BACKWARD)):
                 valuated[side], budget_hit = self.valuate_children(frontiers[side], direction)
-                for child in valuated[side]:
-                    self.graph.nodes[child.bitmap.bits] = child
-                    self.grid.submit(child)
                 if budget_hit:
                     break
             if self.pruning:

@@ -91,22 +91,23 @@ class Relation:
     schema: tuple
     rows: tuple
     weights: Optional[tuple] = None  # row multiplicities from compression
+    # each row as ``_csv_lines`` renders it, when the maker has it at hand
+    lines: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if len(set(self.schema)) != len(self.schema):
             raise ArgumentError(f"duplicate attribute names in schema of {self.name!r}")
-        for r in self.rows:
-            if len(r) != len(self.schema):
-                raise ArgumentError(
-                    f"row of width {len(r)} does not match schema of width "
-                    f"{len(self.schema)} in {self.name!r}"
-                )
+        for width in set(map(len, self.rows)) - {len(self.schema)}:
+            raise ArgumentError(f"row of width {width} does not match schema of width "
+                                f"{len(self.schema)} in {self.name!r}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
             if len(self.weights) != len(self.rows):
                 raise ArgumentError("weights length must equal number of rows")
+        if self.lines is not None:
+            object.__setattr__(self, "lines", tuple(self.lines))
 
     @classmethod
     def from_rows(cls, name: str, schema: Iterable[str], rows: Iterable[Iterable[Cell]]) -> "Relation":
@@ -128,12 +129,6 @@ class Relation:
     @property
     def expanded_row_count(self) -> int:
         return sum(self.row_weights)
-
-    def expanded_rows(self) -> list:
-        out = []
-        for r, w in zip(self.rows, self.row_weights):
-            out.extend([r] * w)
-        return out
 
 
 @dataclass(frozen=True)
@@ -247,13 +242,37 @@ def ingest_csv(path: str, name: str) -> Relation:
     return Relation(name, tuple(header), tuple(rows))
 
 
+def _csv_cell(v: Cell) -> str:
+    """A cell as ``csv.writer`` (excel dialect, minimal quoting) renders it
+    among other fields."""
+    if isinstance(v, float):
+        return repr(v)
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v if {",", '"', "\r", "\n"}.isdisjoint(v) else '"' + v.replace('"', '""') + '"'
+    return str(v)
+
+
+def _csv_lines(rows: Iterable[Sequence[str]], width: int) -> list:
+    """Rows of ``width`` rendered cells as CSV lines without terminators; a
+    lone empty field is written ``""``, as ``csv.writer`` writes it."""
+    if width == 1:
+        return [cells[0] or '""' for cells in rows]
+    return list(map(",".join, rows))
+
+
 def write_csv(path: str, relation: Relation):
-    """Write the relation's expanded rows (each repeated by its weight)."""
+    """Write the header and the relation's rows, each repeated by its
+    weight, byte for byte as ``csv.writer`` writes them."""
+    width = len(relation.schema)
+    header, = _csv_lines([tuple(map(_csv_cell, relation.schema))], width)
+    lines = relation.lines
+    if lines is None:
+        lines = _csv_lines([tuple(map(_csv_cell, r)) for r in relation.rows], width)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(relation.schema)
-        for r in relation.expanded_rows():
-            writer.writerow(["" if c is None else c for c in r])
+        fh.write("".join([f"{header}\r\n"] +
+                         [f"{line}\r\n" * w for line, w in zip(lines, relation.row_weights)]))
 
 
 def _join_pairs_for(join_keys: dict, merged_names: list, right_name: str) -> list:

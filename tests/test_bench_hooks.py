@@ -6,6 +6,8 @@ only the benchmark; these checks make it fail the test suite too.
 
 import os
 import sys
+import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +20,12 @@ finally:
     sys.path.remove(PERFBENCH)
 
 from skyforge import cli
+from skyforge.estimators import LookupEstimator, SubprocessEstimator
 from skyforge.operators import BACKWARD, FORWARD, SearchState, StateSpace
+from skyforge.search import SearchConfig, run_algorithm
+from skyforge.tabular import Relation
 
-from conftest import build_toy_universal
+from conftest import build_toy_universal, three_measures
 
 HOOKS = [(owner, attr) for owner, attr, _, _ in tracing.SPANNED] + \
         [(owner, attr) for owner, attr, _ in tracing.COUNTED]
@@ -59,3 +64,49 @@ def test_install_then_uninstall_restores_every_original():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+ECHO_CHILD = textwrap.dedent("""
+    import json, sys
+    for line in sys.stdin:
+        print(json.dumps({"id": json.loads(line)["id"], "measures": {"m": 1.0}}), flush=True)
+""")
+
+
+def test_traced_csv_layers_see_every_dataset_and_row(tmp_path):
+    # perfbench's temp-CSV and dataset layers time write_csv and dataset
+    # calls and count the expanded rows written
+    u = build_toy_universal()
+    u = replace(u, relation=Relation("u", u.schema, u.relation.rows,
+                                     weights=(1, 2, 1, 3, 1, 1)))
+    child = tmp_path / "child.py"
+    child.write_text(ECHO_CHILD)
+    cfg = cli.RunConfig({
+        "sources": [{"path": "pool.csv", "name": "pool"}],
+        "measures": [{"name": "m"}],
+        "estimator": {"builtin": "lookup"},
+        "search": {"algorithm": "apx", "epsilon": 0.3},
+        "output_dir": "out",
+    })
+    lookup = LookupEstimator({}, default={"rmse": 0.5, "r2_inv": 0.4, "train_cost": 0.3})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        space = StateSpace(u)
+        estimator = SubprocessEstimator([sys.executable, str(child)], timeout=10)
+        try:
+            assert estimator.estimate(space.root_state(), space) == {"m": 1.0}
+        finally:
+            estimator.close()
+        result = run_algorithm(u, three_measures(p_low=0.05), lookup,
+                               SearchConfig(epsilon=0.3, target="t", budget=3))
+        manifest = cli.build_manifest(cfg, result, str(tmp_path), 0.0)
+    finally:
+        tracer.uninstall()
+    calls = tracing.summarize(tracer.spans, 0, len(tracer.spans))["calls"]
+    outputs = len(manifest["grid"])
+    assert outputs >= 1
+    assert calls["tabular.write_csv"] == calls["operators.dataset"] == 1 + outputs
+    assert tracer.counts["tabular.write_csv_rows"] == \
+        space.row_count(space.full_bitmap()) + sum(e["rows"] for e in manifest["grid"])
+    assert tracer.counts["tabular.write_csv_rows"] > tracer.counts["operators.dataset_rows"]

@@ -108,6 +108,26 @@ CHILD_GARBAGE = textwrap.dedent("""
 
 CHILD_CRASH = "import sys; sys.exit(1)"
 
+# replies in two writes 0.2 s apart, the first ending mid-line
+CHILD_CHUNKED = textwrap.dedent("""
+    import json, sys, time
+    for line in sys.stdin:
+        reply = json.dumps({"id": json.loads(line)["id"], "measures": {"m": 1.5}}) + "\\n"
+        sys.stdout.write(reply[:7])
+        sys.stdout.flush()
+        time.sleep(0.2)
+        sys.stdout.write(reply[7:])
+        sys.stdout.flush()
+""")
+
+# closes its stdout on the first request and stays alive without replying
+CHILD_CLOSES_STDOUT = textwrap.dedent("""
+    import os, sys, time
+    sys.stdin.readline()
+    os.close(1)
+    time.sleep(5)
+""")
+
 
 class TestSubprocess:
     def make(self, tmp_path, script, **kw):
@@ -133,6 +153,26 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_SLOW, timeout=0.3)
         try:
             with pytest.raises(EstimatorFailure):
+                est.estimate(space.root_state(), space)
+        finally:
+            est.close()
+
+    def test_reply_split_across_two_writes(self, tmp_path):
+        u = numeric_universal([[1.0, 2.0]])
+        space = StateSpace(u)
+        est = self.make(tmp_path, CHILD_CHUNKED, timeout=5)
+        try:
+            assert est.estimate(space.root_state(), space) == {"m": 1.5}
+            assert est.estimate(space.root_state(), space) == {"m": 1.5}
+        finally:
+            est.close()
+
+    def test_closed_stdout_without_reply_raises(self, tmp_path):
+        u = numeric_universal([[1.0, 2.0]])
+        space = StateSpace(u)
+        est = self.make(tmp_path, CHILD_CLOSES_STDOUT, timeout=5)
+        try:
+            with pytest.raises(EstimatorFailure, match="closed its stdout"):
                 est.estimate(space.root_state(), space)
         finally:
             est.close()

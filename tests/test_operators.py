@@ -1,3 +1,7 @@
+import csv
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +15,9 @@ from skyforge import (
     UniversalTable,
 )
 from skyforge.operators import BACKWARD, FORWARD, StateSpace
+from skyforge.tabular import write_csv
 
-from conftest import build_toy_universal
+from conftest import build_toy_universal, make_random_instance
 
 
 @pytest.fixture
@@ -179,3 +184,85 @@ class TestSemantics:
             if not sp.is_degenerate(Bitmap(bits, sp.n_bits))
         }
         assert reached == expected
+
+
+def reference_csv(path, relation):
+    """The csv.writer loop that wrote every dataset file before lines were
+    rendered once per space; the byte-for-byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(relation.schema)
+        for row, weight in zip(relation.rows, relation.row_weights):
+            for _ in range(weight):
+                writer.writerow(["" if c is None else c for c in row])
+
+
+def assert_same_bytes(relation, directory):
+    ours, theirs = os.path.join(directory, "ours.csv"), os.path.join(directory, "ref.csv")
+    write_csv(ours, relation)
+    reference_csv(theirs, relation)
+    with open(ours, "rb") as a, open(theirs, "rb") as b:
+        assert a.read() == b.read()
+
+
+def assert_every_state_matches(space, lineless=False):
+    with tempfile.TemporaryDirectory() as d:
+        for bits in range(1, 2 ** space.n_bits):
+            bitmap = Bitmap(bits, space.n_bits)
+            if space.is_degenerate(bitmap):
+                continue
+            data = space.dataset(bitmap)
+            assert data.lines is not None
+            assert_same_bytes(data, d)
+            if lineless:  # a relation without lines goes through the same renderer
+                assert_same_bytes(Relation(data.name, data.schema, data.rows, data.weights), d)
+
+
+CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9",
+                                              "\u4e2d", "\t", "'"]), max_size=6) | st.text(max_size=4)
+CSV_CELLS = st.one_of(
+    st.none(),
+    CSV_TEXT,
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**53 + 1, -(2**63), -0.0, 0.0, 1e-300, 1e16, 1.5, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csv_universals(draw):
+    """A weighted universal table of 1-3 columns of mixed cells whose
+    literals are up to two of each column's values."""
+    width = draw(st.integers(1, 3))
+    schema = [f"c{j}" for j in range(width)]
+    rows = draw(st.lists(st.tuples(*[CSV_CELLS] * width), min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    rel = Relation("u", schema, rows, weights=weights)
+    literals = {}
+    for a in schema:
+        if rel.adom(a):
+            literals[a] = tuple(Literal(a, v) for v in rel.adom(a)[:2])
+    return UniversalTable(relation=rel, literal_index=literals)
+
+
+class TestDatasetCsv:
+    """Dataset files are byte-identical to the csv.writer loop they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_universals())
+    def test_every_state_of_a_mixed_table(self, universal):
+        try:
+            space = StateSpace(universal)
+        except ArgumentError:  # every column null: no literal, no state
+            return
+        assert_every_state_matches(space, lineless=True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_state_of_a_random_instance(self, seed):
+        universal, _, _ = make_random_instance(seed)
+        assert_every_state_matches(StateSpace(universal, protected=("t",)))
+
+    @pytest.mark.parametrize("rows", [[(None,)], [("",)], [(None, None)], [(None, "a")]])
+    def test_lone_empty_field_is_quoted(self, rows, tmp_path):
+        rel = Relation("r", [f"c{j}" for j in range(len(rows[0]))], rows, weights=[2])
+        assert_same_bytes(rel, str(tmp_path))

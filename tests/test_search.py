@@ -174,6 +174,26 @@ class TestRunApx:
         assert res.partial
         assert "boom" in res.failure
 
+    def test_estimator_failure_keeps_every_paid_valuation(self, toy_universal):
+        class FailsOnFourthCall:
+            requires_feature = False
+            calls = 0
+
+            def estimate(self, state, space):
+                self.calls += 1
+                if self.calls == 4:
+                    raise EstimatorFailure("boom", bitmap=state.bitmap)
+                spread = (state.bitmap.bits * 37 % 11) / 11
+                return {"rmse": 0.1 + 0.8 * spread, "r2_inv": 0.9 - 0.8 * spread,
+                        "train_cost": 0.5}
+
+        res = run_algorithm(toy_universal, three_measures(p_low=0.05), FailsOnFourthCall(),
+                            SearchConfig(epsilon=0.3, target="t"))
+        assert res.partial and len(res.log) == res.valuations == 3
+        assert {e.bitmap.bits for e in res.log} <= set(res.graph.nodes)
+        logged = [SearchState(e.bitmap, perf=e.perf) for e in res.log]
+        assert not check_eps_cover(res.grid, logged, 0.3).eps_cover_violations
+
 
 class TestRunBi:
     def test_needs_target(self):

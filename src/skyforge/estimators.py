@@ -196,7 +196,7 @@ class SubprocessEstimator:
             if not (isinstance(response, dict) and response.get("id") == request["id"]
                     and isinstance(response.get("measures"), dict)):
                 raise EstimatorFailure("malformed estimator response", bitmap=state.bitmap)
-            return {k: float(v) for k, v in response["measures"].items()}
+            return response["measures"]  # values are checked by normalize
         finally:
             try:
                 os.unlink(csv_path)

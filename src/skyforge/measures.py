@@ -87,8 +87,12 @@ def normalize(spec: MeasureSpec, raw: float) -> float:
     """Scale a raw measure into (0,1], inverting maximized measures.
 
     The result clamps to [1e-6, 1] so downstream logarithms stay defined.
+    Booleans, strings and other non-numbers are estimator faults, never
+    coerced.
     """
-    if not isinstance(raw, (int, float)) or not math.isfinite(raw):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise EstimatorFailure(f"non-numeric raw value {raw!r} for {spec.name}")
+    if not math.isfinite(raw):
         raise EstimatorFailure(f"non-finite raw value {raw!r} for {spec.name}")
     span = spec.raw_high - spec.raw_low
     if spec.direction == MINIMIZE:

@@ -4,6 +4,10 @@ A state is fully determined by its bitmap: one bit per (attribute, literal)
 pair of the universal table, attribute presence being implied by having at
 least one value bit set.  Two equal bitmaps always materialize cell-identical
 datasets, so bitmaps serve as state keys everywhere.
+
+``StateSpace.op_gen`` returns children as plain ``int`` bitmaps: the walk
+deduplicates them and wraps only the distinct ones it keeps in a
+``SearchState``.
 """
 
 from __future__ import annotations
@@ -118,9 +122,9 @@ class StateSpace:
         self.n_bits = len(self.bit_literals)
         if self.n_bits == 0:
             raise ArgumentError("universal table has no literals; derive them first")
-        self.protected_bits = 0  # bits that op_gen never flips
+        self.free_bits = (1 << self.n_bits) - 1  # bits op_gen may flip: all but protected
         for a in self.protected:
-            self.protected_bits |= self._attr_field[a]
+            self.free_bits &= ~self._attr_field[a]
 
         rel = universal.relation
         self._n_rows = len(rel.rows)
@@ -270,42 +274,43 @@ class StateSpace:
         return SearchState(child, state.level + 1)
 
     def op_gen(self, state: SearchState, direction: str) -> list:
-        """All applicable one-flip children, one level below ``state``.
+        """The bitmaps (ints) of every applicable one-flip child of ``state``.
 
-        Forward yields reducts, backward yields augments, attributes in
-        schema order and literals in derivation order.  Children with empty
-        datasets are skipped, as are bits of protected attributes.  A child
-        differs from its parent in one attribute, so its row mask is the
-        parent's other attributes' masks (prefix and suffix ANDs) and the
-        flipped attribute's new mask; every child's (mask, count) is cached.
+        Forward flips set bits off (reducts), backward flips clear bits on
+        (augments), in ascending bit order: attributes in schema order,
+        literals in derivation order.  Children with empty datasets are
+        skipped, as are bits of protected attributes.  A child differs from
+        its parent in one attribute, so on a row-count cache miss its row
+        mask is the parent's other attributes' masks (prefix and suffix ANDs,
+        built on the parent's first miss) and the flipped attribute's new
+        mask; every child's (mask, count) is cached.
         """
         if direction not in (FORWARD, BACKWARD):
             raise ArgumentError(f"unknown direction {direction!r}")
-        out = []
-        want_set = direction == FORWARD
         bits = state.bitmap.bits
-        schema = self.universal.schema
-        allowed = [self._allowed(a, bits) for a in schema]
-        # before[j] is the AND of allowed[:j], after[j] the AND of allowed[j:]
-        before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
-        after = list(accumulate(reversed(allowed), and_, initial=self._all_rows_mask))[::-1]
+        if direction == FORWARD and not bits & (bits - 1):
+            return []  # reducts of at most one set bit leave the empty bitmap
+        flippable = (bits if direction == FORWARD else ~bits) & self.free_bits
         cache = self._row_count_cache
-        for j, a in enumerate(schema):
-            if a in self.protected:
-                continue
-            others = before[j] & after[j + 1]
-            for i in self.attr_bits[a]:
-                if bool(bits >> i & 1) != want_set:
-                    continue
-                child_bits = bits ^ (1 << i)
-                if not child_bits:
-                    continue
-                entry = cache.get(child_bits)
+        others = None  # schema index -> AND of the parent's other attributes' masks
+        out = []
+        for j, a in enumerate(self.universal.schema):
+            field = flippable & self._attr_field[a]
+            while field:
+                flip = field & -field
+                field ^= flip
+                child = bits ^ flip
+                entry = cache.get(child)
                 if entry is None:
-                    mask = others & self._allowed(a, child_bits)
-                    entry = cache[child_bits] = (mask, self._count(mask))
-                if entry[1] == 0:
-                    continue
-                out.append(SearchState(Bitmap(child_bits, state.bitmap.length),
-                                       state.level + 1))
+                    if others is None:
+                        allowed = [self._allowed(x, bits) for x in self.universal.schema]
+                        # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
+                        before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
+                        after = list(accumulate(reversed(allowed), and_,
+                                                initial=self._all_rows_mask))[::-1]
+                        others = [b & c for b, c in zip(before, after[1:])]
+                    mask = others[j] & self._allowed(a, child)
+                    entry = cache[child] = (mask, self._count(mask))
+                if entry[1]:
+                    out.append(child)
         return out

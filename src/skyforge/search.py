@@ -7,7 +7,9 @@
           k states before expansion continues.
 
 Everything is deterministic: children valuate and submit in bitmap order,
-queues advance level by level, and no RNG is involved anywhere.
+queues advance level by level, and no RNG is involved anywhere.  Children
+stay ``int`` bitmaps through generation, deduplication and containment
+tests; each level builds one ``SearchState`` per distinct child it yields.
 """
 
 from __future__ import annotations
@@ -146,9 +148,10 @@ def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: d
     bracketing log entries) it carries no evidence and nothing is pruned.
     """
     lower = None
+    mid = s_mid.bitmap.bits
     for fwd, bwd in regions:
-        if not (fwd.bitmap.contains(s_mid.bitmap) and s_mid.bitmap.contains(bwd.bitmap)):
-            continue
+        if mid & ~fwd.bitmap.bits or bwd.bitmap.bits & ~mid:
+            continue  # the region does not sandwich the mid
         if lower is None:
             bounds = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
             if all(b == (spec.p_low, spec.p_high) for b, spec in zip(bounds, measures)):
@@ -337,7 +340,7 @@ class _Runner:
         in one batch when the walk prunes or the remaining budget covers
         every possible child (one per flippable bit of each parent).
         """
-        free = self.space.full_bitmap().bits & ~self.space.protected_bits
+        free = self.space.free_bits
         remaining = self.cfg.budget - self.valuations
         everything = [(range(len(frontier)), None)]
         # the first test skips the bounds when even a full level fits the budget
@@ -368,25 +371,26 @@ class _Runner:
         """Yield the frontier's children in ascending bitmap order, as sorted
         batches, opening parents (calling their ``op_gen``) as
         ``open_order`` says, and record for each child the lowest-index
-        frontier state that generates it as its parent.  A child's level is
-        its popcount distance from its root, so only same-level duplicates
-        occur.
+        frontier state that generates it as its parent.  Children stay ints
+        until yielded, so a child reached from several parents becomes one
+        ``SearchState``.  A child's level is its popcount distance from its
+        root, so only same-level duplicates occur.
         """
-        pending: dict = {}  # child bits -> (lowest frontier index, child)
+        n_bits = self.space.n_bits
+        pending: dict = {}  # child bits -> lowest frontier index
         for indices, limit in self.open_order(frontier, direction):
             for index in indices:
                 for child in self.space.op_gen(frontier[index], direction):
-                    known = pending.get(child.bitmap.bits)
-                    if known is None or index < known[0]:
-                        pending[child.bitmap.bits] = (index, child)
+                    if pending.setdefault(child, index) > index:
+                        pending[child] = index
             keys = sorted(pending)
             final = len(keys) if limit is None else bisect_left(keys, limit)
             if final:
                 batch = []
                 for bits in keys[:final]:
-                    index, child = pending.pop(bits)
-                    self.graph.parents.setdefault(bits, frontier[index].bitmap.bits)
-                    batch.append(child)
+                    parent = frontier[pending.pop(bits)]
+                    self.graph.parents.setdefault(bits, parent.bitmap.bits)
+                    batch.append(SearchState(Bitmap(bits, n_bits), parent.level + 1))
                 yield batch
 
     def valuate_children(self, frontier: list, direction: str) -> tuple:
@@ -441,11 +445,11 @@ class _Runner:
 
     def add_regions(self, valuated_f: list, valuated_b: list):
         for f_state in valuated_f:
+            f = f_state.bitmap.bits
             for b_state in valuated_b:
-                if f_state.bitmap.bits == b_state.bitmap.bits:
-                    continue
-                if not f_state.bitmap.contains(b_state.bitmap):
-                    continue
+                b = b_state.bitmap.bits
+                if b == f or b & ~f:
+                    continue  # the backward endpoint must lie strictly inside
                 if param_eps_dominates(b_state.perf, f_state.perf, self.cfg.epsilon):
                     self.regions.append((f_state, b_state))
 

@@ -2,8 +2,20 @@
 instance generators used by both the unit tests and the acceptance suite."""
 
 import random
+import warnings
 
 import pytest
+
+# Hypothesis imports its failure-patch writer, which imports libcst, only
+# once a property test fails.  libcst's import emits a DeprecationWarning
+# that the error::DeprecationWarning filter would turn into an INTERNALERROR
+# ending the whole session, so import it here, before any test runs.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 ACCEPTANCE_LINES = []
 

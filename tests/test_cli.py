@@ -278,6 +278,25 @@ class TestRunCommand:
         assert code == EXIT_ESTIMATOR
         assert manifest["partial"] is True
 
+    def test_string_measure_from_child_exits_3(self, tmp_path, capsys):
+        child = CONSTANT_CHILD.replace("'holdout_error': 50.0", "'holdout_error': '1.5'")
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": 10}
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        out = json.loads(capsys.readouterr().out)
+        failure = load_manifest(os.path.dirname(out["manifest"]))["failure"]
+        assert "non-numeric raw value '1.5' for holdout_error" in failure
+
+    def test_extra_non_numeric_reply_key_is_ignored(self, tmp_path):
+        child = CONSTANT_CHILD.replace("'model_size': 2.0}", "'model_size': 2.0, 'note': 'x'}")
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": 10}
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(raw))
+        assert execute_run(RunConfig.from_file(str(path)))[0] == EXIT_OK
+
     @pytest.mark.parametrize("execute", [execute_run, execute_verify])
     def test_estimator_child_exits_with_the_operation(self, tmp_path, monkeypatch, execute):
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
@@ -346,6 +365,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "cannot read lookup table" in err and "table.json" in err
         assert "Traceback" not in err
+
+    def test_boolean_lookup_value_exits_3(self, tmp_path, capsys):
+        (tmp_path / "small.csv").write_text("c\na\na\nb\n")
+        (tmp_path / "table.json").write_text(json.dumps({"3": {"m": True}}))
+        path = base_config(tmp_path, sources=[{"path": "small.csv", "name": "small"}],
+                           target="c", measures=[{"name": "m", "p_low": 0.01}],
+                           estimator={"builtin": "lookup", "path": "table.json"})
+        assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        out = json.loads(capsys.readouterr().out)
+        assert "non-numeric raw value True for m" in load_manifest(
+            os.path.dirname(out["manifest"]))["failure"]
 
     def test_lookup_estimator_from_file(self, tmp_path):
         (tmp_path / "small.csv").write_text("c\na\na\nb\n")

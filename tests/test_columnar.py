@@ -19,9 +19,12 @@ from skyforge import (
     Literal,
     Relation,
     RidgeEstimator,
+    SearchConfig,
     SearchState,
     UniversalTable,
+    run_algorithm,
 )
+from skyforge import search
 from skyforge.estimators import (
     HOLDOUT_ERROR,
     HOLDOUT_STRIDE,
@@ -33,7 +36,12 @@ from skyforge.estimators import (
 from skyforge.operators import BACKWARD, FORWARD, StateSpace
 from skyforge.tabular import build_universal, compress_rows, derive_all_literals
 
-from conftest import build_pruning_fixture, build_toy_universal, make_monotone_instance
+from conftest import (
+    build_pruning_fixture,
+    build_toy_universal,
+    make_monotone_instance,
+    three_measures,
+)
 
 MEASURES = (TRAIN_ERROR, HOLDOUT_ERROR, TRAIN_COST, MODEL_SIZE)
 
@@ -272,17 +280,35 @@ def test_op_gen_matches_from_scratch_reference(name, space):
     parents = [space.full_bitmap()] + [Bitmap(rng.getrandbits(space.n_bits), space.n_bits)
                                        for _ in range(40)]
     protected_bits = sum(1 << i for a in space.protected for i in space.attr_bits[a])
+    runner = search._Runner(space.universal, three_measures(), None, SearchConfig(epsilon=0.3))
+    runner.space = space  # expand through the space whose cache is checked below
     for parent in parents:
         for direction in (FORWARD, BACKWARD):
             state = SearchState(parent, level=3)
             got = space.op_gen(state, direction)
-            assert [c.bitmap.bits for c in got] == reference_children(space, parent, direction)
+            assert got == reference_children(space, parent, direction)
             for child in got:
+                assert 0 < child < 1 << space.n_bits
+                assert (child ^ parent.bits) & protected_bits == 0
+            yielded = [c for batch in runner.expand([state], direction) for c in batch]
+            assert [c.bitmap.bits for c in yielded] == sorted(got)
+            for child in yielded:
                 assert child.level == 4 and child.bitmap.length == space.n_bits
-                assert (child.bitmap.bits ^ parent.bits) & protected_bits == 0
     assert space._row_count_cache
     for bits, entry in space._row_count_cache.items():
         assert entry == reference_mask(space, bits), hex(bits)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_count_cache_after_bi_walk_matches_reference(seed):
+    # op_gen builds a parent's prefix/suffix masks only on its first cache
+    # miss; every entry a whole unbudgeted walk leaves must still be exact
+    u, ms, est = make_monotone_instance(seed)
+    res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="bi"))
+    cache = res.space._row_count_cache
+    assert set(res.graph.nodes) <= set(cache)
+    for bits, entry in cache.items():
+        assert entry == reference_mask(res.space, bits), hex(bits)
 
 
 def test_row_indices_lists_set_rows():

@@ -51,6 +51,12 @@ class TestNormalize:
         with pytest.raises(EstimatorFailure):
             normalize(spec, float("nan"))
 
+    @pytest.mark.parametrize("raw", [True, False, "1.5", " 7 ", None, [1.0]])
+    def test_non_numeric_raw_fails_naming_the_measure(self, raw):
+        spec = MeasureSpec("holdout_error")
+        with pytest.raises(EstimatorFailure, match="non-numeric raw value .* holdout_error"):
+            normalize(spec, raw)
+
     def test_clamps_above_one(self):
         spec = MeasureSpec("m", raw_low=0, raw_high=10)
         assert normalize(spec, 25) == 1.0

@@ -543,7 +543,7 @@ class TestLazyExpansion:
         first_parent = {}
         for state in frontier:
             for child in runner.space.op_gen(state, direction):
-                first_parent.setdefault(child.bitmap.bits, state.bitmap.bits)
+                first_parent.setdefault(child, state.bitmap.bits)
         batches = list(runner.expand(frontier, direction))
         streamed = [c.bitmap.bits for batch in batches for c in batch]
         assert all(batches)
@@ -553,13 +553,39 @@ class TestLazyExpansion:
         if cfg.algorithm == "bi" or cfg.budget == 2**31:
             assert len(batches) <= 1
 
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_one_state_per_distinct_child(self, seed, monkeypatch):
+        made, levels = [], []
+        real_state, real_expand = search_module.SearchState, search_module._Runner.expand
+
+        def counting_state(*args, **kwargs):
+            made.append(args[0].bits)
+            return real_state(*args, **kwargs)
+
+        def recording_expand(runner, frontier, direction):
+            made.clear()
+            batches = list(real_expand(runner, frontier, direction))
+            generated = [c for s in frontier for c in runner.space.op_gen(s, direction)]
+            levels.append((list(made), generated, [c.bitmap.bits for b in batches for c in b]))
+            yield from batches
+
+        monkeypatch.setattr(search_module, "SearchState", counting_state)
+        monkeypatch.setattr(search_module._Runner, "expand", recording_expand)
+        u, ms, est = make_monotone_instance(seed)
+        run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="bi"))
+        assert levels
+        for made_bits, generated, yielded in levels:
+            assert made_bits == yielded == sorted(set(generated))
+        # some level reaches a child from more than one parent
+        assert any(len(generated) > len(set(generated)) for _, generated, _ in levels)
+
     @staticmethod
     def eager_apx(u, ms, est, budget):
         """Reference walk: valuate each level, built eagerly and sorted, in
         order until the budget is spent."""
         space = StateSpace(u, protected=("t",))
         log, grid = TestLog(), SkylineGrid(0.3, ms)
-        level, used = [space.root_state()], 0
+        level, used, depth = [space.root_state()], 0, 0
         while level:
             valuated = []
             for state in level:
@@ -569,8 +595,9 @@ class TestLazyExpansion:
                 used += invoked
                 valuated.append(state.valuated(perf_))
                 grid.submit(valuated[-1])
-            children = {c.bitmap.bits: c for s in valuated for c in space.op_gen(s, FORWARD)}
-            level = [children[b] for b in sorted(children)]
+            depth += 1
+            children = {c for s in valuated for c in space.op_gen(s, FORWARD)}
+            level = [SearchState(Bitmap(b, space.n_bits), depth) for b in sorted(children)]
         return log, grid
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])

@@ -103,7 +103,7 @@ CONFIG_SCHEMA = {
                 "path": {"type": "string"},
                 "default": {"type": "object"},
                 "target": {"type": "string"},
-                "lam": {"type": "number"},
+                "lam": {"type": "number", "minimum": 0},
                 "command": {"type": "array", "items": {"type": "string"}},
                 "timeout": {"type": "number", "exclusiveMinimum": 0},
             },

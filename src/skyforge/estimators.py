@@ -12,7 +12,6 @@ import selectors
 import subprocess
 import tempfile
 import time
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +72,8 @@ class RidgeEstimator:
     def __init__(self, target: str, lam: float = 1e-8):
         if not target:
             raise ArgumentError("ridge estimator needs a target column")
+        if not 0 <= lam < np.inf:  # also false for NaN
+            raise ArgumentError(f"ridge lam must be finite and >= 0, got {lam!r}")
         self.target = target
         self.lam = lam
         self.calls = 0
@@ -103,41 +104,35 @@ class RidgeEstimator:
             out[TRAIN_ERROR] = WORST_ERROR
             out[HOLDOUT_ERROR] = WORST_ERROR
             return out
-        x = view.values[np.ix_(rows, [view.column[a] for a in feature_names])]
+        # rows first, then columns: both ``take``s return C-ordered arrays, so
+        # the axis-0 sums below add the rows in order, as ``np.nanmean`` does
+        x = view.values.take(rows, axis=0).take([view.column[a] for a in feature_names], axis=1)
         y = view.values[rows, view.column[self.target]]
-        with warnings.catch_warnings():
-            # an all-NaN column ("Mean of empty slice") is imputed with 0 below
-            warnings.simplefilter("ignore", RuntimeWarning)
-            col_mean = np.nanmean(x, axis=0)
-        col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
+        # a NaN takes its feature's mean over the other rows (0.0 when it has none)
         nan_at = np.isnan(x)
-        x[nan_at] = np.take(col_mean, np.nonzero(nan_at)[1])
+        np.copyto(x, 0.0, where=nan_at)
+        with np.errstate(invalid="ignore", over="ignore"):
+            col_mean = x.sum(axis=0) / (len(x) - nan_at.sum(axis=0))
+        np.copyto(x, np.where(np.isfinite(col_mean), col_mean, 0.0), where=nan_at)
 
-        idx = np.arange(len(y))
-        hold = idx % HOLDOUT_STRIDE == HOLDOUT_STRIDE - 1
-        train = ~hold
-        if not train.any():
-            train = np.ones_like(hold)
-        beta = self._fit(x[train], y[train])
-        out[TRAIN_ERROR] = self._mse(x[train], y[train], beta)
-        if hold.any():
-            out[HOLDOUT_ERROR] = self._mse(x[hold], y[hold], beta)
-        else:
-            out[HOLDOUT_ERROR] = out[TRAIN_ERROR]
+        # fit on the train split (row 0 is always in it), then score both splits
+        hold = np.arange(len(y)) % HOLDOUT_STRIDE == HOLDOUT_STRIDE - 1
+        errors = []
+        for part in (~hold, hold) if hold.any() else (~hold,):
+            xb = np.empty((np.count_nonzero(part), x.shape[1] + 1))  # [x | 1]
+            np.compress(part, x, axis=0, out=xb[:, :-1])
+            xb[:, -1] = 1.0
+            if not errors:
+                gram = xb.T @ xb
+                gram.flat[::len(gram) + 1] += self.lam  # the diagonal
+                beta = np.linalg.solve(gram, xb.T @ y[part])
+            resid = xb @ beta - y[part]
+            errors.append(float(np.mean(resid * resid)))
+        out[TRAIN_ERROR], out[HOLDOUT_ERROR] = errors[0], errors[-1]
         return out
 
     def close(self):
         """Nothing to release (every estimator has ``close``)."""
-
-    def _fit(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        gram = xb.T @ xb + self.lam * np.eye(xb.shape[1])
-        return np.linalg.solve(gram, xb.T @ y)
-
-    def _mse(self, x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        resid = xb @ beta - y
-        return float(np.mean(resid * resid))
 
 
 class SubprocessEstimator:

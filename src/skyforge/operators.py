@@ -156,13 +156,12 @@ class StateSpace:
         number, non_numeric = {}, {}
         for c, a in enumerate(rel.schema):
             cells = rel.column(a)
-            is_number = [isinstance(v, (int, float)) for v in cells]
-            values[:, c] = [float(v) if ok else np.nan for v, ok in zip(cells, is_number)]
-            number[a] = _mask_of(is_number)
-            non_numeric[a] = _mask_of([
-                v is not None and (isinstance(v, bool) or not ok)
-                for v, ok in zip(cells, is_number)
-            ])
+            # one pass over the cells: 0 null, 1 number, 2 bool (a number too), 3 other
+            kind = np.array([(2 if isinstance(v, bool) else 1) if isinstance(v, (int, float))
+                             else 0 if v is None else 3 for v in cells], dtype=np.int8)
+            is_number = (kind == 1) | (kind == 2)
+            values[is_number, c] = np.array(cells, dtype=object)[is_number]
+            number[a], non_numeric[a] = _mask_of(is_number), _mask_of(kind >= 2)
         return ColumnarView(values, {a: c for c, a in enumerate(rel.schema)},
                             number, non_numeric, np.array(self._weights, dtype=np.int64))
 

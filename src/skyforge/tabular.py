@@ -56,13 +56,14 @@ def _nearest(points, centers) -> np.ndarray:
     # a fresh pair of them per block costs a page fault per 4 KiB whenever
     # the allocator has handed that memory back to the system
     d = None
-    for rows in _row_blocks(len(p), len(c)):
-        block = p[rows, None]
-        if d is None:
-            d = block - c
-        else:
-            d = np.subtract(block, c, out=d[:len(block)])
-        out[rows] = np.abs(d, out=d).argmin(axis=1)
+    with np.errstate(over="ignore"):  # a difference beyond float range is inf, as in Python
+        for rows in _row_blocks(len(p), len(c)):
+            block = p[rows, None]
+            if d is None:
+                d = block - c
+            else:
+                d = np.subtract(block, c, out=d[:len(block)])
+            out[rows] = np.abs(d, out=d).argmin(axis=1)
     return out
 
 

@@ -136,6 +136,13 @@ class TestConfigValidation:
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("lam", [-1000, -1e-12])
+    def test_negative_ridge_lam_exits_2(self, tmp_path, capsys, lam):
+        path = base_config(tmp_path, estimator={"builtin": "ridge", "lam": lam})
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert "lam" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_measure_range_rejected_at_load(self, tmp_path):
         path = base_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -288,6 +295,28 @@ class TestRunCommand:
         out = json.loads(capsys.readouterr().out)
         failure = load_manifest(os.path.dirname(out["manifest"]))["failure"]
         assert "non-numeric raw value '1.5' for holdout_error" in failure
+
+    @pytest.mark.parametrize("child,timeout,cause", [
+        # a reply line that is not JSON
+        ("import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n",
+         10, "estimator protocol error: Expecting value"),
+        # a reply without the declared ``train_cost``
+        (CONSTANT_CHILD.replace(" 'train_cost': 5.0,", ""),
+         10, "estimator returned no value for measure 'train_cost'"),
+        # reads the request, then sleeps past the timeout
+        ("import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n",
+         0.5, "estimator timed out after 0.5s"),
+    ], ids=["non-json", "missing-measure", "timeout"])
+    def test_hostile_child_exits_3(self, tmp_path, capsys, child, timeout, cause):
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": timeout}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        out = json.loads(capsys.readouterr().out)
+        manifest = load_manifest(os.path.dirname(out["manifest"]))
+        assert manifest["partial"] is True and manifest["valuations"] == 0
+        assert cause in manifest["failure"]
 
     def test_extra_non_numeric_reply_key_is_ignored(self, tmp_path):
         child = CONSTANT_CHILD.replace("'model_size': 2.0}", "'model_size': 2.0, 'note': 'x'}")

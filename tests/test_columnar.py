@@ -96,10 +96,22 @@ def reference_ridge(est: RidgeEstimator, bitmap: Bitmap, space: StateSpace) -> d
     train = ~hold
     if not train.any():
         train = np.ones_like(hold)
-    beta = est._fit(x[train], y[train])
-    out[TRAIN_ERROR] = est._mse(x[train], y[train], beta)
-    out[HOLDOUT_ERROR] = est._mse(x[hold], y[hold], beta) if hold.any() else out[TRAIN_ERROR]
+    beta = ridge_fit(x[train], y[train], est.lam)
+    out[TRAIN_ERROR] = ridge_mse(x[train], y[train], beta)
+    out[HOLDOUT_ERROR] = ridge_mse(x[hold], y[hold], beta) if hold.any() else out[TRAIN_ERROR]
     return out
+
+
+def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    xb = np.hstack([x, np.ones((x.shape[0], 1))])
+    gram = xb.T @ xb + lam * np.eye(xb.shape[1])
+    return np.linalg.solve(gram, xb.T @ y)
+
+
+def ridge_mse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    xb = np.hstack([x, np.ones((x.shape[0], 1))])
+    resid = xb @ beta - y
+    return float(np.mean(resid * resid))
 
 
 def reference_mask(space: StateSpace, bits: int) -> tuple:
@@ -158,6 +170,25 @@ def weighted_compressed(seed: int) -> UniversalTable:
         rows.append((None if rng.random() < 0.1 else y, *feats))
     u = build_universal([Relation.from_rows("pool", schema, rows)])
     return compress_rows(derive_all_literals(u, max_clusters=3))
+
+
+def wide_rounded(seed: int) -> UniversalTable:
+    """1000 rows of a target ``y`` and 11 features on a 0.1 grid with 3%
+    nulls, clustered into at most 12 literals per column.  ``y`` is null on
+    about 3% of the rows, and exactly there ``f10`` holds 50.0, a value no
+    other row has."""
+    rng = random.Random(seed)
+    schema = ("y",) + tuple(f"f{i}" for i in range(11))
+    rows = []
+    for _ in range(1000):
+        feats = [None if rng.random() < 0.03 else round(rng.uniform(0, 10), 1)
+                 for _ in range(11)]
+        y = round(sum(f for f in feats[:4] if f is not None) + rng.uniform(-2, 2), 1)
+        if rng.random() < 0.03:
+            y, feats[10] = None, 50.0
+        rows.append((y, *feats))
+    u = build_universal([Relation.from_rows("pool", schema, rows)])
+    return compress_rows(derive_all_literals(u, max_clusters=12))
 
 
 def mixed_universal() -> UniversalTable:
@@ -235,6 +266,39 @@ class TestRidgeDifferential:
         bitmaps = [space.full_bitmap()] + [Bitmap(rng.getrandbits(space.n_bits), space.n_bits)
                                            for _ in range(150)]
         assert assert_ridge_matches(space, RidgeEstimator("y"), bitmaps) > 50
+
+    def test_wide_rounded_pool(self):
+        u = wide_rounded(7)
+        space = StateSpace(u, protected=("y",))
+        full = space.full_bitmap()
+        free = [i for i in range(space.n_bits) if space.free_bits >> i & 1]
+        rng = random.Random(7)
+        bitmaps = [full] + [full.with_bit(i, False) for i in free]
+        for _ in range(100):
+            bits = full.bits
+            for i in rng.sample(free, rng.randint(2, 12)):
+                bits &= ~(1 << i)
+            bitmaps.append(Bitmap(bits, space.n_bits))
+        est = RidgeEstimator("y")
+        assert assert_ridge_matches(space, est, bitmaps) >= len(free) + 50
+        assert est.estimate(space.root_state(), space)[MODEL_SIZE] == 11.0
+
+    def test_feature_numeric_only_on_null_target_rows(self):
+        # keeping only the 50.0 cluster of f10 leaves f10 a feature whose
+        # numbers all sit on rows with a null target: among the rows that
+        # are fitted it is all NaN, and it imputes 0.0
+        u = wide_rounded(7)
+        space = StateSpace(u, protected=("y",))
+        keep = space.attr_bits["f10"][u.cluster_of("f10", 50.0)]
+        bitmap = space.full_bitmap()
+        for i in space.attr_bits["f10"]:
+            if i != keep:
+                bitmap = bitmap.with_bit(i, False)
+        target_rows = space.row_mask(bitmap) & space.columns.number["y"]
+        assert not target_rows & space.columns.number["f10"]
+        est = RidgeEstimator("y")
+        assert est.estimate(SearchState(bitmap), space)[MODEL_SIZE] == 11.0
+        assert assert_ridge_matches(space, est, [bitmap]) == 1
 
     def test_fewer_than_five_rows_and_no_features(self):
         u = universal_of(("y", "f", "s"),

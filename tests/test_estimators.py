@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from skyforge import (
+    ArgumentError,
     EstimatorFailure,
     Literal,
     LookupEstimator,
@@ -72,6 +73,17 @@ class TestRidge:
         space = StateSpace(u)
         with pytest.raises(EstimatorFailure):
             RidgeEstimator(target="zz").estimate(space.root_state(), space)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_negative_or_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ArgumentError, match="lam"):
+            RidgeEstimator(target="y", lam=lam)
+
+    def test_zero_lam_accepted(self):
+        u = numeric_universal([[float(i), 2.0 * i + 1.0] for i in range(10)])
+        space = StateSpace(u)
+        out = RidgeEstimator(target="y", lam=0).estimate(space.root_state(), space)
+        assert out[TRAIN_ERROR] < 1e-8
 
     def test_null_features_imputed_deterministically(self):
         rows = [[1.0, 1.0], [None, 2.0], [3.0, 3.0], [4.0, 4.0], [5.0, 5.0]]

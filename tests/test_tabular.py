@@ -475,3 +475,13 @@ def test_nearest_across_block_boundaries(kind, n):
         points = [2**53 + rng.randrange(-120, 120) for _ in range(n)]
     expect = [min(range(30), key=lambda i: (abs(p - centers[i]), i)) for p in points]
     assert _nearest(points, centers).tolist() == expect
+
+
+def test_nearest_distance_beyond_float_range():
+    # a distance that overflows is inf, as Python's float subtraction makes it
+    big = 1.7976931348623155e+308
+    centers = [-2.9937604643020797e+292, big]
+    points = [big, -big, -2.9937604643020797e+292]
+    expect = [min(range(2), key=lambda i: (abs(p - centers[i]), i)) for p in points]
+    assert _nearest(points, centers).tolist() == expect == [1, 0, 0]
+    assert _nearest([-big], [big, 1e308]).tolist() == [0]  # inf to both: the first wins

@@ -64,7 +64,8 @@ class RidgeEstimator:
     Measures produced: training / held-out mean squared error, a training
     cost proportional to the expanded row count, and a model size
     proportional to the feature-column count.  Deterministic: the holdout is
-    every fifth expanded row and the solver is a direct solve.
+    every fifth expanded row and the solver is a direct solve, or the
+    least-norm least-squares solution when the system is singular.
     """
 
     requires_feature = True
@@ -125,7 +126,11 @@ class RidgeEstimator:
             if not errors:
                 gram = xb.T @ xb
                 gram.flat[::len(gram) + 1] += self.lam  # the diagonal
-                beta = np.linalg.solve(gram, xb.T @ y[part])
+                rhs = xb.T @ y[part]
+                try:
+                    beta = np.linalg.solve(gram, rhs)
+                except np.linalg.LinAlgError:  # singular: lam 0 and a constant feature
+                    beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]  # the least-norm fit
             resid = xb @ beta - y[part]
             errors.append(float(np.mean(resid * resid)))
         out[TRAIN_ERROR], out[HOLDOUT_ERROR] = errors[0], errors[-1]

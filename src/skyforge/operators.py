@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import and_, itemgetter
 from typing import Iterable, Optional
 
@@ -134,8 +134,9 @@ class StateSpace:
         for a in universal.schema:
             cells = rel.column(a)
             self._null_mask[a] = _mask_of([v is None for v in cells])
-            # cluster index per row; NaN where the cell is null or in no cluster
-            clusters = np.array([universal.cluster_of(a, v) for v in cells], dtype=float)
+            # cluster index per row; -1 where the cell is null or in no cluster
+            table = universal._cluster_tables.get(a, {})
+            clusters = np.fromiter(map(table.get, cells, repeat(-1)), np.intp, len(cells))
             for k, i in enumerate(self.attr_bits[a]):
                 self._bit_mask[i] = _mask_of(clusters == k)
 

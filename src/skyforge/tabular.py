@@ -24,9 +24,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _all_numbers(values, bools: bool = False) -> bool:
+    """Whether every value is a number (or a bool, when ``bools``); each
+    distinct type is tested once."""
+    return all(issubclass(t, (int, float)) and (bools or not issubclass(t, bool))
+               for t in set(map(type, values)))
+
+
 # cells a blocked pairwise kernel (here, in the oracle and in search) holds
 # at once, which bounds its memory for any number of points
 _BLOCK_CELLS = 1 << 16
+
+# below this many point-center pairs, the blocked scan's few numpy calls
+# cost less than the many of ``_nearest_sorted``'s binary search
+_SORTED_MIN_CELLS = 1 << 12
 
 # the least int that float() cannot convert: it rounds up to 2**1024
 _FLOAT_OVERFLOW_INT = 2**1024 - 2**970
@@ -44,13 +55,19 @@ def _nearest(points, centers) -> np.ndarray:
 
     Equals ``min(range(len(centers)), key=lambda i: (abs(p - centers[i]), i))``
     for every point ``p``: float64 subtraction and ``abs`` round as Python
-    floats do, and ``argmin`` keeps the first minimum.  Python subtracts two
-    ints exactly, so an int beyond 2**52 (where a float64 difference may
-    round) sends both sides through object arrays and Python's own arithmetic.
+    floats do.  Python subtracts two ints exactly, so an int beyond 2**52
+    (where a float64 difference may round) sends both sides through object
+    arrays and Python's own arithmetic.  Finite ascending float centers take
+    a binary search (``_nearest_sorted``) unless the input is small; all
+    others take a blocked scan of every point against every center, where
+    ``argmin`` keeps the first minimum.
     """
     p, c = _number_array(points), _number_array(centers)
     if p.dtype == object or c.dtype == object:
         p, c = p.astype(object), c.astype(object)
+    elif (len(p) * len(c) > _SORTED_MIN_CELLS and np.isfinite(c[[0, -1]]).all()
+          and not (c[1:] < c[:-1]).any() and not np.isnan(p).any()):
+        return _nearest_sorted(p, c)
     out = np.empty(len(p), dtype=np.intp)
     # one block-sized array holds every block's distances, written in place:
     # a fresh pair of them per block costs a page fault per 4 KiB whenever
@@ -67,10 +84,40 @@ def _nearest(points, centers) -> np.ndarray:
     return out
 
 
+def _nearest_sorted(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_nearest`` for float points (none NaN) and finite ascending float centers.
+
+    Rounding is monotone, so ``abs(p - c[i])`` falls (or stays) as ``i``
+    climbs to the last center below ``p`` and rises (or stays) from the
+    first center at or above it.  The nearest distance is thus one of those
+    two neighbours', the lower one winning a tie, and the lowest index with
+    that distance starts the run of centers that share it, which a binary
+    search finds when the center below the winner ties with it.
+    """
+    right = np.searchsorted(c, p)  # the first center >= p, clipped to the centers
+    left, right = np.maximum(right - 1, 0), np.minimum(right, len(c) - 1)
+    with np.errstate(over="ignore"):  # a difference beyond float range is inf, as in Python
+        d_left, d_right = np.abs(p - c[left]), np.abs(p - c[right])
+        take_left = d_left <= d_right
+        out, d = np.where(take_left, left, right), np.minimum(d_left, d_right)
+        tie = np.flatnonzero((out > 0) & (np.abs(p - c[out - 1]) <= d))
+        if len(tie):
+            lo, hi, pt, dt = np.zeros(len(tie), dtype=np.intp), out[tie] - 1, p[tie], d[tie]
+            while (lo < hi).any():  # hi: the least index known to be at distance dt
+                mid = (lo + hi) // 2
+                ok = np.abs(pt - c[mid]) <= dt
+                hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
+            out[tie] = hi
+    return out
+
+
 def _number_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray):
         return values
-    if any(type(v) is int and abs(v) > 2**52 for v in values):
+    # the max of the magnitudes screens cheaply for an int beyond 2**52; it
+    # is NaN, which fails ``<=``, when a NaN comes first, so it hides no int
+    if (not max(map(abs, values), default=0) <= 2**52
+            and any(type(v) is int and abs(v) > 2**52 for v in values)):
         return np.array(values, dtype=object)
     return np.array(values, dtype=np.float64)
 
@@ -119,9 +166,19 @@ class Relation:
         return [r[i] for r in self.rows]
 
     def adom(self, attribute: str) -> tuple:
-        """Distinct non-null values of a column, in ascending order."""
-        seen = {v for v in self.column(attribute) if v is not None}
-        return tuple(sorted(seen, key=_sort_key))
+        """Distinct non-null values of a column, in ascending order; computed
+        once per column, for literal derivation and the cluster tables alike."""
+        adom = self._adoms.get(attribute)
+        if adom is None:
+            seen = {v for v in self.column(attribute) if v is not None}
+            # on numbers and bools, _sort_key orders as float does
+            key = float if _all_numbers(seen, bools=True) else _sort_key
+            adom = self._adoms[attribute] = tuple(sorted(seen, key=key))
+        return adom
+
+    @cached_property
+    def _adoms(self) -> dict:
+        return {}
 
     @property
     def row_weights(self) -> tuple:
@@ -183,10 +240,12 @@ class UniversalTable:
                 continue
             values = [lit.value for lit in lits]
             adom = self.relation.adom(a)
-            if all(_is_number(v) for v in values):
-                numbers = [v for v in adom if _is_number(v)]
+            if _all_numbers(values):
+                numbers, rest = adom, ()
+                if not _all_numbers(adom):
+                    numbers = [v for v in adom if _is_number(v)]
+                    rest = [v for v in adom if not _is_number(v)]
                 mapping = dict(zip(numbers, _nearest(numbers, values).tolist()))
-                rest = [v for v in adom if not _is_number(v)]
             else:
                 mapping, rest = {}, adom
             for v in rest:
@@ -198,21 +257,18 @@ class UniversalTable:
 
 
 def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
-    """Per-column parse as int, then float, then str; empty string is null."""
+    """Per-column parse as int, then float, then str; empty string is null.
+    Each column comes back as its type and its cells."""
     typed = []
     for i in range(len(header)):
         cells = [r[i] for r in raw_rows]
-        parsed = None
-        for caster in (int, float):
+        for caster in (int, float, str):
             try:
-                parsed = [None if c == "" else caster(c) for c in cells]
+                typed.append((caster, [None if c == "" else caster(c) for c in cells]))
                 break
             except (TypeError, ValueError):
-                parsed = None
-        if parsed is None:
-            parsed = [None if c == "" else c for c in cells]
-        typed.append(parsed)
-    return [list(col) for col in typed]
+                pass
+    return typed
 
 
 def ingest_csv(path: str, name: str) -> Relation:
@@ -230,15 +286,19 @@ def ingest_csv(path: str, name: str) -> Relation:
     for row in raw:
         if len(row) != len(header):
             raise ArgumentError(f"{path}: ragged row of width {len(row)}")
-    cols = _infer_column_types(header, raw)
-    for c, col in enumerate(cols):
-        for r, v in enumerate(col):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ArgumentError(f"{path}: non-finite value {raw[r][c]!r} "
-                                    f"in column {header[c]!r}, row {r + 1}")
-            if isinstance(v, int) and abs(v) >= _FLOAT_OVERFLOW_INT:
-                raise ArgumentError(f"{path}: {v.bit_length()}-bit integer beyond "
-                                    f"float range in column {header[c]!r}, row {r + 1}")
+    cols = []
+    for c, (kind, col) in enumerate(_infer_column_types(header, raw)):
+        # a float column must be finite, an int column within float range
+        cells = [v for v in col if v is not None]
+        if kind is float and not all(map(math.isfinite, cells)):
+            r = next(r for r, v in enumerate(col) if v is not None and not math.isfinite(v))
+            raise ArgumentError(f"{path}: non-finite value {raw[r][c]!r} "
+                                f"in column {header[c]!r}, row {r + 1}")
+        if kind is int and max(map(abs, cells), default=0) >= _FLOAT_OVERFLOW_INT:
+            r = next(r for r, v in enumerate(col) if v is not None and abs(v) >= _FLOAT_OVERFLOW_INT)
+            raise ArgumentError(f"{path}: {col[r].bit_length()}-bit integer beyond "
+                                f"float range in column {header[c]!r}, row {r + 1}")
+        cols.append(col)
     rows = list(zip(*cols)) if cols and raw else []
     return Relation(name, tuple(header), tuple(rows))
 
@@ -399,11 +459,19 @@ def kmeans_1d(values: Sequence[float], k: int) -> list:
     if k <= 0:
         return []
     points = np.array(vals)
+    if k == n and not (points[1:] <= points[:-1]).any():
+        return [[v] for v in vals]  # each seed is a distinct value, nearest to itself alone
     centroids = [vals[(2 * j + 1) * n // (2 * k)] for j in range(k)]
     for _ in range(_KMEANS_MAX_ITER):
         labels = _nearest(points, centroids)
-        # ascending Python floats, so ``sum`` adds them in the same order
-        clusters = [points[labels == i].tolist() for i in range(k)]
+        ordered = vals
+        if (labels[1:] < labels[:-1]).any():  # centroids out of order
+            order = np.argsort(labels, kind="stable")
+            labels, ordered = labels[order], points[order].tolist()
+        # each cluster is a run of ascending Python floats, so ``sum`` adds
+        # them in the order a cluster's mask would list them
+        bounds = np.searchsorted(labels, np.arange(k + 1)).tolist()
+        clusters = [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
         new_centroids = [
             (sum(c) / len(c)) if c else centroids[i] for i, c in enumerate(clusters)
         ]
@@ -429,7 +497,7 @@ def derive_literals(u: UniversalTable, attribute: str, max_clusters: int = 30) -
     adom = u.relation.adom(attribute)
     if not adom:
         return []
-    if all(_is_number(v) for v in adom):
+    if _all_numbers(adom):
         clusters = kmeans_1d(adom, min(max_clusters, len(adom)))
         centroids = [sum(cluster) / len(cluster) for cluster in clusters]
         reps = []
@@ -467,31 +535,17 @@ def compress_rows(u: UniversalTable) -> UniversalTable:
     for a in u.schema:
         if a not in u.literal_index:
             raise ArgumentError(f"literals not derived for attribute {a!r}")
-    new_rows = []
-    for row in u.relation.rows:
-        cells = []
-        for a, v in zip(u.schema, row):
-            if v is None:
-                cells.append(None)
-                continue
-            ci = u.cluster_of(a, v)
-            cells.append(None if ci is None else u.literal_index[a][ci].value)
-        new_rows.append(tuple(cells))
-
-    weights = u.relation.row_weights
-    merged: dict = {}
-    order = []
-    for row, w in zip(new_rows, weights):
-        if row not in merged:
-            merged[row] = 0
-            order.append(row)
-        merged[row] += w
-    relation = Relation(
-        u.relation.name,
-        u.schema,
-        tuple(order),
-        weights=tuple(merged[r] for r in order),
-    )
+    columns = []
+    for a, cells in zip(u.schema, zip(*u.relation.rows)):
+        # cell value -> its representative (null and clusterless cells map to
+        # None), one column at a time, so one such map is alive at once
+        literals = u.literal_index[a]
+        representative = {v: literals[i].value for v, i in u._cluster_tables.get(a, {}).items()}
+        columns.append(list(map(representative.get, cells)))
+    merged: dict = {}  # compressed row -> multiplicity, in first-seen order
+    for row, w in zip(zip(*columns), u.relation.row_weights):
+        merged[row] = merged.get(row, 0) + w
+    relation = Relation(u.relation.name, u.schema, tuple(merged), weights=tuple(merged.values()))
     out = UniversalTable(relation=relation, provenance=dict(u.provenance),
                          literal_index=dict(u.literal_index))
     return out

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,17 @@ class TestRunCommand:
             for name, vals in entry["measures"].items():
                 assert vals["raw"] is not None
                 assert 0 < vals["normalized"] <= 1
+
+    def test_zero_lam_with_a_constant_feature_exits_0(self, tmp_path, capsys):
+        # lam 0 and a constant f2 make the normal equations singular
+        path = base_config(tmp_path, estimator={"builtin": "ridge", "lam": 0})
+        (tmp_path / "pool.csv").write_text("y,f1,f2\n" + "\n".join(
+            f"{2.0 * i + (i % 3)},{float(i)},1.0" for i in range(12)) + "\n")
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        manifest = load_manifest(os.path.dirname(json.loads(capsys.readouterr().out)["manifest"]))
+        assert manifest["grid"] and manifest["valuations"] > 1
+        for entry in manifest["grid"]:
+            assert all(math.isfinite(vals["raw"]) for vals in entry["measures"].values())
 
     @pytest.mark.parametrize("algorithm", ["apx", "nobi"])
     def test_provenance_replays_to_each_output(self, tmp_path, algorithm):

@@ -1,6 +1,8 @@
+import math
 import random
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from skyforge import (
     ingest_csv,
     kmeans_1d,
 )
-from skyforge.tabular import _BLOCK_CELLS, _nearest, _sort_key
+from skyforge.operators import StateSpace
+from skyforge.tabular import _BLOCK_CELLS, _nearest, _nearest_sorted, _sort_key
 
 
 def rel(name, schema, rows):
@@ -374,12 +377,12 @@ def reference_cluster_tables(u):
     return tables
 
 
-def reference_compress(u, tables):
+def reference_compress(u, cluster_of):
     merged = {}
     for row, w in zip(u.relation.rows, u.relation.row_weights):
         cells = []
         for a, v in zip(u.schema, row):
-            ci = None if v is None else tables[a].get(v)
+            ci = None if v is None else cluster_of(a, v)
             cells.append(None if ci is None else u.literal_index[a][ci].value)
         merged[tuple(cells)] = merged.get(tuple(cells), 0) + w
     return list(merged), list(merged.values())
@@ -404,7 +407,7 @@ def assert_same_derivation(columns, k):
         for v in u.relation.adom(a):
             assert u.cluster_of(a, v) == tables[a].get(v), (a, v)
     out = compress_rows(u)
-    rows, weights = reference_compress(u, tables)
+    rows, weights = reference_compress(u, lambda a, v: tables[a].get(v))
     assert repr(out.relation.rows) == repr(tuple(rows))
     assert list(out.relation.weights) == weights
 
@@ -485,3 +488,131 @@ def test_nearest_distance_beyond_float_range():
     expect = [min(range(2), key=lambda i: (abs(p - centers[i]), i)) for p in points]
     assert _nearest(points, centers).tolist() == expect == [1, 0, 0]
     assert _nearest([-big], [big, 1e308]).tolist() == [0]  # inf to both: the first wins
+
+
+# -- the binary-search path of _nearest against the scalar spec ----------------
+
+
+def nearest_spec(points, centers):
+    return [min(range(len(centers)), key=lambda i: (abs(p - centers[i]), i)) for p in points]
+
+
+def ulp_run(x, n):
+    """n ascending floats, each one ulp above the last."""
+    run = [x]
+    for _ in range(n - 1):
+        run.append(math.nextafter(run[-1], math.inf))
+    return run
+
+
+def assert_nearest(points, centers, sorted_path=True):
+    expect = nearest_spec(points, centers)
+    assert _nearest(points, centers).tolist() == expect
+    if sorted_path:  # the kernel alone, as _nearest picks it for these centers
+        p, c = np.array(points, dtype=float), np.array(centers, dtype=float)
+        assert _nearest_sorted(p, c).tolist() == expect
+    return expect
+
+
+class TestNearestSorted:
+    def test_tie_runs_of_centers_one_ulp_apart(self):
+        centers = ulp_run(1.0, 4) + ulp_run(1000.0, 5) + ulp_run(1e6, 3)
+        points = [0.0, 500.0, 1e3, 2e3, 5e5, 1e9, -1e9, *centers,
+                  *(math.nextafter(c, math.inf) for c in centers)]
+        expect = assert_nearest(points, centers)
+        # a point far from a run is as near to each of its centers: the lowest wins
+        assert expect[:7] == [0, 0, 4, 8, 4, 9, 0]
+
+    def test_generated_tie_runs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            centers = sorted(x for _ in range(rng.randrange(1, 5))
+                             for x in ulp_run(rng.uniform(-50, 50), rng.randrange(3, 7)))
+            points = [rng.uniform(-100, 100) for _ in range(10)] + \
+                     [math.nextafter(rng.choice(centers), rng.choice([-math.inf, math.inf]))
+                      for _ in range(10)]
+            assert_nearest(points, centers)
+
+    def test_duplicate_centers_and_signed_zeros(self):
+        # ascending, since -0.0 == 0.0
+        centers = [-1.0, -0.0, 0.0, -0.0, 0.0, 5e-324, 2.0, 2.0, 2.0]
+        points = [0.0, -0.0, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        expect = assert_nearest(points, centers)
+        assert expect[:2] == [1, 1]  # 0.0 and -0.0 are both at distance 0 from -0.0
+        assert expect[3] == 6  # the first of three equal centers
+
+    def test_distances_that_overflow_to_inf(self):
+        big = 1.7976931348623157e308
+        centers = [-big, -1e308, -3e292, 0.0, 1e308, big]
+        points = [big, -big, 1e308, -1e308, 0.0, math.inf, -math.inf, 9e307, -9e307]
+        expect = assert_nearest(points, centers)
+        assert expect[5:7] == [0, 0]  # inf from every center: the first wins
+        assert _nearest([-big], [big, 1e308, big]).tolist() == [0]
+
+    def test_ints_beyond_2_53(self):
+        # exact int arithmetic: float64 would round these distances to ties
+        centers = [2**53 + 1, 2**53 + 2, 2**53 + 3, 2**60, 2**60 + 1]
+        points = [2**53, 2**53 + 2, 2**53 + 3, float(2**53 + 2), 2**60 - 1, 2**60 + 1, 0]
+        expect = assert_nearest(points, centers, sorted_path=False)
+        assert expect[:3] == [0, 1, 2] and expect[5] == 4
+        # ints below 2**52 are exact floats and take the sorted path
+        small = [-2**52, -7, 0, 3, 2**52]
+        assert_nearest([-2**52 + 1, -4, 1, 2, 2**51, 2**52 - 1, 0.5], small)
+
+    def test_non_ascending_centers(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            centers = [rng.choice([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, -1e308]) for _ in range(6)]
+            rng.shuffle(centers)
+            points = [rng.uniform(-5, 5) for _ in range(12)] + [1e308, -1e308, 0.0]
+            assert_nearest(points, centers, sorted_path=centers == sorted(centers))
+
+
+@pytest.mark.parametrize("values", [
+    [0.3, -1.5, 2.0, 7.25, -0.0, 1e-300],
+    [1, 2, 3.5, 4],
+    # 2**53 + 1 rounds to 2**53 as a float, so only three values stay distinct
+    [2**53, 2**53 + 1, 2**53 + 2, 2**53 + 4],
+    [2**53 + 1, 2**53 + 1.0, 2**53 + 3, 2**53 + 5, 2**53 + 7, 5],
+    [0.1, 0.1, 0.1, 0.30000000000000004],
+])
+def test_kmeans_k_equals_n(values):
+    assert kmeans_1d(values, len(values)) == reference_kmeans_1d(values, len(values))
+
+
+class TestOuterJoinCompression:
+    """compress_rows and the StateSpace bit masks on a universal whose
+    float columns are null-padded by an outer join, against per-cell
+    ``cluster_of``; at k >= 7 the cluster tables take the sorted kernel."""
+
+    def universal(self, k):
+        rng = random.Random(k)
+        left = rel("left", ["key", "x", "label"],
+                   [[i, rng.gauss(0, 3), rng.choice("pqr")] for i in range(0, 1200, 2)])
+        right = rel("right", ["key", "z"],
+                    [[i, rng.choice([None, rng.uniform(-1, 1), rng.randrange(5)])]
+                     for i in range(0, 1200, 3)])
+        u = build_universal([left, right], {("left", "right"): [("key", "key")]})
+        assert None in u.relation.column("x") and None in u.relation.column("z")
+        return derive_all_literals(u, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 30])
+    def test_compress_rows_matches_per_cell_clusters(self, k):
+        u = self.universal(k)
+        out = compress_rows(u)
+        rows, weights = reference_compress(u, u.cluster_of)
+        assert repr(out.relation.rows) == repr(tuple(rows))
+        assert list(out.relation.weights) == weights
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 30])
+    def test_state_space_masks_match_per_cell_clusters(self, k):
+        for u in (self.universal(k), compress_rows(self.universal(k))):
+            space = StateSpace(u)
+            for i, (a, lit) in enumerate(zip(space.bit_attrs, space.bit_literals)):
+                # with only bit i set, attribute a keeps its nulls and cluster i
+                # and every other attribute is absent
+                c = u.schema.index(a)
+                keep = [r for r, row in enumerate(u.relation.rows)
+                        if row[c] is None or u.cluster_of(a, row[c]) == u.literals(a).index(lit)]
+                mask = space.row_mask(space.bitmap_from_bits([i]))
+                assert space.row_indices(mask).tolist() == keep, (a, lit)

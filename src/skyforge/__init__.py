@@ -15,7 +15,6 @@ from .errors import (
 )
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import (
-    Bounds,
     MeasureSet,
     MeasureSpec,
     TestLog,

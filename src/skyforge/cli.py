@@ -19,7 +19,7 @@ from typing import Optional
 
 import jsonschema
 
-from .errors import ArgumentError, EnumerationCapError, EstimatorFailure, SkyforgeError
+from .errors import ArgumentError, EnumerationCapError, EstimatorFailure
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
 from .operators import Bitmap
@@ -131,10 +131,6 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-class ConfigError(SkyforgeError):
-    pass
-
-
 @dataclass
 class RunConfig:
     raw: dict
@@ -143,20 +139,20 @@ class RunConfig:
     def __post_init__(self):
         error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(self.raw))
         if error is not None:
-            raise ConfigError(f"config invalid: {error.message} at {list(error.absolute_path)}")
+            raise ArgumentError(f"config invalid: {error.message} at {list(error.absolute_path)}")
         est = self.raw["estimator"]
         if "builtin" not in est and "command" not in est:
-            raise ConfigError("estimator needs either a builtin name or a command")
+            raise ArgumentError("estimator needs either a builtin name or a command")
         if "target" in est and "target" in self.raw and est["target"] != self.raw["target"]:
-            raise ConfigError(f"target {self.raw['target']!r} and estimator target "
-                              f"{est['target']!r} differ")
+            raise ArgumentError(f"target {self.raw['target']!r} and estimator target "
+                                f"{est['target']!r} differ")
         if est.get("builtin") == "ridge" and not (est.get("target") or self.raw.get("target")):
-            raise ConfigError("ridge estimator needs a target column")
+            raise ArgumentError("ridge estimator needs a target column")
         try:
             self.measure_set()
             self.search_config()
         except ArgumentError as exc:
-            raise ConfigError(f"config invalid: {exc}") from None
+            raise ArgumentError(f"config invalid: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str, args=None) -> "RunConfig":
@@ -166,7 +162,7 @@ class RunConfig:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+            raise ArgumentError(f"cannot read config {path}: {exc}")
         if args is not None and isinstance(raw, dict) and isinstance(raw.get("search"), dict):
             raw = _with_flag_overrides(raw, args)
         return cls(raw, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -213,7 +209,7 @@ class RunConfig:
                         loaded = json.load(fh)
                     table = {int(hex_bits, 16): dict(vals) for hex_bits, vals in loaded.items()}
                 except (OSError, ValueError, TypeError, AttributeError) as exc:
-                    raise ConfigError(f"cannot read lookup table {path}: {exc}") from None
+                    raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
             return LookupEstimator(table, default=est.get("default"))
         return SubprocessEstimator(est["command"], timeout=est.get("timeout", 60.0))
 
@@ -409,11 +405,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config, args)
-    except ConfigError as exc:
-        print(f"skyforge: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
         if args.command == "run":
             code, manifest, _, _ = execute_run(cfg)
             print(json.dumps({
@@ -426,9 +417,6 @@ def main(argv=None) -> int:
         code, payload = execute_verify(cfg, max_bits=getattr(args, "max_bits", None))
         print(json.dumps(payload, indent=2, sort_keys=True))
         return code
-    except ConfigError as exc:
-        print(f"skyforge: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except ArgumentError as exc:
         print(f"skyforge: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

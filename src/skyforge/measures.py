@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ArgumentError, EstimatorFailure
 from .operators import Bitmap, SearchState, StateSpace
@@ -71,16 +71,6 @@ class MeasureSet:
 
     def __iter__(self):
         return iter(self.specs)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-
-class Bounds(NamedTuple):
-    """Interval estimate of one normalized measure of an unvaluated state."""
-
-    lo: float
-    hi: float
 
 
 def normalize(spec: MeasureSpec, raw: float) -> float:
@@ -229,7 +219,7 @@ def build_correlation_graph(log: TestLog, theta: float, measures: MeasureSet) ->
 def estimate_bounds(row_count: int, log: TestLog, graph: dict,
                     measures: MeasureSet) -> tuple:
     """Interval-estimate an unvaluated state's vector from its row count: a
-    tuple of Bounds in measure order.
+    tuple of ``(lo, hi)`` pairs in measure order.
 
     A measure in the correlation graph spans its values at the two log
     entries whose row counts most tightly enclose the state's.  Any other
@@ -240,11 +230,11 @@ def estimate_bounds(row_count: int, log: TestLog, graph: dict,
     values = []
     for i, spec in enumerate(measures):
         if i not in graph or below is None or above is None:
-            values.append(Bounds(spec.p_low, spec.p_high))
+            values.append((spec.p_low, spec.p_high))
             continue
         lo, hi = sorted((below.perf[i], above.perf[i]))
-        values.append(Bounds(min(max(lo, spec.p_low), spec.p_high),
-                             min(max(hi, spec.p_low), spec.p_high)))
+        values.append((min(max(lo, spec.p_low), spec.p_high),
+                       min(max(hi, spec.p_low), spec.p_high)))
     return tuple(values)
 
 

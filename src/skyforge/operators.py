@@ -42,9 +42,6 @@ class Bitmap:
             return Bitmap(self.bits | (1 << i), self.length)
         return Bitmap(self.bits & ~(1 << i), self.length)
 
-    def ones(self) -> list:
-        return [i for i in range(self.length) if self.bits >> i & 1]
-
     def popcount(self) -> int:
         return self.bits.bit_count()
 
@@ -107,16 +104,13 @@ class StateSpace:
         for a in self.protected:
             if a not in universal.schema:
                 raise ArgumentError(f"protected attribute {a!r} not in universal schema")
-        self.bit_attrs: list = []
         self.bit_literals: list = []
         self.attr_bits: dict = {}
         self._attr_field: dict = {}  # attribute -> its bits as a bitmap mask
         for a in universal.schema:
             lits = universal.literals(a)
             start = len(self.bit_literals)
-            for lit in lits:
-                self.bit_attrs.append(a)
-                self.bit_literals.append(lit)
+            self.bit_literals.extend(lits)
             self.attr_bits[a] = tuple(range(start, len(self.bit_literals)))
             self._attr_field[a] = ((1 << len(lits)) - 1) << start
         self.n_bits = len(self.bit_literals)
@@ -169,7 +163,7 @@ class StateSpace:
     # -- bitmap construction -------------------------------------------------
 
     def full_bitmap(self) -> Bitmap:
-        return Bitmap((1 << self.n_bits) - 1 if self.n_bits else 0, self.n_bits)
+        return Bitmap((1 << self.n_bits) - 1, self.n_bits)
 
     def bitmap_from_bits(self, indices: Iterable[int]) -> Bitmap:
         bits = 0

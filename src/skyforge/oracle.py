@@ -175,7 +175,7 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     for combo in itertools.product(*per_attr_choices):
         chosen = [i for subset in combo for i in subset]
         bitmap = space.bitmap_from_bits(chosen)
-        if bitmap.bits == 0 or space.is_degenerate(bitmap):
+        if space.is_degenerate(bitmap):
             continue
         state = SearchState(bitmap, level=0)
         perf, _ = valuate(state, estimator, log, measures, space)

@@ -156,7 +156,7 @@ def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: d
             bounds = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
             if all(b == (spec.p_low, spec.p_high) for b, spec in zip(bounds, measures)):
                 return None
-            lower = tuple(b.lo for b in bounds)
+            lower = tuple(lo for lo, _ in bounds)
         if param_eps_dominates(bwd.perf, lower, eps):
             return fwd, bwd
     return None
@@ -265,8 +265,6 @@ def diversify_level(level_set: Sequence[SearchState], k: int, alpha: float,
     chosen = ordered[:k]
     best_score = score(chosen)
     for seed in list(chosen):
-        if seed not in chosen:
-            continue
         best_swap = None
         for candidate in ordered:
             if any(candidate.bitmap.bits == m.bitmap.bits for m in chosen):
@@ -302,7 +300,6 @@ class _Runner:
         self.grid = SkylineGrid(cfg.epsilon, measures)
         self.log = TestLog()
         self.graph = RunningGraph()
-        self.valuations = 0
         self.regions: list = []  # validated (forward state, backward state) pairs
         self.pruned: list = []
         self.pruned_bits: set = set()  # once pruned, never revisited from either side
@@ -319,12 +316,10 @@ class _Runner:
         cached = self.log.get(state.bitmap)
         if cached is not None:
             return state.valuated(cached.perf)
-        if self.valuations >= self.cfg.budget:
+        # the run's own log gains one entry per estimator call that returns
+        if len(self.log) >= self.cfg.budget:
             raise _BudgetExhausted
-        perf, invoked = valuate(state, self.estimator, self.log, self.measures,
-                                self.space)
-        if invoked:
-            self.valuations += 1
+        perf, _ = valuate(state, self.estimator, self.log, self.measures, self.space)
         return state.valuated(perf)
 
     def open_order(self, frontier: list, direction: str) -> list:
@@ -341,7 +336,7 @@ class _Runner:
         every possible child (one per flippable bit of each parent).
         """
         free = self.space.free_bits
-        remaining = self.cfg.budget - self.valuations
+        remaining = self.cfg.budget - len(self.log)
         everything = [(range(len(frontier)), None)]
         # the first test skips the bounds when even a full level fits the budget
         if self.pruning or remaining >= len(frontier) * free.bit_count():
@@ -511,5 +506,5 @@ def run_algorithm(universal: UniversalTable, measures: MeasureSet, estimator,
         failure = str(exc)
     return RunResult(grid=runner.grid, graph=runner.graph, log=runner.log,
                      algorithm=cfg.algorithm, space=runner.space,
-                     valuations=runner.valuations, partial=failure is not None,
+                     valuations=len(runner.log), partial=failure is not None,
                      failure=failure, pruned=runner.pruned, div_set=runner.div_set)

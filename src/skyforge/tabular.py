@@ -123,9 +123,7 @@ def _number_array(values) -> np.ndarray:
 
 
 def _sort_key(v):
-    # adoms may mix ints and floats; strings sort among themselves
-    if isinstance(v, bool):
-        return (0, float(v), "")
+    # adoms may mix ints, floats and bools; strings sort among themselves
     if isinstance(v, (int, float)):
         return (0, float(v), "")
     return (1, 0.0, str(v))
@@ -156,10 +154,6 @@ class Relation:
                 raise ArgumentError("weights length must equal number of rows")
         if self.lines is not None:
             object.__setattr__(self, "lines", tuple(self.lines))
-
-    @classmethod
-    def from_rows(cls, name: str, schema: Iterable[str], rows: Iterable[Iterable[Cell]]) -> "Relation":
-        return cls(name, tuple(schema), tuple(tuple(r) for r in rows))
 
     def column(self, attribute: str) -> list:
         i = self.schema.index(attribute)
@@ -199,15 +193,13 @@ class Literal:
 
 @dataclass(frozen=True)
 class UniversalTable:
-    """Outer-joined pool table plus provenance and derived value-cluster literals."""
+    """Outer-joined pool table plus its derived value-cluster literals."""
 
     relation: Relation
-    provenance: dict = field(default_factory=dict)
     literal_index: dict = field(default_factory=dict)  # attribute -> tuple[Literal]
 
     def __post_init__(self):
-        # read-only copies, so no literal can change under _cluster_tables
-        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        # a read-only copy, so no literal can change under _cluster_tables
         object.__setattr__(self, "literal_index", MappingProxyType(dict(self.literal_index)))
 
     @property
@@ -232,7 +224,8 @@ class UniversalTable:
 
     @cached_property
     def _cluster_tables(self) -> dict:
-        """Attribute -> {cell value: cluster index}, built on first use."""
+        """Attribute -> {cell value: cluster index}, built on first use
+        (``compress_rows`` gives its table these maps ready-made)."""
         tables = {}
         for a in self.schema:
             lits = self.literal_index.get(a)
@@ -349,53 +342,42 @@ def _join_pairs_for(join_keys: dict, merged_names: list, right_name: str) -> lis
 
 
 def _outer_join(acc_schema, acc_rows, right: Relation, pairs) -> tuple:
-    """Binary full outer join; join-key columns with equal names are merged."""
-    right_key_attrs = [ra for _, ra in pairs]
+    """Binary full outer join; join-key columns with equal names are merged.
+    Without key pairs nothing matches, and both sides are null-padded."""
     merged = [ra for la, ra in pairs if la == ra]
     right_extra = [a for a in right.schema if a not in merged]
     out_schema = list(acc_schema) + right_extra
 
     left_idx = {a: i for i, a in enumerate(acc_schema)}
     right_idx = {a: i for i, a in enumerate(right.schema)}
+    # merged key columns take the right value on right-only rows
+    merged_from = {left_idx[a]: right_idx[a] for a in merged}
 
-    out_rows = []
-    if pairs:
-        table = {}
+    table = {}
+    if pairs:  # an empty key would match every row with every row
         for j, rrow in enumerate(right.rows):
             key = tuple(rrow[right_idx[ra]] for _, ra in pairs)
             if any(k is None for k in key):
                 continue  # null keys never match
             table.setdefault(key, []).append(j)
-        matched_right = set()
-        for lrow in acc_rows:
-            key = tuple(lrow[left_idx[la]] for la, _ in pairs)
-            hits = [] if any(k is None for k in key) else table.get(key, [])
-            if hits:
-                for j in hits:
-                    matched_right.add(j)
-                    rrow = right.rows[j]
-                    out_rows.append(tuple(lrow) + tuple(rrow[right_idx[a]] for a in right_extra))
-            else:
-                out_rows.append(tuple(lrow) + (None,) * len(right_extra))
-        for j, rrow in enumerate(right.rows):
-            if j in matched_right:
-                continue
-            padded = []
-            for a in acc_schema:
-                # merged key columns take the right value on right-only rows
-                src = None
-                for la, ra in pairs:
-                    if la == a and la == ra:
-                        src = rrow[right_idx[ra]]
-                        break
-                padded.append(src)
-            out_rows.append(tuple(padded) + tuple(rrow[right_idx[a]] for a in right_extra))
-    else:
-        # no applicable keys: nothing matches, both sides are null-padded
-        for lrow in acc_rows:
+    out_rows = []
+    matched_right = set()
+    for lrow in acc_rows:
+        key = tuple(lrow[left_idx[la]] for la, _ in pairs)
+        hits = [] if any(k is None for k in key) else table.get(key, [])
+        if hits:
+            for j in hits:
+                matched_right.add(j)
+                rrow = right.rows[j]
+                out_rows.append(tuple(lrow) + tuple(rrow[right_idx[a]] for a in right_extra))
+        else:
             out_rows.append(tuple(lrow) + (None,) * len(right_extra))
-        for rrow in right.rows:
-            out_rows.append((None,) * len(acc_schema) + tuple(rrow[right_idx[a]] for a in right_extra))
+    for j, rrow in enumerate(right.rows):
+        if j in matched_right:
+            continue
+        padded = tuple(rrow[merged_from[i]] if i in merged_from else None
+                       for i in range(len(acc_schema)))
+        out_rows.append(padded + tuple(rrow[right_idx[a]] for a in right_extra))
     return tuple(out_schema), out_rows
 
 
@@ -422,7 +404,6 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
     first = sources[0]
     acc_schema = tuple(first.schema)
     acc_rows = [tuple(r) for r in first.rows]
-    provenance = {a: first.name for a in first.schema}
     merged_names = [first.name]
 
     for right in sources[1:]:
@@ -435,12 +416,10 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
                 f"source without a join key"
             )
         acc_schema, acc_rows = _outer_join(acc_schema, acc_rows, right, pairs)
-        for a in right.schema:
-            provenance.setdefault(a, right.name)
         merged_names.append(right.name)
 
     relation = Relation("universal", acc_schema, tuple(acc_rows))
-    return UniversalTable(relation=relation, provenance=provenance)
+    return UniversalTable(relation=relation)
 
 
 _KMEANS_TOL = 1e-9  # Lloyd stops once no centroid moves this far
@@ -546,6 +525,10 @@ def compress_rows(u: UniversalTable) -> UniversalTable:
     for row, w in zip(zip(*columns), u.relation.row_weights):
         merged[row] = merged.get(row, 0) + w
     relation = Relation(u.relation.name, u.schema, tuple(merged), weights=tuple(merged.values()))
-    out = UniversalTable(relation=relation, provenance=dict(u.provenance),
-                         literal_index=dict(u.literal_index))
+    out = UniversalTable(relation=relation, literal_index=u.literal_index)
+    # every compressed cell is a representative, in its own literal's
+    # cluster, so the compressed tables come from the ones at hand
+    object.__setattr__(out, "_cluster_tables", {
+        a: {u.literal_index[a][i].value: i for i in set(table.values())}
+        for a, table in u._cluster_tables.items()})
     return out

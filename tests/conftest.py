@@ -75,7 +75,7 @@ def example_states():
 def build_toy_universal():
     """Numeric toy pool: protected target ``t`` plus A and B with two value
     clusters each (6 bits, 16 consistent states)."""
-    rel = Relation.from_rows("u", ["t", "A", "B"], [
+    rel = Relation("u", ["t", "A", "B"], [
         [1, 10, 100], [1, 10, 200], [1, 20, 100],
         [1, 20, 200], [0, 10, 100], [0, 20, None],
     ])
@@ -110,7 +110,7 @@ def make_random_instance(seed: int):
         for a, k in zip(attrs[1:], lit_counts):
             row.append(None if rng.random() < 0.15 else rng.randint(0, k - 1))
         rows.append(tuple(row))
-    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index=lit_index)
+    u = UniversalTable(relation=Relation("u", attrs, rows), literal_index=lit_index)
     space = StateSpace(u, protected=("t",))
     table = {}
     for bits in range(2 ** space.n_bits):
@@ -138,7 +138,7 @@ def make_monotone_instance(seed: int):
         for a, k in zip(attrs[1:], lit_counts):
             row.append(None if rng.random() < 0.2 else rng.randint(0, k - 1))
         rows.append(tuple(row))
-    u = UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index=lit_index)
+    u = UniversalTable(relation=Relation("u", attrs, rows), literal_index=lit_index)
     space = StateSpace(u, protected=("t",))
     total = len(rows)
     coef = [rng.uniform(0.3, 0.7) for _ in range(3)]
@@ -168,7 +168,7 @@ def build_pruning_fixture():
         (1, "a", "c"), (1, "a", "d"), (1, "a", "d"), (1, "b", "c"),
         (1, "b", None), (1, None, "c"), (1, "a", "zz"), (1, "a", "zz"),
     ]
-    rel = Relation.from_rows("u", ["t", "x", "y"], rows)
+    rel = Relation("u", ["t", "x", "y"], rows)
     u = UniversalTable(relation=rel, literal_index={
         "t": (Literal("t", 1),),
         "x": (Literal("x", "a"), Literal("x", "b")),

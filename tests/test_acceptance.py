@@ -255,7 +255,7 @@ def build_wide_pool(n_rows=4000, n_feats=11, seed=99):
                  for _ in range(n_feats)]
         base = sum(f for f in feats[:4] if f is not None)
         rows.append([round(base + rng.uniform(-2, 2), 1)] + feats)
-    u = derive_all_literals(UniversalTable(relation=Relation.from_rows("u", schema, rows)), 30)
+    u = derive_all_literals(UniversalTable(relation=Relation("u", schema, rows)), 30)
     measures = MeasureSet([
         MeasureSpec("holdout_error", raw_low=0, raw_high=100, p_low=1e-6),
         MeasureSpec("train_cost", raw_low=0, raw_high=n_rows, p_low=0.001),

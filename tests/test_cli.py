@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from skyforge import Bitmap, SearchState
+from skyforge import ArgumentError, Bitmap, SearchState
 from skyforge.operators import StateSpace
 from skyforge.tabular import Literal
 from skyforge.cli import (
@@ -19,7 +19,6 @@ from skyforge.cli import (
     EXIT_OK,
     EXIT_VIOLATIONS,
     CONFIG_SCHEMA,
-    ConfigError,
     RunConfig,
     execute_run,
     execute_verify,
@@ -77,7 +76,7 @@ class TestConfigValidation:
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sources": []}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
 
     def test_config_schema_is_a_valid_schema(self):
@@ -94,14 +93,14 @@ class TestConfigValidation:
         with pytest.raises(jsonschema.ValidationError) as expected:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         exc = expected.value
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ArgumentError) as info:
             RunConfig(raw)
         assert str(info.value) == f"config invalid: {exc.message} at {list(exc.absolute_path)}"
 
     def test_conflicting_targets_rejected_before_ingest(self, tmp_path, capsys):
         path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}],
                            target="f1", estimator={"builtin": "ridge", "target": "y"})
-        with pytest.raises(ConfigError, match="'f1'.*'y'"):
+        with pytest.raises(ArgumentError, match="'f1'.*'y'"):
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
@@ -118,12 +117,12 @@ class TestConfigValidation:
         for m in raw["measures"][:2]:
             m["decisive"] = True
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
 
     def test_unknown_decisive_override_rejected(self, tmp_path):
         path = base_config(tmp_path, decisive="nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
 
     def test_main_exits_2_on_bad_config(self, tmp_path, capsys):
@@ -133,7 +132,7 @@ class TestConfigValidation:
 
     def test_workers_key_rejected(self, tmp_path):
         path = base_config(tmp_path, search={"algorithm": "apx", "epsilon": 0.3, "workers": 2})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
 
@@ -149,7 +148,7 @@ class TestConfigValidation:
         raw = json.loads(path.read_text())
         raw["measures"][0]["raw_high"] = raw["measures"][0]["raw_low"]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
 
     def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys):
@@ -173,7 +172,7 @@ class TestConfigValidation:
         raw = json.loads(path.read_text())
         del raw["target"]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match="target"):
+        with pytest.raises(ArgumentError, match="target"):
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
@@ -182,7 +181,7 @@ class TestConfigValidation:
     def test_flags_apply_before_search_validation(self, tmp_path):
         # the file alone is an invalid div search (no k); the flag completes it
         path = base_config(tmp_path, search={"algorithm": "div", "epsilon": 0.3, "budget": 40})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path), "--k", "2"]) == EXIT_OK
 

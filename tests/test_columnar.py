@@ -139,7 +139,7 @@ def reference_children(space: StateSpace, bitmap: Bitmap, direction: str) -> lis
     want_set = direction == FORWARD
     out = []
     for i in range(space.n_bits):
-        if space.bit_attrs[i] in space.protected or bitmap.test(i) != want_set:
+        if space.bit_literals[i].attribute in space.protected or bitmap.test(i) != want_set:
             continue
         child = bitmap.bits ^ (1 << i)
         if child == 0 or reference_mask(space, child)[1] == 0:
@@ -168,7 +168,7 @@ def weighted_compressed(seed: int) -> UniversalTable:
         y = round(rng.uniform(0, 10), 1)
         feats = [None if rng.random() < 0.15 else round(rng.uniform(0, 3), 1) for _ in range(3)]
         rows.append((None if rng.random() < 0.1 else y, *feats))
-    u = build_universal([Relation.from_rows("pool", schema, rows)])
+    u = build_universal([Relation("pool", schema, rows)])
     return compress_rows(derive_all_literals(u, max_clusters=3))
 
 
@@ -187,7 +187,7 @@ def wide_rounded(seed: int) -> UniversalTable:
         if rng.random() < 0.03:
             y, feats[10] = None, 50.0
         rows.append((y, *feats))
-    u = build_universal([Relation.from_rows("pool", schema, rows)])
+    u = build_universal([Relation("pool", schema, rows)])
     return compress_rows(derive_all_literals(u, max_clusters=12))
 
 

@@ -20,7 +20,7 @@ from skyforge.operators import StateSpace
 
 
 def numeric_universal(rows, schema=("x", "y")):
-    rel = Relation.from_rows("u", schema, rows)
+    rel = Relation("u", schema, rows)
     return UniversalTable(relation=rel, literal_index={
         a: tuple(Literal(a, v) for v in rel.adom(a)) for a in schema})
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from skyforge import (
     ArgumentError,
     Bitmap,
-    Bounds,
     EstimatorFailure,
     LookupEstimator,
     MeasureSet,
@@ -93,7 +92,7 @@ class TestMeasureSet:
     def test_any_name_may_be_declared(self):
         # row counts are not a measure, so no measure name is reserved
         ms = MeasureSet([MeasureSpec("__rows__"), MeasureSpec("b")])
-        assert ms.index("__rows__") == 0
+        assert ms.names.index("__rows__") == 0
 
 
 class TestValuate:
@@ -127,7 +126,7 @@ class TestValuate:
         assert err.value.bitmap is not None
 
     def test_ridge_perfect_fit_hits_floor(self):
-        rel = Relation.from_rows("u", ["x", "y"], [[0.0, 0.0], [1.0, 2.0]])
+        rel = Relation("u", ["x", "y"], [[0.0, 0.0], [1.0, 2.0]])
         u = UniversalTable(relation=rel, literal_index={
             "x": (Literal("x", 0.0), Literal("x", 1.0)),
             "y": (Literal("y", 0.0), Literal("y", 2.0)),
@@ -219,14 +218,14 @@ class TestEstimateBounds:
         graph = build_correlation_graph(log, 0.8, ms)
         bounds = estimate_bounds(2, log, graph, ms)
         # row count 2 sits between the seeded counts 1 (s_b) and 3 (s_3)
-        assert bounds[0] == Bounds(0.45, 0.60)
-        assert bounds[1] == Bounds(0.20, 0.40)
-        assert bounds[2] == Bounds(0.1, 0.13)  # uncorrelated: declared range
+        assert bounds[0] == (0.45, 0.60)
+        assert bounds[1] == (0.20, 0.40)
+        assert bounds[2] == (0.1, 0.13)  # uncorrelated: declared range
 
     def test_no_graph_means_declared_ranges(self, worked_example):
         space, ms, names, log = worked_example
         bounds = estimate_bounds(2, log, {}, ms)
-        assert bounds[0] == Bounds(0.1, 1.0)
+        assert bounds[0] == (0.1, 1.0)
 
 
 class TestTestLog:

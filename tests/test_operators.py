@@ -55,7 +55,7 @@ class TestApplyOperators:
             space.apply_reduct(s, Literal("A", 10))
 
     def test_reduct_to_empty_dataset_is_degenerate(self):
-        rel = Relation.from_rows("u", ["a"], [[1], [1]])
+        rel = Relation("u", ["a"], [[1], [1]])
         u = UniversalTable(relation=rel, literal_index={"a": (Literal("a", 1),)})
         sp = StateSpace(u)
         with pytest.raises(ArgumentError, match="empties the dataset"):
@@ -87,7 +87,7 @@ class TestApplyOperators:
         assert None in col
 
     def test_year_style_reduct_sequence(self):
-        rel = Relation.from_rows("u", ["year", "v"], [
+        rel = Relation("u", ["year", "v"], [
             [2001, 1], [2002, 2], [2003, 3], [2004, 4],
         ])
         u = UniversalTable(relation=rel, literal_index={
@@ -121,7 +121,7 @@ class TestOpGen:
     def test_protected_attribute_not_flipped(self):
         sp = StateSpace(build_toy_universal(), protected=("t",))
         children = sp.op_gen(sp.root_state(), FORWARD)
-        flipped = {sp.bit_attrs[(c ^ sp.full_bitmap().bits).bit_length() - 1]
+        flipped = {sp.bit_literals[(c ^ sp.full_bitmap().bits).bit_length() - 1].attribute
                    for c in children}
         assert "t" not in flipped
         assert len(children) == sp.n_bits - len(sp.attr_bits["t"])

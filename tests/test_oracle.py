@@ -37,7 +37,7 @@ def plain_universal(lit_counts):
     values = {a: list(range(k)) for a, k in zip(attrs, lit_counts)}
     for combo in range(max(lit_counts)):
         rows.append([values[a][combo % k] for a, k in zip(attrs, lit_counts)])
-    return UniversalTable(relation=Relation.from_rows("u", attrs, rows), literal_index={
+    return UniversalTable(relation=Relation("u", attrs, rows), literal_index={
         a: tuple(Literal(a, v) for v in range(k)) for a, k in zip(attrs, lit_counts)})
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from skyforge import (
     ArgumentError,
     Bitmap,
-    Bounds,
     EstimatorFailure,
     Literal,
     LookupEstimator,
@@ -75,7 +74,7 @@ class TestBackSt:
     def test_all_target_literals_retained(self, toy_universal):
         space = StateSpace(toy_universal, protected=("t",))
         s = back_st(space, "t")
-        assert [i for i in s.bitmap.ones()] == list(space.attr_bits["t"])
+        assert s.bitmap == space.bitmap_from_bits(space.attr_bits["t"])
 
     def test_binary_target_keeps_both_classes(self, toy_universal):
         space = StateSpace(toy_universal, protected=("t",))
@@ -92,8 +91,8 @@ class TestBackSt:
     def test_feature_needing_estimator_gets_first_literal(self, toy_universal):
         space = StateSpace(toy_universal, protected=("t",))
         s = back_st(space, "t", needs_feature=True)
-        extra = set(s.bitmap.ones()) - set(space.attr_bits["t"])
-        assert extra == {space.attr_bits["A"][0]}
+        extra = s.bitmap.bits & ~space.bitmap_from_bits(space.attr_bits["t"]).bits
+        assert extra == 1 << space.attr_bits["A"][0]
 
     def test_unknown_target(self, toy_universal):
         space = StateSpace(toy_universal, protected=())
@@ -104,7 +103,7 @@ class TestBackSt:
 def walkthrough_fixture():
     """Reduce-from-universal walkthrough: budget of five valuations at
     eps = 0.3 must finish with exactly the two incomparable survivors."""
-    rel = Relation.from_rows("u", ["X", "Y"], [[1, 1], [1, 2], [2, 1], [2, 2]])
+    rel = Relation("u", ["X", "Y"], [[1, 1], [1, 2], [2, 1], [2, 2]])
     u = UniversalTable(relation=rel, literal_index={
         "X": (Literal("X", 1), Literal("X", 2)),
         "Y": (Literal("Y", 1), Literal("Y", 2)),
@@ -202,7 +201,7 @@ class TestRunBi:
                 SearchConfig(epsilon=0.3, algorithm=algo, k=1)
 
     def test_meet_in_the_middle_on_single_attribute(self):
-        rel = Relation.from_rows("u", ["t", "a"], [[1, "p"], [1, "q"]])
+        rel = Relation("u", ["t", "a"], [[1, "p"], [1, "q"]])
         u = UniversalTable(relation=rel, literal_index={
             "t": (Literal("t", 1),),
             "a": (Literal("a", "p"), Literal("a", "q")),
@@ -279,15 +278,15 @@ class TestParamEpsDominates:
         s3 = log.get(Bitmap(names["s_3"], space.n_bits)).perf
         sb = log.get(Bitmap(names["s_b"], space.n_bits)).perf
         at_s3 = estimate_bounds(3, log, graph, ms)
-        assert at_s3 == (Bounds(0.45, 0.45), Bounds(0.20, 0.20), Bounds(0.1, 0.13))
-        lower = tuple(b.lo for b in at_s3)
+        assert at_s3 == ((0.45, 0.45), (0.20, 0.20), (0.1, 0.13))
+        lower = tuple(lo for lo, _ in at_s3)
         assert param_eps_dominates(s3, lower, 0.3)
         assert not param_eps_dominates(sb, lower, 0.3)  # 0.60 > 1.3 * 0.45
         # one row fewer brackets with s_b as well: the upper bounds widen,
         # the lower bounds the engine reads stay
         at_two = estimate_bounds(2, log, graph, ms)
-        assert at_two[0] == Bounds(0.45, 0.60)
-        assert tuple(b.lo for b in at_two) == lower
+        assert at_two[0] == (0.45, 0.60)
+        assert tuple(lo for lo, _ in at_two) == lower
 
     def test_all_valuated_collapses_to_componentwise_factor(self):
         # strictly worse everywhere but within the factor: the interval form
@@ -650,6 +649,33 @@ class TestDeterminismAndBudget:
             res = run_algorithm(u, ms, est, cfg)
             assert res.valuations <= budget
             assert est.calls == res.valuations
+
+    @pytest.mark.parametrize("make", [make_random_instance, make_monotone_instance])
+    @pytest.mark.parametrize("budget", [1, 5, None])
+    def test_valuations_are_the_estimator_calls_that_returned(self, make, budget):
+        class Counting:
+            """Counts the calls that return; call ``fail_at`` raises instead."""
+
+            def __init__(self, inner, fail_at):
+                self.inner, self.fail_at, self.calls, self.returned = inner, fail_at, 0, 0
+
+            def estimate(self, state, space):
+                self.calls += 1
+                if self.calls == self.fail_at:
+                    raise EstimatorFailure("boom", bitmap=state.bitmap)
+                raw = self.inner.estimate(state, space)
+                self.returned += 1
+                return raw
+
+        limit = {} if budget is None else {"budget": budget}
+        for seed, algo, fail_at in itertools.product(range(4), search_module.ALGORITHMS,
+                                                     (None, 4)):
+            u, ms, est = make(seed)
+            counting = Counting(est, fail_at)
+            res = run_algorithm(u, ms, counting, SearchConfig(
+                epsilon=0.2, target="t", algorithm=algo, k=2 if algo == "div" else 0, **limit))
+            assert res.valuations == len(res.log) == counting.returned
+            assert res.partial == (counting.calls == fail_at)
 
     def test_provenance_paths_replay(self):
         u, ms, est = toy_setup(seed=1)

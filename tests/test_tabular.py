@@ -19,12 +19,13 @@ from skyforge import (
     ingest_csv,
     kmeans_1d,
 )
+from skyforge import tabular
 from skyforge.operators import StateSpace
-from skyforge.tabular import _BLOCK_CELLS, _nearest, _nearest_sorted, _sort_key
+from skyforge.tabular import _BLOCK_CELLS, _nearest, _nearest_sorted, _outer_join, _sort_key
 
 
 def rel(name, schema, rows):
-    return Relation.from_rows(name, schema, rows)
+    return Relation(name, schema, rows)
 
 
 class TestRelation:
@@ -143,7 +144,6 @@ class TestBuildUniversal:
         keys = {("s0", n): [("key", "key")] for n in ("s1", "s2", "s3")}
         u = build_universal(sources, keys)
         assert len(u.schema) == 12
-        assert u.provenance["c7"] == "s2"
 
     def test_source_order_permutation_preserves_columns(self):
         a = rel("a", ["id", "x"], [[1, "p"], [2, "q"]])
@@ -156,6 +156,92 @@ class TestBuildUniversal:
             c1 = sorted(u1.relation.column(attr), key=repr)
             c2 = sorted(u2.relation.column(attr), key=repr)
             assert c1 == c2
+
+
+def reference_outer_join(acc_schema, acc_rows, right, pairs):
+    """The join as it was written with a separate keyless branch and a
+    scan of the key pairs for every right-only row."""
+    right_key_attrs = [ra for _, ra in pairs]
+    merged = [ra for la, ra in pairs if la == ra]
+    right_extra = [a for a in right.schema if a not in merged]
+    out_schema = list(acc_schema) + right_extra
+
+    left_idx = {a: i for i, a in enumerate(acc_schema)}
+    right_idx = {a: i for i, a in enumerate(right.schema)}
+
+    out_rows = []
+    if pairs:
+        table = {}
+        for j, rrow in enumerate(right.rows):
+            key = tuple(rrow[right_idx[ra]] for _, ra in pairs)
+            if any(k is None for k in key):
+                continue  # null keys never match
+            table.setdefault(key, []).append(j)
+        matched_right = set()
+        for lrow in acc_rows:
+            key = tuple(lrow[left_idx[la]] for la, _ in pairs)
+            hits = [] if any(k is None for k in key) else table.get(key, [])
+            if hits:
+                for j in hits:
+                    matched_right.add(j)
+                    rrow = right.rows[j]
+                    out_rows.append(tuple(lrow) + tuple(rrow[right_idx[a]] for a in right_extra))
+            else:
+                out_rows.append(tuple(lrow) + (None,) * len(right_extra))
+        for j, rrow in enumerate(right.rows):
+            if j in matched_right:
+                continue
+            padded = []
+            for a in acc_schema:
+                # merged key columns take the right value on right-only rows
+                src = None
+                for la, ra in pairs:
+                    if la == a and la == ra:
+                        src = rrow[right_idx[ra]]
+                        break
+                padded.append(src)
+            out_rows.append(tuple(padded) + tuple(rrow[right_idx[a]] for a in right_extra))
+    else:
+        # no applicable keys: nothing matches, both sides are null-padded
+        for lrow in acc_rows:
+            out_rows.append(tuple(lrow) + (None,) * len(right_extra))
+        for rrow in right.rows:
+            out_rows.append((None,) * len(acc_schema) + tuple(rrow[right_idx[a]] for a in right_extra))
+    return tuple(out_schema), out_rows
+
+
+@st.composite
+def join_chains(draw):
+    """2-3 sources joined left to right, each later one keyless, on a merged
+    key ``k``, on differently named ids, or on both; cells drawn from
+    {None, 0, 1, 2} make null and duplicate keys common."""
+    sources, steps, seen = [], [], set()
+    for i in range(draw(st.integers(2, 3))):
+        kinds = draw(st.sets(st.sampled_from(["merged", "renamed"]))) if i else set()
+        # a shared ``k`` without its key pair would be a schema conflict
+        has_k = draw(st.booleans()) and ("k" not in seen or "merged" in kinds)
+        pairs = [("k", "k")] if "merged" in kinds and has_k and "k" in seen else []
+        if "renamed" in kinds:
+            pairs.append((f"id{draw(st.integers(0, i - 1))}", f"id{i}"))
+        schema = draw(st.permutations((["k"] if has_k else []) + [f"id{i}", f"v{i}"]))
+        rows = draw(st.lists(st.lists(st.sampled_from([None, 0, 1, 2]), min_size=len(schema),
+                                      max_size=len(schema)), max_size=6))
+        sources.append(Relation(f"s{i}", schema, rows))
+        steps.append(draw(st.permutations(pairs)))
+        seen.update(schema)
+    return sources, steps[1:]
+
+
+class TestOuterJoin:
+    @given(join_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_rows_and_order(self, chain):
+        sources, steps = chain
+        schema, rows = sources[0].schema, list(sources[0].rows)
+        for right, pairs in zip(sources[1:], steps):
+            got = _outer_join(schema, rows, right, pairs)
+            assert got == reference_outer_join(schema, rows, right, pairs)
+            schema, rows = got
 
 
 def sse_of_partition(values, split_points):
@@ -250,12 +336,10 @@ class TestDeriveLiterals:
         # the literal maps are read-only copies, so no literal can change
         # under the cached cluster tables
         index = {"a": derived.literals("a")}
-        v = UniversalTable(relation=u.relation, provenance={"a": "s"}, literal_index=index)
+        v = UniversalTable(relation=u.relation, literal_index=index)
         assert v.cluster_of("a", 2) == 1
         with pytest.raises(TypeError):
             v.literal_index["a"] = (Literal("a", 2),)
-        with pytest.raises(TypeError):
-            v.provenance["a"] = "elsewhere"
         index["a"] = ()
         assert v.literals("a") == (Literal("a", 1), Literal("a", 2))
         assert v.cluster_of("a", 2) == 1
@@ -410,6 +494,7 @@ def assert_same_derivation(columns, k):
     rows, weights = reference_compress(u, lambda a, v: tables[a].get(v))
     assert repr(out.relation.rows) == repr(tuple(rows))
     assert list(out.relation.weights) == weights
+    assert out._cluster_tables == UniversalTable(out.relation, out.literal_index)._cluster_tables
 
 
 def _cases(rng, n):
@@ -605,10 +690,22 @@ class TestOuterJoinCompression:
         assert list(out.relation.weights) == weights
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 30])
+    def test_compressed_space_makes_no_nearest_pass(self, k, monkeypatch):
+        out = compress_rows(self.universal(k))
+        calls = []
+        monkeypatch.setattr(tabular, "_nearest", lambda *args: calls.append(args) or _nearest(*args))
+        StateSpace(out)
+        assert calls == []
+        # the tables compress_rows hands over are the ones a fresh pass builds
+        assert out._cluster_tables == UniversalTable(out.relation, out.literal_index)._cluster_tables
+        assert calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 30])
     def test_state_space_masks_match_per_cell_clusters(self, k):
         for u in (self.universal(k), compress_rows(self.universal(k))):
             space = StateSpace(u)
-            for i, (a, lit) in enumerate(zip(space.bit_attrs, space.bit_literals)):
+            for i, lit in enumerate(space.bit_literals):
+                a = lit.attribute
                 # with only bit i set, attribute a keeps its nulls and cluster i
                 # and every other attribute is absent
                 c = u.schema.index(a)

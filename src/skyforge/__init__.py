@@ -26,7 +26,6 @@ from .measures import (
 )
 from .operators import Bitmap, SearchState, StateSpace
 from .oracle import (
-    EnumerationReport,
     check_div_bound,
     check_eps_cover,
     enumerate_all,

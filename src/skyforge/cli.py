@@ -330,10 +330,9 @@ def execute_run(cfg: RunConfig):
     return EXIT_OK, manifest, result, space
 
 
-def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid=None):
+def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
     """Run the configured algorithm, then check it against full enumeration.
 
-    ``_corrupt_grid`` is a test hook mutating the grid before the check.
     Returns ``(exit_code, report_dict)``.
     """
     universal, measures, search_cfg, estimator = _build(cfg)
@@ -343,10 +342,6 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
         result = run_algorithm(universal, measures, estimator, search_cfg)
         if result.partial:
             return EXIT_ESTIMATOR, {"error": result.failure or "estimator failure"}
-
-        if _corrupt_grid is not None:
-            _corrupt_grid(result.grid)
-
         oracle_log = TestLog()
         try:
             everything = enumerate_all(universal, estimator, measures,
@@ -360,30 +355,24 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None, _corrupt_grid
         estimator.close()
 
     report = check_eps_cover(result.grid, everything, search_cfg.epsilon)
-    report.degenerate = state_count_bound(result.space) - len(everything)
-
     check_pruned(report, result.pruned, everything, result.log, oracle_log,
                  search_cfg.epsilon)
-
-    payload = report.to_dict()
+    report["degenerate"] = state_count_bound(result.space) - len(everything)
     if search_cfg.algorithm == "div" and result.div_set:
         ground = list({s.bitmap.bits: s for s in result.div_set}.values())
         for s in result.grid.occupants():
             if all(s.bitmap.bits != g.bitmap.bits for g in ground):
                 ground.append(s)
+        report["div_ratio"] = None
         if len(ground) <= 14 and search_cfg.k <= len(ground):
             ratio = check_div_bound(result.div_set, ground, search_cfg.k,
                                     search_cfg.alpha, result.log, measures)
-            payload["div_ratio"] = ratio
+            report["div_ratio"] = ratio
             if ratio < 0.25:
-                payload["ok"] = False
-                payload["eps_cover_violations"].append(
-                    ["-", f"diversification ratio {ratio:.3f} below 0.25"]
-                )
-        else:
-            payload["div_ratio"] = None
-
-    return (EXIT_OK if payload["ok"] else EXIT_VIOLATIONS), payload
+                report["eps_cover_violations"].append(
+                    ("-", f"diversification ratio {ratio:.3f} below 0.25"))
+    report["ok"] = not report["eps_cover_violations"]
+    return (EXIT_OK if report["ok"] else EXIT_VIOLATIONS), report
 
 
 def main(argv=None) -> int:

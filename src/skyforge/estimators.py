@@ -33,10 +33,8 @@ class LookupEstimator:
     def __init__(self, table: dict, default: Optional[dict] = None):
         self.table = dict(table)
         self.default = default
-        self.calls = 0
 
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
-        self.calls += 1
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure(
@@ -77,10 +75,8 @@ class RidgeEstimator:
             raise ArgumentError(f"ridge lam must be finite and >= 0, got {lam!r}")
         self.target = target
         self.lam = lam
-        self.calls = 0
 
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
-        self.calls += 1
         attrs = space.active_attributes(state.bitmap)
         if self.target not in attrs:
             raise EstimatorFailure(
@@ -160,8 +156,7 @@ class SubprocessEstimator:
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
         self._unread = b""  # bytes of the child's stdout past the last reply
-        self._next_id = 0
-        self.calls = 0
+        self.calls = 0  # requests sent; each request's id is its number
 
     def _ensure_proc(self) -> subprocess.Popen:
         if self._proc is not None and self._proc.poll() is not None:
@@ -175,7 +170,6 @@ class SubprocessEstimator:
         return self._proc
 
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
-        self.calls += 1
         data = space.dataset(state.bitmap)
         tmpdir = os.environ.get("SKYFORGE_TMPDIR") or tempfile.gettempdir()
         os.makedirs(tmpdir, exist_ok=True)
@@ -183,9 +177,9 @@ class SubprocessEstimator:
         os.close(fd)
         try:
             write_csv(csv_path, data)
-            self._next_id += 1
+            self.calls += 1
             request = {
-                "id": self._next_id,
+                "id": self.calls,
                 "bitmap": state.bitmap.to_hex(),
                 "rows": data.expanded_row_count,
                 "cols": len(data.schema),

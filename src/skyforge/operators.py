@@ -34,14 +34,6 @@ class Bitmap:
     bits: int
     length: int
 
-    def test(self, i: int) -> bool:
-        return bool(self.bits >> i & 1)
-
-    def with_bit(self, i: int, value: bool) -> "Bitmap":
-        if value:
-            return Bitmap(self.bits | (1 << i), self.length)
-        return Bitmap(self.bits & ~(1 << i), self.length)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
 
@@ -252,20 +244,19 @@ class StateSpace:
     # -- operators -----------------------------------------------------------
 
     def apply_reduct(self, state: SearchState, literal: Literal) -> SearchState:
-        i = self.bit_of(literal)
-        if not state.bitmap.test(i):
+        bit, bits = 1 << self.bit_of(literal), state.bitmap.bits
+        if not bits & bit:
             raise ArgumentError(f"value bit for {literal!r} already clear")
-        child = state.bitmap.with_bit(i, False)
+        child = Bitmap(bits & ~bit, state.bitmap.length)
         if self.is_degenerate(child):
             raise ArgumentError(f"reduct by {literal!r} empties the dataset")
         return SearchState(child, state.level + 1)
 
     def apply_augment(self, state: SearchState, literal: Literal) -> SearchState:
-        i = self.bit_of(literal)
-        if state.bitmap.test(i):
+        bit, bits = 1 << self.bit_of(literal), state.bitmap.bits
+        if bits & bit:
             raise ArgumentError(f"value bit for {literal!r} already set")
-        child = state.bitmap.with_bit(i, True)
-        return SearchState(child, state.level + 1)
+        return SearchState(Bitmap(bits | bit, state.bitmap.length), state.level + 1)
 
     def op_gen(self, state: SearchState, direction: str) -> list:
         """The bitmaps (ints) of every applicable one-flip child of ``state``.

@@ -13,39 +13,16 @@ kernels compute.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, EnumerationCapError
 from .measures import MeasureSet, TestLog, valuate
-from .operators import SearchState, StateSpace
+from .operators import Bitmap, SearchState, StateSpace
 from .search import PrunedState, div_score
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
-
-
-@dataclass
-class EnumerationReport:
-    total_states: int = 0
-    degenerate: int = 0
-    exact_front: list = field(default_factory=list)  # bitmap hex strings
-    eps_cover_violations: list = field(default_factory=list)  # (hex, reason)
-    pruned_validated: int = 0
-
-    def ok(self) -> bool:
-        return not self.eps_cover_violations
-
-    def to_dict(self) -> dict:
-        return {
-            "total_states": self.total_states,
-            "degenerate": self.degenerate,
-            "exact_front": list(self.exact_front),
-            "eps_cover_violations": [list(v) for v in self.eps_cover_violations],
-            "pruned_validated": self.pruned_validated,
-            "ok": self.ok(),
-        }
 
 
 def naive_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -132,23 +109,18 @@ def eps_covered(dominators, targets, eps: float) -> np.ndarray:
 
 
 def state_count_bound(space: StateSpace) -> int:
-    """Number of attribute-consistent bitmaps, empty schema excluded."""
-    total = 1
-    for a in space.universal.schema:
-        bits = space.attr_bits[a]
-        if a in space.protected:
-            continue
-        total *= 2 ** len(bits)
-    return total - (0 if space.protected else 1)
+    """Number of bitmaps holding every protected bit, empty schema excluded."""
+    return 2 ** space.free_bits.bit_count() - (0 if space.protected else 1)
 
 
 def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
                   target: Optional[str] = None, max_bits: int = 20,
                   log: Optional[TestLog] = None) -> list:
-    """Valuate every non-degenerate state of the instance.
+    """Valuate every non-degenerate state of the instance, in ascending
+    bitmap order.
 
-    Walks the product of per-attribute literal subsets (the protected target,
-    when given, always keeps its full set).  Refuses instances whose bitmap
+    Walks the submasks of the free bits in ascending order, each with every
+    bit of the protected target, when given.  Refuses instances whose bitmap
     is longer than ``max_bits``.
     """
     protected = (target,) if target else ()
@@ -159,66 +131,56 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
             required=state_count_bound(space),
         )
     log = log if log is not None else TestLog()
-
-    per_attr_choices = []
-    for a in universal.schema:
-        bits = space.attr_bits[a]
-        if a in space.protected:
-            per_attr_choices.append([tuple(bits)])
-            continue
-        subsets = []
-        for r in range(len(bits) + 1):
-            subsets.extend(itertools.combinations(bits, r))
-        per_attr_choices.append(subsets)
-
+    free = space.free_bits
+    fixed = space.full_bitmap().bits & ~free
     states = []
-    for combo in itertools.product(*per_attr_choices):
-        chosen = [i for subset in combo for i in subset]
-        bitmap = space.bitmap_from_bits(chosen)
-        if space.is_degenerate(bitmap):
-            continue
-        state = SearchState(bitmap, level=0)
-        perf, _ = valuate(state, estimator, log, measures, space)
-        states.append(state.valuated(perf))
-    states.sort(key=lambda s: s.bitmap.bits)
-    return states
+    sub = 0
+    while True:
+        bitmap = Bitmap(sub | fixed, space.n_bits)
+        if not space.is_degenerate(bitmap):
+            state = SearchState(bitmap, level=0)
+            perf, _ = valuate(state, estimator, log, measures, space)
+            states.append(state.valuated(perf))
+        if sub == free:
+            return states
+        sub = (sub - free) & free  # the next submask of free, in ascending order
 
 
 def check_eps_cover(grid: SkylineGrid, all_states: Sequence[SearchState],
-                    eps: float) -> EnumerationReport:
-    """Assert every valuated in-bounds state is eps-dominated by an occupant."""
-    report = EnumerationReport(total_states=len(all_states))
+                    eps: float) -> dict:
+    """The cover part of a verify report: every valuated in-bounds state
+    must be eps-dominated by an occupant.  Violations are ``(hex, reason)``."""
     specs = grid.measures.specs
     values = np.array([s.perf for s in all_states],
                       dtype=np.float64).reshape(len(all_states), len(specs))
     in_bounds = np.flatnonzero((values <= [spec.p_high for spec in specs]).all(axis=1))
     covered = eps_covered([o.perf for o in grid.cells.values()],
                           values[in_bounds], eps)
-    for i in in_bounds[~covered].tolist():
-        report.eps_cover_violations.append(
-            (all_states[i].bitmap.to_hex(), "no occupant eps-dominates this state")
-        )
-    report.exact_front = [s.bitmap.to_hex() for s in naive_exact_pareto(list(all_states))]
-    return report
+    return {
+        "total_states": len(all_states),
+        "exact_front": [s.bitmap.to_hex() for s in naive_exact_pareto(list(all_states))],
+        "eps_cover_violations": [(all_states[i].bitmap.to_hex(),
+                                  "no occupant eps-dominates this state")
+                                 for i in in_bounds[~covered].tolist()],
+    }
 
 
-def check_pruned(report: EnumerationReport, pruned: Sequence[PrunedState],
+def check_pruned(report: dict, pruned: Sequence[PrunedState],
                  all_states: Sequence[SearchState],
                  searched: TestLog, oracle_log: TestLog, eps: float):
     """Audit pruning into ``report``: every pruned state the oracle valuated
     must be eps-dominated by some state the search valuated (``searched``),
-    both taken at their oracle vectors."""
+    both taken at their oracle vectors.  Sets ``pruned_validated`` and adds
+    to ``eps_cover_violations``."""
     valuated = [s.perf for s in all_states if searched.get(s.bitmap) is not None]
     audited = [(p, oracle_log.get(p.bitmap)) for p in pruned]
     audited = [(p, entry) for p, entry in audited if entry is not None]
-    covered = eps_covered(valuated, [entry.perf for _, entry in audited], eps)
-    for (p, _), ok in zip(audited, covered.tolist()):
-        if ok:
-            report.pruned_validated += 1
-        else:
-            report.eps_cover_violations.append(
-                (p.bitmap.to_hex(), "pruned state not eps-dominated by a valuated state")
-            )
+    covered = eps_covered(valuated, [entry.perf for _, entry in audited], eps).tolist()
+    report["pruned_validated"] = sum(covered)
+    report["eps_cover_violations"] += [
+        (p.bitmap.to_hex(), "pruned state not eps-dominated by a valuated state")
+        for (p, _), ok in zip(audited, covered) if not ok
+    ]
 
 
 def check_div_bound(chosen: Sequence[SearchState], ground: Sequence[SearchState],

@@ -364,7 +364,7 @@ def _outer_join(acc_schema, acc_rows, right: Relation, pairs) -> tuple:
     matched_right = set()
     for lrow in acc_rows:
         key = tuple(lrow[left_idx[la]] for la, _ in pairs)
-        hits = [] if any(k is None for k in key) else table.get(key, [])
+        hits = table.get(key, [])  # null keys never entered the table
         if hits:
             for j in hits:
                 matched_right.add(j)

@@ -28,6 +28,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from skyforge import (
     Bitmap,
+    EstimatorFailure,
     Literal,
     LookupEstimator,
     MeasureSet,
@@ -53,6 +54,22 @@ EXAMPLE_VECTORS = {
 
 def perf(*values) -> tuple:
     return tuple(values)
+
+
+class Counting:
+    """Wraps an estimator: ``calls`` counts the calls made, ``returned`` the
+    calls that returned; call number ``fail_at`` raises instead."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner, self.fail_at, self.calls, self.returned = inner, fail_at, 0, 0
+
+    def estimate(self, state, space):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise EstimatorFailure("boom", bitmap=state.bitmap)
+        raw = self.inner.estimate(state, space)
+        self.returned += 1
+        return raw
 
 
 def three_measures(p_low=1e-6, p_high=1.0) -> MeasureSet:

@@ -110,7 +110,7 @@ def sweep():
                 result = run_algorithm(u, measures, estimator, cfg)
                 runs += 1
                 report = check_eps_cover(result.grid, everything, eps)
-                for violation in report.eps_cover_violations:
+                for violation in report["eps_cover_violations"]:
                     cover_violations.append((seed, eps, algo, violation))
                 for s in front:
                     if not any(naive_eps_dominates(o.perf, s.perf, eps)

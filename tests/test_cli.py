@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+import skyforge.cli as cli
 from skyforge import ArgumentError, Bitmap, SearchState
 from skyforge.operators import StateSpace
 from skyforge.tabular import Literal
@@ -452,13 +453,17 @@ class TestVerifyCommand:
         assert payload["eps_cover_violations"] == []
         assert payload["exact_front"]
 
-    def test_corrupted_grid_detected(self, tmp_path):
+    def test_corrupted_grid_detected(self, tmp_path, monkeypatch):
         cfg = RunConfig.from_file(str(base_config(tmp_path)))
+        run_algorithm = cli.run_algorithm
 
-        def corrupt(grid):
-            grid.cells.clear()
+        def run_then_empty_grid(*args):
+            result = run_algorithm(*args)
+            result.grid.cells.clear()
+            return result
 
-        code, payload = execute_verify(cfg, _corrupt_grid=corrupt)
+        monkeypatch.setattr(cli, "run_algorithm", run_then_empty_grid)
+        code, payload = execute_verify(cfg)
         assert code == EXIT_VIOLATIONS
         assert not payload["ok"]
         assert payload["eps_cover_violations"]
@@ -502,3 +507,28 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         if payload.get("div_ratio") is not None:
             assert payload["div_ratio"] >= 0.25
+
+    def cut_div_config(self, tmp_path):
+        # max_len 2 stops the walk at a level that diversify filled, so the
+        # run ends with a non-empty diversified set and its ratio is checked;
+        # the cut also leaves deeper states uncovered, reported as such
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["search"].update(algorithm="div", k=3, max_len=2)
+        path = tmp_path / "div.json"
+        path.write_text(json.dumps(raw))
+        return RunConfig.from_file(str(path))
+
+    def test_div_ratio_at_or_above_bound_passes(self, tmp_path):
+        _, payload = execute_verify(self.cut_div_config(tmp_path))
+        assert isinstance(payload["div_ratio"], float)
+        assert payload["div_ratio"] >= 0.25
+        assert all(hex_ != "-" for hex_, _ in payload["eps_cover_violations"])
+
+    def test_div_ratio_below_bound_is_a_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "check_div_bound", lambda *args: 0.1)
+        code, payload = execute_verify(self.cut_div_config(tmp_path))
+        assert code == EXIT_VIOLATIONS
+        assert not payload["ok"]
+        assert payload["div_ratio"] == 0.1
+        assert list(payload["eps_cover_violations"][-1]) == [
+            "-", "diversification ratio 0.100 below 0.25"]

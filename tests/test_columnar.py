@@ -135,11 +135,15 @@ def reference_mask(space: StateSpace, bits: int) -> tuple:
     return mask, count
 
 
+def without(bitmap: Bitmap, i: int) -> Bitmap:
+    return Bitmap(bitmap.bits & ~(1 << i), bitmap.length)
+
+
 def reference_children(space: StateSpace, bitmap: Bitmap, direction: str) -> list:
     want_set = direction == FORWARD
     out = []
     for i in range(space.n_bits):
-        if space.bit_literals[i].attribute in space.protected or bitmap.test(i) != want_set:
+        if space.bit_literals[i].attribute in space.protected or bool(bitmap.bits >> i & 1) != want_set:
             continue
         child = bitmap.bits ^ (1 << i)
         if child == 0 or reference_mask(space, child)[1] == 0:
@@ -242,7 +246,7 @@ class TestRidgeDifferential:
         space = StateSpace(mixed_universal())
         full = space.full_bitmap()
         rng = random.Random(5)
-        bitmaps = [full] + [full.with_bit(i, False) for i in range(space.n_bits)] + [
+        bitmaps = [full] + [without(full, i) for i in range(space.n_bits)] + [
             Bitmap(rng.getrandbits(space.n_bits), space.n_bits) for _ in range(600)]
         assert assert_ridge_matches(space, RidgeEstimator("y"), bitmaps) > 300
 
@@ -250,8 +254,8 @@ class TestRidgeDifferential:
         space = StateSpace(mixed_universal())
         est = RidgeEstimator("y")
         full = space.full_bitmap()
-        without_x = full.with_bit(space.bit_of(Literal("m", "x")), False)
-        without_true = full.with_bit(space.bit_of(Literal("b", True)), False)
+        without_x = without(full, space.bit_of(Literal("m", "x")))
+        without_true = without(full, space.bit_of(Literal("b", True)))
         sizes = [est.estimate(SearchState(bm), space)[MODEL_SIZE]
                  for bm in (full, without_x, without_true)]
         assert sizes == [1.0, 2.0, 2.0]  # ``f``; then ``m`` or ``b`` turns numeric
@@ -273,7 +277,7 @@ class TestRidgeDifferential:
         full = space.full_bitmap()
         free = [i for i in range(space.n_bits) if space.free_bits >> i & 1]
         rng = random.Random(7)
-        bitmaps = [full] + [full.with_bit(i, False) for i in free]
+        bitmaps = [full] + [without(full, i) for i in free]
         for _ in range(100):
             bits = full.bits
             for i in rng.sample(free, rng.randint(2, 12)):
@@ -293,7 +297,7 @@ class TestRidgeDifferential:
         bitmap = space.full_bitmap()
         for i in space.attr_bits["f10"]:
             if i != keep:
-                bitmap = bitmap.with_bit(i, False)
+                bitmap = without(bitmap, i)
         target_rows = space.row_mask(bitmap) & space.columns.number["y"]
         assert not target_rows & space.columns.number["f10"]
         est = RidgeEstimator("y")

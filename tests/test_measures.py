@@ -25,6 +25,7 @@ from skyforge.tabular import Literal, Relation, UniversalTable
 
 from conftest import (
     EXAMPLE_VECTORS,
+    Counting,
     build_pruning_fixture,
     perf,
     seeded_worked_log,
@@ -99,7 +100,7 @@ class TestValuate:
     def test_cache_contract(self, toy_universal):
         space = StateSpace(toy_universal)
         ms = three_measures()
-        est = LookupEstimator({}, default={"rmse": 0.3, "r2_inv": 0.2, "train_cost": 0.1})
+        est = Counting(LookupEstimator({}, default={"rmse": 0.3, "r2_inv": 0.2, "train_cost": 0.1}))
         log = TestLog()
         s = space.root_state()
         first, invoked1 = valuate(s, est, log, ms, space)

@@ -26,7 +26,7 @@ from skyforge.measures import LogEntry
 from skyforge.operators import StateSpace
 from skyforge.oracle import state_count_bound
 
-from conftest import perf, three_measures
+from conftest import build_toy_universal, make_random_instance, perf, three_measures
 
 
 def plain_universal(lit_counts):
@@ -86,6 +86,25 @@ class TestEnumerateAll:
         bits = [s.bitmap.bits for s in states]
         assert bits == sorted(bits)
 
+    @pytest.mark.parametrize("target", [None, "t"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_filter(self, seed, target):
+        # seed 0 is the toy universal: keeping only t=0, A=10 and B=200
+        # empties the dataset
+        u = build_toy_universal() if seed == 0 else make_random_instance(seed)[0]
+        space = StateSpace(u, protected=(target,) if target else ())
+        need = sum(1 << i for i in space.attr_bits[target]) if target else 0
+        holding = [bits for bits in range(1, 1 << space.n_bits) if bits & need == need]
+        expected = [bits for bits in holding
+                    if not space.is_degenerate(Bitmap(bits, space.n_bits))]
+        if seed == 0 and target is None:
+            assert len(expected) < len(holding)
+        states = enumerate_all(u, flat_estimator(), flat_measures(), target=target)
+        got = [s.bitmap.bits for s in states]
+        assert got == expected
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert state_count_bound(space) == len(holding)
+
 
 class TestCheckEpsCover:
     def setup_states(self, seed=7, n=12):
@@ -105,22 +124,21 @@ class TestCheckEpsCover:
             for s in front:
                 grid.submit(s)
             report = check_eps_cover(grid, states, eps)
-            assert report.eps_cover_violations == []
-            assert set(report.exact_front) == {s.bitmap.to_hex() for s in front}
+            assert report["eps_cover_violations"] == []
+            assert set(report["exact_front"]) == {s.bitmap.to_hex() for s in front}
 
     def test_empty_grid_reports_every_state(self):
         states = self.setup_states()
         grid = SkylineGrid(0.3, three_measures(p_low=0.05))
         report = check_eps_cover(grid, states, 0.3)
-        assert len(report.eps_cover_violations) == len(states)
-        assert not report.ok()
+        assert len(report["eps_cover_violations"]) == len(states)
 
     def test_out_of_bounds_states_ignored(self):
         ms = three_measures(p_low=0.05, p_high=0.5)
         grid = SkylineGrid(0.3, ms)
         state = SearchState(Bitmap(1, 3), perf=perf(0.9, 0.9, 0.9))
         report = check_eps_cover(grid, [state], 0.3)
-        assert report.eps_cover_violations == []
+        assert report["eps_cover_violations"] == []
 
 
 class TestCheckDivBound:
@@ -182,4 +200,4 @@ class TestOracleAgainstSearch:
         ms = flat_measures()
         res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.2))
         states = enumerate_all(u, est, ms)
-        assert check_eps_cover(res.grid, states, 0.2).ok()
+        assert not check_eps_cover(res.grid, states, 0.2)["eps_cover_violations"]

@@ -17,7 +17,6 @@ from skyforge.errors import ArgumentError
 from skyforge.measures import LogEntry, MeasureSet, MeasureSpec, TestLog
 from skyforge.operators import Bitmap, SearchState
 from skyforge.oracle import (
-    EnumerationReport,
     check_eps_cover,
     check_pruned,
     enumerate_all,
@@ -137,8 +136,8 @@ def assert_cover_matches(occupants, vectors, eps, width, p_high=1.0):
     grid = grid_of(occupants, width, p_high)
     states = states_of(vectors)
     report = check_eps_cover(grid, states, eps)
-    assert report.eps_cover_violations == reference_eps_cover(grid, states, eps)
-    assert report.exact_front == [s.bitmap.to_hex() for s in reference_exact_pareto(states)]
+    assert report["eps_cover_violations"] == reference_eps_cover(grid, states, eps)
+    assert report["exact_front"] == [s.bitmap.to_hex() for s in reference_exact_pareto(states)]
     got = eps_covered(occupants, vectors, eps).tolist()
     assert got == [any(naive_eps_dominates(a, b, eps) for a in occupants)
                    for b in vectors]
@@ -270,9 +269,9 @@ class TestEpsCover:
 
 
 def assert_audit_matches(pruned, all_states, searched, oracle_log, eps):
-    report = EnumerationReport()
+    report = {"eps_cover_violations": []}
     check_pruned(report, pruned, all_states, searched, oracle_log, eps)
-    assert (report.pruned_validated, report.eps_cover_violations) == \
+    assert (report["pruned_validated"], report["eps_cover_violations"]) == \
         reference_pruned_audit(pruned, all_states, searched, oracle_log, eps)
 
 

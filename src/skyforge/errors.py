@@ -13,12 +13,16 @@ class EstimatorFailure(SkyforgeError):
     """The estimator timed out, crashed, or violated the protocol.
 
     Carries the bitmap of the state being valuated so a partial run can
-    report exactly where it stopped.
+    report exactly where it stopped: the message names it once it is set.
     """
 
     def __init__(self, message, bitmap=None):
         super().__init__(message)
         self.bitmap = bitmap
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.bitmap is None else f"{message} (bitmap {self.bitmap.to_hex()})"
 
 
 class EnumerationCapError(SkyforgeError):

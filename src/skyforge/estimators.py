@@ -37,10 +37,7 @@ class LookupEstimator:
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
-            raise EstimatorFailure(
-                f"no lookup entry for bitmap {state.bitmap.to_hex()}",
-                bitmap=state.bitmap,
-            )
+            raise EstimatorFailure("no lookup entry", bitmap=state.bitmap)
         return dict(row)
 
     def close(self):

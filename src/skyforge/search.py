@@ -313,73 +313,56 @@ class _Runner:
         return self._corr_cache[1]
 
     def valuate_one(self, state: SearchState) -> SearchState:
-        cached = self.log.get(state.bitmap)
-        if cached is not None:
-            return state.valuated(cached.perf)
         # the run's own log gains one entry per estimator call that returns
-        if len(self.log) >= self.cfg.budget:
+        if len(self.log) >= self.cfg.budget and self.log.get(state.bitmap) is None:
             raise _BudgetExhausted
         perf, _ = valuate(state, self.estimator, self.log, self.measures, self.space)
         return state.valuated(perf)
 
-    def open_order(self, frontier: list, direction: str) -> list:
-        """``(frontier indices, limit)`` batches in the order ``expand``
-        opens the parents; once a batch is open, every child below ``limit``
-        (the bound of the next unopened parent, None when none is left) is
-        final.
+    def expand(self, frontier: list, direction: str):
+        """Yield the frontier's children in ascending bitmap order, as sorted
+        batches, and record for each child the lowest-index frontier state
+        that generates it as its parent.
 
         A parent's bound is the smallest bitmap one of its children could
         have: the parent with its highest unprotected set bit cleared
         (reducts) or its lowest unprotected clear bit set (augments).
-        Parents open in bound order, in batches that double from one, or all
-        in one batch when the walk prunes or the remaining budget covers
-        every possible child (one per flippable bit of each parent).
+        Parents open (``op_gen`` is called) in bound order, in batches that
+        double from one; once a batch is open, every child below the next
+        unopened parent's bound is final and is yielded.  When the remaining
+        budget covers every possible child (one per flippable bit of each
+        parent), all parents open in one batch and no bound is computed.
+        Children stay ints until yielded, so a child reached from several
+        parents becomes one ``SearchState``.  A child's level is its popcount
+        distance from its root, so only same-level duplicates occur.
         """
-        free = self.space.free_bits
-        remaining = self.cfg.budget - len(self.log)
-        everything = [(range(len(frontier)), None)]
-        # the first test skips the bounds when even a full level fits the budget
-        if self.pruning or remaining >= len(frontier) * free.bit_count():
-            return everything
-        forward = direction == FORWARD
-        order = []  # (bound, frontier index) of every parent with a flippable bit
-        possible = 0
-        for index, state in enumerate(frontier):
-            bits = state.bitmap.bits
-            eligible = (bits if forward else ~bits) & free
-            if eligible:
-                possible += eligible.bit_count()
-                flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
-                order.append((bits ^ flip, index))
-        if remaining >= possible:
-            return everything
-        order.sort()
-        batches, opened, size = [], 0, 1
-        while opened < len(order):
-            indices = [index for _, index in order[opened:opened + size]]
-            opened += size
-            batches.append((indices, order[opened][0] if opened < len(order) else None))
-            size *= 2
-        return batches
-
-    def expand(self, frontier: list, direction: str):
-        """Yield the frontier's children in ascending bitmap order, as sorted
-        batches, opening parents (calling their ``op_gen``) as
-        ``open_order`` says, and record for each child the lowest-index
-        frontier state that generates it as its parent.  Children stay ints
-        until yielded, so a child reached from several parents becomes one
-        ``SearchState``.  A child's level is its popcount distance from its
-        root, so only same-level duplicates occur.
-        """
-        n_bits = self.space.n_bits
+        n_bits, free = self.space.n_bits, self.space.free_bits
+        if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
+            # one batch of every parent, so no bound is read
+            order = [(None, index) for index in range(len(frontier))]
+            size = len(order)
+        else:
+            forward = direction == FORWARD
+            order = []  # (bound, frontier index) of every parent with a flippable bit
+            for index, state in enumerate(frontier):
+                bits = state.bitmap.bits
+                eligible = (bits if forward else ~bits) & free
+                if eligible:
+                    flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
+                    order.append((bits ^ flip, index))
+            order.sort()
+            size = 1
         pending: dict = {}  # child bits -> lowest frontier index
-        for indices, limit in self.open_order(frontier, direction):
-            for index in indices:
+        opened = 0
+        while opened < len(order):
+            for _, index in order[opened:opened + size]:
                 for child in self.space.op_gen(frontier[index], direction):
                     if pending.setdefault(child, index) > index:
                         pending[child] = index
+            opened += size
+            size *= 2
             keys = sorted(pending)
-            final = len(keys) if limit is None else bisect_left(keys, limit)
+            final = bisect_left(keys, order[opened][0]) if opened < len(order) else len(keys)
             if final:
                 batch = []
                 for bits in keys[:final]:
@@ -388,26 +371,20 @@ class _Runner:
                     batch.append(SearchState(Bitmap(bits, n_bits), parent.level + 1))
                 yield batch
 
-    def valuate_children(self, frontier: list, direction: str) -> tuple:
+    def valuate_children(self, frontier: list, direction: str) -> list:
         """Valuate the frontier's unpruned children in bitmap order as
         ``expand`` yields them, adding each to the graph and the grid as
         soon as it is valuated, so an estimator failure loses no paid
-        valuation; returns (valuated, budget_hit).
+        valuation.
 
-        When the walk prunes, ``expand`` yields the whole level as one batch,
-        so every prune check reads the log as it stood before this side's
-        valuations.
+        When the walk prunes, every child of the side is checked before any
+        is valuated, so every prune check reads the log as it stood before
+        this side's valuations.
         """
-        out = []
-        for batch in self.expand(frontier, direction):
-            if self.pruning:
-                batch = [c for c in batch if not self.try_prune(c)]
-            for child in batch:
-                try:
-                    out.append(self.keep(self.valuate_one(child)))
-                except _BudgetExhausted:
-                    return out, True
-        return out, False
+        batches = self.expand(frontier, direction)
+        if self.pruning:
+            batches = [[c for batch in batches for c in batch if not self.try_prune(c)]]
+        return [self.keep(self.valuate_one(c)) for batch in batches for c in batch]
 
     def keep(self, valuated: SearchState) -> SearchState:
         self.graph.nodes[valuated.bitmap.bits] = valuated
@@ -471,27 +448,22 @@ class _Runner:
                 if bwd_start.bitmap.bits == fwd_root.bitmap.bits:
                     return
                 frontiers[1].append(self.start_root(bwd_start))
-        except _BudgetExhausted:
-            return
-        level = 0
-        while frontiers[0] or frontiers[1]:
-            if cfg.max_len is not None and level >= cfg.max_len:
-                break
-            if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
-                break  # frontiers met: every candidate between is explored
-            valuated: list = [[], []]
-            for side, direction in enumerate((FORWARD, BACKWARD)):
-                valuated[side], budget_hit = self.valuate_children(frontiers[side], direction)
-                if budget_hit:
+            level = 0
+            while frontiers[0] or frontiers[1]:
+                if cfg.max_len is not None and level >= cfg.max_len:
                     break
-            if self.pruning:
-                self.add_regions(*valuated)
-            if budget_hit:
-                break
-            if cfg.algorithm == "div":
-                valuated = self.diversify(valuated)
-            frontiers = valuated
-            level += 1
+                if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
+                    break  # frontiers met: every candidate between is explored
+                valuated = [self.valuate_children(frontier, direction)
+                            for frontier, direction in zip(frontiers, (FORWARD, BACKWARD))]
+                if self.pruning:
+                    self.add_regions(*valuated)
+                if cfg.algorithm == "div":
+                    valuated = self.diversify(valuated)
+                frontiers = valuated
+                level += 1
+        except _BudgetExhausted:
+            pass  # a stopped walk reads no regions, so the cut level adds none
 
 
 def run_algorithm(universal: UniversalTable, measures: MeasureSet, estimator,

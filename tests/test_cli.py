@@ -330,6 +330,19 @@ class TestRunCommand:
         assert manifest["partial"] is True and manifest["valuations"] == 0
         assert cause in manifest["failure"]
 
+    def test_hostile_child_failure_names_the_state(self, tmp_path, capsys):
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", "import sys\nsys.exit(1)"],
+                            "timeout": 10}
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        out = json.loads(capsys.readouterr().out)
+        failure = load_manifest(os.path.dirname(out["manifest"]))["failure"]
+        # the first valuation, of the full bitmap, is the one that failed
+        space = StateSpace(RunConfig(raw, base_dir=str(tmp_path)).build_universal())
+        assert f"(bitmap {space.full_bitmap().to_hex()})" in failure
+
     def test_extra_non_numeric_reply_key_is_ignored(self, tmp_path):
         child = CONSTANT_CHILD.replace("'model_size': 2.0}", "'model_size': 2.0, 'note': 'x'}")
         raw = json.loads(base_config(tmp_path).read_text())

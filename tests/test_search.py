@@ -253,6 +253,44 @@ class TestRunBi:
         everything = enumerate_all(u, est, ms, target="t")
         assert check_eps_cover(res.grid, everything, 0.3)["eps_cover_violations"] == []
 
+    def test_pruning_side_checks_every_child_before_valuating(self, monkeypatch):
+        # every prune check of a side reads the log as it stood before the
+        # side's valuations, however many batches ``expand`` yields
+        sides = []  # the "prune" and "estimate" events of each side, in order
+        real_side = search_module._Runner.valuate_children
+        real_prune = search_module._Runner.try_prune
+
+        def recording_side(runner, frontier, direction):
+            sides.append([])
+            return real_side(runner, frontier, direction)
+
+        def recording_prune(runner, child):
+            sides[-1].append("prune")
+            return real_prune(runner, child)
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def estimate(self, state, space):
+                if sides:  # the roots are valuated before the first side
+                    sides[-1].append("estimate")
+                return self.inner.estimate(state, space)
+
+        monkeypatch.setattr(search_module._Runner, "valuate_children", recording_side)
+        monkeypatch.setattr(search_module._Runner, "try_prune", recording_prune)
+        mixed = 0
+        for seed, budget in itertools.product(range(8), (7, 15, 40)):
+            u, ms, est = make_monotone_instance(seed)
+            sides.clear()
+            run_algorithm(u, ms, Recording(est), SearchConfig(
+                epsilon=0.2, target="t", algorithm="bi", budget=budget))
+            for events in sides:
+                if "estimate" in events:
+                    assert "prune" not in events[events.index("estimate"):]
+                    mixed += "prune" in events
+        assert mixed
+
 
 def worked_log_setup():
     u, ms_run, est, names, vectors = build_pruning_fixture()
@@ -551,7 +589,7 @@ class TestLazyExpansion:
         assert streamed == sorted(first_parent)
         assert all(c.level == 3 for batch in batches for c in batch)
         assert runner.graph.parents == first_parent
-        if cfg.algorithm == "bi" or cfg.budget == 2**31:
+        if cfg.budget == 2**31:
             assert len(batches) <= 1
 
     @pytest.mark.parametrize("seed", [0, 3, 5])

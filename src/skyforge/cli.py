@@ -91,7 +91,6 @@ CONFIG_SCHEMA = {
                     "raw_high": {"type": "number"},
                     "p_low": {"type": "number", "exclusiveMinimum": 0},
                     "p_high": {"type": "number", "maximum": 1},
-                    "decisive": {"type": "boolean"},
                 },
             },
         },
@@ -102,7 +101,6 @@ CONFIG_SCHEMA = {
                 "builtin": {"enum": ["lookup", "ridge"]},
                 "path": {"type": "string"},
                 "default": {"type": "object"},
-                "target": {"type": "string"},
                 "lam": {"type": "number", "minimum": 0},
                 "command": {"type": "array", "items": {"type": "string"}},
                 "timeout": {"type": "number", "exclusiveMinimum": 0},
@@ -123,7 +121,6 @@ CONFIG_SCHEMA = {
             },
         },
         "output_dir": {"type": "string"},
-        "verify_max_bits": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -133,6 +130,9 @@ _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SC
 
 @dataclass
 class RunConfig:
+    """A validated config; its ``measures`` (a ``MeasureSet``) and ``search``
+    (a ``SearchConfig``, which holds the target) are built once, at load."""
+
     raw: dict
     base_dir: str = "."
 
@@ -143,14 +143,14 @@ class RunConfig:
         est = self.raw["estimator"]
         if "builtin" not in est and "command" not in est:
             raise ArgumentError("estimator needs either a builtin name or a command")
-        if "target" in est and "target" in self.raw and est["target"] != self.raw["target"]:
-            raise ArgumentError(f"target {self.raw['target']!r} and estimator target "
-                                f"{est['target']!r} differ")
-        if est.get("builtin") == "ridge" and not (est.get("target") or self.raw.get("target")):
+        if est.get("builtin") == "ridge" and not self.raw.get("target"):
             raise ArgumentError("ridge estimator needs a target column")
+        # the schema's measure and search keys are MeasureSpec's and
+        # SearchConfig's field names, so the dataclasses hold every default
         try:
-            self.measure_set()
-            self.search_config()
+            self.measures = MeasureSet([MeasureSpec(**m) for m in self.raw["measures"]],
+                                       decisive=self.raw.get("decisive"))
+            self.search = SearchConfig(**self.raw["search"], target=self.raw.get("target"))
         except ArgumentError as exc:
             raise ArgumentError(f"config invalid: {exc}") from None
 
@@ -175,17 +175,6 @@ class RunConfig:
     def _path(self, p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(self.base_dir, p)
 
-    # the schema's measure and search keys are MeasureSpec's and
-    # SearchConfig's field names, so the dataclasses hold every default
-    def measure_set(self) -> MeasureSet:
-        specs = [MeasureSpec(**m) for m in self.raw["measures"]]
-        return MeasureSet(specs, decisive_override=self.raw.get("decisive"))
-
-    def search_config(self) -> SearchConfig:
-        # the estimator's own target is protected too
-        return SearchConfig(**self.raw["search"],
-                            target=self.raw.get("target") or self.raw["estimator"].get("target"))
-
     def build_universal(self) -> UniversalTable:
         sources = [ingest_csv(self._path(s["path"]), s["name"]) for s in self.raw["sources"]]
         join_keys = {}
@@ -193,13 +182,12 @@ class RunConfig:
             key = (jk["left"], jk["right"])
             join_keys.setdefault(key, []).extend(tuple(pair) for pair in jk["on"])
         u = build_universal(sources, join_keys)
-        return compress_rows(derive_all_literals(u, self.raw.get("max_clusters", 30)))
+        return compress_rows(derive_all_literals(u, **_given(self.raw, "max_clusters")))
 
     def build_estimator(self):
         est = self.raw["estimator"]
         if est.get("builtin") == "ridge":
-            return RidgeEstimator(est.get("target") or self.raw.get("target"),
-                                  lam=est.get("lam", 1e-8))
+            return RidgeEstimator(self.search.target, **_given(est, "lam"))
         if est.get("builtin") == "lookup":
             table = {}
             if "path" in est:
@@ -211,10 +199,16 @@ class RunConfig:
                 except (OSError, ValueError, TypeError, AttributeError) as exc:
                     raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
             return LookupEstimator(table, default=est.get("default"))
-        return SubprocessEstimator(est["command"], timeout=est.get("timeout", 60.0))
+        return SubprocessEstimator(est["command"], **_given(est, "timeout"))
 
     def output_dir(self) -> str:
         return self._path(self.raw.get("output_dir", "skyforge_out"))
+
+
+def _given(raw: dict, *keys) -> dict:
+    """The keyword arguments ``raw`` sets; the callee's signature holds the
+    default of every key it leaves out."""
+    return {key: raw[key] for key in keys if key in raw}
 
 
 # (flag, search key, type) of every command-line search override
@@ -298,7 +292,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
 def _build(cfg: RunConfig) -> tuple:
     """``(universal, measures, search config, estimator)``; the estimator
     comes last, so nothing it holds is left open by a failure before it."""
-    return cfg.build_universal(), cfg.measure_set(), cfg.search_config(), cfg.build_estimator()
+    return cfg.build_universal(), cfg.measures, cfg.search, cfg.build_estimator()
 
 
 def execute_run(cfg: RunConfig):
@@ -336,7 +330,7 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
     Returns ``(exit_code, report_dict)``.
     """
     universal, measures, search_cfg, estimator = _build(cfg)
-    cap = max_bits if max_bits is not None else cfg.raw.get("verify_max_bits", 20)
+    cap = {} if max_bits is None else {"max_bits": max_bits}  # enumerate_all's default
 
     try:
         result = run_algorithm(universal, measures, estimator, search_cfg)
@@ -345,8 +339,7 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
         oracle_log = TestLog()
         try:
             everything = enumerate_all(universal, estimator, measures,
-                                       target=search_cfg.target, max_bits=cap,
-                                       log=oracle_log)
+                                       target=search_cfg.target, log=oracle_log, **cap)
         except EnumerationCapError as exc:
             return EXIT_CAP, {"error": str(exc), "required": exc.required}
         except EstimatorFailure as exc:
@@ -375,6 +368,17 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
     return (EXIT_OK if report["ok"] else EXIT_VIOLATIONS), report
 
 
+def _positive_int(text: str) -> int:
+    """``--max-bits``' type: an integer >= 1, so a bad cap exits 2 at parsing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="skyforge",
                                      description="skyline dataset generation")
@@ -389,7 +393,7 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("run", help="generate skyline datasets"))
     verify_p = sub.add_parser("verify", help="check a run against full enumeration")
     add_common(verify_p)
-    verify_p.add_argument("--max-bits", dest="max_bits", type=int)
+    verify_p.add_argument("--max-bits", dest="max_bits", type=_positive_int)
 
     args = parser.parse_args(argv)
     try:

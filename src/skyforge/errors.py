@@ -12,8 +12,9 @@ class ArgumentError(SkyforgeError):
 class EstimatorFailure(SkyforgeError):
     """The estimator timed out, crashed, or violated the protocol.
 
-    Carries the bitmap of the state being valuated so a partial run can
-    report exactly where it stopped: the message names it once it is set.
+    Carries the bitmap of the state being valuated, which
+    ``measures.valuate`` attaches, so a partial run can report exactly where
+    it stopped: the message names it once it is set.
     """
 
     def __init__(self, message, bitmap=None):

@@ -37,7 +37,7 @@ class LookupEstimator:
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
-            raise EstimatorFailure("no lookup entry", bitmap=state.bitmap)
+            raise EstimatorFailure("no lookup entry")
         return dict(row)
 
     def close(self):
@@ -76,10 +76,7 @@ class RidgeEstimator:
     def estimate(self, state: SearchState, space: StateSpace) -> dict:
         attrs = space.active_attributes(state.bitmap)
         if self.target not in attrs:
-            raise EstimatorFailure(
-                f"target column {self.target!r} missing from state",
-                bitmap=state.bitmap,
-            )
+            raise EstimatorFailure(f"target column {self.target!r} missing from state")
         view = space.columns
         mask = space.row_mask(state.bitmap)
         # a feature has at least one number and nothing else among the rows
@@ -183,10 +180,10 @@ class SubprocessEstimator:
                 "columns": list(data.schema),
                 "csv_path": csv_path,
             }
-            response = self._roundtrip(request, state)
+            response = self._roundtrip(request)
             if not (isinstance(response, dict) and response.get("id") == request["id"]
                     and isinstance(response.get("measures"), dict)):
-                raise EstimatorFailure("malformed estimator response", bitmap=state.bitmap)
+                raise EstimatorFailure("malformed estimator response")
             return response["measures"]  # values are checked by normalize
         finally:
             try:
@@ -194,13 +191,13 @@ class SubprocessEstimator:
             except OSError:
                 pass
 
-    def _roundtrip(self, request: dict, state: SearchState) -> dict:
+    def _roundtrip(self, request: dict) -> dict:
         proc = self._ensure_proc()
         try:
             proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise EstimatorFailure(f"estimator pipe broke: {exc}", bitmap=state.bitmap)
+            raise EstimatorFailure(f"estimator pipe broke: {exc}")
         deadline = time.monotonic() + self.timeout
         fd = proc.stdout.fileno()
         with selectors.DefaultSelector() as selector:
@@ -209,19 +206,17 @@ class SubprocessEstimator:
                 if not selector.select(max(deadline - time.monotonic(), 0.0)):
                     proc.kill()
                     self.close()
-                    raise EstimatorFailure(
-                        f"estimator timed out after {self.timeout}s", bitmap=state.bitmap
-                    )
+                    raise EstimatorFailure(f"estimator timed out after {self.timeout}s")
                 chunk = os.read(fd, 1 << 16)
                 if not chunk:
                     raise EstimatorFailure("estimator protocol error: estimator closed "
-                                           "its stdout", bitmap=state.bitmap)
+                                           "its stdout")
                 self._unread += chunk
         raw, _, self._unread = self._unread.partition(b"\n")
         try:
             return json.loads(raw)
         except ValueError as exc:
-            raise EstimatorFailure(f"estimator protocol error: {exc}", bitmap=state.bitmap)
+            raise EstimatorFailure(f"estimator protocol error: {exc}")
 
     def close(self):
         """Close both pipes and reap the child, alive or not; idempotent."""

@@ -31,7 +31,6 @@ class MeasureSpec:
     raw_high: float = 1.0
     p_low: float = NORMALIZED_FLOOR
     p_high: float = 1.0
-    decisive: bool = False
 
     def __post_init__(self):
         if self.direction not in (MINIMIZE, MAXIMIZE):
@@ -43,21 +42,16 @@ class MeasureSpec:
 
 
 class MeasureSet:
-    """Ordered measure declarations with exactly one decisive measure.
+    """Ordered measure declarations with exactly one decisive measure:
+    ``decisive`` names it, and by default the last-declared one is."""
 
-    When no spec is flagged decisive, the last-declared one is.
-    """
-
-    def __init__(self, specs: Sequence[MeasureSpec], decisive_override: Optional[str] = None):
+    def __init__(self, specs: Sequence[MeasureSpec], decisive: Optional[str] = None):
         if not specs:
             raise ArgumentError("at least one measure is required")
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ArgumentError("duplicate measure names")
-        flagged = [s.name for s in specs if s.decisive]
-        if len(flagged) > 1:
-            raise ArgumentError("at most one measure may be decisive")
-        decisive = decisive_override or (flagged[0] if flagged else names[-1])
+        decisive = decisive or names[-1]
         if decisive not in names:
             raise ArgumentError(f"decisive measure {decisive!r} not declared")
         self.specs = tuple(specs)
@@ -141,22 +135,16 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
         return cached.perf, False
     try:
         raw = estimator.estimate(state, space)
-    except EstimatorFailure:
-        raise
-    except Exception as exc:  # protocol violation
-        raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=state.bitmap) from exc
-    values = []
-    for spec in measures:
-        if spec.name not in raw:
-            raise EstimatorFailure(
-                f"estimator returned no value for measure {spec.name!r}",
-                bitmap=state.bitmap,
-            )
-        try:
+        values = []
+        for spec in measures:
+            if spec.name not in raw:
+                raise EstimatorFailure(f"estimator returned no value for measure {spec.name!r}")
             values.append(normalize(spec, raw[spec.name]))
-        except EstimatorFailure as exc:
-            exc.bitmap = state.bitmap
-            raise
+    except EstimatorFailure as exc:  # the one place a failure learns its state
+        exc.bitmap = state.bitmap
+        raise
+    except Exception as exc:  # protocol violation, such as a reply that is no mapping
+        raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=state.bitmap) from exc
     perf = tuple(values)
     log.append(LogEntry(state.bitmap, perf, space.row_count(state.bitmap),
                         raw={s.name: float(raw[s.name]) for s in measures}))

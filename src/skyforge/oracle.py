@@ -51,18 +51,25 @@ def naive_eps_dominates(a: Sequence[float], b: Sequence[float], eps: float) -> b
     return anchored
 
 
+def _some_row(d: np.ndarray, t: np.ndarray, every, some) -> np.ndarray:
+    """``out[i]``: for some row ``r`` of ``d``, ``every(r[m], t[i, m])`` holds
+    at every measure ``m`` and ``some(r[m], t[i, m])`` at one or more; the
+    blocked pairwise loop of both kernels below."""
+    out = np.zeros(len(t), dtype=bool)
+    for rows in _row_blocks(len(t), len(d)):
+        b = t[rows]
+        all_hold = np.ones((len(b), len(d)), dtype=bool)
+        one_holds = np.zeros_like(all_hold)
+        for m in range(t.shape[1]):
+            all_hold &= every(d[None, :, m], b[:, None, m])
+            one_holds |= some(d[None, :, m], b[:, None, m])
+        out[rows] = (all_hold & one_holds).any(axis=1)
+    return out
+
+
 def _dominated(v: np.ndarray) -> np.ndarray:
     """``out[i]``: some row of ``v`` ``naive_dominates`` row ``i``."""
-    out = np.zeros(len(v), dtype=bool)
-    for rows in _row_blocks(len(v), len(v)):
-        b = v[rows]
-        no_worse = np.ones((len(b), len(v)), dtype=bool)
-        better = np.zeros_like(no_worse)
-        for m in range(v.shape[1]):
-            no_worse &= v[None, :, m] <= b[:, None, m]
-            better |= v[None, :, m] < b[:, None, m]
-        out[rows] = (no_worse & better).any(axis=1)
-    return out
+    return _some_row(v, v, np.less_equal, np.less)
 
 
 def naive_exact_pareto(states: Sequence[SearchState]) -> list:
@@ -84,28 +91,21 @@ def eps_covered(dominators, targets, eps: float) -> np.ndarray:
     """``out[i]``: some dominator ``naive_eps_dominates`` ``targets[i]``.
 
     Both arguments are float vectors of one width (valuated tuples or matrix
-    rows).  ``a`` eps-dominates ``b`` when no ``a[m] > (1+eps) * b[m]`` and
-    some ``a[m] <= b[m]``, the relaxed dominance the grid promises.
+    rows).  ``a`` eps-dominates ``b`` when every ``a[m] <= (1+eps) * b[m]``
+    and some ``a[m] <= b[m]``, the relaxed dominance the grid promises (on
+    finite vectors, as valuated ones are, the first test is the predicate's
+    "no ``a[m] > (1+eps) * b[m]``").
     """
     if eps < 0:
         raise ArgumentError("eps must be non-negative")
     factor = 1.0 + eps
     d = np.asarray(dominators, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    out = np.zeros(len(t), dtype=bool)
     if not len(d) or not len(t):
-        return out
+        return np.zeros(len(t), dtype=bool)
     if d.shape[1] != t.shape[1]:
         raise ArgumentError("performance vectors cover different measure sets")
-    for rows in _row_blocks(len(t), len(d)):
-        b = t[rows]
-        rejected = np.zeros((len(b), len(d)), dtype=bool)
-        anchored = np.zeros_like(rejected)
-        for m in range(t.shape[1]):
-            rejected |= d[None, :, m] > factor * b[:, None, m]
-            anchored |= d[None, :, m] <= b[:, None, m]
-        out[rows] = (anchored & ~rejected).any(axis=1)
-    return out
+    return _some_row(d, t, lambda x, y: x <= factor * y, np.less_equal)
 
 
 def state_count_bound(space: StateSpace) -> int:

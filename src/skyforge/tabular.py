@@ -209,19 +209,6 @@ class UniversalTable:
     def literals(self, attribute: str) -> tuple:
         return self.literal_index.get(attribute, ())
 
-    def cluster_of(self, attribute: str, value: Cell) -> Optional[int]:
-        """Index into ``literals(attribute)`` of the cluster a cell belongs to.
-
-        Numeric attributes map every value to the nearest representative;
-        categorical values without a literal (truncated tail) map to None.
-        """
-        if value is None:
-            return None
-        table = self._cluster_tables.get(attribute)
-        if table is None:
-            return None
-        return table.get(value)
-
     @cached_property
     def _cluster_tables(self) -> dict:
         """Attribute -> {cell value: cluster index}, built on first use
@@ -461,7 +448,7 @@ def kmeans_1d(values: Sequence[float], k: int) -> list:
     return [c for c in clusters if c]
 
 
-def derive_literals(u: UniversalTable, attribute: str, max_clusters: int = 30) -> list:
+def derive_literals(u: UniversalTable, attribute: str, max_clusters: int) -> list:
     """One equality literal per value cluster of the attribute.
 
     Numeric attributes cluster their active domain with deterministic 1-D

@@ -98,15 +98,6 @@ class TestConfigValidation:
             RunConfig(raw)
         assert str(info.value) == f"config invalid: {exc.message} at {list(exc.absolute_path)}"
 
-    def test_conflicting_targets_rejected_before_ingest(self, tmp_path, capsys):
-        path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}],
-                           target="f1", estimator={"builtin": "ridge", "target": "y"})
-        with pytest.raises(ArgumentError, match="'f1'.*'y'"):
-            RunConfig.from_file(str(path))
-        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
-        err = capsys.readouterr().err
-        assert "'f1'" in err and "'y'" in err and "missing.csv" not in err
-
     def test_missing_source_csv_exits_2(self, tmp_path, capsys):
         path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}])
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
@@ -131,11 +122,45 @@ class TestConfigValidation:
         path.write_text("{}")
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
 
-    def test_workers_key_rejected(self, tmp_path):
-        path = base_config(tmp_path, search={"algorithm": "apx", "epsilon": 0.3, "workers": 2})
+    @pytest.mark.parametrize("key", ["workers", "estimator.target", "measure.decisive",
+                                     "verify_max_bits"])
+    def test_retired_key_rejected(self, tmp_path, key):
+        # each value has one setting: the top-level target and "decisive",
+        # and verify's --max-bits
+        raw = json.loads(base_config(tmp_path).read_text())
+        if key == "workers":
+            raw["search"]["workers"] = 2
+        elif key == "estimator.target":
+            raw["estimator"]["target"] = "y"
+        elif key == "measure.decisive":
+            raw["measures"][0]["decisive"] = True
+        else:
+            raw["verify_max_bits"] = 20
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(raw))
         with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert main(["verify", "--config", str(path)]) == EXIT_BAD_CONFIG
+
+    def test_readme_configuration_example_loads(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            section = fh.read().split("### Configuration", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        cfg = RunConfig(json.loads(example))
+        assert cfg.search.target == "ci_index"
+        assert cfg.measures.decisive == "model_size"
+
+    def test_config_objects_built_once(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_file(str(base_config(tmp_path)))
+        built = []
+        for name in ("MeasureSet", "SearchConfig"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: built.append(a) or None)
+        _, measures, search_cfg, estimator = cli._build(cfg)
+        assert built == []
+        assert measures is cfg.measures and search_cfg is cfg.search
+        assert estimator.target == cfg.search.target == "y"
 
     @pytest.mark.parametrize("lam", [-1000, -1e-12])
     def test_negative_ridge_lam_exits_2(self, tmp_path, capsys, lam):
@@ -382,19 +407,6 @@ class TestRunCommand:
         assert manifest["epsilon"] == 0.5
         assert manifest["valuations"] <= 50
 
-    def test_ridge_target_protected_without_top_level_target(self, tmp_path):
-        path = base_config(tmp_path, estimator={"builtin": "ridge", "target": "y"})
-        raw = json.loads(path.read_text())
-        del raw["target"]
-        path.write_text(json.dumps(raw))
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        manifest = load_manifest(str(tmp_path / "out"))
-        assert manifest["grid"]
-        for entry in manifest["grid"]:
-            assert "y" in entry["columns"]
-            header = (tmp_path / "out" / entry["csv"]).read_text().splitlines()[0]
-            assert "y" in header.split(",")
-
     def test_schema_conflict_exits_2(self, tmp_path, capsys):
         (tmp_path / "left.csv").write_text("id,a\n1,2\n")
         (tmp_path / "right.csv").write_text("id,a\n1,3\n")
@@ -480,6 +492,14 @@ class TestVerifyCommand:
         assert code == EXIT_VIOLATIONS
         assert not payload["ok"]
         assert payload["eps_cover_violations"]
+
+    @pytest.mark.parametrize("cap", ["0", "-2", "two"])
+    def test_bad_max_bits_exits_2_before_search(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--config", str(base_config(tmp_path)), "--max-bits", cap])
+        assert info.value.code == EXIT_BAD_CONFIG
+        assert "--max-bits: must be an integer >= 1" in capsys.readouterr().err
 
     def test_cap_exceeded_exits_5(self, tmp_path):
         cfg = RunConfig.from_file(str(base_config(tmp_path)))

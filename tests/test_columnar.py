@@ -115,7 +115,7 @@ def ridge_mse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 
 def reference_mask(space: StateSpace, bits: int) -> tuple:
-    """(row mask, weighted count) straight from the rows and ``cluster_of``."""
+    """(row mask, weighted count) straight from the rows and the cluster tables."""
     u = space.universal
     rel = u.relation
     mask, count = 0, 0
@@ -125,7 +125,7 @@ def reference_mask(space: StateSpace, bits: int) -> tuple:
             kept = [i for i in space.attr_bits[a] if bits >> i & 1]
             if not kept or row[c] is None:
                 continue
-            cluster = u.cluster_of(a, row[c])
+            cluster = u._cluster_tables[a].get(row[c])
             if cluster is None or space.attr_bits[a][cluster] not in kept:
                 keep = False
                 break
@@ -293,7 +293,7 @@ class TestRidgeDifferential:
         # are fitted it is all NaN, and it imputes 0.0
         u = wide_rounded(7)
         space = StateSpace(u, protected=("y",))
-        keep = space.attr_bits["f10"][u.cluster_of("f10", 50.0)]
+        keep = space.attr_bits["f10"][u._cluster_tables["f10"].get(50.0)]
         bitmap = space.full_bitmap()
         for i in space.attr_bits["f10"]:
             if i != keep:

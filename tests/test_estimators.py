@@ -10,10 +10,14 @@ from skyforge import (
     EstimatorFailure,
     Literal,
     LookupEstimator,
+    MeasureSet,
+    MeasureSpec,
     Relation,
     RidgeEstimator,
     SubprocessEstimator,
+    TestLog,
     UniversalTable,
+    valuate,
 )
 from skyforge.estimators import HOLDOUT_ERROR, MODEL_SIZE, TRAIN_COST, TRAIN_ERROR, WORST_ERROR
 from skyforge.operators import StateSpace
@@ -27,12 +31,14 @@ def numeric_universal(rows, schema=("x", "y")):
 
 class TestLookup:
     def test_missing_bitmap_fails_with_bitmap_attached(self):
+        # valuate attaches the state's bitmap to every estimator failure
         u = numeric_universal([[1.0, 2.0], [2.0, 3.0]])
         space = StateSpace(u)
         est = LookupEstimator({})
         with pytest.raises(EstimatorFailure) as err:
-            est.estimate(space.root_state(), space)
+            valuate(space.root_state(), est, TestLog(), MeasureSet([MeasureSpec("m")]), space)
         assert err.value.bitmap == space.full_bitmap()
+        assert str(err.value) == f"no lookup entry (bitmap {space.full_bitmap().to_hex()})"
 
     def test_default_answers_unknown_states(self):
         u = numeric_universal([[1.0, 2.0]])

@@ -83,12 +83,8 @@ class TestMeasureSet:
         assert ms.grid_indices == (0, 1)
 
     def test_override(self):
-        ms = MeasureSet([MeasureSpec("a"), MeasureSpec("b")], decisive_override="a")
+        ms = MeasureSet([MeasureSpec("a"), MeasureSpec("b")], decisive="a")
         assert ms.decisive_index == 0
-
-    def test_two_decisive_flags_rejected(self):
-        with pytest.raises(ArgumentError):
-            MeasureSet([MeasureSpec("a", decisive=True), MeasureSpec("b", decisive=True)])
 
     def test_any_name_may_be_declared(self):
         # row counts are not a measure, so no measure name is reserved

@@ -195,6 +195,24 @@ class TestRunApx:
         logged = [SearchState(e.bitmap, perf=e.perf) for e in res.log]
         assert not check_eps_cover(res.grid, logged, 0.3)["eps_cover_violations"]
 
+    def test_non_mapping_estimate_ends_walk_as_failure(self, toy_universal):
+        class NoneAfterTwoCalls:
+            requires_feature = False
+            calls = 0
+
+            def estimate(self, state, space):
+                self.calls += 1
+                if self.calls > 2:
+                    return None
+                return {"rmse": 0.5, "r2_inv": 0.5, "train_cost": 0.5}
+
+        res = run_algorithm(toy_universal, three_measures(p_low=0.05), NoneAfterTwoCalls(),
+                            SearchConfig(epsilon=0.1))
+        assert res.partial and res.valuations == len(res.log) == 2
+        # the failure names the state whose estimate was not a mapping
+        assert res.failure.startswith("estimator raised TypeError(")
+        assert "NoneType" in res.failure and " (bitmap " in res.failure
+
 
 class TestRunBi:
     def test_needs_target(self):

@@ -337,12 +337,12 @@ class TestDeriveLiterals:
         # under the cached cluster tables
         index = {"a": derived.literals("a")}
         v = UniversalTable(relation=u.relation, literal_index=index)
-        assert v.cluster_of("a", 2) == 1
+        assert v._cluster_tables["a"].get(2) == 1
         with pytest.raises(TypeError):
             v.literal_index["a"] = (Literal("a", 2),)
         index["a"] = ()
         assert v.literals("a") == (Literal("a", 1), Literal("a", 2))
-        assert v.cluster_of("a", 2) == 1
+        assert v._cluster_tables["a"].get(2) == 1
 
 
 class TestCompressRows:
@@ -489,7 +489,7 @@ def assert_same_derivation(columns, k):
     tables = reference_cluster_tables(u)
     for a in schema:
         for v in u.relation.adom(a):
-            assert u.cluster_of(a, v) == tables[a].get(v), (a, v)
+            assert u._cluster_tables[a].get(v) == tables[a].get(v), (a, v)
     out = compress_rows(u)
     rows, weights = reference_compress(u, lambda a, v: tables[a].get(v))
     assert repr(out.relation.rows) == repr(tuple(rows))
@@ -545,7 +545,7 @@ class TestLiteralDifferential:
     def test_big_ints_compare_exactly(self, literals, cell, cluster):
         u = UniversalTable(relation=rel("u", ["x"], [[v] for v in (*literals, cell)]),
                            literal_index={"x": tuple(Literal("x", v) for v in literals)})
-        assert u.cluster_of("x", cell) == cluster
+        assert u._cluster_tables["x"].get(cell) == cluster
         assert u._cluster_tables == reference_cluster_tables(u)
 
 
@@ -668,7 +668,7 @@ def test_kmeans_k_equals_n(values):
 class TestOuterJoinCompression:
     """compress_rows and the StateSpace bit masks on a universal whose
     float columns are null-padded by an outer join, against per-cell
-    ``cluster_of``; at k >= 7 the cluster tables take the sorted kernel."""
+    lookups in ``_cluster_tables``; at k >= 7 the cluster tables take the sorted kernel."""
 
     def universal(self, k):
         rng = random.Random(k)
@@ -685,7 +685,7 @@ class TestOuterJoinCompression:
     def test_compress_rows_matches_per_cell_clusters(self, k):
         u = self.universal(k)
         out = compress_rows(u)
-        rows, weights = reference_compress(u, u.cluster_of)
+        rows, weights = reference_compress(u, lambda a, v: u._cluster_tables[a].get(v))
         assert repr(out.relation.rows) == repr(tuple(rows))
         assert list(out.relation.weights) == weights
 
@@ -709,7 +709,8 @@ class TestOuterJoinCompression:
                 # with only bit i set, attribute a keeps its nulls and cluster i
                 # and every other attribute is absent
                 c = u.schema.index(a)
+                table = u._cluster_tables[a]
                 keep = [r for r, row in enumerate(u.relation.rows)
-                        if row[c] is None or u.cluster_of(a, row[c]) == u.literals(a).index(lit)]
+                        if row[c] is None or table.get(row[c]) == u.literals(a).index(lit)]
                 mask = space.row_mask(space.bitmap_from_bits([i]))
                 assert space.row_indices(mask).tolist() == keep, (a, lit)

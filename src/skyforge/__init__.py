@@ -21,7 +21,6 @@ from .measures import (
     build_correlation_graph,
     estimate_bounds,
     normalize,
-    spearman,
     valuate,
 )
 from .operators import Bitmap, SearchState, StateSpace

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import jsonschema
 
@@ -23,7 +22,8 @@ from .errors import ArgumentError, EnumerationCapError, EstimatorFailure
 from .estimators import LookupEstimator, RidgeEstimator, SubprocessEstimator
 from .measures import MeasureSet, MeasureSpec, TestLog
 from .operators import Bitmap
-from .oracle import check_div_bound, check_eps_cover, check_pruned, enumerate_all, state_count_bound
+from .oracle import (MAX_BITS, _check_cap, check_div_bound, check_eps_cover, check_pruned,
+                     enumerate_all, state_count_bound)
 from .search import ALGORITHMS, RunResult, SearchConfig, run_algorithm
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
 
@@ -114,10 +114,10 @@ CONFIG_SCHEMA = {
                 "algorithm": {"enum": list(ALGORITHMS)},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "budget": {"type": "integer", "minimum": 1},
-                "max_len": {"type": ["integer", "null"], "minimum": 0},
+                "max_len": {"type": ["integer", "null"]},
                 "k": {"type": "integer", "minimum": 1},
                 "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-                "theta": {"type": "number", "minimum": 0},
+                "theta": {"type": "number"},
             },
         },
         "output_dir": {"type": "string"},
@@ -289,24 +289,19 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
     return manifest
 
 
-def _build(cfg: RunConfig) -> tuple:
-    """``(universal, measures, search config, estimator)``; the estimator
-    comes last, so nothing it holds is left open by a failure before it."""
-    return cfg.build_universal(), cfg.measures, cfg.search, cfg.build_estimator()
-
-
 def execute_run(cfg: RunConfig):
     """Build everything and run the configured algorithm.
 
     Returns ``(exit_code, manifest, result, space)``.
     """
-    universal, measures, search_cfg, estimator = _build(cfg)
+    universal = cfg.build_universal()
+    estimator = cfg.build_estimator()  # last: a failure before it leaves nothing open
     out_dir = cfg.output_dir()
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     try:
-        result = run_algorithm(universal, measures, estimator, search_cfg)
+        result = run_algorithm(universal, cfg.measures, estimator, cfg.search)
         wall = time.perf_counter() - started
     finally:
         estimator.close()
@@ -324,13 +319,18 @@ def execute_run(cfg: RunConfig):
     return EXIT_OK, manifest, result, space
 
 
-def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
+def execute_verify(cfg: RunConfig, max_bits: int = MAX_BITS):
     """Run the configured algorithm, then check it against full enumeration.
 
-    Returns ``(exit_code, report_dict)``.
+    An instance over the ``max_bits`` cap is refused before its search and
+    its estimator.  Returns ``(exit_code, report_dict)``.
     """
-    universal, measures, search_cfg, estimator = _build(cfg)
-    cap = {} if max_bits is None else {"max_bits": max_bits}  # enumerate_all's default
+    universal, measures, search_cfg = cfg.build_universal(), cfg.measures, cfg.search
+    try:
+        _check_cap(universal, search_cfg.target, max_bits)
+    except EnumerationCapError as exc:
+        return EXIT_CAP, {"error": str(exc), "required": exc.required}
+    estimator = cfg.build_estimator()
 
     try:
         result = run_algorithm(universal, measures, estimator, search_cfg)
@@ -338,10 +338,8 @@ def execute_verify(cfg: RunConfig, max_bits: Optional[int] = None):
             return EXIT_ESTIMATOR, {"error": result.failure or "estimator failure"}
         oracle_log = TestLog()
         try:
-            everything = enumerate_all(universal, estimator, measures,
-                                       target=search_cfg.target, log=oracle_log, **cap)
-        except EnumerationCapError as exc:
-            return EXIT_CAP, {"error": str(exc), "required": exc.required}
+            everything = enumerate_all(universal, estimator, measures, target=search_cfg.target,
+                                       max_bits=max_bits, log=oracle_log)
         except EstimatorFailure as exc:
             return EXIT_ESTIMATOR, {"error": str(exc)}
     finally:
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("run", help="generate skyline datasets"))
     verify_p = sub.add_parser("verify", help="check a run against full enumeration")
     add_common(verify_p)
-    verify_p.add_argument("--max-bits", dest="max_bits", type=_positive_int)
+    verify_p.add_argument("--max-bits", dest="max_bits", type=_positive_int, default=MAX_BITS)
 
     args = parser.parse_args(argv)
     try:
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
                 "manifest": os.path.join(cfg.output_dir(), "manifest.json"),
             }, sort_keys=True))
             return code
-        code, payload = execute_verify(cfg, max_bits=getattr(args, "max_bits", None))
+        code, payload = execute_verify(cfg, max_bits=args.max_bits)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return code
     except ArgumentError as exc:

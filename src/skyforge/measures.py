@@ -166,40 +166,29 @@ def _rank(values: Sequence[float]) -> list:
     return ranks
 
 
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Spearman rank correlation with average-rank ties.
-
-    Returns None for constant sequences (undefined correlation).
-    """
-    if len(xs) != len(ys):
-        raise ArgumentError("sequences must have equal length")
-    if len(xs) < 2:
-        raise ArgumentError("need at least two observations")
-    rx, ry = _rank(xs), _rank(ys)
-    mx = sum(rx) / len(rx)
-    my = sum(ry) / len(ry)
-    sxx = sum((a - mx) ** 2 for a in rx)
-    syy = sum((b - my) ** 2 for b in ry)
-    if sxx == 0 or syy == 0:
-        return None
-    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    return sxy / math.sqrt(sxx * syy)
-
-
-CORRELATION_MIN_SUPPORT = 3
-
-
 def build_correlation_graph(log: TestLog, theta: float, measures: MeasureSet) -> dict:
     """Measure index -> Spearman rho of that measure against the row count
-    over the log, for every measure with ``|rho| >= theta``; below three
-    logged entries no measure correlates."""
-    if len(log) < CORRELATION_MIN_SUPPORT:
+    over the log, for every measure with ``|rho| >= theta``; the row counts
+    are ranked once.  No measure correlates below three logged entries or
+    with constant row counts, and a constant measure never does."""
+    n = len(log)
+    if n < 3:
         return {}
-    rows = [float(entry.row_count) for entry in log]
+    ry = _rank([float(entry.row_count) for entry in log])
+    my = sum(ry) / n
+    dy = [b - my for b in ry]
+    syy = sum(d ** 2 for d in dy)
+    if syy == 0:
+        return {}
     graph = {}
     for i in range(len(measures)):
-        rho = spearman([entry.perf[i] for entry in log], rows)
-        if rho is not None and abs(rho) >= theta:
+        rx = _rank([entry.perf[i] for entry in log])
+        mx = sum(rx) / n
+        sxx = sum((a - mx) ** 2 for a in rx)
+        if sxx == 0:
+            continue
+        rho = sum((a - mx) * d for a, d in zip(rx, dy)) / math.sqrt(sxx * syy)
+        if abs(rho) >= theta:
             graph[i] = rho
     return graph
 

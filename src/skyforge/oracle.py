@@ -24,6 +24,8 @@ from .search import PrunedState, div_score
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
 
+MAX_BITS = 20  # the default enumeration cap, in bitmap bits
+
 
 def naive_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when ``a`` is no worse than ``b`` everywhere and better somewhere."""
@@ -113,8 +115,20 @@ def state_count_bound(space: StateSpace) -> int:
     return 2 ** space.free_bits.bit_count() - (0 if space.protected else 1)
 
 
+def _check_cap(universal: UniversalTable, target: Optional[str], max_bits: int):
+    """Refuse an instance whose bitmap (one bit per literal) is longer than
+    ``max_bits``; only a refusal builds a state space, to count ``required``."""
+    if max_bits < 1:
+        raise ArgumentError(f"the enumeration cap must be at least 1 bit, got {max_bits!r}")
+    n_bits = sum(len(universal.literals(a)) for a in universal.schema)
+    if n_bits > max_bits:
+        space = StateSpace(universal, protected=(target,))
+        raise EnumerationCapError(f"bitmap length {n_bits} exceeds the {max_bits}-bit enumeration cap",
+                                  required=state_count_bound(space))
+
+
 def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
-                  target: Optional[str] = None, max_bits: int = 20,
+                  target: Optional[str] = None, max_bits: int = MAX_BITS,
                   log: Optional[TestLog] = None) -> list:
     """Valuate every non-degenerate state of the instance, in ascending
     bitmap order.
@@ -123,13 +137,8 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     bit of the protected target, when given.  Refuses instances whose bitmap
     is longer than ``max_bits``.
     """
-    protected = (target,) if target else ()
-    space = StateSpace(universal, protected=protected)
-    if space.n_bits > max_bits:
-        raise EnumerationCapError(
-            f"bitmap length {space.n_bits} exceeds the {max_bits}-bit enumeration cap",
-            required=state_count_bound(space),
-        )
+    _check_cap(universal, target, max_bits)
+    space = StateSpace(universal, protected=(target,))
     log = log if log is not None else TestLog()
     free = space.free_bits
     fixed = space.full_bitmap().bits & ~free

@@ -46,6 +46,10 @@ class SearchConfig:
             raise ArgumentError("epsilon must be positive")
         if self.budget < 1:
             raise ArgumentError("budget must be at least 1")
+        if self.max_len is not None and self.max_len < 0:
+            raise ArgumentError("max_len must be non-negative")
+        if not self.theta >= 0:
+            raise ArgumentError("theta must be non-negative")
         if self.algorithm not in ALGORITHMS:
             raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "div" and self.k < 1:

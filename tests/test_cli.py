@@ -11,6 +11,7 @@ import pytest
 import skyforge.cli as cli
 from skyforge import ArgumentError, Bitmap, SearchState
 from skyforge.operators import StateSpace
+from skyforge.oracle import state_count_bound
 from skyforge.tabular import Literal
 from skyforge.cli import (
     EXIT_BAD_CONFIG,
@@ -154,13 +155,35 @@ class TestConfigValidation:
 
     def test_config_objects_built_once(self, tmp_path, monkeypatch):
         cfg = RunConfig.from_file(str(base_config(tmp_path)))
-        built = []
+        built, searched = [], []
         for name in ("MeasureSet", "SearchConfig"):
             monkeypatch.setattr(cli, name, lambda *a, **k: built.append(a) or None)
-        _, measures, search_cfg, estimator = cli._build(cfg)
+        run_algorithm = cli.run_algorithm
+
+        def recording(universal, measures, estimator, search_cfg):
+            searched.append((measures, search_cfg, estimator.target))
+            return run_algorithm(universal, measures, estimator, search_cfg)
+
+        monkeypatch.setattr(cli, "run_algorithm", recording)
+        assert execute_run(cfg)[0] == EXIT_OK
+        assert execute_verify(cfg)[0] == EXIT_OK
         assert built == []
-        assert measures is cfg.measures and search_cfg is cfg.search
-        assert estimator.target == cfg.search.target == "y"
+        assert searched == [(cfg.measures, cfg.search, "y")] * 2
+        assert all(m is cfg.measures and s is cfg.search for m, s, _ in searched)
+
+    @pytest.mark.parametrize("key, flag", [("theta", "--theta"), ("max_len", "--max-length")])
+    def test_negative_theta_or_max_len_exits_2_before_ingest(self, tmp_path, capsys, key, flag):
+        # SearchConfig owns both ranges; the schema only checks the types
+        path = base_config(tmp_path, sources=[{"path": "missing.csv", "name": "pool"}])
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path), flag, "-1"]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert f"{key} must be non-negative" in err and "missing.csv" not in err
+        raw = json.loads(path.read_text())
+        raw["search"][key] = -1
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ArgumentError, match=f"config invalid: {key} must be non-negative"):
+            RunConfig.from_file(str(path))
 
     @pytest.mark.parametrize("lam", [-1000, -1e-12])
     def test_negative_ridge_lam_exits_2(self, tmp_path, capsys, lam):
@@ -506,6 +529,36 @@ class TestVerifyCommand:
         code, payload = execute_verify(cfg, max_bits=3)
         assert code == EXIT_CAP
         assert payload["required"] > 0
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        """Fails a test that searches or builds an estimator."""
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        monkeypatch.setattr(RunConfig, "build_estimator",
+                            lambda self: pytest.fail("estimator built"))
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_bad_cap_raises_before_search(self, tmp_path, no_search, cap):
+        cfg = RunConfig.from_file(str(base_config(tmp_path)))
+        with pytest.raises(ArgumentError, match="at least 1"):
+            execute_verify(cfg, max_bits=cap)
+
+    def test_cap_exceeded_refused_before_search(self, tmp_path, no_search):
+        cfg = RunConfig.from_file(str(base_config(tmp_path)))
+        space = StateSpace(cfg.build_universal(), protected=("y",))
+        cap = space.n_bits - 1
+        code, payload = execute_verify(cfg, max_bits=cap)
+        assert code == EXIT_CAP
+        assert payload == {
+            "error": f"bitmap length {space.n_bits} exceeds the {cap}-bit enumeration cap",
+            "required": state_count_bound(space),
+        }
+
+    def test_cap_equal_to_bitmap_length_verifies(self, tmp_path):
+        cfg = RunConfig.from_file(str(base_config(tmp_path)))
+        n_bits = StateSpace(cfg.build_universal()).n_bits
+        code, payload = execute_verify(cfg, max_bits=n_bits)
+        assert code == EXIT_OK and payload["ok"]
 
     def test_estimator_failure_in_enumeration_exits_3(self, tmp_path, capsys):
         # the run valuates only the full bitmap, which the table answers;

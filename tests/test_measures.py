@@ -1,9 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyforge import (
-    ArgumentError,
     Bitmap,
     EstimatorFailure,
     LookupEstimator,
@@ -15,7 +16,6 @@ from skyforge import (
     build_correlation_graph,
     estimate_bounds,
     normalize,
-    spearman,
     valuate,
 )
 from skyforge.estimators import TRAIN_ERROR
@@ -135,27 +135,81 @@ class TestValuate:
         assert got[0] == NORMALIZED_FLOOR
 
 
+def column_log(columns, rows) -> TestLog:
+    """A log whose entry ``j`` has the vector ``(c[j] for c in columns)`` and
+    row count ``rows[j]``."""
+    log = TestLog()
+    for j, row_count in enumerate(rows):
+        log.append(LogEntry(Bitmap(j, 64), tuple(c[j] for c in columns), row_count))
+    return log
+
+
+def rho(column, rows):
+    """The rho ``build_correlation_graph`` reports for one measure, None when
+    it reports none at threshold 0."""
+    graph = build_correlation_graph(column_log([column], rows), 0, MeasureSet([MeasureSpec("m")]))
+    return graph.get(0)
+
+
+def reference_rank(values):
+    """Average ranks, ties sharing their mean rank: the reference for the graph."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2 + 1
+        for t in range(i, j + 1):
+            ranks[order[t]] = avg
+        i = j + 1
+    return ranks
+
+
+def reference_spearman(xs, ys):
+    """A general Spearman rho, None when either sequence is constant."""
+    rx, ry = reference_rank(xs), reference_rank(ys)
+    mx = sum(rx) / len(rx)
+    my = sum(ry) / len(ry)
+    sxx = sum((a - mx) ** 2 for a in rx)
+    syy = sum((b - my) ** 2 for b in ry)
+    if sxx == 0 or syy == 0:
+        return None
+    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    return sxy / math.sqrt(sxx * syy)
+
+
+def reference_graph(log, theta, measures):
+    """The correlation graph from one general ``reference_spearman`` call per measure."""
+    if len(log) < 3:
+        return {}
+    rows = [float(entry.row_count) for entry in log]
+    graph = {}
+    for i in range(len(measures)):
+        r = reference_spearman([entry.perf[i] for entry in log], rows)
+        if r is not None and abs(r) >= theta:
+            graph[i] = r
+    return graph
+
+
 class TestSpearman:
     def test_perfect_monotone(self):
-        assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+        assert rho([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
 
     def test_perfect_reverse(self):
-        assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
+        assert rho([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
 
     def test_rank_formula_example(self):
         # d^2 = 4 over n = 4: rho = 1 - 24/60
-        assert spearman([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
+        assert rho([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
 
     def test_constant_sequence_undefined(self):
-        assert spearman([1, 1, 1], [1, 2, 3]) is None
+        assert rho([1, 1, 1], [1, 2, 3]) is None
 
     def test_tie_handling_uses_average_ranks(self):
-        got = spearman([1, 1, 2, 3], [1, 2, 3, 4])
+        got = rho([1, 1, 2, 3], [1, 2, 3, 4])
         assert got == pytest.approx(0.9486832980505138)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ArgumentError):
-            spearman([1], [1, 2])
 
 
 @pytest.fixture
@@ -196,6 +250,22 @@ class TestCorrelationGraph:
         graph = build_correlation_graph(log, 0.5, ms)
         assert 0 not in graph
         assert graph == {1: pytest.approx(1.0), 2: pytest.approx(1.0)}
+
+    def test_constant_row_counts_give_empty_graph(self):
+        log = column_log([(0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1), (0.2, 0.4, 0.1, 0.3)],
+                         [6, 6, 6, 6])
+        assert build_correlation_graph(log, 0, three_measures()) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40), theta=st.sampled_from([0, 0.5, 0.8]))
+    def test_equals_per_measure_spearman_reference(self, data, n, theta):
+        # few distinct values, so ties and constant columns are common
+        values = st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7]), min_size=n, max_size=n)
+        columns = [data.draw(values) for _ in range(3)]
+        rows = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        ms = three_measures()
+        log = column_log(columns, rows)
+        assert build_correlation_graph(log, theta, ms) == reference_graph(log, theta, ms)
 
     def test_weak_pair_has_no_edge(self):
         ms = three_measures()

@@ -79,6 +79,11 @@ class TestEnumerateAll:
             enumerate_all(u, flat_estimator(), flat_measures(), max_bits=20)
         assert err.value.required == 8 ** 7 - 1
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_an_argument_error(self, cap):
+        with pytest.raises(ArgumentError, match="at least 1"):
+            enumerate_all(plain_universal([2, 1]), flat_estimator(), flat_measures(), max_bits=cap)
+
     def test_states_come_back_valuated_and_sorted(self):
         u = plain_universal([2, 1])
         states = enumerate_all(u, flat_estimator(), flat_measures())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -69,6 +70,16 @@ class TestSearchConfig:
             SearchConfig(epsilon=0.1, algorithm="div", k=0)
         with pytest.raises(ArgumentError):
             SearchConfig(epsilon=0.1, alpha=1.5)
+
+    @pytest.mark.parametrize("bad", [{"theta": -5}, {"theta": -1e-9}, {"theta": math.nan},
+                                     {"max_len": -1}])
+    def test_theta_and_max_len_ranges(self, bad):
+        with pytest.raises(ArgumentError, match=next(iter(bad))):
+            SearchConfig(epsilon=0.1, **bad)
+
+    def test_theta_and_max_len_bounds_accepted(self):
+        cfg = SearchConfig(epsilon=0.1, theta=0, max_len=0)
+        assert (cfg.theta, cfg.max_len) == (0, 0)
 
 
 class TestBackSt:

@@ -24,7 +24,7 @@ from .measures import MeasureSet, MeasureSpec, TestLog
 from .operators import Bitmap
 from .oracle import (MAX_BITS, _check_cap, check_div_bound, check_eps_cover, check_pruned,
                      enumerate_all, state_count_bound)
-from .search import ALGORITHMS, RunResult, SearchConfig, run_algorithm
+from .search import RunResult, SearchConfig, run_algorithm
 from .tabular import UniversalTable, build_universal, compress_rows, derive_all_literals, ingest_csv, write_csv
 
 EXIT_OK = 0
@@ -34,6 +34,9 @@ EXIT_ESTIMATOR = 3
 EXIT_EMPTY = 4
 EXIT_CAP = 5
 
+# the document's shape only: keys, JSON types, join-key pairs and the builtin
+# estimator names; each value's range is checked by the object that owns it
+_STR, _NUM, _INT = {"type": "string"}, {"type": "number"}, {"type": "integer"}
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["sources", "measures", "estimator", "search"],
@@ -41,15 +44,11 @@ CONFIG_SCHEMA = {
     "properties": {
         "sources": {
             "type": "array",
-            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["path", "name"],
                 "additionalProperties": False,
-                "properties": {
-                    "path": {"type": "string"},
-                    "name": {"type": "string"},
-                },
+                "properties": {"path": _STR, "name": _STR},
             },
         },
         "join_keys": {
@@ -59,39 +58,27 @@ CONFIG_SCHEMA = {
                 "required": ["left", "right", "on"],
                 "additionalProperties": False,
                 "properties": {
-                    "left": {"type": "string"},
-                    "right": {"type": "string"},
+                    "left": _STR,
+                    "right": _STR,
                     "on": {
                         "type": "array",
                         "minItems": 1,
-                        "items": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "string"},
-                        },
+                        "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": _STR},
                     },
                 },
             },
         },
-        "target": {"type": "string"},
-        "max_clusters": {"type": "integer", "minimum": 1},
-        "decisive": {"type": "string"},
+        "target": _STR,
+        "max_clusters": _INT,
+        "decisive": _STR,
         "measures": {
             "type": "array",
-            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["name"],
                 "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "direction": {"enum": ["minimize", "maximize"]},
-                    "raw_low": {"type": "number"},
-                    "raw_high": {"type": "number"},
-                    "p_low": {"type": "number", "exclusiveMinimum": 0},
-                    "p_high": {"type": "number", "maximum": 1},
-                },
+                "properties": {"name": _STR, "direction": _STR, "raw_low": _NUM,
+                               "raw_high": _NUM, "p_low": _NUM, "p_high": _NUM},
             },
         },
         "estimator": {
@@ -99,11 +86,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "builtin": {"enum": ["lookup", "ridge"]},
-                "path": {"type": "string"},
-                "default": {"type": "object"},
-                "lam": {"type": "number", "minimum": 0},
-                "command": {"type": "array", "items": {"type": "string"}},
-                "timeout": {"type": "number", "exclusiveMinimum": 0},
+                "path": _STR, "default": {"type": "object"}, "lam": _NUM,
+                "command": {"type": "array", "items": _STR}, "timeout": _NUM,
             },
         },
         "search": {
@@ -111,16 +95,11 @@ CONFIG_SCHEMA = {
             "required": ["epsilon"],
             "additionalProperties": False,
             "properties": {
-                "algorithm": {"enum": list(ALGORITHMS)},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "budget": {"type": "integer", "minimum": 1},
-                "max_len": {"type": ["integer", "null"]},
-                "k": {"type": "integer", "minimum": 1},
-                "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-                "theta": {"type": "number"},
+                "algorithm": _STR, "epsilon": _NUM, "budget": _INT,
+                "max_len": {"type": ["integer", "null"]}, "k": _INT, "alpha": _NUM, "theta": _NUM,
             },
         },
-        "output_dir": {"type": "string"},
+        "output_dir": _STR,
     },
 }
 
@@ -297,7 +276,12 @@ def execute_run(cfg: RunConfig):
     universal = cfg.build_universal()
     estimator = cfg.build_estimator()  # last: a failure before it leaves nothing open
     out_dir = cfg.output_dir()
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        estimator.close()
+        raise ArgumentError(f"cannot create output directory {out_dir}: "
+                            f"{exc.strerror or exc}") from None
 
     started = time.perf_counter()
     try:
@@ -385,8 +369,7 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", required=True)
         for flag, key, kind in _SEARCH_FLAGS:
-            p.add_argument(flag, dest=key, type=kind,
-                           choices=ALGORITHMS if key == "algorithm" else None)
+            p.add_argument(flag, dest=key, type=kind)
 
     add_common(sub.add_parser("run", help="generate skyline datasets"))
     verify_p = sub.add_parser("verify", help="check a run against full enumeration")

@@ -10,6 +10,7 @@ import json
 import os
 import selectors
 import subprocess
+import sys
 import tempfile
 import time
 from typing import Optional, Sequence
@@ -68,7 +69,7 @@ class RidgeEstimator:
     def __init__(self, target: str, lam: float = 1e-8):
         if not target:
             raise ArgumentError("ridge estimator needs a target column")
-        if not 0 <= lam < np.inf:  # also false for NaN
+        if not 0 <= lam <= sys.float_info.max:  # also false for NaN
             raise ArgumentError(f"ridge lam must be finite and >= 0, got {lam!r}")
         self.target = target
         self.lam = lam
@@ -146,6 +147,8 @@ class SubprocessEstimator:
     def __init__(self, command: Sequence[str], timeout: float = 60.0):
         if not command:
             raise ArgumentError("subprocess estimator needs a command")
+        if not 0 < timeout <= sys.float_info.max:  # also false for NaN
+            raise ArgumentError(f"estimator timeout must be finite and positive, got {timeout!r}")
         self.command = list(command)
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None

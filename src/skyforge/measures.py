@@ -11,6 +11,7 @@ cache.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,8 +36,10 @@ class MeasureSpec:
     def __post_init__(self):
         if self.direction not in (MINIMIZE, MAXIMIZE):
             raise ArgumentError(f"bad direction {self.direction!r}")
-        if not self.raw_high > self.raw_low:
-            raise ArgumentError(f"{self.name}: raw_high must exceed raw_low")
+        big = sys.float_info.max  # NaN fails every comparison
+        if not (-big <= self.raw_low < self.raw_high <= big
+                and self.raw_high - self.raw_low <= big):
+            raise ArgumentError(f"{self.name}: need finite raw_low < raw_high with a finite span")
         if not (0.0 < self.p_low <= self.p_high <= 1.0):
             raise ArgumentError(f"{self.name}: need 0 < p_low <= p_high <= 1")
 

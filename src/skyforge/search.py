@@ -15,6 +15,7 @@ tests; each level builds one ``SearchState`` per distinct child it yields.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,16 +43,20 @@ class SearchConfig:
     target: Optional[str] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ArgumentError("epsilon must be positive")
+        # NaN fails every comparison and nothing finite exceeds
+        # sys.float_info.max, so the float ranges also refuse NaN and infinity
+        if self.algorithm not in ALGORITHMS:
+            raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
+        if not 0 < self.epsilon <= sys.float_info.max:
+            raise ArgumentError("epsilon must be finite and positive")
         if self.budget < 1:
             raise ArgumentError("budget must be at least 1")
         if self.max_len is not None and self.max_len < 0:
             raise ArgumentError("max_len must be non-negative")
-        if not self.theta >= 0:
-            raise ArgumentError("theta must be non-negative")
-        if self.algorithm not in ALGORITHMS:
-            raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
+        if not 0 <= self.theta <= sys.float_info.max:
+            raise ArgumentError("theta must be non-negative and finite")
+        if self.k < 0:
+            raise ArgumentError("k must be non-negative")
         if self.algorithm == "div" and self.k < 1:
             raise ArgumentError("diversified search needs k >= 1")
         if self.algorithm != "apx" and not self.target:

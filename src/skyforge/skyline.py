@@ -11,6 +11,7 @@ approximation argument.  The dominance predicates that check this live in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
@@ -36,8 +37,8 @@ class SkylineGrid:
     below_floor: set = field(default_factory=set)  # bitmaps seen under p_low
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ArgumentError("epsilon must be positive")
+        if not 0 < self.epsilon <= sys.float_info.max:  # also false for NaN
+            raise ArgumentError("epsilon must be finite and positive")
         self._log_base = math.log1p(self.epsilon)
 
     def _coord(self, value: float, p_low: float) -> int:

@@ -377,9 +377,12 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
     """
     if not sources:
         raise ArgumentError("at least one source relation is required")
+    names = {}
+    for s in sources:
+        if names.setdefault(s.name, s) is not s:
+            raise ArgumentError(f"duplicate source name {s.name!r}")
     join_keys = join_keys or {}
     for (a, b), attr_pairs in join_keys.items():
-        names = {s.name: s for s in sources}
         if a not in names or b not in names:
             raise ArgumentError(f"join key references unknown relation ({a!r}, {b!r})")
         for la, ra in attr_pairs:

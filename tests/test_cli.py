@@ -63,6 +63,36 @@ def base_config(tmp_path, **overrides):
     return path
 
 
+# every float key with NaN and both infinities (Python's json reads and
+# writes them), then one finite value out of range for each key
+FLOAT_KEYS = ("epsilon", "alpha", "theta", "raw_low", "raw_high", "p_low", "p_high", "lam",
+              "timeout")
+BAD_VALUES = [(key, value) for key in FLOAT_KEYS for value in (math.nan, math.inf, -math.inf)] + [
+    ("epsilon", 0), ("alpha", 1.5), ("theta", -0.5), ("raw_low", 200), ("raw_high", -1),
+    ("p_low", 0), ("p_high", 1.5), ("lam", -1), ("timeout", 0), ("budget", 0), ("k", -1),
+    ("max_len", -1), ("max_clusters", 0), ("algorithm", "foo"), ("direction", "up"),
+    ("sources", []), ("measures", []),
+]
+
+
+def config_with(tmp_path, key, value):
+    """``base_config`` with one value replaced, wherever its key lives."""
+    raw = json.loads(base_config(tmp_path).read_text())
+    if key in ("raw_low", "raw_high", "p_low", "p_high", "direction"):
+        raw["measures"][0][key] = value
+    elif key == "lam":
+        raw["estimator"]["lam"] = value
+    elif key == "timeout":
+        raw["estimator"] = {"command": [sys.executable, "-c", CONSTANT_CHILD], "timeout": value}
+    elif key in ("max_clusters", "sources", "measures"):
+        raw[key] = value
+    else:
+        raw["search"][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def load_manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         return json.load(fh)
@@ -191,6 +221,56 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
         assert "lam" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=str)
+    def test_bad_value_exits_2_before_search(self, tmp_path, monkeypatch, capsys, key, value):
+        # the schema checks only types; each value's owner checks its range
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        path = config_with(tmp_path, key, value)
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path)]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("skyforge: ")
+            assert key.rstrip("s") in err  # "sources" -> "source", "measures" -> "measure"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_zero_k_on_apx_runs(self, tmp_path, command):
+        path = config_with(tmp_path, "k", 0)
+        assert main([command, "--config", str(path)]) == EXIT_OK
+
+    def test_unknown_algorithm_flag_exits_2(self, tmp_path, capsys):
+        path = base_config(tmp_path)
+        assert main(["run", "--config", str(path), "--algorithm", "foo"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "skyforge: config invalid: unknown algorithm 'foo'\n"
+
+    def test_duplicate_source_names_exit_2(self, tmp_path, capsys):
+        (tmp_path / "extra.csv").write_text("y,g\n" + "\n".join(
+            f"{2.0 * i + (i % 3)},{float(i % 2)}" for i in range(12)) + "\n")
+        path = base_config(tmp_path, sources=[{"path": "pool.csv", "name": "pool"},
+                                              {"path": "extra.csv", "name": "pool"}],
+                           join_keys=[{"left": "pool", "right": "pool", "on": [["y", "y"]]}])
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "skyforge: duplicate source name 'pool'\n"
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        closed = []
+        build_estimator = RunConfig.build_estimator
+
+        def recording(cfg):
+            estimator = build_estimator(cfg)
+            monkeypatch.setattr(estimator, "close", lambda: closed.append(estimator))
+            return estimator
+
+        monkeypatch.setattr(RunConfig, "build_estimator", recording)
+        path = base_config(tmp_path)
+        (tmp_path / "out").write_text("a file, not a directory\n")
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("skyforge: cannot create output directory ")
+        assert str(tmp_path / "out") in err and len(err.splitlines()) == 1
+        assert len(closed) == 1
 
     def test_bad_measure_range_rejected_at_load(self, tmp_path):
         path = base_config(tmp_path)

@@ -165,6 +165,12 @@ class TestSubprocess:
             est.close()
         assert out == {"rows_seen": 5.0, "cols": 2.0}
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), 10 ** 400],
+                             ids=["zero", "negative", "nan", "inf", "int-beyond-float"])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, timeout):
+        with pytest.raises(ArgumentError, match="timeout"):
+            self.make(tmp_path, CHILD_OK, timeout=timeout)
+
     def test_timeout_raises_estimator_failure(self, tmp_path):
         u = numeric_universal([[1.0, 2.0]])
         space = StateSpace(u)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyforge import (
+    ArgumentError,
     Bitmap,
     EstimatorFailure,
     LookupEstimator,
@@ -74,6 +75,28 @@ class TestNormalize:
         spec = MeasureSpec("m", direction="maximize", raw_low=0, raw_high=100)
         lo, hi = min(a, b), max(a, b)
         assert normalize(spec, lo) >= normalize(spec, hi)
+
+
+class TestMeasureSpec:
+    @pytest.mark.parametrize("bounds", [
+        {"raw_low": math.nan}, {"raw_high": math.nan}, {"raw_low": -math.inf},
+        {"raw_high": math.inf}, {"raw_low": 2.0},
+        {"raw_low": -1e308, "raw_high": 1e308},  # each finite, the span is not
+        {"raw_low": 10 ** 400, "raw_high": 10 ** 400 + 1},  # beyond float range
+    ], ids=["low-nan", "high-nan", "low-inf", "high-inf", "empty", "span-inf", "int-beyond-float"])
+    def test_raw_bounds_must_be_finite_with_a_finite_span(self, bounds):
+        with pytest.raises(ArgumentError, match="m: need finite raw_low < raw_high"):
+            MeasureSpec("m", **{"raw_high": 1.0, **bounds})
+
+    @pytest.mark.parametrize("bad", [{"p_low": math.nan}, {"p_high": math.inf},
+                                     {"p_low": 0.0}, {"direction": "sideways"}])
+    def test_p_range_and_direction_rejected(self, bad):
+        with pytest.raises(ArgumentError):
+            MeasureSpec("m", **bad)
+
+    def test_extreme_finite_bounds_accepted(self):
+        spec = MeasureSpec("m", raw_low=-1e307, raw_high=1e307)
+        assert normalize(spec, 0.0) == 0.5
 
 
 class TestMeasureSet:

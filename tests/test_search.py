@@ -81,6 +81,15 @@ class TestSearchConfig:
         cfg = SearchConfig(epsilon=0.1, theta=0, max_len=0)
         assert (cfg.theta, cfg.max_len) == (0, 0)
 
+    @pytest.mark.parametrize("bad", [
+        {"epsilon": math.nan}, {"epsilon": math.inf}, {"epsilon": 10 ** 400},
+        {"theta": math.inf}, {"alpha": math.nan}, {"k": -1}, {"algorithm": "foo"},
+    ], ids=["eps-nan", "eps-inf", "eps-int-beyond-float", "theta-inf", "alpha-nan", "k-negative",
+            "unknown-algorithm"])
+    def test_non_finite_or_out_of_range_rejected(self, bad):
+        with pytest.raises(ArgumentError, match=next(iter(bad))):
+            SearchConfig(**{"epsilon": 0.1, **bad})
+
 
 class TestBackSt:
     def test_all_target_literals_retained(self, toy_universal):

@@ -75,6 +75,13 @@ def make_grid(eps=0.3, p_low=0.1, p_high=1.0):
     return SkylineGrid(eps, ms)
 
 
+class TestGridEpsilon:
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ArgumentError, match="epsilon"):
+            make_grid(eps=eps)
+
+
 class TestGridPos:
     def test_all_lower_bound_is_origin(self):
         grid = make_grid(p_low=0.1)

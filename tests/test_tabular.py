@@ -129,6 +129,12 @@ class TestBuildUniversal:
         with pytest.raises(ArgumentError, match="without a join key"):
             build_universal([left, right], {("l", "r"): [("id", "id")]})
 
+    def test_duplicate_source_names_rejected(self):
+        first = rel("p", ["id", "f1"], [[1, 2]])
+        second = rel("p", ["id", "f2"], [[1, 3]])
+        with pytest.raises(ArgumentError, match="duplicate source name 'p'"):
+            build_universal([first, second], {("p", "p"): [("f1", "f2")]})
+
     def test_empty_sources_rejected(self):
         with pytest.raises(ArgumentError):
             build_universal([])

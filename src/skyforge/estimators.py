@@ -1,7 +1,10 @@
 """Built-in deterministic estimators and the external subprocess protocol.
 
 An estimator maps a search state to raw (un-normalized) measure values in a
-single call.  All built-ins are RNG-free so identical runs stay bit-identical.
+single call, ``estimate(state, space, upcoming=None)``; ``upcoming`` is the
+state the walk valuates next when it knows one, which an estimator may get
+ready while it works on ``state``.  All built-ins are RNG-free so identical
+runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class LookupEstimator:
         self.table = dict(table)
         self.default = default
 
-    def estimate(self, state: SearchState, space: StateSpace) -> dict:
+    def estimate(self, state: SearchState, space: StateSpace,
+                 upcoming: Optional[SearchState] = None) -> dict:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure("no lookup entry")
@@ -74,7 +78,8 @@ class RidgeEstimator:
         self.target = target
         self.lam = lam
 
-    def estimate(self, state: SearchState, space: StateSpace) -> dict:
+    def estimate(self, state: SearchState, space: StateSpace,
+                 upcoming: Optional[SearchState] = None) -> dict:
         attrs = space.active_attributes(state.bitmap)
         if self.target not in attrs:
             raise EstimatorFailure(f"target column {self.target!r} missing from state")
@@ -131,6 +136,10 @@ class RidgeEstimator:
         """Nothing to release (every estimator has ``close``)."""
 
 
+# epoll refuses a wait above 2**31 - 1 ms, so no finite timeout may exceed it
+MAX_TIMEOUT_S = (2**31 - 1) / 1000
+
+
 class SubprocessEstimator:
     """Estimator living in a child process speaking line-delimited JSON.
 
@@ -139,7 +148,10 @@ class SubprocessEstimator:
     Response: {"id": n, "measures": {"name": raw, ...}}
 
     The engine writes the expanded dataset to a temp CSV before each request
-    and normalizes the returned raw values.  One child serves all requests.
+    and normalizes the returned raw values.  One child serves all requests,
+    one at a time.  Given the state valuated next (``upcoming``), the engine
+    writes that state's CSV while the child works on the current request, and
+    the next request uses it if it is for that state.
     """
 
     requires_feature = False
@@ -147,12 +159,14 @@ class SubprocessEstimator:
     def __init__(self, command: Sequence[str], timeout: float = 60.0):
         if not command:
             raise ArgumentError("subprocess estimator needs a command")
-        if not 0 < timeout <= sys.float_info.max:  # also false for NaN
-            raise ArgumentError(f"estimator timeout must be finite and positive, got {timeout!r}")
+        if not 0 < timeout <= MAX_TIMEOUT_S:  # also false for NaN
+            raise ArgumentError(f"estimator timeout must be positive and at most "
+                                f"{MAX_TIMEOUT_S} s, got {timeout!r}")
         self.command = list(command)
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
         self._unread = b""  # bytes of the child's stdout past the last reply
+        self._ahead = None  # (space, bits, request) whose CSV is written for the next call
         self.calls = 0  # requests sent; each request's id is its number
 
     def _ensure_proc(self) -> subprocess.Popen:
@@ -166,7 +180,34 @@ class SubprocessEstimator:
             )
         return self._proc
 
-    def estimate(self, state: SearchState, space: StateSpace) -> dict:
+    def estimate(self, state: SearchState, space: StateSpace,
+                 upcoming: Optional[SearchState] = None) -> dict:
+        proc = self._ensure_proc()  # the child starts up while the first CSV is written
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and (ahead[0] is not space or ahead[1] != state.bitmap.bits):
+            _unlink(ahead[2]["csv_path"])
+            ahead = None
+        request = ahead[2] if ahead is not None else self._write(state, space)
+        try:
+            self.calls += 1
+            request["id"] = self.calls
+            deadline = self._send(proc, request)
+            if upcoming is not None:
+                try:
+                    self._ahead = (space, upcoming.bitmap.bits, self._write(upcoming, space))
+                except Exception:
+                    pass  # the upcoming state's own call writes it again and reports the error
+            response = self._receive(proc, deadline)
+            if not (isinstance(response, dict) and response.get("id") == request["id"]
+                    and isinstance(response.get("measures"), dict)):
+                raise EstimatorFailure("malformed estimator response")
+            return response["measures"]  # values are checked by normalize
+        finally:
+            _unlink(request["csv_path"])
+
+    def _write(self, state: SearchState, space: StateSpace) -> dict:
+        """Write the state's dataset to a new temp CSV and return its
+        request, whose id the send fills in."""
         data = space.dataset(state.bitmap)
         tmpdir = os.environ.get("SKYFORGE_TMPDIR") or tempfile.gettempdir()
         os.makedirs(tmpdir, exist_ok=True)
@@ -174,34 +215,28 @@ class SubprocessEstimator:
         os.close(fd)
         try:
             write_csv(csv_path, data)
-            self.calls += 1
-            request = {
-                "id": self.calls,
-                "bitmap": state.bitmap.to_hex(),
-                "rows": data.expanded_row_count,
-                "cols": len(data.schema),
-                "columns": list(data.schema),
-                "csv_path": csv_path,
-            }
-            response = self._roundtrip(request)
-            if not (isinstance(response, dict) and response.get("id") == request["id"]
-                    and isinstance(response.get("measures"), dict)):
-                raise EstimatorFailure("malformed estimator response")
-            return response["measures"]  # values are checked by normalize
-        finally:
-            try:
-                os.unlink(csv_path)
-            except OSError:
-                pass
+        except BaseException:
+            _unlink(csv_path)
+            raise
+        return {
+            "id": None,
+            "bitmap": state.bitmap.to_hex(),
+            "rows": data.expanded_row_count,
+            "cols": len(data.schema),
+            "columns": list(data.schema),
+            "csv_path": csv_path,
+        }
 
-    def _roundtrip(self, request: dict) -> dict:
-        proc = self._ensure_proc()
+    def _send(self, proc: subprocess.Popen, request: dict) -> float:
+        """Write one request line; return the reply's deadline."""
         try:
             proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise EstimatorFailure(f"estimator pipe broke: {exc}")
-        deadline = time.monotonic() + self.timeout
+        return time.monotonic() + self.timeout
+
+    def _receive(self, proc: subprocess.Popen, deadline: float) -> dict:
         fd = proc.stdout.fileno()
         with selectors.DefaultSelector() as selector:
             selector.register(fd, selectors.EVENT_READ)
@@ -222,7 +257,11 @@ class SubprocessEstimator:
             raise EstimatorFailure(f"estimator protocol error: {exc}")
 
     def close(self):
-        """Close both pipes and reap the child, alive or not; idempotent."""
+        """Remove a CSV written ahead, close both pipes and reap the child,
+        alive or not; idempotent."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            _unlink(ahead[2]["csv_path"])
         proc, self._proc = self._proc, None
         self._unread = b""
         if proc is None:
@@ -239,3 +278,10 @@ class SubprocessEstimator:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+
+
+def _unlink(path: str):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass

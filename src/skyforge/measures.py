@@ -127,17 +127,18 @@ class TestLog:
 
 
 def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
-            space: StateSpace):
+            space: StateSpace, upcoming: Optional[SearchState] = None):
     """Return the state's normalized vector, invoking the estimator at most once.
 
     All measures come back from a single estimator call; repeats on the same
-    bitmap are served from the log.  Returns ``(perf, invoked)``.
+    bitmap are served from the log.  ``upcoming``, the state valuated next
+    if the caller knows it, goes to the estimator.  Returns ``(perf, invoked)``.
     """
     cached = log.get(state.bitmap)
     if cached is not None:
         return cached.perf, False
     try:
-        raw = estimator.estimate(state, space)
+        raw = estimator.estimate(state, space, upcoming)
         values = []
         for spec in measures:
             if spec.name not in raw:

@@ -49,6 +49,11 @@ class SearchConfig:
             raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
         if not 0 < self.epsilon <= sys.float_info.max:
             raise ArgumentError("epsilon must be finite and positive")
+        # JSON's 2.0 passes the schema's "integer", but the walk needs ints
+        for key in ("budget", "k", "max_len"):
+            value = getattr(self, key)
+            if not (isinstance(value, int) or key == "max_len" and value is None):
+                raise ArgumentError(f"{key} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ArgumentError("budget must be at least 1")
         if self.max_len is not None and self.max_len < 0:
@@ -321,11 +326,17 @@ class _Runner:
             self._corr_cache = (len(self.log), graph)
         return self._corr_cache[1]
 
-    def valuate_one(self, state: SearchState) -> SearchState:
+    def valuate_one(self, state: SearchState, upcoming: Optional[SearchState] = None
+                    ) -> SearchState:
+        """Valuate ``state``; ``upcoming``, the state valuated next, goes to
+        the estimator unless this call may be the last the budget allows."""
         # the run's own log gains one entry per estimator call that returns
-        if len(self.log) >= self.cfg.budget and self.log.get(state.bitmap) is None:
-            raise _BudgetExhausted
-        perf, _ = valuate(state, self.estimator, self.log, self.measures, self.space)
+        used = len(self.log)
+        if used + 1 >= self.cfg.budget:
+            if used >= self.cfg.budget and self.log.get(state.bitmap) is None:
+                raise _BudgetExhausted
+            upcoming = None
+        perf, _ = valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)
         return state.valuated(perf)
 
     def expand(self, frontier: list, direction: str):
@@ -388,12 +399,14 @@ class _Runner:
 
         When the walk prunes, every child of the side is checked before any
         is valuated, so every prune check reads the log as it stood before
-        this side's valuations.
+        this side's valuations, and the side's unpruned children form one
+        batch.  Each valuation is told the next child of its batch.
         """
         batches = self.expand(frontier, direction)
         if self.pruning:
             batches = [[c for batch in batches for c in batch if not self.try_prune(c)]]
-        return [self.keep(self.valuate_one(c)) for batch in batches for c in batch]
+        return [self.keep(self.valuate_one(c, upcoming))
+                for batch in batches for c, upcoming in zip(batch, [*batch[1:], None])]
 
     def keep(self, valuated: SearchState) -> SearchState:
         self.graph.nodes[valuated.bitmap.bits] = valuated

@@ -461,8 +461,8 @@ def derive_literals(u: UniversalTable, attribute: str, max_clusters: int) -> lis
     """
     if attribute not in u.schema:
         raise ArgumentError(f"unknown attribute {attribute!r}")
-    if max_clusters < 1:
-        raise ArgumentError("max_clusters must be >= 1")
+    if not (isinstance(max_clusters, int) and max_clusters >= 1):  # JSON's 2.0 too
+        raise ArgumentError(f"max_clusters must be an integer >= 1, got {max_clusters!r}")
     adom = u.relation.adom(attribute)
     if not adom:
         return []

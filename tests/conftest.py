@@ -63,11 +63,11 @@ class Counting:
     def __init__(self, inner, fail_at=None):
         self.inner, self.fail_at, self.calls, self.returned = inner, fail_at, 0, 0
 
-    def estimate(self, state, space):
+    def estimate(self, state, space, upcoming=None):
         self.calls += 1
         if self.calls == self.fail_at:
             raise EstimatorFailure("boom", bitmap=state.bitmap)
-        raw = self.inner.estimate(state, space)
+        raw = self.inner.estimate(state, space, upcoming)
         self.returned += 1
         return raw
 

@@ -234,6 +234,37 @@ class TestConfigValidation:
             assert key.rstrip("s") in err  # "sources" -> "source", "measures" -> "measure"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["budget", "k", "max_len", "max_clusters"])
+    def test_non_int_integer_key_exits_2(self, tmp_path, monkeypatch, capsys, key):
+        # JSON's 2.0 passes the schema's "integer"; the key's owner refuses it
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["search"].update(algorithm="div", k=2)
+        (raw if key == "max_clusters" else raw["search"])[key] = 2.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path)]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith("skyforge: ") and f"{key} must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_timeout_beyond_the_wait_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        # epoll refuses a wait above 2**31 - 1 ms, which would fail every valuation
+        monkeypatch.setattr(cli, "run_algorithm", lambda *args: pytest.fail("search ran"))
+        path = config_with(tmp_path, "timeout", 3e6)
+        for command in ("run", "verify"):
+            assert main([command, "--config", str(path)]) == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "timeout must be positive and at most" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_timeout_just_under_the_wait_cap_runs(self, tmp_path, command):
+        path = config_with(tmp_path, "timeout", 2_147_483.0)
+        assert main([command, "--config", str(path)]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_zero_k_on_apx_runs(self, tmp_path, command):
         path = config_with(tmp_path, "k", 0)
@@ -499,6 +530,34 @@ class TestRunCommand:
         child = spawned[0]
         assert child.returncode is not None  # exited and reaped
         assert child.stdin.closed and child.stdout.closed
+
+    @pytest.mark.parametrize("case", ["finished", "budget-stop", "malformed", "timeout"])
+    def test_no_temp_csv_left_behind(self, tmp_path, monkeypatch, case):
+        # the engine writes the next state's CSV while the child works on
+        # the current one; every ending of a run removes both
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        fourth = {"malformed": "print('not json', flush=True)", "timeout": "time.sleep(30)"}
+        child = CONSTANT_CHILD
+        if case in fourth:  # the fourth request gets a bad reply or none
+            child = child.replace("import json, sys\n", "import json, sys, time\n").replace(
+                "    req = json.loads(line)\n",
+                f"    req = json.loads(line)\n    if req['id'] == 4:\n"
+                f"        {fourth[case]}\n        continue\n")
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": 1}
+        raw["search"] = {"algorithm": "nobi", "epsilon": 0.3,
+                         "budget": 6 if case == "budget-stop" else 500}
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        code, manifest, _, _ = execute_run(RunConfig.from_file(str(path)))
+        if case == "finished":
+            assert code == EXIT_OK and manifest["valuations"] > 6
+        elif case == "budget-stop":
+            assert code == EXIT_OK and manifest["valuations"] == 6
+        else:
+            assert code == EXIT_ESTIMATOR and manifest["valuations"] == 3
+        assert list(tmp.glob("skyforge_*.csv")) == []
 
     def test_cli_flags_override_config(self, tmp_path):
         path = base_config(tmp_path)

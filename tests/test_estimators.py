@@ -1,12 +1,16 @@
 import json
+import math
+import os
 import sys
 import textwrap
+import time
 from dataclasses import replace
 
 import pytest
 
 from skyforge import (
     ArgumentError,
+    Bitmap,
     EstimatorFailure,
     Literal,
     LookupEstimator,
@@ -14,13 +18,19 @@ from skyforge import (
     MeasureSpec,
     Relation,
     RidgeEstimator,
+    SearchConfig,
+    SearchState,
     SubprocessEstimator,
     TestLog,
     UniversalTable,
+    run_algorithm,
     valuate,
 )
-from skyforge.estimators import HOLDOUT_ERROR, MODEL_SIZE, TRAIN_COST, TRAIN_ERROR, WORST_ERROR
-from skyforge.operators import StateSpace
+from skyforge.estimators import (HOLDOUT_ERROR, MAX_TIMEOUT_S, MODEL_SIZE, TRAIN_COST,
+                                 TRAIN_ERROR, WORST_ERROR)
+from skyforge.operators import FORWARD, StateSpace
+
+from conftest import make_monotone_instance
 
 
 def numeric_universal(rows, schema=("x", "y")):
@@ -239,3 +249,207 @@ class TestSubprocess:
             assert first.stdin.closed and first.stdout.closed
         finally:
             est.close()
+
+
+# records each request (without its temp path) and its CSV's text, one JSON
+# line each, to the file named by argv[1], and answers with measures derived
+# from the bitmap and the row count
+CHILD_RECORDING = textwrap.dedent("""
+    import json, sys
+    with open(sys.argv[1], "a") as record:
+        for line in sys.stdin:
+            req = json.loads(line)
+            with open(req["csv_path"], newline="") as fh:
+                text = fh.read()
+            seen = {k: v for k, v in req.items() if k != "csv_path"}
+            record.write(json.dumps({"request": seen, "csv": text}) + "\\n")
+            record.flush()
+            rows = req["rows"]
+            measures = {"m0": (int(req["bitmap"], 16) % 7 + 1) / 10, "m1": 1 / (rows + 2),
+                        "m2": rows / (rows + 5)}
+            print(json.dumps({"id": req["id"], "measures": measures}), flush=True)
+""")
+
+
+# answers at once, except 0.8 s late to the second request
+CHILD_SLOW_SECOND = textwrap.dedent("""
+    import json, sys, time
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["id"] == 2:
+            time.sleep(0.8)
+        print(json.dumps({"id": req["id"], "measures": {"m": 1.0}}), flush=True)
+""")
+
+
+class _Serial(SubprocessEstimator):
+    """Never told the upcoming state, so every CSV is written just before
+    its own request: the serial reference."""
+
+    def estimate(self, state, space, upcoming=None):
+        return super().estimate(state, space)
+
+
+class TestLookahead:
+    def make(self, tmp_path, name, cls=SubprocessEstimator, script=CHILD_RECORDING, **kw):
+        path = tmp_path / "child.py"
+        path.write_text(script)
+        return cls([sys.executable, str(path), str(tmp_path / name)], **kw)
+
+    @staticmethod
+    def recorded(tmp_path, name):
+        return [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+
+    @staticmethod
+    def two_states(space):
+        root = space.root_state()
+        child = sorted(space.op_gen(root, FORWARD))[0]
+        return root, SearchState(Bitmap(child, space.n_bits), level=1)
+
+    @pytest.mark.parametrize("algorithm, budget", [
+        ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9)])
+    def test_child_sees_what_the_serial_path_sends(self, tmp_path, monkeypatch, algorithm,
+                                                   budget):
+        # the same requests and CSV bytes in the same order, none beyond the
+        # budget, while later CSVs are written as the child works
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        events = []
+        for name in ("_write", "_send", "_receive"):
+            real = getattr(SubprocessEstimator, name)
+
+            def recording(self, *args, real=real, name=name):
+                result = real(self, *args)
+                events.append(name)
+                return result
+            monkeypatch.setattr(SubprocessEstimator, name, recording)
+        results = {}
+        for label, cls in (("ahead", SubprocessEstimator), ("serial", _Serial)):
+            u, measures, _ = make_monotone_instance(3)
+            est = self.make(tmp_path, label, cls, timeout=10)
+            events.clear()
+            cfg = SearchConfig(epsilon=0.2, target="t", algorithm=algorithm, k=2, budget=budget)
+            try:
+                res = run_algorithm(u, measures, est, cfg)
+            finally:
+                est.close()
+            assert not res.partial and est.calls == res.valuations <= budget
+            # a write between send i and receive i is the next state's CSV
+            outstanding = overlapped = 0
+            assert events.count("_write") == res.valuations  # none wasted
+            for name in events:
+                if name == "_send":
+                    outstanding = True
+                elif name == "_receive":
+                    outstanding = False
+                else:
+                    overlapped += outstanding
+            results[label] = (self.recorded(tmp_path, label), overlapped, res.valuations)
+            assert list(tmp.glob("skyforge_*.csv")) == []
+        (ahead, overlapped, valuations), (serial, none, _) = results["ahead"], results["serial"]
+        assert ahead == serial and len(ahead) == valuations
+        assert [r["request"]["id"] for r in ahead] == list(range(1, valuations + 1))
+        assert none == 0 and overlapped >= valuations // 2
+
+    def test_next_request_reuses_the_csv_written_ahead(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0]]))
+        root, child = self.two_states(space)
+        est = self.make(tmp_path, "record", timeout=10)
+        try:
+            est.estimate(root, space, child)
+            written = est._ahead[2]["csv_path"]
+            assert os.path.exists(written) and est.calls == 1
+            sent = []
+            send = est._send
+            monkeypatch.setattr(est, "_send", lambda proc, request: sent.append(
+                request["csv_path"]) or send(proc, request))
+            est.estimate(child, space)
+            assert sent == [written] and not os.path.exists(written)
+        finally:
+            est.close()
+        assert [r["request"]["bitmap"] for r in self.recorded(tmp_path, "record")] == [
+            root.bitmap.to_hex(), child.bitmap.to_hex()]
+
+    def test_unused_csv_is_discarded(self, tmp_path, monkeypatch):
+        # the walk may valuate another state than the one announced (a log
+        # hit skips the estimator), and close() removes a CSV written ahead
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]]))
+        root, child = self.two_states(space)
+        est = self.make(tmp_path, "record", timeout=10)
+        try:
+            est.estimate(child, space, root)
+            est.estimate(child, space, root)  # not the announced state
+            assert len(list(tmp.glob("skyforge_*.csv"))) == 1  # root's, written again
+        finally:
+            est.close()
+        assert list(tmp.glob("skyforge_*.csv")) == []
+        assert [(r["request"]["id"], r["request"]["bitmap"])
+                for r in self.recorded(tmp_path, "record")] == [
+            (1, child.bitmap.to_hex()), (2, child.bitmap.to_hex())]
+
+    def test_failed_lookahead_surfaces_from_its_own_state(self, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0]]))
+        root, child = self.two_states(space)
+        real = space.dataset
+
+        def dataset(bitmap):
+            if bitmap.bits == child.bitmap.bits:
+                raise OSError("no space left on device")
+            return real(bitmap)
+
+        monkeypatch.setattr(space, "dataset", dataset)
+        est = self.make(tmp_path, "record", timeout=10)
+        ms = MeasureSet([MeasureSpec(m) for m in ("m0", "m1", "m2")])
+        log = TestLog()
+        try:
+            assert valuate(root, est, log, ms, space, child)[1]  # reply 1 still read
+            assert est._ahead is None
+            with pytest.raises(EstimatorFailure, match="no space left") as err:
+                valuate(child, est, log, ms, space)
+            assert err.value.bitmap == child.bitmap and est.calls == 1
+        finally:
+            est.close()
+        assert list(tmp.glob("skyforge_*.csv")) == []
+
+    def test_reply_deadline_counts_from_the_send(self, tmp_path, monkeypatch):
+        # writing ahead takes 0.5 s and the reply comes 0.8 s after the send:
+        # a 0.6 s timeout fails although the wait itself starts at 0.5 s
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0]]))
+        root, child = self.two_states(space)
+        real = space.dataset
+
+        def slow_dataset(bitmap):
+            if bitmap.bits == child.bitmap.bits:
+                time.sleep(0.5)
+            return real(bitmap)
+
+        est = self.make(tmp_path, "unused", script=CHILD_SLOW_SECOND, timeout=0.6)
+        try:
+            est.estimate(root, space)  # the child is up before the timed call
+            monkeypatch.setattr(space, "dataset", slow_dataset)
+            with pytest.raises(EstimatorFailure, match="timed out"):
+                est.estimate(root, space, child)
+        finally:
+            est.close()
+        assert list(tmp.glob("skyforge_*.csv")) == []
+
+    def test_timeout_cap(self, tmp_path, monkeypatch):
+        # epoll refuses a wait above 2**31 - 1 ms
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        for timeout in (3e6, math.nextafter(MAX_TIMEOUT_S, math.inf)):
+            with pytest.raises(ArgumentError, match="timeout"):
+                self.make(tmp_path, "unused", script=CHILD_OK, timeout=timeout)
+        space = StateSpace(numeric_universal([[1.0, 2.0]]))
+        for timeout in (MAX_TIMEOUT_S, 2_147_483.0):
+            est = self.make(tmp_path, "unused", script=CHILD_OK, timeout=timeout)
+            try:
+                assert est.estimate(space.root_state(), space) == {"rows_seen": 1.0, "cols": 2.0}
+            finally:
+                est.close()

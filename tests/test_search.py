@@ -184,7 +184,7 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space):
+            def estimate(self, state, space, upcoming=None):
                 Flaky.calls += 1
                 if Flaky.calls > 3:
                     raise EstimatorFailure("boom", bitmap=state.bitmap)
@@ -200,7 +200,7 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space):
+            def estimate(self, state, space, upcoming=None):
                 self.calls += 1
                 if self.calls == 4:
                     raise EstimatorFailure("boom", bitmap=state.bitmap)
@@ -220,7 +220,7 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space):
+            def estimate(self, state, space, upcoming=None):
                 self.calls += 1
                 if self.calls > 2:
                     return None
@@ -310,10 +310,10 @@ class TestRunBi:
             def __init__(self, inner):
                 self.inner = inner
 
-            def estimate(self, state, space):
+            def estimate(self, state, space, upcoming=None):
                 if sides:  # the roots are valuated before the first side
                     sides[-1].append("estimate")
-                return self.inner.estimate(state, space)
+                return self.inner.estimate(state, space, upcoming)
 
         monkeypatch.setattr(search_module._Runner, "valuate_children", recording_side)
         monkeypatch.setattr(search_module._Runner, "try_prune", recording_prune)

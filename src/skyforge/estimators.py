@@ -101,10 +101,16 @@ class RidgeEstimator:
             out[TRAIN_ERROR] = WORST_ERROR
             out[HOLDOUT_ERROR] = WORST_ERROR
             return out
-        # rows first, then columns: both ``take``s return C-ordered arrays, so
-        # the axis-0 sums below add the rows in order, as ``np.nanmean`` does
-        x = view.values.take(rows, axis=0).take([view.column[a] for a in feature_names], axis=1)
-        y = view.values[rows, view.column[self.target]]
+        # rows first, then columns, into C-ordered workspace views, so the
+        # axis-0 sums below add the rows in order, as ``np.nanmean`` does;
+        # "clip" writes straight to ``out`` (every index is in range), where
+        # "raise" would buffer the result first
+        n, width, n_features = len(rows), view.values.shape[1], len(feature_names)
+        gathered, x, design = view.workspace(n * width, n * n_features, n * (n_features + 1))
+        gathered = np.take(view.values, rows, axis=0, out=gathered.reshape(n, width), mode="clip")
+        x = np.take(gathered, [view.column[a] for a in feature_names], axis=1,
+                    out=x.reshape(n, n_features), mode="clip")
+        y = gathered[:, view.column[self.target]]
         # a NaN takes its feature's mean over the other rows (0.0 when it has none)
         nan_at = np.isnan(x)
         np.copyto(x, 0.0, where=nan_at)
@@ -116,7 +122,7 @@ class RidgeEstimator:
         hold = np.arange(len(y)) % HOLDOUT_STRIDE == HOLDOUT_STRIDE - 1
         errors = []
         for part in (~hold, hold) if hold.any() else (~hold,):
-            xb = np.empty((np.count_nonzero(part), x.shape[1] + 1))  # [x | 1]
+            xb = design[:np.count_nonzero(part) * (n_features + 1)].reshape(-1, n_features + 1)
             np.compress(part, x, axis=0, out=xb[:, :-1])
             xb[:, -1] = 1.0
             if not errors:

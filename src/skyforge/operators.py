@@ -12,7 +12,7 @@ deduplicates them and wraps only the distinct ones it keeps in a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import and_, itemgetter
@@ -63,6 +63,13 @@ class SearchState:
         return SearchState(self.bitmap, self.level, perf)
 
 
+def _powers_in(low: int, high: int) -> int:
+    """Mask of the bit positions ``i`` with ``low <= 2**i < high``."""
+    below_high = (1 << (high - 1).bit_length()) - 1 if high > 1 else 0
+    below_low = (1 << (low - 1).bit_length()) - 1 if low > 1 else 0
+    return below_high & ~below_low
+
+
 def _mask_of(flags) -> int:
     """Row mask (bit r set for each true ``flags[r]``) of a boolean sequence."""
     packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
@@ -79,6 +86,18 @@ class ColumnarView:
     number: dict        # attribute -> row mask of int/float cells (bools count)
     non_numeric: dict   # attribute -> row mask of non-null bool or non-number cells
     weights: np.ndarray  # row multiplicities
+    # one flat float buffer, kept for the view's lifetime (see ``workspace``)
+    _buffer: list = field(default_factory=lambda: [np.empty(0)], repr=False, compare=False)
+
+    def workspace(self, *sizes: int) -> list:
+        """Flat float arrays of the given sizes, consecutive views into one
+        buffer that grows when too small and is otherwise reused, so repeated
+        estimates write to pages already mapped instead of faulting new ones
+        in.  A call's arrays overwrite the previous call's."""
+        if self._buffer[0].size < sum(sizes):
+            self._buffer[0] = np.empty(sum(sizes))
+        buffer = self._buffer[0]
+        return [buffer[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 class StateSpace:
@@ -258,24 +277,33 @@ class StateSpace:
             raise ArgumentError(f"value bit for {literal!r} already set")
         return SearchState(Bitmap(bits | bit, state.bitmap.length), state.level + 1)
 
-    def op_gen(self, state: SearchState, direction: str) -> list:
-        """The bitmaps (ints) of every applicable one-flip child of ``state``.
+    def op_gen(self, state: SearchState, direction: str, lo: int = 0,
+               hi: Optional[int] = None) -> list:
+        """The bitmaps (ints) of every applicable one-flip child ``c`` of
+        ``state`` with ``lo <= c < hi`` (``hi`` None: no upper limit).
 
         Forward flips set bits off (reducts), backward flips clear bits on
         (augments), in ascending bit order: attributes in schema order,
         literals in derivation order.  Children with empty datasets are
-        skipped, as are bits of protected attributes.  A child differs from
-        its parent in one attribute, so on a row-count cache miss its row
-        mask is the parent's other attributes' masks (prefix and suffix ANDs,
-        built on the parent's first miss) and the flipped attribute's new
-        mask; every child's (mask, count) is cached.
+        skipped, as are bits of protected attributes.  A reduct of bit ``i``
+        is ``bits - 2**i`` and an augment ``bits + 2**i``, so the range is a
+        window of bit positions, and no child outside it is built.  A child
+        differs from its parent in one attribute, so on a row-count cache
+        miss its row mask is the parent's other attributes' masks (prefix
+        and suffix ANDs, built on the call's first miss) and the flipped
+        attribute's new mask; every built child's (mask, count) is cached.
         """
         if direction not in (FORWARD, BACKWARD):
             raise ArgumentError(f"unknown direction {direction!r}")
         bits = state.bitmap.bits
         if direction == FORWARD and not bits & (bits - 1):
             return []  # reducts of at most one set bit leave the empty bitmap
-        flippable = (bits if direction == FORWARD else ~bits) & self.free_bits
+        hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
+        if direction == FORWARD:  # lo <= bits - 2**i < hi
+            flippable = bits & _powers_in(bits - hi + 1, bits - lo + 1)
+        else:  # lo <= bits + 2**i < hi
+            flippable = ~bits & _powers_in(lo - bits, hi - bits)
+        flippable &= self.free_bits
         cache = self._row_count_cache
         others = None  # schema index -> AND of the parent's other attributes' masks
         out = []

@@ -134,25 +134,30 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     bitmap order.
 
     Walks the submasks of the free bits in ascending order, each with every
-    bit of the protected target, when given.  Refuses instances whose bitmap
-    is longer than ``max_bits``.
+    bit of the protected target, when given.  Each valuation is told the next
+    state whose valuation calls the estimator (one not already in the log).
+    Refuses instances whose bitmap is longer than ``max_bits``.
     """
     _check_cap(universal, target, max_bits)
     space = StateSpace(universal, protected=(target,))
     log = log if log is not None else TestLog()
     free = space.free_bits
     fixed = space.full_bitmap().bits & ~free
-    states = []
+    todo = []
     sub = 0
     while True:
         bitmap = Bitmap(sub | fixed, space.n_bits)
         if not space.is_degenerate(bitmap):
-            state = SearchState(bitmap, level=0)
-            perf, _ = valuate(state, estimator, log, measures, space)
-            states.append(state.valuated(perf))
+            todo.append(SearchState(bitmap, level=0))
         if sub == free:
-            return states
+            break
         sub = (sub - free) & free  # the next submask of free, in ascending order
+    logged = {entry.bitmap.bits for entry in log}
+    calls = [state for state in todo if state.bitmap.bits not in logged]
+    upcoming = dict(zip((state.bitmap.bits for state in calls), calls[1:]))
+    return [state.valuated(valuate(state, estimator, log, measures, space,
+                                   upcoming.get(state.bitmap.bits))[0])
+            for state in todo]
 
 
 def check_eps_cover(grid: SkylineGrid, all_states: Sequence[SearchState],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -347,14 +346,17 @@ class _Runner:
         A parent's bound is the smallest bitmap one of its children could
         have: the parent with its highest unprotected set bit cleared
         (reducts) or its lowest unprotected clear bit set (augments).
-        Parents open (``op_gen`` is called) in bound order, in batches that
-        double from one; once a batch is open, every child below the next
-        unopened parent's bound is final and is yielded.  When the remaining
-        budget covers every possible child (one per flippable bit of each
-        parent), all parents open in one batch and no bound is computed.
-        Children stay ints until yielded, so a child reached from several
-        parents becomes one ``SearchState``.  A child's level is its popcount
-        distance from its root, so only same-level duplicates occur.
+        Parents open in bound order, in batches that double from one; once a
+        batch is open, every child below the next unopened parent's bound is
+        final.  Each batch asks every open parent's ``op_gen`` for only its
+        children from the previous batch's limit up to that bound (no limit
+        once every parent is open), so every child built is yielded in that
+        batch.  When the remaining budget covers every possible child (one
+        per flippable bit of each parent), all parents open in one batch and
+        no bound is computed.  Children stay ints until yielded, so a child
+        reached from several parents becomes one ``SearchState``.  A child's
+        level is its popcount distance from its root, so only same-level
+        duplicates occur.
         """
         n_bits, free = self.space.n_bits, self.space.free_bits
         if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
@@ -372,21 +374,21 @@ class _Runner:
                     order.append((bits ^ flip, index))
             order.sort()
             size = 1
-        pending: dict = {}  # child bits -> lowest frontier index
-        opened = 0
+        opened, lo = 0, 0
         while opened < len(order):
-            for _, index in order[opened:opened + size]:
-                for child in self.space.op_gen(frontier[index], direction):
-                    if pending.setdefault(child, index) > index:
-                        pending[child] = index
             opened += size
             size *= 2
-            keys = sorted(pending)
-            final = bisect_left(keys, order[opened][0]) if opened < len(order) else len(keys)
-            if final:
+            hi = order[opened][0] if opened < len(order) else None
+            first: dict = {}  # child bits -> lowest frontier index
+            for _, index in order[:opened]:
+                for child in self.space.op_gen(frontier[index], direction, lo, hi):
+                    if first.setdefault(child, index) > index:
+                        first[child] = index
+            lo = hi
+            if first:
                 batch = []
-                for bits in keys[:final]:
-                    parent = frontier[pending.pop(bits)]
+                for bits in sorted(first):
+                    parent = frontier[first[bits]]
                     self.graph.parents.setdefault(bits, parent.bitmap.bits)
                     batch.append(SearchState(Bitmap(bits, n_bits), parent.level + 1))
                 yield batch

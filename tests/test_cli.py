@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import skyforge.cli as cli
-from skyforge import ArgumentError, Bitmap, SearchState
+from skyforge import ArgumentError, Bitmap, SearchState, SubprocessEstimator
 from skyforge.operators import StateSpace
 from skyforge.oracle import state_count_bound
 from skyforge.tabular import Literal
@@ -639,6 +639,43 @@ class TestVerifyCommand:
         assert payload["ok"]
         assert payload["eps_cover_violations"] == []
         assert payload["exact_front"]
+
+    def test_enumeration_writes_ahead_of_the_child(self, tmp_path, monkeypatch):
+        # after the first, every CSV of the oracle's enumeration is written
+        # while the child works on the request before it
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        events = []
+        for name in ("_write", "_send", "_receive"):
+            real = getattr(SubprocessEstimator, name)
+
+            def recording(self, *args, real=real, name=name):
+                result = real(self, *args)
+                events.append(name)
+                return result
+            monkeypatch.setattr(SubprocessEstimator, name, recording)
+        enumerate_all = cli.enumerate_all
+
+        def marking_enumerate_all(*args, **kwargs):
+            events.clear()
+            return enumerate_all(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_all", marking_enumerate_all)
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", CONSTANT_CHILD], "timeout": 10}
+        raw["search"] = {"algorithm": "nobi", "epsilon": 0.3}
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        code, payload = execute_verify(RunConfig.from_file(str(path)))
+        assert code == EXIT_OK
+        outstanding, ahead = False, []
+        for name in events:
+            if name == "_write":
+                ahead.append(outstanding)
+            else:
+                outstanding = name == "_send"
+        assert len(ahead) == payload["total_states"] > 2
+        assert ahead == [False] + [True] * (len(ahead) - 1)
+        assert list((tmp_path / "tmp").glob("skyforge_*.csv")) == []
 
     def test_corrupted_grid_detected(self, tmp_path, monkeypatch):
         cfg = RunConfig.from_file(str(base_config(tmp_path)))

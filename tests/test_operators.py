@@ -1,4 +1,6 @@
 import csv
+import functools
+import math
 import os
 import tempfile
 
@@ -102,7 +104,40 @@ class TestApplyOperators:
         assert all(y >= 2003 for y in years)
 
 
+@functools.lru_cache(maxsize=None)
+def universal_of(seed: int) -> UniversalTable:
+    """The toy pool for seed -1, else a seeded random instance's universal."""
+    return build_toy_universal() if seed < 0 else make_random_instance(seed)[0]
+
+
+@st.composite
+def ranged_op_gen_calls(draw):
+    """A universal, protected attributes, a parent state (sometimes one
+    bit), a direction and a child range, sometimes empty or inverted, with
+    no upper limit when ``hi`` is None."""
+    u = universal_of(draw(st.integers(-1, 5)))
+    protected = draw(st.sampled_from([(), ("t",)]))
+    n = sum(len(u.literals(a)) for a in u.schema)
+    bits = draw(st.one_of(st.integers(0, 2**n - 1), st.sampled_from([1 << i for i in range(n)])))
+    lo = draw(st.integers(-2, 2**n + 1))
+    hi = draw(st.one_of(st.none(), st.integers(-2, 2**n + 1), st.integers(lo - 3, lo)))
+    return (u, protected, SearchState(Bitmap(bits, n)), draw(st.sampled_from([FORWARD, BACKWARD])),
+            lo, hi)
+
+
 class TestOpGen:
+    @given(ranged_op_gen_calls())
+    @settings(max_examples=300, deadline=None)
+    def test_range_keeps_the_unbounded_children_inside_it(self, call):
+        u, protected, state, direction, lo, hi = call
+        ranged_space = StateSpace(u, protected)
+        ranged = ranged_space.op_gen(state, direction, lo, hi)
+        every = StateSpace(u, protected).op_gen(state, direction)
+        top = math.inf if hi is None else hi
+        assert ranged == [c for c in every if lo <= c < top]
+        # no row mask or count was built for a child outside the range
+        assert all(lo <= c < top for c in ranged_space._row_count_cache)
+
     def test_full_forward_has_one_child_per_bit(self):
         # no protected attribute: every set bit is flippable
         sp = StateSpace(build_toy_universal())

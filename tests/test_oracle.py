@@ -91,6 +91,26 @@ class TestEnumerateAll:
         bits = [s.bitmap.bits for s in states]
         assert bits == sorted(bits)
 
+    def test_each_call_is_told_the_next_call(self):
+        # a state already in the log calls no estimator, so it is skipped
+        calls = []
+
+        class Recording(LookupEstimator):
+            def estimate(self, state, space, upcoming=None):
+                calls.append((state.bitmap.bits, upcoming and upcoming.bitmap.bits))
+                return super().estimate(state, space, upcoming)
+
+        u, ms = build_toy_universal(), flat_measures()
+        every = [s.bitmap.bits for s in enumerate_all(u, flat_estimator(), ms)]
+        log = TestLog()
+        for bits in every[1::3]:
+            log.append(LogEntry(Bitmap(bits, 6), perf(0.5, 0.5, 0.5), 1))
+        enumerate_all(u, Recording({}, default={n: 0.5 for n in ("m0", "m1", "m2")}), ms,
+                      log=log)
+        called = [bits for bits, _ in calls]
+        assert called == [bits for i, bits in enumerate(every) if i % 3 != 1]
+        assert [upcoming for _, upcoming in calls] == called[1:] + [None]
+
     @pytest.mark.parametrize("target", [None, "t"])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_filter(self, seed, target):

@@ -630,6 +630,30 @@ class TestLazyExpansion:
         if cfg.budget == 2**31:
             assert len(batches) <= 1
 
+    @given(same_level_frontiers())
+    @settings(max_examples=150, deadline=None)
+    def test_every_built_child_is_yielded(self, case):
+        u, ms, est, cfg, direction, frontier = case
+        runner = search_module._Runner(u, ms, est, cfg)
+        built, op_gen = [], StateSpace.op_gen
+
+        def recording_op_gen(space, state, direction, lo=0, hi=None):
+            children = op_gen(space, state, direction, lo, hi)
+            built.extend(children)
+            return children
+
+        streamed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StateSpace, "op_gen", recording_op_gen)
+            for batch in runner.expand(frontier, direction):
+                streamed += [c.bitmap.bits for c in batch]
+                # no child built so far waits for a later batch; a child
+                # reached from several parents is built once by each
+                assert set(built) == set(streamed)
+        # and the batches' ranges build each parent's children once
+        assert sorted(built) == sorted(c for s in frontier
+                                       for c in op_gen(runner.space, s, direction))
+
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_one_state_per_distinct_child(self, seed, monkeypatch):
         made, levels = [], []
@@ -679,30 +703,38 @@ class TestLazyExpansion:
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])
     def test_budget_stop_opens_fewer_parents(self, seed, monkeypatch):
-        opened = []
+        opened = []  # (parent bits, parent level, children returned) per call
         op_gen = StateSpace.op_gen
 
-        def counting_op_gen(space, state, direction):
-            opened.append(state.bitmap.bits)
-            return op_gen(space, state, direction)
+        def counting_op_gen(space, state, direction, lo=0, hi=None):
+            children = op_gen(space, state, direction, lo, hi)
+            opened.append((state.bitmap.bits, state.level, len(children)))
+            return children
 
         monkeypatch.setattr(StateSpace, "op_gen", counting_op_gen)
         u, ms, est = make_random_instance(seed)
         space = StateSpace(u, protected=("t",))
-        level_one = len(op_gen(space, space.root_state(), FORWARD))
-        assert level_one >= 3
-        for budget in range(1, 1 + level_one + 4):
+        level_one = op_gen(space, space.root_state(), FORWARD)
+        assert len(level_one) >= 3
+        for budget in range(1, 1 + len(level_one) + 4):
             opened.clear()
             res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t",
                                                          budget=budget))
-            calls = len(opened)
+            # an open parent is asked again for each batch
+            parents = {bits for bits, _, _ in opened}
+            level_two = sum(n for _, level, n in opened if level == 1)
+            # the open level-1 parents' whole child lists, as eager generation built
+            eager = sum(len(op_gen(space, SearchState(Bitmap(bits, space.n_bits), 1), FORWARD))
+                        for bits in parents & set(level_one))
             log, grid = self.eager_apx(u, ms, est, budget)
             assert [(e.bitmap, e.perf, e.row_count) for e in res.log] == \
                    [(e.bitmap, e.perf, e.row_count) for e in log]
             assert res.grid.cells == grid.cells
-            if budget == 1 + level_one + 1:
-                # one level-2 valuation: the root's call plus a few parents
-                assert 1 < calls < 1 + level_one
+            if budget == 1 + len(level_one) + 1:
+                # one level-2 valuation: the root's call plus a few parents,
+                # which build only part of their child lists
+                assert 1 < len(parents) < 1 + len(level_one)
+                assert 0 < level_two < eager
 
 
 class TestDeterminismAndBudget:

@@ -66,6 +66,14 @@ class RidgeEstimator:
     proportional to the feature-column count.  Deterministic: the holdout is
     every fifth expanded row and the solver is a direct solve, or the
     least-norm least-squares solution when the system is singular.
+
+    Each call keeps its numpy passes few: rows are repeated by weight only
+    when some weight is above 1, NaNs are found once as flat positions and
+    imputed through them, the holdout pattern is a slice of one the view
+    keeps, and each error is ``np.add.reduce(r * r) / n``, as ``np.mean``
+    computes it.  The measures equal a row-at-a-time reference bit for bit,
+    which fixes the layout of every sum: a feature mean is a column sum of
+    the n x f C-ordered feature matrix, as ``np.nanmean`` takes it there.
     """
 
     requires_feature = True
@@ -96,7 +104,8 @@ class RidgeEstimator:
         }
         # rows with a numeric target, each repeated by its multiplicity
         rows = space.row_indices(mask & view.number[self.target])
-        rows = np.repeat(rows, view.weights[rows])
+        if not view.unit_weights:
+            rows = np.repeat(rows, view.weights[rows])
         if not len(rows) or not feature_names:
             out[TRAIN_ERROR] = WORST_ERROR
             out[HOLDOUT_ERROR] = WORST_ERROR
@@ -106,35 +115,45 @@ class RidgeEstimator:
         # "clip" writes straight to ``out`` (every index is in range), where
         # "raise" would buffer the result first
         n, width, n_features = len(rows), view.values.shape[1], len(feature_names)
-        gathered, x, design = view.workspace(n * width, n * n_features, n * (n_features + 1))
+        gathered, flat_x, design = view.workspace(n * width, n * n_features,
+                                                  n * (n_features + 1))
         gathered = np.take(view.values, rows, axis=0, out=gathered.reshape(n, width), mode="clip")
         x = np.take(gathered, [view.column[a] for a in feature_names], axis=1,
-                    out=x.reshape(n, n_features), mode="clip")
+                    out=flat_x.reshape(n, n_features), mode="clip")
         y = gathered[:, view.column[self.target]]
-        # a NaN takes its feature's mean over the other rows (0.0 when it has none)
-        nan_at = np.isnan(x)
-        np.copyto(x, 0.0, where=nan_at)
-        with np.errstate(invalid="ignore", over="ignore"):
-            col_mean = x.sum(axis=0) / (len(x) - nan_at.sum(axis=0))
-        np.copyto(x, np.where(np.isfinite(col_mean), col_mean, 0.0), where=nan_at)
+        # an overflow or 0/0 gives a non-finite measure, which ``normalize``
+        # refuses, whatever the warnings filter says
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a NaN takes its feature's mean over the other rows (0.0 when it
+            # has none); numpy adds a contiguous column pairwise but a strided
+            # one row by row, so the sums stay on this n x f matrix
+            nan_at = np.flatnonzero(np.isnan(x))
+            if len(nan_at):
+                feature_of = nan_at % n_features
+                flat_x[nan_at] = 0.0
+                col_mean = x.sum(axis=0) / (n - np.bincount(feature_of, minlength=n_features))
+                flat_x[nan_at] = np.where(np.isfinite(col_mean), col_mean, 0.0)[feature_of]
 
-        # fit on the train split (row 0 is always in it), then score both splits
-        hold = np.arange(len(y)) % HOLDOUT_STRIDE == HOLDOUT_STRIDE - 1
-        errors = []
-        for part in (~hold, hold) if hold.any() else (~hold,):
-            xb = design[:np.count_nonzero(part) * (n_features + 1)].reshape(-1, n_features + 1)
-            np.compress(part, x, axis=0, out=xb[:, :-1])
-            xb[:, -1] = 1.0
-            if not errors:
-                gram = xb.T @ xb
-                gram.flat[::len(gram) + 1] += self.lam  # the diagonal
-                rhs = xb.T @ y[part]
-                try:
-                    beta = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:  # singular: lam 0 and a constant feature
-                    beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]  # the least-norm fit
-            resid = xb @ beta - y[part]
-            errors.append(float(np.mean(resid * resid)))
+            # fit on the train split (row 0 is always in it), then score both splits
+            train, hold = view.every_nth(HOLDOUT_STRIDE, n)
+            errors = []
+            for part, size in ((train, n - n // HOLDOUT_STRIDE), (hold, n // HOLDOUT_STRIDE)):
+                if not size:  # fewer than HOLDOUT_STRIDE rows: nothing held out
+                    break
+                xb = design[:size * (n_features + 1)].reshape(size, n_features + 1)
+                np.compress(part, x, axis=0, out=xb[:, :-1])
+                xb[:, -1] = 1.0
+                y_part = y[part]
+                if not errors:
+                    gram = xb.T @ xb
+                    gram.flat[::len(gram) + 1] += self.lam  # the diagonal
+                    rhs = xb.T @ y_part
+                    try:
+                        beta = np.linalg.solve(gram, rhs)
+                    except np.linalg.LinAlgError:  # singular: lam 0 and a constant feature
+                        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]  # the least-norm fit
+                resid = xb @ beta - y_part
+                errors.append(float(np.add.reduce(resid * resid) / size))  # ``np.mean``
         out[TRAIN_ERROR], out[HOLDOUT_ERROR] = errors[0], errors[-1]
         return out
 

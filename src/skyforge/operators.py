@@ -79,7 +79,12 @@ def _mask_of(flags) -> int:
 @dataclass(frozen=True)
 class ColumnarView:
     """Column arrays of the universal relation, for scoring a state from its
-    row mask without materializing its rows."""
+    row mask without materializing its rows.
+
+    Besides the arrays, a view keeps what every estimate would otherwise
+    rebuild: whether all weights are 1 (``unit_weights``), the row split
+    patterns of ``every_nth`` and one float ``workspace``.
+    """
 
     values: np.ndarray  # rows x attributes, NaN for null and non-numeric cells
     column: dict        # attribute -> column of ``values``
@@ -88,6 +93,24 @@ class ColumnarView:
     weights: np.ndarray  # row multiplicities
     # one flat float buffer, kept for the view's lifetime (see ``workspace``)
     _buffer: list = field(default_factory=lambda: [np.empty(0)], repr=False, compare=False)
+    # stride -> (rest, picked) patterns over every expanded row (see ``every_nth``)
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def unit_weights(self) -> bool:
+        """Every row has multiplicity 1, so a row list is already expanded."""
+        return bool((self.weights == 1).all())
+
+    def every_nth(self, stride: int, n: int) -> tuple:
+        """``(rest, picked)`` bool patterns of ``n`` expanded rows: ``picked``
+        marks rows ``stride - 1``, ``2 * stride - 1``, ... and ``rest`` the
+        others.  Built once per stride over all expanded rows and sliced, so
+        ``picked`` holds ``n // stride`` rows."""
+        patterns = self._patterns.get(stride)
+        if patterns is None:
+            picked = np.arange(int(self.weights.sum())) % stride == stride - 1
+            patterns = self._patterns[stride] = (~picked, picked)
+        return patterns[0][:n], patterns[1][:n]
 
     def workspace(self, *sizes: int) -> list:
         """Flat float arrays of the given sizes, consecutive views into one

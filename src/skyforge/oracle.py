@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the search machinery: the
 oracle owns its dominance and relaxed-dominance predicates, the front comes
-from an O(n^2) pairwise filter, and enumeration walks the whole bitmap space
+from an O(n^2) pairwise filter (after a few pivot rows drop what they
+dominate), and enumeration walks the whole bitmap space
 directly instead of following any transition order.  The pairwise work runs
 as blocked numpy comparisons, one measure column at a time, so its memory is
 bounded for any number of states; ``naive_dominates`` and
@@ -25,6 +26,7 @@ from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
 
 MAX_BITS = 20  # the default enumeration cap, in bitmap bits
+PIVOTS = 8  # smallest-sum rows that screen the exact front before its pairwise pass
 
 
 def naive_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -75,17 +77,26 @@ def _dominated(v: np.ndarray) -> np.ndarray:
 
 
 def naive_exact_pareto(states: Sequence[SearchState]) -> list:
-    """The non-dominated states in input order, the first of each vector."""
+    """The non-dominated states in input order, the first of each vector.
+
+    The ``PIVOTS`` rows of smallest sum first drop every state they
+    dominate; the pairwise filter then runs on the states left.  A
+    dominated state is dominated by some non-dominated state (dominance is
+    transitive), and no pivot drops a non-dominated state, so the second
+    pass still finds every dominated state among those left.
+    """
     vectors = [s.perf for s in states]
     if not vectors:
         return []
+    v = np.array(vectors, dtype=np.float64)
+    pivots = v[np.argsort(v.sum(axis=1), kind="stable")[:PIVOTS]]
+    left = np.flatnonzero(~_some_row(pivots, v, np.less_equal, np.less))
     out = []
     seen = set()
-    for s, vec, dominated in zip(states, vectors,
-                                 _dominated(np.array(vectors, dtype=np.float64)).tolist()):
-        if not dominated and vec not in seen:
-            out.append(s)
-            seen.add(vec)
+    for i in left[~_dominated(v[left])].tolist():
+        if vectors[i] not in seen:
+            out.append(states[i])
+            seen.add(vectors[i])
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -382,6 +383,20 @@ class TestRunCommand:
         assert manifest["grid"] and manifest["valuations"] > 1
         for entry in manifest["grid"]:
             assert all(math.isfinite(vals["raw"]) for vals in entry["measures"].values())
+
+    def test_ridge_overflow_exits_3_without_a_warning(self, tmp_path, capsys):
+        # products of +-1e200 cells overflow the gram matrix: the fit gives
+        # NaN, which normalize refuses, whatever the warnings filter is
+        path = base_config(tmp_path)
+        (tmp_path / "pool.csv").write_text("y,f1,f2\n" + "\n".join(
+            f"{2.0 * i + (i % 3)},{(1e200 if i % 2 else -1e200) * (i + 1)},"
+            f"{-1e200 if i % 3 else 1e200}" for i in range(12)) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        assert not caught
+        manifest = load_manifest(os.path.dirname(json.loads(capsys.readouterr().out)["manifest"]))
+        assert "non-finite raw value nan for holdout_error" in manifest["failure"]
 
     @pytest.mark.parametrize("algorithm", ["apx", "nobi"])
     def test_provenance_replays_to_each_output(self, tmp_path, algorithm):

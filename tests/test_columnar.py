@@ -215,8 +215,46 @@ def mixed_universal() -> UniversalTable:
     return universal_of(schema, rows, weights)
 
 
+def outer_join_pool(seed: int) -> UniversalTable:
+    """Two sources of unrounded floats sharing 20 of their keys, as in the
+    continuous join benchmark: the full outer join pads every unmatched row
+    with a whole block of nulls (``b0``, ``b1`` on left-only rows; ``y``,
+    ``a0``, ``a1`` on right-only ones).  Left uncompressed, so the cells keep
+    their drawn values and every weight is 1."""
+    rng = random.Random(seed)
+    keys = list(range(50))
+    rng.shuffle(keys)
+    left = Relation("left", ("key", "y", "a0", "a1"),
+                    [(k, rng.gauss(0.0, 2.0), rng.gauss(0.0, 1.0), rng.gauss(1.0, 3.0))
+                     for k in keys[:35]])
+    right = Relation("right", ("key", "b0", "b1"),
+                     [(k, rng.gauss(0.0, 3.0), rng.gauss(2.0, 1.0))
+                      for k in keys[:20] + keys[35:]])
+    u = build_universal([left, right], {("left", "right"): [("key", "key")]})
+    return derive_all_literals(u, max_clusters=4)
+
+
+def single_feature_pool(seed: int) -> UniversalTable:
+    """A target and two features drawn from a few unrounded values each,
+    with nulls, so compression leaves weights above one: dropping either
+    feature leaves one feature column over dozens of expanded rows."""
+    rng = random.Random(seed)
+    values = [[rng.gauss(0.0, 1.0 + j) for _ in range(5)] for j in range(3)]
+    rows = [tuple(None if j and rng.random() < 0.2 else rng.choice(values[j]) for j in range(3))
+            for _ in range(80)]
+    u = build_universal([Relation("pool", ("y", "f", "g"), rows)])
+    return compress_rows(derive_all_literals(u, max_clusters=3))
+
+
 def all_bitmaps(space: StateSpace):
     return [Bitmap(bits, space.n_bits) for bits in range(1, 2 ** space.n_bits)]
+
+
+def valid_bitmaps(space: StateSpace):
+    """Every non-degenerate bitmap holding all protected bits."""
+    protected = space.full_bitmap().bits & ~space.free_bits
+    return [bm for bm in all_bitmaps(space)
+            if bm.bits & protected == protected and not space.is_degenerate(bm)]
 
 
 # -- ridge ---------------------------------------------------------------------
@@ -314,6 +352,60 @@ class TestRidgeDifferential:
         only_target = space.bitmap_from_bits(space.attr_bits["y"])
         out = est.estimate(SearchState(only_target), space)
         assert out[MODEL_SIZE] == 0.0 and out[TRAIN_ERROR] == WORST_ERROR
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outer_join_null_blocks(self, seed):
+        space = StateSpace(outer_join_pool(seed), protected=("y",))
+        full = space.full_bitmap()
+        free = [i for i in range(space.n_bits) if space.free_bits >> i & 1]
+        rng = random.Random(seed)
+        bitmaps = [full] + [without(full, i) for i in free] + [
+            Bitmap(rng.getrandbits(space.n_bits) | ~space.free_bits & full.bits, space.n_bits)
+            for _ in range(100)]
+        assert assert_ridge_matches(space, RidgeEstimator("y"), bitmaps) > 50
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_feature_with_nulls_over_many_rows(self, seed):
+        # one contiguous feature column: numpy sums it pairwise, where an
+        # n x f matrix (f > 1) is summed row by row
+        space = StateSpace(single_feature_pool(seed), protected=("y",))
+        assert any(w > 1 for w in space.universal.relation.row_weights)
+        est = RidgeEstimator("y")
+        single = [bm for bm in valid_bitmaps(space)
+                  if est.estimate(SearchState(bm), space)[MODEL_SIZE] == 1.0]
+        view = space.columns
+        many_rows_with_nulls = [
+            bm for bm in single
+            if sum(view.weights[space.row_indices(space.row_mask(bm) & view.number["y"])]) > 8
+            and any(space.row_mask(bm) & view.number["y"] & ~view.number[a]
+                    for a in ("f", "g") if a in space.active_attributes(bm))]
+        assert len(many_rows_with_nulls) > 10
+        assert assert_ridge_matches(space, est, single) == len(single)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1, 1), (2, 1, 1, 1), (1, 3, 1)])
+    def test_four_and_five_expanded_rows(self, weights):
+        # four rows hold nothing out; the fifth is the first held-out row
+        rows = [(1.5, 0.25, 3.0), (2.0, None, 1.0), (3.75, 1.5, None),
+                (4.0, 2.0, 2.0), (6.5, 2.75, 0.5)][:len(weights)]
+        space = StateSpace(universal_of(("y", "f", "g"), rows, weights), protected=("y",))
+        bitmaps = valid_bitmaps(space)
+        counts = {RidgeEstimator("y").estimate(SearchState(bm), space)[TRAIN_COST]
+                  for bm in bitmaps}
+        assert {4.0, 5.0} <= counts
+        assert assert_ridge_matches(space, RidgeEstimator("y"), bitmaps) == len(bitmaps)
+
+    def test_unit_and_repeated_weights(self):
+        # one estimator over both kinds of view: rows go through np.repeat
+        # only where some weight is above one
+        unit = StateSpace(outer_join_pool(0), protected=("y",))
+        weighted = StateSpace(weighted_compressed(0), protected=("y",))
+        assert unit.columns.unit_weights and not weighted.columns.unit_weights
+        est = RidgeEstimator("y")
+        for space in (unit, weighted, unit):
+            rng = random.Random(space.n_bits)
+            bitmaps = [space.full_bitmap()] + [
+                Bitmap(rng.getrandbits(space.n_bits), space.n_bits) for _ in range(60)]
+            assert assert_ridge_matches(space, est, bitmaps) > 20
 
     def test_target_missing_fails(self):
         space = StateSpace(mixed_universal())

@@ -17,6 +17,7 @@ from skyforge.errors import ArgumentError
 from skyforge.measures import LogEntry, MeasureSet, MeasureSpec, TestLog
 from skyforge.operators import Bitmap, SearchState
 from skyforge.oracle import (
+    PIVOTS,
     check_eps_cover,
     check_pruned,
     enumerate_all,
@@ -167,6 +168,24 @@ def vector_lists(draw, max_size=40):
     return width, draw(st.lists(vec, max_size=max_size)), draw(st.lists(vec, max_size=12))
 
 
+@st.composite
+def screened_vectors(draw):
+    """More mutually non-dominated rows than pivots (a trade-off line in the
+    first two measures), then bumped copies of them: a copy is dominated,
+    often only by a row no pivot dominates, so only the pairwise pass after
+    the pivot screen drops it.  A zero bump makes a duplicate."""
+    width = draw(st.integers(2, 4))
+    k = draw(st.integers(PIVOTS + 1, 40))
+    line = [(i / k, 1 - i / k, *(draw(value) for _ in range(width - 2))) for i in range(k)]
+    copies = []
+    for i, m, bump in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, width - 1),
+                                              st.sampled_from((0.0, 0.01, 0.5))), max_size=60)):
+        vec = list(line[i])
+        vec[m] += bump
+        copies.append(tuple(vec))
+    return draw(st.permutations(line + copies))
+
+
 # -- exact front ----------------------------------------------------------------
 
 
@@ -181,6 +200,11 @@ class TestExactFront:
     @given(vector_lists())
     def test_generated(self, drawn):
         _, vectors, _ = drawn
+        assert_front_matches(vectors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(screened_vectors())
+    def test_pivot_screen_keeps_the_front(self, vectors):
         assert_front_matches(vectors)
 
     def test_first_of_each_duplicate_kept(self):

@@ -230,7 +230,6 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
     space = result.space
     entries = []
     for occupant in result.grid.occupants():
-        raw = result.log.get(occupant.bitmap).raw
         dataset = space.dataset(occupant.bitmap)
         csv_name = f"dataset_{occupant.bitmap.to_hex()}.csv"
         write_csv(os.path.join(out_dir, csv_name), dataset)
@@ -242,7 +241,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
             "columns": list(dataset.schema),
             "measures": {
                 name: {
-                    "raw": raw[name],
+                    "raw": occupant.raw[name],
                     "normalized": float(occupant.perf[i]),
                 }
                 for i, name in enumerate(measures.names)

@@ -54,7 +54,7 @@ class MeasureSet:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ArgumentError("duplicate measure names")
-        decisive = decisive or names[-1]
+        decisive = names[-1] if decisive is None else decisive
         if decisive not in names:
             raise ArgumentError(f"decisive measure {decisive!r} not declared")
         self.specs = tuple(specs)
@@ -91,6 +91,8 @@ def normalize(spec: MeasureSpec, raw: float) -> float:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """A valuated state, as the log records it once for its bitmap."""
+
     bitmap: Bitmap
     perf: tuple  # normalized floats, one per measure
     row_count: int
@@ -128,15 +130,15 @@ class TestLog:
 
 def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
             space: StateSpace, upcoming: Optional[SearchState] = None):
-    """Return the state's normalized vector, invoking the estimator at most once.
+    """Return the state's log entry, invoking the estimator at most once.
 
     All measures come back from a single estimator call; repeats on the same
     bitmap are served from the log.  ``upcoming``, the state valuated next
-    if the caller knows it, goes to the estimator.  Returns ``(perf, invoked)``.
+    if the caller knows it, goes to the estimator.  Returns ``(entry, invoked)``.
     """
     cached = log.get(state.bitmap)
     if cached is not None:
-        return cached.perf, False
+        return cached, False
     try:
         raw = estimator.estimate(state, space, upcoming)
         values = []
@@ -149,10 +151,8 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
         raise
     except Exception as exc:  # protocol violation, such as a reply that is no mapping
         raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=state.bitmap) from exc
-    perf = tuple(values)
-    log.append(LogEntry(state.bitmap, perf, space.row_count(state.bitmap),
-                        raw={s.name: float(raw[s.name]) for s in measures}))
-    return perf, True
+    return log.append(LogEntry(state.bitmap, tuple(values), space.row_count(state.bitmap),
+                               raw={s.name: float(raw[s.name]) for s in measures})), True
 
 
 def _rank(values: Sequence[float]) -> list:

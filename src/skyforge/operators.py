@@ -52,15 +52,11 @@ class Bitmap:
 
 @dataclass(frozen=True)
 class SearchState:
-    """A node of the running graph: bitmap, depth, and (once valuated) its
-    performance vector, a tuple of normalized floats."""
+    """An unvaluated node of the running graph: bitmap and depth.  A
+    valuated state is its ``measures.LogEntry``."""
 
     bitmap: Bitmap
     level: int = 0
-    perf: Optional[tuple] = None
-
-    def valuated(self, perf) -> "SearchState":
-        return SearchState(self.bitmap, self.level, perf)
 
 
 def _powers_in(low: int, high: int) -> int:
@@ -303,7 +299,8 @@ class StateSpace:
     def op_gen(self, state: SearchState, direction: str, lo: int = 0,
                hi: Optional[int] = None) -> list:
         """The bitmaps (ints) of every applicable one-flip child ``c`` of
-        ``state`` with ``lo <= c < hi`` (``hi`` None: no upper limit).
+        ``state`` (only its bitmap is read, so a valuated ``LogEntry`` will
+        do) with ``lo <= c < hi`` (``hi`` None: no upper limit).
 
         Forward flips set bits off (reducts), backward flips clear bits on
         (augments), in ascending bit order: attributes in schema order,

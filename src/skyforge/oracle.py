@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EnumerationCapError
-from .measures import MeasureSet, TestLog, valuate
+from .measures import LogEntry, MeasureSet, TestLog, valuate
 from .operators import Bitmap, SearchState, StateSpace
 from .search import PrunedState, div_score
 from .skyline import SkylineGrid
@@ -76,7 +76,7 @@ def _dominated(v: np.ndarray) -> np.ndarray:
     return _some_row(v, v, np.less_equal, np.less)
 
 
-def naive_exact_pareto(states: Sequence[SearchState]) -> list:
+def naive_exact_pareto(states: Sequence[LogEntry]) -> list:
     """The non-dominated states in input order, the first of each vector.
 
     The ``PIVOTS`` rows of smallest sum first drop every state they
@@ -141,8 +141,8 @@ def _check_cap(universal: UniversalTable, target: Optional[str], max_bits: int):
 def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
                   target: Optional[str] = None, max_bits: int = MAX_BITS,
                   log: Optional[TestLog] = None) -> list:
-    """Valuate every non-degenerate state of the instance, in ascending
-    bitmap order.
+    """The log entries of every non-degenerate state of the instance, in
+    ascending bitmap order.
 
     Walks the submasks of the free bits in ascending order, each with every
     bit of the protected target, when given.  Each valuation is told the next
@@ -166,12 +166,11 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     logged = {entry.bitmap.bits for entry in log}
     calls = [state for state in todo if state.bitmap.bits not in logged]
     upcoming = dict(zip((state.bitmap.bits for state in calls), calls[1:]))
-    return [state.valuated(valuate(state, estimator, log, measures, space,
-                                   upcoming.get(state.bitmap.bits))[0])
+    return [valuate(state, estimator, log, measures, space, upcoming.get(state.bitmap.bits))[0]
             for state in todo]
 
 
-def check_eps_cover(grid: SkylineGrid, all_states: Sequence[SearchState],
+def check_eps_cover(grid: SkylineGrid, all_states: Sequence[LogEntry],
                     eps: float) -> dict:
     """The cover part of a verify report: every valuated in-bounds state
     must be eps-dominated by an occupant.  Violations are ``(hex, reason)``."""
@@ -191,7 +190,7 @@ def check_eps_cover(grid: SkylineGrid, all_states: Sequence[SearchState],
 
 
 def check_pruned(report: dict, pruned: Sequence[PrunedState],
-                 all_states: Sequence[SearchState],
+                 all_states: Sequence[LogEntry],
                  searched: TestLog, oracle_log: TestLog, eps: float):
     """Audit pruning into ``report``: every pruned state the oracle valuated
     must be eps-dominated by some state the search valuated (``searched``),
@@ -208,7 +207,7 @@ def check_pruned(report: dict, pruned: Sequence[PrunedState],
     ]
 
 
-def check_div_bound(chosen: Sequence[SearchState], ground: Sequence[SearchState],
+def check_div_bound(chosen: Sequence[LogEntry], ground: Sequence[LogEntry],
                     k: int, alpha: float, log: TestLog,
                     measures: MeasureSet) -> float:
     """Ratio of the chosen set's diversity to the best k-subset's.

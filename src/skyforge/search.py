@@ -10,6 +10,7 @@ Everything is deterministic: children valuate and submit in bitmap order,
 queues advance level by level, and no RNG is involved anywhere.  Children
 stay ``int`` bitmaps through generation, deduplication and containment
 tests; each level builds one ``SearchState`` per distinct child it yields.
+Once valuated, a state is the log's own ``LogEntry``, wherever it is held.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EstimatorFailure
-from .measures import MeasureSet, TestLog, build_correlation_graph, estimate_bounds, valuate
+from .measures import (LogEntry, MeasureSet, TestLog, build_correlation_graph, estimate_bounds,
+                       valuate)
 from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
@@ -73,7 +75,7 @@ class SearchConfig:
 class RunningGraph:
     """DAG of explored states connected by one-flip transitions."""
 
-    nodes: dict = field(default_factory=dict)   # bits -> SearchState (valuated)
+    nodes: dict = field(default_factory=dict)   # bits -> SearchState, once valuated
     roots: list = field(default_factory=list)
     # child bits -> first inbound parent bits, for every child the walk reached
     parents: dict = field(default_factory=dict)
@@ -216,14 +218,12 @@ def _euc_max(log: TestLog, measures: MeasureSet) -> float:
     return value
 
 
-def dis_score(a: SearchState, b: SearchState, alpha: float, log: TestLog,
+def dis_score(a: LogEntry, b: LogEntry, alpha: float, log: TestLog,
               measures: MeasureSet) -> float:
     """Blend of bitmap cosine dissimilarity and normalized performance
     distance, in [0, 1]."""
     if a.bitmap.length != b.bitmap.length:
         raise ArgumentError("bitmaps have different lengths")
-    if a.perf is None or b.perf is None:
-        raise ArgumentError("dis_score needs valuated states")
     na, nb = a.bitmap.popcount(), b.bitmap.popcount()
     if na == 0 or nb == 0:
         cos = 0.0  # cosine undefined on a zero bitmap
@@ -236,7 +236,7 @@ def dis_score(a: SearchState, b: SearchState, alpha: float, log: TestLog,
     return min(max(score, 0.0), 1.0)
 
 
-def div_score(states: Sequence[SearchState], alpha: float, log: TestLog,
+def div_score(states: Sequence[LogEntry], alpha: float, log: TestLog,
               measures: MeasureSet) -> float:
     total = 0.0
     for i in range(len(states)):
@@ -245,7 +245,7 @@ def div_score(states: Sequence[SearchState], alpha: float, log: TestLog,
     return total
 
 
-def diversify_level(level_set: Sequence[SearchState], k: int, alpha: float,
+def diversify_level(level_set: Sequence[LogEntry], k: int, alpha: float,
                     log: TestLog, measures: MeasureSet) -> list:
     """Greedy swap diversification of one level's survivors down to k.
 
@@ -261,7 +261,7 @@ def diversify_level(level_set: Sequence[SearchState], k: int, alpha: float,
 
     pair_cache: dict = {}
 
-    def dis(a: SearchState, b: SearchState) -> float:
+    def dis(a: LogEntry, b: LogEntry) -> float:
         key = (min(a.bitmap.bits, b.bitmap.bits), max(a.bitmap.bits, b.bitmap.bits))
         if key not in pair_cache:
             pair_cache[key] = dis_score(a, b, alpha, log, measures)
@@ -313,7 +313,7 @@ class _Runner:
         self.grid = SkylineGrid(cfg.epsilon, measures)
         self.log = TestLog()
         self.graph = RunningGraph()
-        self.regions: list = []  # validated (forward state, backward state) pairs
+        self.regions: list = []  # validated (forward entry, backward entry) pairs
         self.pruned: list = []
         self.pruned_bits: set = set()  # once pruned, never revisited from either side
         self.div_set: list = []
@@ -326,7 +326,7 @@ class _Runner:
         return self._corr_cache[1]
 
     def valuate_one(self, state: SearchState, upcoming: Optional[SearchState] = None
-                    ) -> SearchState:
+                    ) -> LogEntry:
         """Valuate ``state``; ``upcoming``, the state valuated next, goes to
         the estimator unless this call may be the last the budget allows."""
         # the run's own log gains one entry per estimator call that returns
@@ -335,13 +335,12 @@ class _Runner:
             if used >= self.cfg.budget and self.log.get(state.bitmap) is None:
                 raise _BudgetExhausted
             upcoming = None
-        perf, _ = valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)
-        return state.valuated(perf)
+        return valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)[0]
 
-    def expand(self, frontier: list, direction: str):
-        """Yield the frontier's children in ascending bitmap order, as sorted
-        batches, and record for each child the lowest-index frontier state
-        that generates it as its parent.
+    def expand(self, frontier: list, direction: str, level: int):
+        """Yield the children of the frontier (entries at ``level``) in
+        ascending bitmap order, as sorted batches, and record for each child
+        the lowest-index frontier state that generates it as its parent.
 
         A parent's bound is the smallest bitmap one of its children could
         have: the parent with its highest unprotected set bit cleared
@@ -355,8 +354,8 @@ class _Runner:
         per flippable bit of each parent), all parents open in one batch and
         no bound is computed.  Children stay ints until yielded, so a child
         reached from several parents becomes one ``SearchState``.  A child's
-        level is its popcount distance from its root, so only same-level
-        duplicates occur.
+        level, ``level + 1``, is its popcount distance from its root, so only
+        same-level duplicates occur.
         """
         n_bits, free = self.space.n_bits, self.space.free_bits
         if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
@@ -388,12 +387,11 @@ class _Runner:
             if first:
                 batch = []
                 for bits in sorted(first):
-                    parent = frontier[first[bits]]
-                    self.graph.parents.setdefault(bits, parent.bitmap.bits)
-                    batch.append(SearchState(Bitmap(bits, n_bits), parent.level + 1))
+                    self.graph.parents.setdefault(bits, frontier[first[bits]].bitmap.bits)
+                    batch.append(SearchState(Bitmap(bits, n_bits), level + 1))
                 yield batch
 
-    def valuate_children(self, frontier: list, direction: str) -> list:
+    def valuate_children(self, frontier: list, direction: str, level: int) -> list:
         """Valuate the frontier's unpruned children in bitmap order as
         ``expand`` yields them, adding each to the graph and the grid as
         soon as it is valuated, so an estimator failure loses no paid
@@ -404,21 +402,21 @@ class _Runner:
         this side's valuations, and the side's unpruned children form one
         batch.  Each valuation is told the next child of its batch.
         """
-        batches = self.expand(frontier, direction)
+        batches = self.expand(frontier, direction, level)
         if self.pruning:
             batches = [[c for batch in batches for c in batch if not self.try_prune(c)]]
-        return [self.keep(self.valuate_one(c, upcoming))
+        return [self.keep(c, self.valuate_one(c, upcoming))
                 for batch in batches for c, upcoming in zip(batch, [*batch[1:], None])]
 
-    def keep(self, valuated: SearchState) -> SearchState:
-        self.graph.nodes[valuated.bitmap.bits] = valuated
-        self.grid.submit(valuated)
-        return valuated
+    def keep(self, state: SearchState, entry: LogEntry) -> LogEntry:
+        self.graph.nodes[state.bitmap.bits] = state
+        self.grid.submit(entry)
+        return entry
 
-    def start_root(self, state: SearchState) -> SearchState:
-        valuated = self.keep(self.valuate_one(state))
-        self.graph.roots.append(valuated.bitmap)
-        return valuated
+    def start_root(self, state: SearchState) -> LogEntry:
+        entry = self.keep(state, self.valuate_one(state))
+        self.graph.roots.append(state.bitmap)
+        return entry
 
     def try_prune(self, child: SearchState) -> bool:
         if not self.regions:
@@ -478,7 +476,7 @@ class _Runner:
                     break
                 if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
                     break  # frontiers met: every candidate between is explored
-                valuated = [self.valuate_children(frontier, direction)
+                valuated = [self.valuate_children(frontier, direction, level)
                             for frontier, direction in zip(frontiers, (FORWARD, BACKWARD))]
                 if self.pruning:
                     self.add_regions(*valuated)

@@ -15,8 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import ArgumentError
-from .measures import MeasureSet
-from .operators import SearchState
+from .measures import LogEntry, MeasureSet
 
 INSERTED = "inserted"
 REPLACED = "replaced"
@@ -25,7 +24,7 @@ REJECTED = "rejected"
 
 @dataclass
 class SkylineGrid:
-    """Cell -> single retained state, over the non-decisive measure axes.
+    """Cell -> single retained log entry, over the non-decisive measure axes.
 
     A cell key is the tuple of a vector's integer coordinates, one per
     non-decisive measure in declaration order.
@@ -33,7 +32,7 @@ class SkylineGrid:
 
     epsilon: float
     measures: MeasureSet
-    cells: dict = field(default_factory=dict)  # coordinates -> SearchState
+    cells: dict = field(default_factory=dict)  # coordinates -> LogEntry
     below_floor: set = field(default_factory=set)  # bitmaps seen under p_low
 
     def __post_init__(self):
@@ -56,30 +55,28 @@ class SkylineGrid:
             total *= self._coord(spec.p_high, spec.p_low) + 1
         return total
 
-    def submit(self, state: SearchState) -> str:
+    def submit(self, entry: LogEntry) -> str:
         """UPareto step: bound-filter, locate the cell, insert or replace.
 
         Replacement needs a strictly lower decisive value; ties keep the
         incumbent so replays are stable.
         """
-        perf = state.perf
-        if perf is None:
-            raise ArgumentError("candidate must be valuated before submission")
+        perf = entry.perf
         specs = self.measures.specs
         if any(v > spec.p_high for v, spec in zip(perf, specs)):
             return REJECTED
         if any(v < spec.p_low for v, spec in zip(perf, specs)):
             # reported, not rejected: normalization flooring should make
             # this unreachable unless bounds were configured above it
-            self.below_floor.add(state.bitmap.bits)
+            self.below_floor.add(entry.bitmap.bits)
         pos = self.position_unchecked(perf)
         holder = self.cells.get(pos)
         if holder is None:
-            self.cells[pos] = state
+            self.cells[pos] = entry
             return INSERTED
         d = self.measures.decisive_index
         if perf[d] < holder.perf[d]:
-            self.cells[pos] = state
+            self.cells[pos] = entry
             return REPLACED
         return REJECTED
 

@@ -238,11 +238,12 @@ class UniversalTable:
 
 def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
     """Per-column parse as int, then float, then str; empty string is null.
-    Each column comes back as its type and its cells."""
+    A column with an underscore stays str: ``int`` and ``float`` read
+    "1_234" as 1234.  Each column comes back as its type and its cells."""
     typed = []
     for i in range(len(header)):
         cells = [r[i] for r in raw_rows]
-        for caster in (int, float, str):
+        for caster in (str,) if "_" in "".join(cells) else (int, float, str):
             try:
                 typed.append((caster, [None if c == "" else caster(c) for c in cells]))
                 break
@@ -254,7 +255,7 @@ def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
 def ingest_csv(path: str, name: str) -> Relation:
     """Load an RFC-4180 CSV with a header row into a Relation."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
             reader = csv.reader(fh)
             try:
                 header = next(reader)

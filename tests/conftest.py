@@ -34,7 +34,6 @@ from skyforge import (
     MeasureSet,
     MeasureSpec,
     Relation,
-    SearchState,
     TestLog,
     UniversalTable,
 )
@@ -82,10 +81,10 @@ def three_measures(p_low=1e-6, p_high=1.0) -> MeasureSet:
 
 @pytest.fixture
 def example_states():
-    """The five worked-example datasets as valuated states D1..D5."""
+    """The five worked-example datasets as valuated states (log entries) D1..D5."""
     states = {}
     for i, (name, vec) in enumerate(EXAMPLE_VECTORS.items()):
-        states[name] = SearchState(Bitmap(1 << i, 5), perf=perf(*vec))
+        states[name] = LogEntry(Bitmap(1 << i, 5), perf(*vec), 1)
     return states
 
 

@@ -162,7 +162,7 @@ def audit_pruned(result, u, measures, estimator, eps):
     for p in {p.bitmap.bits for p in result.pruned}:
         got, _ = valuate(SearchState(Bitmap(p, space.n_bits)), estimator,
                          audit_log, measures, space)
-        if not any(naive_eps_dominates(v, got, eps) for v in valuated):
+        if not any(naive_eps_dominates(v, got.perf, eps) for v in valuated):
             bad.append(p)
     return bad
 
@@ -198,10 +198,9 @@ def diversification_fixture(rng, n):
     log = TestLog()
     states = []
     for bits in rng.sample(range(1, 2 ** 10), n):
-        s = SearchState(Bitmap(bits, 10),
-                        perf=perf(*(rng.uniform(0.05, 1.0) for _ in range(3))))
-        log.append(LogEntry(s.bitmap, s.perf, bits % 9 + 1))
-        states.append(s)
+        states.append(log.append(LogEntry(Bitmap(bits, 10),
+                                          perf(*(rng.uniform(0.05, 1.0) for _ in range(3))),
+                                          bits % 9 + 1)))
     return states, log
 
 

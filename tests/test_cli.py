@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 
 import skyforge.cli as cli
-from skyforge import ArgumentError, Bitmap, SearchState, SubprocessEstimator
+from skyforge import (ArgumentError, Bitmap, MeasureSet, MeasureSpec, SearchState,
+                      SubprocessEstimator)
 from skyforge.operators import StateSpace
 from skyforge.oracle import state_count_bound
 from skyforge.tabular import Literal
@@ -148,6 +149,21 @@ class TestConfigValidation:
         path = base_config(tmp_path, decisive="nope")
         with pytest.raises(ArgumentError):
             RunConfig.from_file(str(path))
+
+    def test_empty_decisive_is_a_name_not_the_default(self, tmp_path, capsys):
+        # "" names no declared measure, so it is refused, not read as absent
+        path = base_config(tmp_path, decisive="")
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert "decisive measure '' not declared" in capsys.readouterr().err
+        ms = MeasureSet([MeasureSpec(""), MeasureSpec("b")], decisive="")
+        assert ms.decisive_index == 0
+
+    def test_bom_csv_first_column_is_the_target(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with a byte order mark, which must not
+        # become part of the first column's name
+        path = base_config(tmp_path)
+        (tmp_path / "pool.csv").write_text("\ufeff" + POOL_CSV, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == EXIT_OK
 
     def test_main_exits_2_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -450,7 +450,7 @@ def test_op_gen_matches_from_scratch_reference(name, space):
             for child in got:
                 assert 0 < child < 1 << space.n_bits
                 assert (child ^ parent.bits) & protected_bits == 0
-            yielded = [c for batch in runner.expand([state], direction) for c in batch]
+            yielded = [c for batch in runner.expand([state], direction, 3) for c in batch]
             assert [c.bitmap.bits for c in yielded] == sorted(got)
             for child in yielded:
                 assert child.level == 4 and child.bitmap.length == space.n_bits

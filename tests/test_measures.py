@@ -125,7 +125,7 @@ class TestValuate:
         first, invoked1 = valuate(s, est, log, ms, space)
         second, invoked2 = valuate(s, est, log, ms, space)
         assert invoked1 and not invoked2
-        assert first == second
+        assert first is second is log.get(s.bitmap)
         assert est.calls == 1
 
     def test_lookup_returns_example_vector(self, toy_universal):
@@ -135,7 +135,7 @@ class TestValuate:
         est = LookupEstimator({bitmap.bits: dict(zip(ms.names, EXAMPLE_VECTORS["D3"]))})
         log = TestLog()
         got, _ = valuate(SearchState(bitmap), est, log, ms, space)
-        assert got == pytest.approx(EXAMPLE_VECTORS["D3"])
+        assert got.perf == pytest.approx(EXAMPLE_VECTORS["D3"])
 
     def test_missing_measure_is_protocol_violation(self, toy_universal):
         space = StateSpace(toy_universal)
@@ -155,7 +155,7 @@ class TestValuate:
         ms = MeasureSet([MeasureSpec(TRAIN_ERROR)])
         est = RidgeEstimator(target="y")
         got, _ = valuate(space.root_state(), est, TestLog(), ms, space)
-        assert got[0] == NORMALIZED_FLOOR
+        assert got.perf[0] == NORMALIZED_FLOOR
 
 
 def column_log(columns, rows) -> TestLog:

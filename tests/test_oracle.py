@@ -12,7 +12,6 @@ from skyforge import (
     MeasureSpec,
     Relation,
     SearchConfig,
-    SearchState,
     SkylineGrid,
     TestLog,
     UniversalTable,
@@ -135,8 +134,7 @@ class TestCheckEpsCover:
     def setup_states(self, seed=7, n=12):
         rng = random.Random(seed)
         return [
-            SearchState(Bitmap(i + 1, 6),
-                        perf=perf(*(rng.uniform(0.1, 1.0) for _ in range(3))))
+            LogEntry(Bitmap(i + 1, 6), perf(*(rng.uniform(0.1, 1.0) for _ in range(3))), 1)
             for i in range(n)
         ]
 
@@ -161,7 +159,7 @@ class TestCheckEpsCover:
     def test_out_of_bounds_states_ignored(self):
         ms = three_measures(p_low=0.05, p_high=0.5)
         grid = SkylineGrid(0.3, ms)
-        state = SearchState(Bitmap(1, 3), perf=perf(0.9, 0.9, 0.9))
+        state = LogEntry(Bitmap(1, 3), perf(0.9, 0.9, 0.9), 1)
         report = check_eps_cover(grid, [state], 0.3)
         assert report["eps_cover_violations"] == []
 
@@ -169,12 +167,8 @@ class TestCheckEpsCover:
 class TestCheckDivBound:
     def make_states(self, vectors, bitmaps):
         log = TestLog()
-        out = []
-        for bits, vec in zip(bitmaps, vectors):
-            s = SearchState(Bitmap(bits, 6), perf=perf(*vec))
-            log.append(LogEntry(s.bitmap, s.perf, 2))
-            out.append(s)
-        return out, log
+        return [log.append(LogEntry(Bitmap(bits, 6), perf(*vec), 2))
+                for bits, vec in zip(bitmaps, vectors)], log
 
     def test_optimal_subset_scores_one(self):
         rng = random.Random(2)

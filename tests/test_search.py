@@ -212,8 +212,7 @@ class TestRunApx:
                             SearchConfig(epsilon=0.3, target="t"))
         assert res.partial and len(res.log) == res.valuations == 3
         assert {e.bitmap.bits for e in res.log} <= set(res.graph.nodes)
-        logged = [SearchState(e.bitmap, perf=e.perf) for e in res.log]
-        assert not check_eps_cover(res.grid, logged, 0.3)["eps_cover_violations"]
+        assert not check_eps_cover(res.grid, list(res.log), 0.3)["eps_cover_violations"]
 
     def test_non_mapping_estimate_ends_walk_as_failure(self, toy_universal):
         class NoneAfterTwoCalls:
@@ -282,7 +281,7 @@ class TestRunBi:
         valuated = [e.perf for e in res.log]
         for b in pruned_bits:
             got, _ = valuate(SearchState(Bitmap(b, space.n_bits)), est, audit, ms, space)
-            assert any(naive_eps_dominates(v, got, 0.3) for v in valuated)
+            assert any(naive_eps_dominates(v, got.perf, 0.3) for v in valuated)
 
     def test_pruning_never_breaks_cover_of_the_full_space(self):
         u, ms, est, names, vectors = build_pruning_fixture()
@@ -298,9 +297,9 @@ class TestRunBi:
         real_side = search_module._Runner.valuate_children
         real_prune = search_module._Runner.try_prune
 
-        def recording_side(runner, frontier, direction):
+        def recording_side(runner, frontier, direction, level):
             sides.append([])
-            return real_side(runner, frontier, direction)
+            return real_side(runner, frontier, direction, level)
 
         def recording_prune(runner, child):
             sides[-1].append("prune")
@@ -392,10 +391,9 @@ class TestCanPrune:
 
     def states(self, names, log, space):
         def mk(name_or_bits):
-            bits = names.get(name_or_bits, name_or_bits)
-            entry = log.get(Bitmap(bits, space.n_bits))
-            p = entry.perf if entry else None
-            return SearchState(Bitmap(bits, space.n_bits), perf=p)
+            # a logged state is its entry, any other an unvaluated state
+            bitmap = Bitmap(names.get(name_or_bits, name_or_bits), space.n_bits)
+            return log.get(bitmap) or SearchState(bitmap)
         return mk
 
     def test_worked_fixture_mid_states_prune(self):
@@ -471,10 +469,8 @@ class TestCanPrune:
 class TestDisScore:
     def two_state_log(self, ms):
         log = TestLog()
-        a = SearchState(Bitmap(0b0011, 4), perf=perf(0.1, 0.1, 0.1))
-        b = SearchState(Bitmap(0b1100, 4), perf=perf(0.9, 0.9, 0.9))
-        log.append(LogEntry(a.bitmap, a.perf, 3))
-        log.append(LogEntry(b.bitmap, b.perf, 3))
+        a = log.append(LogEntry(Bitmap(0b0011, 4), perf(0.1, 0.1, 0.1), 3))
+        b = log.append(LogEntry(Bitmap(0b1100, 4), perf(0.9, 0.9, 0.9), 3))
         return log, a, b
 
     def test_identical_states_score_zero(self):
@@ -495,7 +491,7 @@ class TestDisScore:
     def test_zero_bitmap_treated_as_orthogonal(self):
         ms = three_measures()
         log, a, _ = self.two_state_log(ms)
-        z = SearchState(Bitmap(0, 4), perf=perf(0.5, 0.5, 0.5))
+        z = LogEntry(Bitmap(0, 4), perf(0.5, 0.5, 0.5), 1)
         assert dis_score(z, a, 1.0, log, ms) == pytest.approx(0.5)
 
     def test_symmetry(self):
@@ -510,10 +506,9 @@ def random_valuated_states(rng, n, bits=8):
     ms = three_measures()
     chosen = rng.sample(range(1, 2 ** bits), n)
     for b in chosen:
-        s = SearchState(Bitmap(b, bits),
-                        perf=perf(*(rng.uniform(0.05, 1.0) for _ in range(3))))
-        log.append(LogEntry(s.bitmap, s.perf, b % 7 + 1))
-        out.append(s)
+        out.append(log.append(LogEntry(Bitmap(b, bits),
+                                       perf(*(rng.uniform(0.05, 1.0) for _ in range(3))),
+                                       b % 7 + 1)))
     return out, log, ms
 
 
@@ -526,12 +521,10 @@ class TestDiversifyLevel:
     def test_duplicate_bitmaps_not_both_kept(self):
         ms = three_measures()
         log = TestLog()
-        dup1 = SearchState(Bitmap(0b0001, 4), perf=perf(0.2, 0.2, 0.2))
-        dup2 = SearchState(Bitmap(0b0001, 4), perf=perf(0.2, 0.2, 0.2))
-        other = SearchState(Bitmap(0b1110, 4), perf=perf(0.8, 0.8, 0.8))
-        far = SearchState(Bitmap(0b0110, 4), perf=perf(0.5, 0.9, 0.1))
-        for s in (dup1, other, far):
-            log.append(LogEntry(s.bitmap, s.perf, 2))
+        dup1 = log.append(LogEntry(Bitmap(0b0001, 4), perf(0.2, 0.2, 0.2), 2))
+        dup2 = LogEntry(Bitmap(0b0001, 4), perf(0.2, 0.2, 0.2), 2)
+        other = log.append(LogEntry(Bitmap(0b1110, 4), perf(0.8, 0.8, 0.8), 2))
+        far = log.append(LogEntry(Bitmap(0b0110, 4), perf(0.5, 0.9, 0.1), 2))
         chosen = diversify_level([dup1, dup2, other, far], 2, 0.5, log, ms)
         assert len({s.bitmap.bits for s in chosen}) == 2
 
@@ -575,17 +568,36 @@ class TestRunDiv:
     def test_skewed_level_keeps_both_clusters(self):
         ms = three_measures()
         log = TestLog()
-        cluster_a = [SearchState(Bitmap(0b000111 | (1 << i), 9),
-                                 perf=perf(0.2, 0.2, 0.2 + i / 100))
+        cluster_a = [log.append(LogEntry(Bitmap(0b000111 | (1 << i), 9),
+                                         perf(0.2, 0.2, 0.2 + i / 100), 2))
                      for i in range(3, 5)]
-        cluster_b = [SearchState(Bitmap(0b111000000, 9),
-                                 perf=perf(0.9, 0.9, 0.9))]
-        for s in cluster_a + cluster_b:
-            log.append(LogEntry(s.bitmap, s.perf, 2))
+        cluster_b = [log.append(LogEntry(Bitmap(0b111000000, 9), perf(0.9, 0.9, 0.9), 2))]
         chosen = diversify_level(cluster_a + cluster_b, 2, 0.5, log, ms)
         bits = {s.bitmap.bits for s in chosen}
         assert any(s.bitmap.bits in bits for s in cluster_a)
         assert any(s.bitmap.bits in bits for s in cluster_b)
+
+
+class TestOneRecordPerState:
+    def test_holders_keep_the_logs_own_entries(self):
+        # a valuated state is its log entry: grid cells, the diversified set
+        # and the oracle's states are the log's objects, never copies
+        u, ms, est = toy_setup(seed=1)
+        res = run_algorithm(u, ms, est, SearchConfig(
+            epsilon=0.3, target="t", algorithm="div", k=2, budget=10))
+        assert res.grid.occupants() and res.div_set
+        for entry in res.grid.occupants() + res.div_set:
+            assert entry is res.log.get(entry.bitmap)
+        log = TestLog()
+        everything = enumerate_all(u, est, ms, target="t", log=log)
+        assert len(everything) == len(log)
+        assert all(entry is log.get(entry.bitmap) for entry in everything)
+        space, state = StateSpace(u, protected=("t",)), SearchState(everything[-1].bitmap)
+        fresh = TestLog()
+        first, invoked = valuate(state, est, fresh, ms, space)
+        again, repeated = valuate(state, est, fresh, ms, space)
+        assert invoked and not repeated and first is again is fresh.get(state.bitmap)
+        assert valuate(state, est, log, ms, space)[0] is everything[-1]
 
 
 @st.composite
@@ -621,7 +633,7 @@ class TestLazyExpansion:
         for state in frontier:
             for child in runner.space.op_gen(state, direction):
                 first_parent.setdefault(child, state.bitmap.bits)
-        batches = list(runner.expand(frontier, direction))
+        batches = list(runner.expand(frontier, direction, 2))
         streamed = [c.bitmap.bits for batch in batches for c in batch]
         assert all(batches)
         assert streamed == sorted(first_parent)
@@ -645,7 +657,7 @@ class TestLazyExpansion:
         streamed = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(StateSpace, "op_gen", recording_op_gen)
-            for batch in runner.expand(frontier, direction):
+            for batch in runner.expand(frontier, direction, 2):
                 streamed += [c.bitmap.bits for c in batch]
                 # no child built so far waits for a later batch; a child
                 # reached from several parents is built once by each
@@ -663,9 +675,9 @@ class TestLazyExpansion:
             made.append(args[0].bits)
             return real_state(*args, **kwargs)
 
-        def recording_expand(runner, frontier, direction):
+        def recording_expand(runner, frontier, direction, level):
             made.clear()
-            batches = list(real_expand(runner, frontier, direction))
+            batches = list(real_expand(runner, frontier, direction, level))
             generated = [c for s in frontier for c in runner.space.op_gen(s, direction)]
             levels.append((list(made), generated, [c.bitmap.bits for b in batches for c in b]))
             yield from batches
@@ -692,10 +704,10 @@ class TestLazyExpansion:
             for state in level:
                 if used == budget:
                     return log, grid
-                perf_, invoked = valuate(state, est, log, ms, space)
+                entry, invoked = valuate(state, est, log, ms, space)
                 used += invoked
-                valuated.append(state.valuated(perf_))
-                grid.submit(valuated[-1])
+                valuated.append(entry)
+                grid.submit(entry)
             depth += 1
             children = {c for s in valuated for c in space.op_gen(s, FORWARD)}
             level = [SearchState(Bitmap(b, space.n_bits), depth) for b in sorted(children)]
@@ -703,12 +715,12 @@ class TestLazyExpansion:
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])
     def test_budget_stop_opens_fewer_parents(self, seed, monkeypatch):
-        opened = []  # (parent bits, parent level, children returned) per call
+        opened = []  # (parent bits, children returned) per call
         op_gen = StateSpace.op_gen
 
         def counting_op_gen(space, state, direction, lo=0, hi=None):
             children = op_gen(space, state, direction, lo, hi)
-            opened.append((state.bitmap.bits, state.level, len(children)))
+            opened.append((state.bitmap.bits, len(children)))
             return children
 
         monkeypatch.setattr(StateSpace, "op_gen", counting_op_gen)
@@ -721,8 +733,8 @@ class TestLazyExpansion:
             res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t",
                                                          budget=budget))
             # an open parent is asked again for each batch
-            parents = {bits for bits, _, _ in opened}
-            level_two = sum(n for _, level, n in opened if level == 1)
+            parents = {bits for bits, _ in opened}
+            level_two = sum(n for bits, n in opened if bits in level_one)
             # the open level-1 parents' whole child lists, as eager generation built
             eager = sum(len(op_gen(space, SearchState(Bitmap(bits, space.n_bits), 1), FORWARD))
                         for bits in parents & set(level_one))

@@ -9,12 +9,13 @@ from skyforge import (
     Bitmap,
     MeasureSet,
     MeasureSpec,
-    SearchState,
     SkylineGrid,
     naive_dominates,
     naive_eps_dominates,
     naive_exact_pareto,
 )
+
+from skyforge.measures import LogEntry
 
 from conftest import EXAMPLE_VECTORS, perf, three_measures
 
@@ -105,19 +106,13 @@ class TestGridPos:
 
 
 def state(bits, vec, n=5):
-    return SearchState(Bitmap(bits, n), perf=perf(*vec))
+    return LogEntry(Bitmap(bits, n), perf(*vec), 1)
 
 
 class TestUPareto:
     def test_upper_bound_filter_rejects(self):
         grid = make_grid(p_high=0.5)
         assert grid.submit(state(1, (0.2, 0.6, 0.2))) == "rejected"
-        assert grid.occupant_count() == 0
-
-    def test_unvaluated_candidate_rejected(self):
-        grid = make_grid()
-        with pytest.raises(ArgumentError):
-            grid.submit(SearchState(Bitmap(1, 5)))
         assert grid.occupant_count() == 0
 
     def test_insert_into_empty_cell(self):
@@ -146,9 +141,9 @@ class TestUPareto:
     def test_single_measure_degenerates_to_scalar_minimum(self):
         ms = MeasureSet([MeasureSpec("only", p_low=0.1)])
         grid = SkylineGrid(0.3, ms)
-        grid.submit(SearchState(Bitmap(1, 3), perf=perf(0.9)))
-        grid.submit(SearchState(Bitmap(2, 3), perf=perf(0.4)))
-        grid.submit(SearchState(Bitmap(4, 3), perf=perf(0.6)))
+        grid.submit(LogEntry(Bitmap(1, 3), perf(0.9), 1))
+        grid.submit(LogEntry(Bitmap(2, 3), perf(0.4), 1))
+        grid.submit(LogEntry(Bitmap(4, 3), perf(0.6), 1))
         assert grid.max_cells() == 1
         (occ,) = grid.occupants()
         assert occ.perf[0] == 0.4

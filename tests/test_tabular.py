@@ -93,6 +93,20 @@ class TestCsvIngest:
         p.write_text(f"x\n5\n{cell}\n")
         assert ingest_csv(str(p), "i").column("x") == [5, cell]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text("\ufeffa,b\n1,x\n", encoding="utf-8")
+        r = ingest_csv(str(p), "b")
+        assert r.schema == ("a", "b") and r.rows[0] == (1, "x")
+
+    def test_digit_group_underscores_keep_a_column_str(self, tmp_path):
+        # int() and float() read both codes as 1234; as text they stay apart
+        p = tmp_path / "u.csv"
+        p.write_text("code,x,y\n1_234,5,1_0.5\n12_34,6,2.5\n")
+        r = ingest_csv(str(p), "u")
+        assert r.adom("code") == ("12_34", "1_234")
+        assert r.column("x") == [5, 6] and r.column("y") == ["1_0.5", "2.5"]
+
     def test_nan_text_in_string_column_stays_a_category(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("s\nnan\nabc\n")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from skyforge.errors import ArgumentError
 from skyforge.measures import LogEntry, MeasureSet, MeasureSpec, TestLog
-from skyforge.operators import Bitmap, SearchState
+from skyforge.operators import Bitmap
 from skyforge.oracle import (
     PIVOTS,
     check_eps_cover,
@@ -103,7 +103,7 @@ def reference_euc_max(log, measures):
 
 
 def states_of(vectors):
-    return [SearchState(Bitmap(i, 32), perf=v) for i, v in enumerate(vectors)]
+    return [LogEntry(Bitmap(i, 32), v, 1) for i, v in enumerate(vectors)]
 
 
 def measures_of(width, p_high=1.0):
@@ -113,7 +113,7 @@ def measures_of(width, p_high=1.0):
 def grid_of(occupant_vectors, width, p_high=1.0):
     grid = SkylineGrid(0.1, measures_of(width, p_high))
     for k, v in enumerate(occupant_vectors):
-        grid.cells[(k,)] = SearchState(Bitmap(1 << 20 | k, 32), perf=v)
+        grid.cells[(k,)] = LogEntry(Bitmap(1 << 20 | k, 32), v, 1)
     return grid
 
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import string
 import sys
 import time
 from dataclasses import dataclass
@@ -103,6 +104,7 @@ CONFIG_SCHEMA = {
     },
 }
 
+_HEX_DIGITS = frozenset(string.hexdigits)  # the only characters of a lookup key
 # built once: jsonschema.validate re-checks the schema on every call
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
@@ -175,6 +177,9 @@ class RunConfig:
                     with open(path, encoding="utf-8") as fh:
                         loaded = json.load(fh)
                     table = {int(hex_bits, 16): dict(vals) for hex_bits, vals in loaded.items()}
+                    # int(k, 16) also reads "0x1f", "+1f", " 1f", "1_f" and "-1"
+                    if not _HEX_DIGITS.issuperset("".join(loaded)) or len(table) != len(loaded):
+                        raise ValueError("keys must be distinct bitmaps in hex digits")
                 except (OSError, ValueError, TypeError, AttributeError) as exc:
                     raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
             return LookupEstimator(table, default=est.get("default"))

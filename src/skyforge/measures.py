@@ -22,6 +22,7 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
 NORMALIZED_FLOOR = 1e-6
+_BIG = sys.float_info.max  # NaN fails every comparison with it
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,8 @@ class MeasureSpec:
     def __post_init__(self):
         if self.direction not in (MINIMIZE, MAXIMIZE):
             raise ArgumentError(f"bad direction {self.direction!r}")
-        big = sys.float_info.max  # NaN fails every comparison
-        if not (-big <= self.raw_low < self.raw_high <= big
-                and self.raw_high - self.raw_low <= big):
+        if not (-_BIG <= self.raw_low < self.raw_high <= _BIG
+                and self.raw_high - self.raw_low <= _BIG):
             raise ArgumentError(f"{self.name}: need finite raw_low < raw_high with a finite span")
         if not (0.0 < self.p_low <= self.p_high <= 1.0):
             raise ArgumentError(f"{self.name}: need 0 < p_low <= p_high <= 1")
@@ -62,6 +62,9 @@ class MeasureSet:
         self.decisive = decisive
         self.decisive_index = names.index(decisive)
         self.grid_indices = tuple(i for i in range(len(names)) if i != self.decisive_index)
+        # one row per measure, read by ``valuate`` on every estimate
+        self.table = tuple((s.name, s, s.raw_low, s.raw_high, s.raw_high - s.raw_low,
+                            s.direction == MINIMIZE) for s in specs)
 
     def __len__(self):
         return len(self.specs)
@@ -141,22 +144,28 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
         return cached, False
     try:
         raw = estimator.estimate(state, space, upcoming)
-        values = []
-        for spec in measures:
-            if spec.name not in raw:
-                raise EstimatorFailure(f"estimator returned no value for measure {spec.name!r}")
-            values.append(normalize(spec, raw[spec.name]))
+        values, reported = [], {}
+        for name, spec, low, high, span, minimize in measures.table:
+            if name not in raw:
+                raise EstimatorFailure(f"estimator returned no value for measure {name!r}")
+            x = raw[name]
+            if type(x) is float and -_BIG <= x <= _BIG:  # normalize's arithmetic, inlined
+                v = (x - low) / span if minimize else (high - x) / span
+                values.append(1.0 if v > 1.0 else NORMALIZED_FLOOR if v < NORMALIZED_FLOOR else v)
+            else:  # ints, float subclasses and every refusal
+                values.append(normalize(spec, x))
+            reported[name] = float(x)
     except EstimatorFailure as exc:  # the one place a failure learns its state
         exc.bitmap = state.bitmap
         raise
     except Exception as exc:  # protocol violation, such as a reply that is no mapping
         raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=state.bitmap) from exc
     return log.append(LogEntry(state.bitmap, tuple(values), space.row_count(state.bitmap),
-                               raw={s.name: float(raw[s.name]) for s in measures})), True
+                               raw=reported)), True
 
 
 def _rank(values: Sequence[float]) -> list:
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):

@@ -137,12 +137,14 @@ class StateSpace:
         self.bit_literals: list = []
         self.attr_bits: dict = {}
         self._attr_field: dict = {}  # attribute -> its bits as a bitmap mask
-        for a in universal.schema:
+        self._bit_attribute: list = []  # bit index -> (schema index, attribute)
+        for j, a in enumerate(universal.schema):
             lits = universal.literals(a)
             start = len(self.bit_literals)
             self.bit_literals.extend(lits)
             self.attr_bits[a] = tuple(range(start, len(self.bit_literals)))
             self._attr_field[a] = ((1 << len(lits)) - 1) << start
+            self._bit_attribute += [(j, a)] * len(lits)
         self.n_bits = len(self.bit_literals)
         if self.n_bits == 0:
             raise ArgumentError("universal table has no literals; derive them first")
@@ -231,8 +233,10 @@ class StateSpace:
         return allowed
 
     def _count(self, mask: int) -> int:
-        return sum((mask & plane).bit_count() << k
-                   for k, plane in enumerate(self._weight_planes))
+        total = 0
+        for k, plane in enumerate(self._weight_planes):
+            total += (mask & plane).bit_count() << k
+        return total
 
     def row_mask(self, bitmap: Bitmap) -> int:
         cached = self._row_count_cache.get(bitmap.bits)
@@ -318,32 +322,34 @@ class StateSpace:
         bits = state.bitmap.bits
         if direction == FORWARD and not bits & (bits - 1):
             return []  # reducts of at most one set bit leave the empty bitmap
-        hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
-        if direction == FORWARD:  # lo <= bits - 2**i < hi
-            flippable = bits & _powers_in(bits - hi + 1, bits - lo + 1)
-        else:  # lo <= bits + 2**i < hi
-            flippable = ~bits & _powers_in(lo - bits, hi - bits)
+        if hi is None and lo <= 0:  # every bit position is in the window
+            flippable = bits if direction == FORWARD else ~bits
+        else:
+            hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
+            if direction == FORWARD:  # lo <= bits - 2**i < hi
+                flippable = bits & _powers_in(bits - hi + 1, bits - lo + 1)
+            else:  # lo <= bits + 2**i < hi
+                flippable = ~bits & _powers_in(lo - bits, hi - bits)
         flippable &= self.free_bits
         cache = self._row_count_cache
         others = None  # schema index -> AND of the parent's other attributes' masks
         out = []
-        for j, a in enumerate(self.universal.schema):
-            field = flippable & self._attr_field[a]
-            while field:
-                flip = field & -field
-                field ^= flip
-                child = bits ^ flip
-                entry = cache.get(child)
-                if entry is None:
-                    if others is None:
-                        allowed = [self._allowed(x, bits) for x in self.universal.schema]
-                        # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
-                        before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
-                        after = list(accumulate(reversed(allowed), and_,
-                                                initial=self._all_rows_mask))[::-1]
-                        others = [b & c for b, c in zip(before, after[1:])]
-                    mask = others[j] & self._allowed(a, child)
-                    entry = cache[child] = (mask, self._count(mask))
-                if entry[1]:
-                    out.append(child)
+        while flippable:  # set bits, lowest first: ascending child order
+            flip = flippable & -flippable
+            flippable ^= flip
+            child = bits ^ flip
+            entry = cache.get(child)
+            if entry is None:
+                if others is None:
+                    allowed = [self._allowed(x, bits) for x in self.universal.schema]
+                    # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
+                    before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
+                    after = list(accumulate(reversed(allowed), and_,
+                                            initial=self._all_rows_mask))[::-1]
+                    others = [b & c for b, c in zip(before, after[1:])]
+                j, a = self._bit_attribute[flip.bit_length() - 1]
+                mask = others[j] & self._allowed(a, child)
+                entry = cache[child] = (mask, self._count(mask))
+            if entry[1]:
+                out.append(child)
         return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import le
 from typing import Optional, Sequence
 
 import numpy as np
@@ -357,39 +358,52 @@ class _Runner:
         level, ``level + 1``, is its popcount distance from its root, so only
         same-level duplicates occur.
         """
-        n_bits, free = self.space.n_bits, self.space.free_bits
+        n_bits, free, op_gen = self.space.n_bits, self.space.free_bits, self.space.op_gen
+        parents, child_level = self.graph.parents, level + 1
+        parent_bits = [state.bitmap.bits for state in frontier]
         if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
-            # one batch of every parent, so no bound is read
-            order = [(None, index) for index in range(len(frontier))]
-            size = len(order)
-        else:
-            forward = direction == FORWARD
-            order = []  # (bound, frontier index) of every parent with a flippable bit
+            # one batch of every parent, opened in index order, so the first
+            # parent to reach a child is its lowest-index one; no bound is read
+            first: dict = {}  # child bits -> lowest frontier index
             for index, state in enumerate(frontier):
-                bits = state.bitmap.bits
-                eligible = (bits if forward else ~bits) & free
-                if eligible:
-                    flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
-                    order.append((bits ^ flip, index))
-            order.sort()
-            size = 1
-        opened, lo = 0, 0
+                for child in op_gen(state, direction):
+                    first.setdefault(child, index)
+            batches = [first]
+        else:
+            batches = self._bounded_batches(frontier, direction)
+        for first in batches:
+            if first:
+                batch = []
+                for bits in sorted(first):
+                    parents.setdefault(bits, parent_bits[first[bits]])
+                    batch.append(SearchState(Bitmap(bits, n_bits), child_level))
+                yield batch
+
+    def _bounded_batches(self, frontier: list, direction: str):
+        """``expand``'s batches when the budget may stop the level, as dicts
+        of child bits -> lowest frontier index: parents open in bound order,
+        in batches that double from one."""
+        forward, free = direction == FORWARD, self.space.free_bits
+        order = []  # (bound, frontier index) of every parent with a flippable bit
+        for index, state in enumerate(frontier):
+            bits = state.bitmap.bits
+            eligible = (bits if forward else ~bits) & free
+            if eligible:
+                flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
+                order.append((bits ^ flip, index))
+        order.sort()
+        opened, size, lo = 0, 1, 0
         while opened < len(order):
             opened += size
             size *= 2
             hi = order[opened][0] if opened < len(order) else None
-            first: dict = {}  # child bits -> lowest frontier index
+            first: dict = {}
             for _, index in order[:opened]:
                 for child in self.space.op_gen(frontier[index], direction, lo, hi):
                     if first.setdefault(child, index) > index:
                         first[child] = index
             lo = hi
-            if first:
-                batch = []
-                for bits in sorted(first):
-                    self.graph.parents.setdefault(bits, frontier[first[bits]].bitmap.bits)
-                    batch.append(SearchState(Bitmap(bits, n_bits), level + 1))
-                yield batch
+            yield first
 
     def valuate_children(self, frontier: list, direction: str, level: int) -> list:
         """Valuate the frontier's unpruned children in bitmap order as
@@ -438,13 +452,20 @@ class _Runner:
         return True
 
     def add_regions(self, valuated_f: list, valuated_b: list):
+        """Admit each (forward, backward) pair whose backward endpoint lies
+        strictly inside the forward one and eps-dominates it, forward-major
+        (``param_eps_dominates``, inlined: every vector here is complete)."""
+        factor = 1.0 + self.cfg.epsilon
+        backward = [(b_state.bitmap.bits, b_state.perf, b_state) for b_state in valuated_b]
         for f_state in valuated_f:
             f = f_state.bitmap.bits
-            for b_state in valuated_b:
-                b = b_state.bitmap.bits
-                if b == f or b & ~f:
+            outside, scaled = ~f, None
+            for b, b_perf, b_state in backward:
+                if b == f or b & outside:
                     continue  # the backward endpoint must lie strictly inside
-                if param_eps_dominates(b_state.perf, f_state.perf, self.cfg.epsilon):
+                if scaled is None:
+                    scaled = [factor * y for y in f_state.perf]
+                if all(map(le, b_perf, scaled)):
                     self.regions.append((f_state, b_state))
 
     def diversify(self, valuated: list) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import gt, lt
 
 from .errors import ArgumentError
 from .measures import LogEntry, MeasureSet
@@ -39,14 +40,22 @@ class SkylineGrid:
         if not 0 < self.epsilon <= sys.float_info.max:  # also false for NaN
             raise ArgumentError("epsilon must be finite and positive")
         self._log_base = math.log1p(self.epsilon)
+        specs = self.measures.specs
+        self._p_high = tuple(spec.p_high for spec in specs)
+        self._p_low = tuple(spec.p_low for spec in specs)
+        self._axes = tuple((i, specs[i].p_low) for i in self.measures.grid_indices)
+        self._decisive = self.measures.decisive_index
 
     def _coord(self, value: float, p_low: float) -> int:
         return math.floor(math.log(value / p_low) / self._log_base)
 
     def position_unchecked(self, perf: tuple) -> tuple:
-        specs = self.measures.specs
-        return tuple(self._coord(perf[i], specs[i].p_low)
-                     for i in self.measures.grid_indices)
+        # _coord's formula, inlined over the axes: this runs once per submit
+        floor, log, base = math.floor, math.log, self._log_base
+        pos = []
+        for i, p_low in self._axes:
+            pos.append(floor(log(perf[i] / p_low) / base))
+        return tuple(pos)
 
     def max_cells(self) -> int:
         total = 1
@@ -62,10 +71,9 @@ class SkylineGrid:
         incumbent so replays are stable.
         """
         perf = entry.perf
-        specs = self.measures.specs
-        if any(v > spec.p_high for v, spec in zip(perf, specs)):
+        if any(map(gt, perf, self._p_high)):
             return REJECTED
-        if any(v < spec.p_low for v, spec in zip(perf, specs)):
+        if any(map(lt, perf, self._p_low)):
             # reported, not rejected: normalization flooring should make
             # this unreachable unless bounds were configured above it
             self.below_floor.add(entry.bitmap.bits)
@@ -74,7 +82,7 @@ class SkylineGrid:
         if holder is None:
             self.cells[pos] = entry
             return INSERTED
-        d = self.measures.decisive_index
+        d = self._decisive
         if perf[d] < holder.perf[d]:
             self.cells[pos] = entry
             return REPLACED

@@ -239,16 +239,23 @@ class UniversalTable:
 def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
     """Per-column parse as int, then float, then str; empty string is null.
     A column with an underscore stays str: ``int`` and ``float`` read
-    "1_234" as 1234.  Each column comes back as its type and its cells."""
+    "1_234" as 1234.  So does a column that ``int`` reads but whose cells
+    are not each ``str`` of their int: "012", "+12", " 12" and "-0" all read
+    as an int that is written otherwise, and leading zeros are part of
+    codes such as postal codes.  Each column comes back as its type and its
+    cells."""
     typed = []
     for i in range(len(header)):
         cells = [r[i] for r in raw_rows]
         for caster in (str,) if "_" in "".join(cells) else (int, float, str):
             try:
-                typed.append((caster, [None if c == "" else caster(c) for c in cells]))
-                break
+                col = [None if c == "" else caster(c) for c in cells]
             except (TypeError, ValueError):
-                pass
+                continue
+            if caster is int and [str(v) for v in col if v is not None] != [c for c in cells if c]:
+                caster, col = str, [c or None for c in cells]
+            typed.append((caster, col))
+            break
     return typed
 
 

@@ -611,8 +611,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "['a']" in err and "without a join key" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("content", [None, '{"zz": {"m": 0.4}}', '{"1": '],
-                             ids=["missing", "non-hex-key", "invalid-json"])
+    # int(key, 16) reads each of the keys 0x1f, +1f, " 1f" and 1_f as 1f, and
+    # -1 as a bitmap that no state has; 1f with 01f or 1F is one bitmap twice
+    @pytest.mark.parametrize("content", [
+        None, '{"zz": {"m": 0.4}}', '{"1": ',
+        *(f'{{"{key}": {{"m": 0.4}}}}' for key in ("0x1f", "+1f", " 1f", "1_f", "-1")),
+        '{"1f": {"m": 0.4}, "01f": {"m": 0.2}}', '{"1f": {"m": 0.4}, "1F": {"m": 0.2}}',
+    ], ids=["missing", "non-hex-key", "invalid-json", "0x-prefix", "plus-sign", "space",
+            "underscore", "minus-sign", "leading-zero-twin", "upper-case-twin"])
     def test_bad_lookup_table_exits_2(self, tmp_path, capsys, content):
         (tmp_path / "small.csv").write_text("c\na\nb\n")
         if content is not None:

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from conftest import (
     EXAMPLE_VECTORS,
     Counting,
     build_pruning_fixture,
+    build_toy_universal,
     perf,
     seeded_worked_log,
     three_measures,
@@ -156,6 +159,108 @@ class TestValuate:
         est = RidgeEstimator(target="y")
         got, _ = valuate(space.root_state(), est, TestLog(), ms, space)
         assert got.perf[0] == NORMALIZED_FLOOR
+
+
+class Tagged(float):
+    """A float subclass, as numpy's float64 is one."""
+
+
+@functools.lru_cache(maxsize=None)
+def toy_space() -> StateSpace:
+    return StateSpace(build_toy_universal())
+
+
+def valuated_or_refused(specs, raws):
+    """What ``valuate`` makes of one estimator reply ``raws`` (one raw value
+    per spec): the normalized vector, or the refusal's message."""
+    space = toy_space()
+    est = LookupEstimator({}, default={spec.name: raw for spec, raw in zip(specs, raws)})
+    try:
+        entry, _ = valuate(space.root_state(), est, TestLog(), MeasureSet(specs), space)
+    except EstimatorFailure as exc:
+        return exc.args[0]  # the message without the bitmap valuate attaches
+    return entry.perf
+
+
+def normalized_or_refused(specs, raws):
+    """The same through ``normalize``, one measure at a time, and the
+    message ``valuate`` gives a refusal."""
+    try:
+        return tuple(normalize(spec, raw) for spec, raw in zip(specs, raws))
+    except EstimatorFailure as exc:
+        return str(exc)
+    except Exception as exc:  # such as an int beyond float range
+        return f"estimator raised {exc!r}"
+
+
+def same_bits(got, expected):
+    """Equal refusal messages, or vectors equal element for element in
+    type and bits."""
+    if isinstance(expected, str):
+        return got == expected
+    return (not isinstance(got, str) and len(got) == len(expected) and all(
+        type(a) is type(b) and float.hex(a) == float.hex(b) for a, b in zip(got, expected)))
+
+
+@st.composite
+def specs_and_raws(draw):
+    """One to three measures of either direction with random finite raw
+    bounds, and one raw value each: a float, an int, a float subclass or a
+    clamp edge (a bound, or just past one)."""
+    specs, raws = [], []
+    for j in range(draw(st.integers(1, 3))):
+        low = draw(st.floats(-1e6, 1e6))
+        high = low + draw(st.floats(1e-3, 1e6))
+        spec = MeasureSpec(f"m{j}", direction=draw(st.sampled_from(["minimize", "maximize"])),
+                           raw_low=low, raw_high=high)
+        edges = [low, high, low - 1.0, high + 1.0, low + (high - low) * NORMALIZED_FLOOR,
+                 high - (high - low) * NORMALIZED_FLOOR]
+        raw = draw(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.floats(-2e6, 2e6),
+            st.integers(-2 * 10**6, 2 * 10**6), st.floats(-2e6, 2e6).map(Tagged),
+            st.floats(-2e6, 2e6).map(np.float64), st.sampled_from(edges)))
+        specs.append(spec)
+        raws.append(raw)
+    return specs, raws
+
+
+class TestNormalizationTable:
+    """``valuate`` normalizes through ``MeasureSet.table``; ``normalize`` is
+    the reference, bit for bit, refusals and their messages included."""
+
+    @given(specs_and_raws())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_normalize_bit_for_bit(self, case):
+        specs, raws = case
+        assert same_bits(valuated_or_refused(specs, raws), normalized_or_refused(specs, raws))
+
+    @pytest.mark.parametrize("raw", [True, False, "0.5", None, [0.5], math.nan, math.inf,
+                                     -math.inf, Tagged(math.nan), np.float64(math.inf),
+                                     10**400, -(10**400)],
+                             ids=["true", "false", "text", "none", "list", "nan", "inf", "-inf",
+                                  "nan-subclass", "inf-float64", "int-beyond-float",
+                                  "-int-beyond-float"])
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    def test_refusals_keep_their_messages(self, raw, direction):
+        specs = [MeasureSpec("a", direction=direction), MeasureSpec("b")]
+        expected = normalized_or_refused(specs, [0.5, raw])
+        assert isinstance(expected, str)
+        assert valuated_or_refused(specs, [0.5, raw]) == expected
+
+    @pytest.mark.parametrize("raw", [0.0, 10.0, -1.0, 11.0, 1e-5, 10 - 1e-5, 5, 0, 10,
+                                     -3, 25, 1e308, -1e308, 5e-324])
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    def test_clamp_edges(self, raw, direction):
+        specs = [MeasureSpec("m", direction=direction, raw_low=0.0, raw_high=10.0)]
+        assert same_bits(valuated_or_refused(specs, [raw]), normalized_or_refused(specs, [raw]))
+
+    def test_reported_raw_values_are_floats_in_measure_order(self):
+        space = toy_space()
+        specs = [MeasureSpec("b"), MeasureSpec("a", raw_high=10)]
+        est = LookupEstimator({}, default={"a": 4, "b": Tagged(0.25), "extra": 1})
+        entry, _ = valuate(space.root_state(), est, TestLog(), MeasureSet(specs), space)
+        assert list(entry.raw.items()) == [("b", 0.25), ("a", 4.0)]
+        assert all(type(v) is float for v in entry.raw.values())
 
 
 def column_log(columns, rows) -> TestLog:

@@ -125,6 +125,20 @@ def ranged_op_gen_calls(draw):
             lo, hi)
 
 
+def scanned_children(space, bits, direction, lo, top):
+    """op_gen's children by a scan of every bit position in ascending
+    order: each unprotected bit the direction flips, kept when the child
+    lies in ``[lo, top)`` and ``row_mask`` leaves it rows."""
+    out = []
+    for i in range(space.n_bits):
+        if not space.free_bits >> i & 1 or bool(bits >> i & 1) != (direction == FORWARD):
+            continue
+        child = bits ^ (1 << i)
+        if child and lo <= child < top and space.row_mask(Bitmap(child, space.n_bits)):
+            out.append(child)
+    return out
+
+
 class TestOpGen:
     @given(ranged_op_gen_calls())
     @settings(max_examples=300, deadline=None)
@@ -135,6 +149,12 @@ class TestOpGen:
         every = StateSpace(u, protected).op_gen(state, direction)
         top = math.inf if hi is None else hi
         assert ranged == [c for c in every if lo <= c < top]
+        scan = StateSpace(u, protected)
+        assert ranged == scanned_children(scan, state.bitmap.bits, direction, lo, top)
+        assert every == scanned_children(scan, state.bitmap.bits, direction, 0, math.inf)
+        # every row mask op_gen cached is the one row_mask builds from scratch
+        for bits, (mask, _) in ranged_space._row_count_cache.items():
+            assert mask == StateSpace(u, protected).row_mask(Bitmap(bits, scan.n_bits))
         # no row mask or count was built for a child outside the range
         assert all(lo <= c < top for c in ranged_space._row_count_cache)
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -168,6 +169,65 @@ class TestUPareto:
         for s in submitted:
             assert any(naive_eps_dominates(o.perf, s.perf, grid.epsilon)
                        for o in grid.cells.values()), s.perf
+
+
+def reference_position(grid, vec):
+    """A vector's cell as the grid first computed it: a generator over the
+    specs of the non-decisive measures."""
+    specs = grid.measures.specs
+    return tuple(math.floor(math.log(vec[i] / specs[i].p_low) / math.log1p(grid.epsilon))
+                 for i in grid.measures.grid_indices)
+
+
+def reference_submit(grid, cells, below_floor, entry):
+    """``SkylineGrid.submit`` as it first read, over its own ``cells`` and
+    ``below_floor``."""
+    specs = grid.measures.specs
+    if any(v > spec.p_high for v, spec in zip(entry.perf, specs)):
+        return "rejected"
+    if any(v < spec.p_low for v, spec in zip(entry.perf, specs)):
+        below_floor.add(entry.bitmap.bits)
+    pos = reference_position(grid, entry.perf)
+    holder = cells.get(pos)
+    if holder is None:
+        cells[pos] = entry
+        return "inserted"
+    d = grid.measures.decisive_index
+    if entry.perf[d] < holder.perf[d]:
+        cells[pos] = entry
+        return "replaced"
+    return "rejected"
+
+
+@st.composite
+def grids_and_vectors(draw):
+    """A grid over one to four measures with random p ranges and decisive
+    measure, and vectors that also fall below p_low and above p_high."""
+    n = draw(st.integers(1, 4))
+    specs = []
+    for j in range(n):
+        p_low = draw(st.floats(1e-6, 0.5))
+        specs.append(MeasureSpec(f"m{j}", p_low=p_low, p_high=draw(st.floats(p_low, 1.0))))
+    ms = MeasureSet(specs, decisive=draw(st.sampled_from([s.name for s in specs])))
+    grid = SkylineGrid(draw(st.floats(1e-3, 2.0)), ms)
+    value = st.one_of(st.floats(1e-7, 1.2), st.sampled_from(
+        [s.p_low for s in specs] + [s.p_high for s in specs]))
+    vectors = draw(st.lists(st.tuples(*[value] * n), max_size=40))
+    return grid, vectors
+
+
+class TestGridAgainstReference:
+    @given(grids_and_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_submit_and_position_match_the_first_formulas(self, case):
+        grid, vectors = case
+        cells, below_floor = {}, set()
+        for i, vec in enumerate(vectors):
+            entry = LogEntry(Bitmap(i, 8), vec, 1)
+            assert grid.position_unchecked(vec) == reference_position(grid, vec)
+            assert grid.submit(entry) == reference_submit(grid, cells, below_floor, entry)
+        assert grid.cells == cells and all(grid.cells[p] is cells[p] for p in cells)
+        assert grid.below_floor == below_floor
 
 
 class TestExactPareto:

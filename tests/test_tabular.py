@@ -107,6 +107,18 @@ class TestCsvIngest:
         assert r.adom("code") == ("12_34", "1_234")
         assert r.column("x") == [5, 6] and r.column("y") == ["1_0.5", "2.5"]
 
+    @pytest.mark.parametrize("code", ["012", "+12", " 12", "12 ", "-0", "١٢"])
+    def test_int_written_otherwise_keeps_a_column_str(self, tmp_path, code):
+        # int() reads each of these as 12 (or 0), but none is str() of its int:
+        # "012" and "12" are distinct codes (postal codes keep their zeros),
+        # and "-0" stays text as well, beside "0" and "-1" that round-trip
+        p = tmp_path / "c.csv"
+        p.write_text(f"code,x\n12,5\n{code},6\n0,7\n-1,\n")
+        r = ingest_csv(str(p), "c")
+        assert r.column("code") == ["12", code, "0", "-1"]
+        assert r.column("x") == [5, 6, 7, None]
+        assert len(r.adom("code")) == 4
+
     def test_nan_text_in_string_column_stays_a_category(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("s\nnan\nabc\n")

@@ -229,6 +229,20 @@ def _provenance(result: RunResult, bitmap: Bitmap) -> list:
     return steps
 
 
+# the longest file name, in bytes, that common file systems take (NAME_MAX)
+MAX_NAME_BYTES = 255
+
+
+def dataset_name(bitmap: Bitmap) -> str:
+    """The output CSV's name: ``dataset_<hex bitmap>.csv``, or, when that
+    is longer than a file name may be (above 972 bits), the SHA-256 of the
+    hex bitmap in its place."""
+    name = f"dataset_{bitmap.to_hex()}.csv"
+    if len(name) <= MAX_NAME_BYTES:
+        return name
+    return f"dataset_sha256_{hashlib.sha256(bitmap.to_hex().encode()).hexdigest()}.csv"
+
+
 def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
                    wall_time: float) -> dict:
     measures = result.grid.measures
@@ -236,7 +250,7 @@ def build_manifest(cfg: RunConfig, result: RunResult, out_dir: str,
     entries = []
     for occupant in result.grid.occupants():
         dataset = space.dataset(occupant.bitmap)
-        csv_name = f"dataset_{occupant.bitmap.to_hex()}.csv"
+        csv_name = dataset_name(occupant.bitmap)
         write_csv(os.path.join(out_dir, csv_name), dataset)
         entries.append({
             "bitmap": occupant.bitmap.to_hex(),
@@ -295,10 +309,14 @@ def execute_run(cfg: RunConfig):
         estimator.close()
 
     space = result.space
-    manifest = build_manifest(cfg, result, out_dir, wall)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        manifest = build_manifest(cfg, result, out_dir, wall)
+        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ArgumentError(f"cannot write output {exc.filename or out_dir}: "
+                            f"{exc.strerror or exc}") from None
 
     if result.partial:
         return EXIT_ESTIMATOR, manifest, result, space

@@ -166,17 +166,21 @@ MAX_TIMEOUT_S = (2**31 - 1) / 1000
 
 
 class SubprocessEstimator:
-    """Estimator living in a child process speaking line-delimited JSON.
+    """Estimator living in child processes speaking line-delimited JSON.
 
     Request:  {"id": n, "bitmap": hex, "rows": int, "cols": int,
                "columns": [names], "csv_path": path}
     Response: {"id": n, "measures": {"name": raw, ...}}
 
     The engine writes the expanded dataset to a temp CSV before each request
-    and normalizes the returned raw values.  One child serves all requests,
-    one at a time.  Given the state valuated next (``upcoming``), the engine
-    writes that state's CSV while the child works on the current request, and
-    the next request uses it if it is for that state.
+    and normalizes the returned raw values.  Up to two copies of the command
+    run at once, and each sees one request at a time.  Given the state
+    valuated next (``upcoming``), the engine writes that state's CSV and
+    sends its request to the idle copy before it waits for the current
+    reply.  The next call waits for that reply if it is for that state, and
+    drains and discards it otherwise.  Ids increase across both copies, in
+    valuation order.  A command that must not run twice at once has to
+    serialize itself (behind a lock file, say).
     """
 
     requires_feature = False
@@ -189,45 +193,78 @@ class SubprocessEstimator:
                                 f"{MAX_TIMEOUT_S} s, got {timeout!r}")
         self.command = list(command)
         self.timeout = timeout
-        self._proc: Optional[subprocess.Popen] = None
-        self._unread = b""  # bytes of the child's stdout past the last reply
-        self._ahead = None  # (space, bits, request) whose CSV is written for the next call
+        self._children: list = []  # at most two
+        self._ahead = None  # (space, bits, request, child, deadline) sent for the next call
         self.calls = 0  # requests sent; each request's id is its number
 
-    def _ensure_proc(self) -> subprocess.Popen:
-        if self._proc is not None and self._proc.poll() is not None:
-            self.close()  # a dead child's pipes are still open
-        if self._proc is None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-            )
-        return self._proc
+    def _idle(self, busy: Optional[_Child] = None) -> _Child:
+        """A live child other than ``busy``, started if there is none."""
+        for child in [c for c in self._children if c is not busy]:
+            if child.proc.poll() is None:
+                return child
+            self._reap(child)  # a dead child's pipes are still open
+        child = _Child(self.command)
+        self._children.append(child)
+        return child
 
     def estimate(self, state: SearchState, space: StateSpace,
                  upcoming: Optional[SearchState] = None) -> dict:
-        proc = self._ensure_proc()  # the child starts up while the first CSV is written
         ahead, self._ahead = self._ahead, None
         if ahead is not None and (ahead[0] is not space or ahead[1] != state.bitmap.bits):
-            _unlink(ahead[2]["csv_path"])
+            self._drop(ahead, drain=True)
             ahead = None
-        request = ahead[2] if ahead is not None else self._write(state, space)
+        if ahead is None:
+            child = self._idle()  # a new child starts up while the CSV is written
+            request = self._write(state, space)
+        else:
+            request, child, deadline = ahead[2:]
         try:
-            self.calls += 1
-            request["id"] = self.calls
-            deadline = self._send(proc, request)
+            if ahead is None:
+                deadline = self._send(child, request)
             if upcoming is not None:
-                try:
-                    self._ahead = (space, upcoming.bitmap.bits, self._write(upcoming, space))
-                except Exception:
-                    pass  # the upcoming state's own call writes it again and reports the error
-            response = self._receive(proc, deadline)
+                self._send_ahead(upcoming, space, child)
+            response = self._receive(child, deadline)
             if not (isinstance(response, dict) and response.get("id") == request["id"]
                     and isinstance(response.get("measures"), dict)):
                 raise EstimatorFailure("malformed estimator response")
             return response["measures"]  # values are checked by normalize
+        except BaseException:
+            ahead, self._ahead = self._ahead, None
+            if ahead is not None:  # the walk ends here, so that reply is not waited for
+                self._drop(ahead, drain=False)
+            raise
         finally:
+            _unlink(request["csv_path"])
+
+    def _send_ahead(self, upcoming: SearchState, space: StateSpace, busy: _Child):
+        """Write the upcoming state's CSV and send its request to the child
+        that is not ``busy``."""
+        try:
+            child = self._idle(busy)  # a new child starts up while the CSV is written
+            request = self._write(upcoming, space)
+        except Exception:
+            return  # the upcoming state's own call tries again and reports the error
+        try:
+            deadline = self._send(child, request)
+        except EstimatorFailure:  # a broken pipe: that child is gone
+            _unlink(request["csv_path"])
+            self._reap(child)
+            return
+        self._ahead = (space, upcoming.bitmap.bits, request, child, deadline)
+
+    def _drop(self, ahead: tuple, drain: bool):
+        """Discard a request sent ahead: read and ignore its reply, or stop
+        its child without waiting, then delete its CSV."""
+        request, child, deadline = ahead[2:]
+        try:
+            if drain:
+                self._receive(child, deadline)
+                child = None  # answered, so free for the next request
+        except EstimatorFailure:
+            pass  # a child that gives no reply is not asked again
+        finally:
+            if child is not None:
+                self._reap(child)
             _unlink(request["csv_path"])
 
     def _write(self, state: SearchState, space: StateSpace) -> dict:
@@ -252,45 +289,44 @@ class SubprocessEstimator:
             "csv_path": csv_path,
         }
 
-    def _send(self, proc: subprocess.Popen, request: dict) -> float:
-        """Write one request line; return the reply's deadline."""
+    def _send(self, child: _Child, request: dict) -> float:
+        """Number the request and write it as one line; return the reply's
+        deadline."""
+        request["id"] = self.calls + 1
         try:
-            proc.stdin.write((json.dumps(request) + "\n").encode())
-            proc.stdin.flush()
+            child.proc.stdin.write((json.dumps(request) + "\n").encode())
+            child.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise EstimatorFailure(f"estimator pipe broke: {exc}")
+        self.calls += 1
         return time.monotonic() + self.timeout
 
-    def _receive(self, proc: subprocess.Popen, deadline: float) -> dict:
-        fd = proc.stdout.fileno()
+    def _receive(self, child: _Child, deadline: float) -> dict:
+        fd = child.proc.stdout.fileno()
         with selectors.DefaultSelector() as selector:
             selector.register(fd, selectors.EVENT_READ)
-            while b"\n" not in self._unread:
+            while b"\n" not in child.unread:
                 if not selector.select(max(deadline - time.monotonic(), 0.0)):
-                    proc.kill()
-                    self.close()
+                    child.proc.kill()
+                    self._reap(child)
                     raise EstimatorFailure(f"estimator timed out after {self.timeout}s")
                 chunk = os.read(fd, 1 << 16)
                 if not chunk:
                     raise EstimatorFailure("estimator protocol error: estimator closed "
                                            "its stdout")
-                self._unread += chunk
-        raw, _, self._unread = self._unread.partition(b"\n")
+                child.unread += chunk
+        raw, _, child.unread = child.unread.partition(b"\n")
         try:
             return json.loads(raw)
         except ValueError as exc:
             raise EstimatorFailure(f"estimator protocol error: {exc}")
 
-    def close(self):
-        """Remove a CSV written ahead, close both pipes and reap the child,
-        alive or not; idempotent."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None:
-            _unlink(ahead[2]["csv_path"])
-        proc, self._proc = self._proc, None
-        self._unread = b""
-        if proc is None:
-            return
+    def _reap(self, child: _Child):
+        """Forget the child, close both its pipes and wait for it to exit,
+        stopping it if it is alive; idempotent."""
+        if child in self._children:
+            self._children.remove(child)
+        proc = child.proc
         for pipe in (proc.stdin, proc.stdout):
             try:
                 pipe.close()
@@ -303,6 +339,26 @@ class SubprocessEstimator:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+
+    def close(self):
+        """Reap every child, alive or not, then remove a CSV sent ahead;
+        idempotent."""
+        ahead, self._ahead = self._ahead, None
+        while self._children:
+            self._reap(self._children[-1])
+        if ahead is not None:
+            _unlink(ahead[2]["csv_path"])
+
+
+class _Child:
+    """One running copy of the command and the bytes of its stdout past its
+    last reply."""
+
+    __slots__ = ("proc", "unread")
+
+    def __init__(self, command: list):
+        self.proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.unread = b""
 
 
 def _unlink(path: str):

@@ -414,13 +414,23 @@ class _Runner:
         When the walk prunes, every child of the side is checked before any
         is valuated, so every prune check reads the log as it stood before
         this side's valuations, and the side's unpruned children form one
-        batch.  Each valuation is told the next child of its batch.
+        batch.  Each child is looked up in the log once, before its batch is
+        valuated: a logged child is kept as logged, and each estimator call
+        is told the batch's next child that is not logged.
         """
         batches = self.expand(frontier, direction, level)
         if self.pruning:
             batches = [[c for batch in batches for c in batch if not self.try_prune(c)]]
-        return [self.keep(c, self.valuate_one(c, upcoming))
-                for batch in batches for c, upcoming in zip(batch, [*batch[1:], None])]
+        kept = []
+        for batch in batches:
+            logged = [self.log.get(c.bitmap) for c in batch]
+            calls = iter([c for c, entry in zip(batch, logged) if entry is None])
+            next(calls, None)  # each call is told the call after it
+            for c, entry in zip(batch, logged):
+                if entry is None:
+                    entry = self.valuate_one(c, next(calls, None))
+                kept.append(self.keep(c, entry))
+        return kept
 
     def keep(self, state: SearchState, entry: LogEntry) -> LogEntry:
         self.graph.nodes[state.bitmap.bits] = state

@@ -2,6 +2,7 @@
 instance generators used by both the unit tests and the acceptance suite."""
 
 import random
+import subprocess
 import warnings
 
 import pytest
@@ -34,6 +35,7 @@ from skyforge import (
     MeasureSet,
     MeasureSpec,
     Relation,
+    SubprocessEstimator,
     TestLog,
     UniversalTable,
 )
@@ -53,6 +55,63 @@ EXAMPLE_VECTORS = {
 
 def perf(*values) -> tuple:
     return tuple(values)
+
+
+class SerialEstimator(SubprocessEstimator):
+    """Never told the upcoming state, so every CSV is written just before
+    its own request and one child serves every request: the serial
+    reference for the command estimator."""
+
+    def estimate(self, state, space, upcoming=None):
+        return super().estimate(state, space)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process started during the test, in start order."""
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+def reaped(procs) -> bool:
+    """Every process exited and was waited for, with both pipes closed."""
+    return all(p.returncode is not None and p.stdin.closed and p.stdout.closed for p in procs)
+
+
+def record_steps(monkeypatch) -> list:
+    """Make every estimator append the name of each write, send and receive
+    it finishes to the returned list."""
+    steps = []
+    for name in ("_write", "_send", "_receive"):
+        real = getattr(SubprocessEstimator, name)
+
+        def recording(self, *args, real=real, name=name):
+            result = real(self, *args)
+            steps.append(name)
+            return result
+        monkeypatch.setattr(SubprocessEstimator, name, recording)
+    return steps
+
+
+def in_flight_at_writes(steps: list) -> tuple:
+    """The number of requests sent and not yet answered at each write, and
+    the most at any one time."""
+    in_flight, at_writes, most = 0, [], 0
+    for name in steps:
+        if name == "_write":
+            at_writes.append(in_flight)
+        else:
+            in_flight += 1 if name == "_send" else -1
+            most = max(most, in_flight)
+    assert in_flight == 0
+    return at_writes, most
 
 
 class Counting:

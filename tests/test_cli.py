@@ -1,9 +1,11 @@
 import copy
+import errno
+import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
+import time
 import warnings
 
 import jsonschema
@@ -28,6 +30,8 @@ from skyforge.cli import (
     execute_verify,
     main,
 )
+
+from conftest import SerialEstimator, in_flight_at_writes, reaped, record_steps
 
 POOL_CSV = "y,f1,f2\n" + "\n".join(
     f"{2.0 * i + (i % 3)},{float(i)},{float(i % 4)}" for i in range(12)
@@ -389,6 +393,33 @@ class TestRunCommand:
                 assert vals["raw"] is not None
                 assert 0 < vals["normalized"] <= 1
 
+    def test_wide_universal_writes_its_manifest(self, tmp_path, capsys):
+        # 1,002 bits: dataset_<hex>.csv would be a 263-byte file name, over
+        # the 255 a file system takes, so the hex's SHA-256 names the file
+        rows = "".join(f"{i % 2},v{i}\n" for i in range(1000))
+        (tmp_path / "wide.csv").write_text("t,f\n" + rows)
+        path = base_config(tmp_path, sources=[{"path": "wide.csv", "name": "wide"}],
+                           target="t", max_clusters=1000, measures=[{"name": "m"}],
+                           estimator={"builtin": "lookup", "default": {"m": 0.5}},
+                           search={"algorithm": "apx", "epsilon": 0.3, "budget": 3})
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        manifest = load_manifest(os.path.dirname(out["manifest"]))
+        [entry] = manifest["grid"]
+        digest = hashlib.sha256(entry["bitmap"].encode()).hexdigest()
+        assert len(entry["bitmap"]) == 251 and entry["csv"] == f"dataset_sha256_{digest}.csv"
+        assert os.path.exists(tmp_path / "out" / entry["csv"])
+
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, monkeypatch, capsys):
+        def full_disk(path, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(cli, "write_csv", full_disk)
+        assert main(["run", "--config", str(base_config(tmp_path))]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("skyforge: cannot write output ") and "dataset_" in err
+        assert "No space left on device" in err and "Traceback" not in err
+
     def test_zero_lam_with_a_constant_feature_exits_0(self, tmp_path, capsys):
         # lam 0 and a constant f2 make the normal equations singular
         path = base_config(tmp_path, estimator={"builtin": "ridge", "lam": 0})
@@ -542,25 +573,49 @@ class TestRunCommand:
         assert execute_run(RunConfig.from_file(str(path)))[0] == EXIT_OK
 
     @pytest.mark.parametrize("execute", [execute_run, execute_verify])
-    def test_estimator_child_exits_with_the_operation(self, tmp_path, monkeypatch, execute):
+    def test_estimator_child_exits_with_the_operation(self, tmp_path, monkeypatch, spawned,
+                                                      execute):
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
-        spawned = []
-
-        class RecordingPopen(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                spawned.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
         raw = json.loads(base_config(tmp_path).read_text())
         raw["estimator"] = {"command": [sys.executable, "-c", CONSTANT_CHILD], "timeout": 10}
         path = tmp_path / "child.json"
         path.write_text(json.dumps(raw))
         assert execute(RunConfig.from_file(str(path)))[0] == EXIT_OK
-        assert len(spawned) == 1
-        child = spawned[0]
-        assert child.returncode is not None  # exited and reaped
-        assert child.stdin.closed and child.stdout.closed
+        assert len(spawned) == 2  # the second child serves the requests sent ahead
+        assert reaped(spawned)
+
+    @pytest.mark.parametrize("fault, timeout", [("sys.exit(1)", 10), ("time.sleep(30)", 1)],
+                             ids=["crash", "timeout"])
+    def test_failure_with_the_next_request_in_flight(self, tmp_path, monkeypatch, spawned,
+                                                     fault, timeout):
+        # request 4 fails while the other child holds request 5: the run ends
+        # as the serial one does, without waiting for reply 5
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        child = CONSTANT_CHILD.replace("import json, sys\n", "import json, sys, time\n").replace(
+            "    req = json.loads(line)\n",
+            f"    req = json.loads(line)\n    if req['id'] == 4:\n        {fault}\n")
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": timeout}
+        raw["search"] = {"algorithm": "nobi", "epsilon": 0.3}
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        results = []
+        for cls in (SubprocessEstimator, SerialEstimator):
+            built = []
+            monkeypatch.setattr(cli, "SubprocessEstimator",
+                                lambda *args, cls=cls, **kw: built.append(cls(*args, **kw))
+                                or built[-1])
+            spawned.clear()
+            started = time.monotonic()
+            code, manifest, _, _ = execute_run(RunConfig.from_file(str(path)))
+            assert time.monotonic() - started < 10  # reply 5 was not waited for
+            assert code == EXIT_ESTIMATOR and manifest["valuations"] == 3
+            assert reaped(spawned) and list(tmp.glob("skyforge_*.csv")) == []
+            results.append((strip_volatile(manifest), built[0].calls, len(spawned)))
+        (two, calls, children), (serial, serial_calls, serial_children) = results
+        assert two == serial
+        assert (calls, children) == (5, 2) and (serial_calls, serial_children) == (4, 1)
 
     @pytest.mark.parametrize("case", ["finished", "budget-stop", "malformed", "timeout"])
     def test_no_temp_csv_left_behind(self, tmp_path, monkeypatch, case):
@@ -679,17 +734,9 @@ class TestVerifyCommand:
 
     def test_enumeration_writes_ahead_of_the_child(self, tmp_path, monkeypatch):
         # after the first, every CSV of the oracle's enumeration is written
-        # while the child works on the request before it
+        # while a child works on the request before it
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
-        events = []
-        for name in ("_write", "_send", "_receive"):
-            real = getattr(SubprocessEstimator, name)
-
-            def recording(self, *args, real=real, name=name):
-                result = real(self, *args)
-                events.append(name)
-                return result
-            monkeypatch.setattr(SubprocessEstimator, name, recording)
+        events = record_steps(monkeypatch)
         enumerate_all = cli.enumerate_all
 
         def marking_enumerate_all(*args, **kwargs):
@@ -704,14 +751,9 @@ class TestVerifyCommand:
         path.write_text(json.dumps(raw))
         code, payload = execute_verify(RunConfig.from_file(str(path)))
         assert code == EXIT_OK
-        outstanding, ahead = False, []
-        for name in events:
-            if name == "_write":
-                ahead.append(outstanding)
-            else:
-                outstanding = name == "_send"
-        assert len(ahead) == payload["total_states"] > 2
-        assert ahead == [False] + [True] * (len(ahead) - 1)
+        at_writes, _ = in_flight_at_writes(events)
+        assert len(at_writes) == payload["total_states"] > 2
+        assert at_writes == [0] + [1] * (len(at_writes) - 1)
         assert list((tmp_path / "tmp").glob("skyforge_*.csv")) == []
 
     def test_corrupted_grid_detected(self, tmp_path, monkeypatch):

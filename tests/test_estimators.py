@@ -28,9 +28,11 @@ from skyforge import (
 )
 from skyforge.estimators import (HOLDOUT_ERROR, MAX_TIMEOUT_S, MODEL_SIZE, TRAIN_COST,
                                  TRAIN_ERROR, WORST_ERROR)
+from skyforge import search
 from skyforge.operators import FORWARD, StateSpace
 
-from conftest import make_monotone_instance
+from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance, reaped,
+                      record_steps)
 
 
 def numeric_universal(rows, schema=("x", "y")):
@@ -227,12 +229,13 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_CRASH, timeout=5)
         with pytest.raises(EstimatorFailure):
             est.estimate(space.root_state(), space)
-        proc = est._proc
+        [child] = est._children
+        proc = child.proc
         proc.wait(timeout=5)  # dead before close() runs
         est.close()
         assert proc.returncode == 1 and proc.stdin.closed and proc.stdout.closed
         est.close()
-        assert est._proc is None
+        assert est._children == []
 
     def test_respawn_closes_the_dead_childs_pipes(self, tmp_path):
         u = numeric_universal([[1.0, 2.0]])
@@ -241,22 +244,23 @@ class TestSubprocess:
         try:
             with pytest.raises(EstimatorFailure):
                 est.estimate(space.root_state(), space)
-            first = est._proc
-            first.wait(timeout=5)
+            [first] = est._children
+            first.proc.wait(timeout=5)
             with pytest.raises(EstimatorFailure):
                 est.estimate(space.root_state(), space)
-            assert est._proc is not first
-            assert first.stdin.closed and first.stdout.closed
+            [second] = est._children
+            assert second is not first
+            assert first.proc.stdin.closed and first.proc.stdout.closed
         finally:
             est.close()
 
 
 # records each request (without its temp path) and its CSV's text, one JSON
-# line each, to the file named by argv[1], and answers with measures derived
-# from the bitmap and the row count
+# line each, to a file of its own, argv[1] with the child's pid appended, and
+# answers with measures derived from the bitmap and the row count
 CHILD_RECORDING = textwrap.dedent("""
-    import json, sys
-    with open(sys.argv[1], "a") as record:
+    import json, os, sys
+    with open(f"{sys.argv[1]}.{os.getpid()}", "a") as record:
         for line in sys.stdin:
             req = json.loads(line)
             with open(req["csv_path"], newline="") as fh:
@@ -282,14 +286,6 @@ CHILD_SLOW_SECOND = textwrap.dedent("""
 """)
 
 
-class _Serial(SubprocessEstimator):
-    """Never told the upcoming state, so every CSV is written just before
-    its own request: the serial reference."""
-
-    def estimate(self, state, space, upcoming=None):
-        return super().estimate(state, space)
-
-
 class TestLookahead:
     def make(self, tmp_path, name, cls=SubprocessEstimator, script=CHILD_RECORDING, **kw):
         path = tmp_path / "child.py"
@@ -298,7 +294,10 @@ class TestLookahead:
 
     @staticmethod
     def recorded(tmp_path, name):
-        return [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+        """Every child's records, by request id."""
+        lines = [line for path in tmp_path.glob(f"{name}.*")
+                 for line in path.read_text().splitlines()]
+        return sorted((json.loads(line) for line in lines), key=lambda r: r["request"]["id"])
 
     @staticmethod
     def two_states(space):
@@ -308,72 +307,64 @@ class TestLookahead:
 
     @pytest.mark.parametrize("algorithm, budget", [
         ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9)])
-    def test_child_sees_what_the_serial_path_sends(self, tmp_path, monkeypatch, algorithm,
-                                                   budget):
-        # the same requests and CSV bytes in the same order, none beyond the
-        # budget, while later CSVs are written as the child works
+    def test_child_sees_what_the_serial_path_sends(self, tmp_path, monkeypatch, spawned,
+                                                   algorithm, budget):
+        # the same requests and CSV bytes under the same ids, none beyond the
+        # budget, while each next request is in flight on a second child
         tmp = tmp_path / "tmp"
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
-        events = []
-        for name in ("_write", "_send", "_receive"):
-            real = getattr(SubprocessEstimator, name)
-
-            def recording(self, *args, real=real, name=name):
-                result = real(self, *args)
-                events.append(name)
-                return result
-            monkeypatch.setattr(SubprocessEstimator, name, recording)
+        steps = record_steps(monkeypatch)
         results = {}
-        for label, cls in (("ahead", SubprocessEstimator), ("serial", _Serial)):
+        for label, cls in (("ahead", SubprocessEstimator), ("serial", SerialEstimator)):
             u, measures, _ = make_monotone_instance(3)
             est = self.make(tmp_path, label, cls, timeout=10)
-            events.clear()
+            steps.clear()
+            spawned.clear()
             cfg = SearchConfig(epsilon=0.2, target="t", algorithm=algorithm, k=2, budget=budget)
             try:
                 res = run_algorithm(u, measures, est, cfg)
             finally:
                 est.close()
             assert not res.partial and est.calls == res.valuations <= budget
-            # a write between send i and receive i is the next state's CSV
-            outstanding = overlapped = 0
-            assert events.count("_write") == res.valuations  # none wasted
-            for name in events:
-                if name == "_send":
-                    outstanding = True
-                elif name == "_receive":
-                    outstanding = False
-                else:
-                    overlapped += outstanding
-            results[label] = (self.recorded(tmp_path, label), overlapped, res.valuations)
+            assert steps.count("_write") == steps.count("_send") == res.valuations  # none wasted
+            assert reaped(spawned)
             assert list(tmp.glob("skyforge_*.csv")) == []
-        (ahead, overlapped, valuations), (serial, none, _) = results["ahead"], results["serial"]
+            results[label] = (self.recorded(tmp_path, label), *in_flight_at_writes(steps),
+                              len(spawned), res.valuations)
+        ahead, at_writes, most, children, valuations = results["ahead"]
+        serial, serial_at_writes, serial_most, serial_children, _ = results["serial"]
         assert ahead == serial and len(ahead) == valuations
         assert [r["request"]["id"] for r in ahead] == list(range(1, valuations + 1))
-        assert none == 0 and overlapped >= valuations // 2
+        assert set(serial_at_writes) == {0} and serial_most == serial_children == 1
+        assert most == children == 2
+        assert sum(n > 0 for n in at_writes) >= valuations // 2
 
     def test_next_request_reuses_the_csv_written_ahead(self, tmp_path, monkeypatch):
+        # the upcoming state's request goes to the other child before the
+        # current reply is read, and its own call sends nothing
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
         space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0]]))
         root, child = self.two_states(space)
         est = self.make(tmp_path, "record", timeout=10)
+        sent = []
+        send = est._send
+        monkeypatch.setattr(est, "_send", lambda to, request: sent.append(
+            (to, request["csv_path"])) or send(to, request))
         try:
             est.estimate(root, space, child)
-            written = est._ahead[2]["csv_path"]
-            assert os.path.exists(written) and est.calls == 1
-            sent = []
-            send = est._send
-            monkeypatch.setattr(est, "_send", lambda proc, request: sent.append(
-                request["csv_path"]) or send(proc, request))
+            written, to = est._ahead[2]["csv_path"], est._ahead[3]
+            assert os.path.exists(written) and est.calls == 2
+            assert sent[1] == (to, written) and sent[0][0] is not to
             est.estimate(child, space)
-            assert sent == [written] and not os.path.exists(written)
+            assert len(sent) == 2 and est.calls == 2 and not os.path.exists(written)
         finally:
             est.close()
         assert [r["request"]["bitmap"] for r in self.recorded(tmp_path, "record")] == [
             root.bitmap.to_hex(), child.bitmap.to_hex()]
 
-    def test_unused_csv_is_discarded(self, tmp_path, monkeypatch):
-        # the walk may valuate another state than the one announced (a log
-        # hit skips the estimator), and close() removes a CSV written ahead
+    def test_unused_csv_is_discarded(self, tmp_path, monkeypatch, spawned):
+        # a call for another state than the one announced drains the reply
+        # sent ahead and deletes its CSV; close() removes a CSV sent ahead
         tmp = tmp_path / "tmp"
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
         space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]]))
@@ -382,13 +373,44 @@ class TestLookahead:
         try:
             est.estimate(child, space, root)
             est.estimate(child, space, root)  # not the announced state
-            assert len(list(tmp.glob("skyforge_*.csv"))) == 1  # root's, written again
+            assert len(list(tmp.glob("skyforge_*.csv"))) == 1  # root's, sent again
+            assert len(spawned) == 2 and not any(p.poll() for p in spawned)  # drained, not stopped
+            assert est.estimate(root, space)["m1"] == 1 / (3 + 2)  # reply 4, not the drained 2
         finally:
             est.close()
-        assert list(tmp.glob("skyforge_*.csv")) == []
+        assert list(tmp.glob("skyforge_*.csv")) == [] and reaped(spawned)
         assert [(r["request"]["id"], r["request"]["bitmap"])
                 for r in self.recorded(tmp_path, "record")] == [
-            (1, child.bitmap.to_hex()), (2, child.bitmap.to_hex())]
+            (1, child.bitmap.to_hex()), (2, root.bitmap.to_hex()),
+            (3, child.bitmap.to_hex()), (4, root.bitmap.to_hex())]
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_hints_name_only_states_that_call_the_estimator(self, tmp_path, monkeypatch,
+                                                           seed):
+        # these div walks keep children that are already in the log: the
+        # hint skips them, so no request or CSV is spent on a logged state
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        steps = record_steps(monkeypatch)
+        calls, keeps = [], []
+        estimate, keep = SubprocessEstimator.estimate, search._Runner.keep
+
+        def recording_estimate(self, state, space, upcoming=None):
+            calls.append((state.bitmap.bits, upcoming and upcoming.bitmap.bits))
+            return estimate(self, state, space, upcoming)
+        monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
+        monkeypatch.setattr(search._Runner, "keep",
+                            lambda self, state, entry: keeps.append(state) or keep(self, state, entry))
+        u, measures, _ = make_monotone_instance(seed)
+        est = self.make(tmp_path, "record", timeout=10)
+        try:
+            res = run_algorithm(u, measures, est,
+                                SearchConfig(epsilon=0.2, target="t", algorithm="div", k=2))
+        finally:
+            est.close()
+        assert not res.partial and len(keeps) > res.valuations  # logged states kept again
+        assert est.calls == res.valuations == steps.count("_write") == len(calls)
+        assert calls[-1][1] is None
+        assert all(hint in (None, calls[i + 1][0]) for i, (_, hint) in enumerate(calls[:-1]))
 
     def test_failed_lookahead_surfaces_from_its_own_state(self, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
@@ -436,6 +458,9 @@ class TestLookahead:
             monkeypatch.setattr(space, "dataset", slow_dataset)
             with pytest.raises(EstimatorFailure, match="timed out"):
                 est.estimate(root, space, child)
+            # the request sent ahead is not waited for: both children are gone
+            assert est._ahead is None and est._children == []
+            assert list(tmp.glob("skyforge_*.csv")) == []
         finally:
             est.close()
         assert list(tmp.glob("skyforge_*.csv")) == []

@@ -16,6 +16,7 @@ import string
 import sys
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import jsonschema
 
@@ -107,6 +108,9 @@ CONFIG_SCHEMA = {
 _HEX_DIGITS = frozenset(string.hexdigits)  # the only characters of a lookup key
 # built once: jsonschema.validate re-checks the schema on every call
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# the bytes of the lookup file parsed last, and its table, once every check
+# has passed: runs over one table (each algorithm of a study, say) parse it once
+_parsed_lookup = (None, None)
 
 
 @dataclass
@@ -170,23 +174,34 @@ class RunConfig:
         if est.get("builtin") == "ridge":
             return RidgeEstimator(self.search.target, **_given(est, "lam"))
         if est.get("builtin") == "lookup":
-            table = {}
-            if "path" in est:
-                path = self._path(est["path"])
-                try:
-                    with open(path, encoding="utf-8") as fh:
-                        loaded = json.load(fh)
-                    table = {int(hex_bits, 16): dict(vals) for hex_bits, vals in loaded.items()}
-                    # int(k, 16) also reads "0x1f", "+1f", " 1f", "1_f" and "-1"
-                    if not _HEX_DIGITS.issuperset("".join(loaded)) or len(table) != len(loaded):
-                        raise ValueError("keys must be distinct bitmaps in hex digits")
-                except (OSError, ValueError, TypeError, AttributeError) as exc:
-                    raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
+            table = _lookup_table(self._path(est["path"])) if "path" in est else {}
             return LookupEstimator(table, default=est.get("default"))
         return SubprocessEstimator(est["command"], **_given(est, "timeout"))
 
     def output_dir(self) -> str:
         return self._path(self.raw.get("output_dir", "skyforge_out"))
+
+
+def _lookup_table(path: str) -> dict:
+    """The lookup file's table, parsed unless its bytes are those parsed
+    last.  Its rows are read-only, and each ``LookupEstimator`` copies the
+    table, so estimators built from one file share no state either can change."""
+    global _parsed_lookup
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if data != _parsed_lookup[0]:
+            _parsed_lookup = (None, None)  # the last table goes before the next is parsed
+            loaded = json.loads(data.decode("utf-8"))
+            table = {int(hex_bits, 16): MappingProxyType(dict(vals))
+                     for hex_bits, vals in loaded.items()}
+            # int(k, 16) also reads "0x1f", "+1f", " 1f", "1_f" and "-1"
+            if not _HEX_DIGITS.issuperset("".join(loaded)) or len(table) != len(loaded):
+                raise ValueError("keys must be distinct bitmaps in hex digits")
+            _parsed_lookup = (data, table)
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
+    return _parsed_lookup[1]
 
 
 def _given(raw: dict, *keys) -> dict:

@@ -28,8 +28,9 @@ from .tabular import write_csv
 class LookupEstimator:
     """Table-lookup estimator keyed by bitmap; the workhorse for fixtures.
 
-    ``table`` maps bitmap ``bits`` integers to {measure: raw value} dicts.
-    A ``default`` dict, when given, answers unknown bitmaps.
+    ``table`` maps bitmap ``bits`` integers to {measure: raw value} dicts,
+    or read-only views of them.  A ``default`` dict, when given, answers
+    unknown bitmaps.  Each answer is a copy of its row.
     """
 
     requires_feature = False
@@ -43,7 +44,7 @@ class LookupEstimator:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure("no lookup entry")
-        return dict(row)
+        return row.copy()
 
     def close(self):
         """Nothing to release (every estimator has ``close``)."""

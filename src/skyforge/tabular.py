@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -41,6 +42,11 @@ _SORTED_MIN_CELLS = 1 << 12
 
 # the least int that float() cannot convert: it rounds up to 2**1024
 _FLOAT_OVERFLOW_INT = 2**1024 - 2**970
+
+# a cell that int() reads (spaces, a sign, Unicode decimal digits) but that is
+# not str() of its int, in a column's cells each led by a comma; no cell that
+# int() or float() reads holds a comma
+_INT_WRITTEN_OTHERWISE = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))\s*[+-]?\d+\s*(?=,|\Z)")
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list:
@@ -239,20 +245,24 @@ class UniversalTable:
 def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
     """Per-column parse as int, then float, then str; empty string is null.
     A column with an underscore stays str: ``int`` and ``float`` read
-    "1_234" as 1234.  So does a column that ``int`` reads but whose cells
-    are not each ``str`` of their int: "012", "+12", " 12" and "-0" all read
-    as an int that is written otherwise, and leading zeros are part of
-    codes such as postal codes.  Each column comes back as its type and its
-    cells."""
+    "1_234" as 1234.  So does an int or float column with a cell that
+    ``int`` reads but that is not ``str`` of its int: "012", "+12", " 12"
+    and "-0" all read as an int that is written otherwise, and leading
+    zeros are part of codes such as postal codes.  Each column comes back
+    as its type and its cells."""
     typed = []
     for i in range(len(header)):
         cells = [r[i] for r in raw_rows]
-        for caster in (str,) if "_" in "".join(cells) else (int, float, str):
+        joined = ",".join(cells)
+        for caster in (str,) if "_" in joined else (int, float, str):
             try:
                 col = [None if c == "" else caster(c) for c in cells]
             except (TypeError, ValueError):
                 continue
-            if caster is int and [str(v) for v in col if v is not None] != [c for c in cells if c]:
+            # a number holds at most one "." and int() reads none that holds
+            # one, so the search is needed only when some cell has no "."
+            if (caster is not str and joined.count(".") < len(cells) - cells.count("")
+                    and _INT_WRITTEN_OTHERWISE.search("," + joined)):
                 caster, col = str, [c or None for c in cells]
             typed.append((caster, col))
             break

@@ -119,6 +119,19 @@ class TestCsvIngest:
         assert r.column("x") == [5, 6, 7, None]
         assert len(r.adom("code")) == 4
 
+    @pytest.mark.parametrize("code", ["012", "+12", " 12", "12 ", "-0", "١٢"])
+    def test_int_written_otherwise_keeps_a_float_column_str(self, tmp_path, code):
+        # the same beside a cell that only float() reads: "012", "12" and
+        # "1.5" are three codes, not 12.0 twice and 1.5
+        p = tmp_path / "f.csv"
+        p.write_text(f"code\n12\n{code}\n1.5\n")
+        assert ingest_csv(str(p), "f").column("code") == ["12", code, "1.5"]
+
+    def test_float_column_with_ints_written_as_python_writes_them(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("v,w\n12,a\n0,a\n-1,a\n1.5,a\n-0.0,a\n1e3,a\n,a\n")
+        assert ingest_csv(str(p), "f").column("v") == [12.0, 0.0, -1.0, 1.5, -0.0, 1000.0, None]
+
     def test_nan_text_in_string_column_stays_a_category(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("s\nnan\nabc\n")

@@ -16,7 +16,6 @@ import string
 import sys
 import time
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import jsonschema
 
@@ -108,9 +107,6 @@ CONFIG_SCHEMA = {
 _HEX_DIGITS = frozenset(string.hexdigits)  # the only characters of a lookup key
 # built once: jsonschema.validate re-checks the schema on every call
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-# the bytes of the lookup file parsed last, and its table, once every check
-# has passed: runs over one table (each algorithm of a study, say) parse it once
-_parsed_lookup = (None, None)
 
 
 @dataclass
@@ -174,34 +170,26 @@ class RunConfig:
         if est.get("builtin") == "ridge":
             return RidgeEstimator(self.search.target, **_given(est, "lam"))
         if est.get("builtin") == "lookup":
-            table = _lookup_table(self._path(est["path"])) if "path" in est else {}
+            table = {}
+            if "path" in est:
+                path = self._path(est["path"])
+                try:
+                    with open(path, encoding="utf-8") as fh:
+                        loaded = json.load(fh)
+                    # json.load builds each object afresh, so a row that is
+                    # one is kept as it is; dict() reads (or refuses) any other
+                    table = {int(hex_bits, 16): vals if type(vals) is dict else dict(vals)
+                             for hex_bits, vals in loaded.items()}
+                    # int(k, 16) also reads "0x1f", "+1f", " 1f", "1_f" and "-1"
+                    if not _HEX_DIGITS.issuperset("".join(loaded)) or len(table) != len(loaded):
+                        raise ValueError("keys must be distinct bitmaps in hex digits")
+                except (OSError, ValueError, TypeError, AttributeError) as exc:
+                    raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
             return LookupEstimator(table, default=est.get("default"))
         return SubprocessEstimator(est["command"], **_given(est, "timeout"))
 
     def output_dir(self) -> str:
         return self._path(self.raw.get("output_dir", "skyforge_out"))
-
-
-def _lookup_table(path: str) -> dict:
-    """The lookup file's table, parsed unless its bytes are those parsed
-    last.  Its rows are read-only, and each ``LookupEstimator`` copies the
-    table, so estimators built from one file share no state either can change."""
-    global _parsed_lookup
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if data != _parsed_lookup[0]:
-            _parsed_lookup = (None, None)  # the last table goes before the next is parsed
-            loaded = json.loads(data.decode("utf-8"))
-            table = {int(hex_bits, 16): MappingProxyType(dict(vals))
-                     for hex_bits, vals in loaded.items()}
-            # int(k, 16) also reads "0x1f", "+1f", " 1f", "1_f" and "-1"
-            if not _HEX_DIGITS.issuperset("".join(loaded)) or len(table) != len(loaded):
-                raise ValueError("keys must be distinct bitmaps in hex digits")
-            _parsed_lookup = (data, table)
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise ArgumentError(f"cannot read lookup table {path}: {exc}") from None
-    return _parsed_lookup[1]
 
 
 def _given(raw: dict, *keys) -> dict:

@@ -28,9 +28,8 @@ from .tabular import write_csv
 class LookupEstimator:
     """Table-lookup estimator keyed by bitmap; the workhorse for fixtures.
 
-    ``table`` maps bitmap ``bits`` integers to {measure: raw value} dicts,
-    or read-only views of them.  A ``default`` dict, when given, answers
-    unknown bitmaps.  Each answer is a copy of its row.
+    ``table`` maps bitmap ``bits`` integers to {measure: raw value} dicts.
+    A ``default`` dict, when given, answers unknown bitmaps.
     """
 
     requires_feature = False
@@ -44,7 +43,7 @@ class LookupEstimator:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure("no lookup entry")
-        return row.copy()
+        return dict(row)
 
     def close(self):
         """Nothing to release (every estimator has ``close``)."""

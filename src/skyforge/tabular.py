@@ -44,9 +44,8 @@ _SORTED_MIN_CELLS = 1 << 12
 _FLOAT_OVERFLOW_INT = 2**1024 - 2**970
 
 # a cell that int() reads (spaces, a sign, Unicode decimal digits) but that is
-# not str() of its int, in a column's cells each led by a comma; no cell that
-# int() or float() reads holds a comma
-_INT_WRITTEN_OTHERWISE = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))\s*[+-]?\d+\s*(?=,|\Z)")
+# not str() of its int, among a column's cells each framed as ";cell,"
+_INT_WRITTEN_OTHERWISE = re.compile(r";(?!(?:0|-?[1-9][0-9]*),)\s*[+-]?\d+\s*,")
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list:
@@ -251,22 +250,32 @@ def _infer_column_types(header: Sequence[str], raw_rows: list) -> list:
     zeros are part of codes such as postal codes.  Each column comes back
     as its type and its cells."""
     typed = []
-    for i in range(len(header)):
-        cells = [r[i] for r in raw_rows]
-        joined = ",".join(cells)
+    # ingest_csv passes rows of the header's width, so zip cuts no column
+    for cells in zip(*raw_rows) if raw_rows else [()] * len(header):
+        joined = "".join(cells)
         for caster in (str,) if "_" in joined else (int, float, str):
             try:
                 col = [None if c == "" else caster(c) for c in cells]
             except (TypeError, ValueError):
                 continue
-            # a number holds at most one "." and int() reads none that holds
-            # one, so the search is needed only when some cell has no "."
-            if (caster is not str and joined.count(".") < len(cells) - cells.count("")
-                    and _INT_WRITTEN_OTHERWISE.search("," + joined)):
+            if caster is not str and _has_int_written_otherwise(cells, joined, caster):
                 caster, col = str, [c or None for c in cells]
             typed.append((caster, col))
             break
     return typed
+
+
+def _has_int_written_otherwise(cells: Sequence[str], joined: str, caster: type) -> bool:
+    """Whether a cell of a column that ``caster`` (``int`` or ``float``)
+    reads is one that ``int`` reads but that is not ``str`` of its int.  A
+    number holds at most one "." and ``int`` reads none that holds one, so
+    a float column is searched only if some non-empty cell holds none."""
+    if caster is float:
+        dots = joined.count(".")
+        if dots == len(cells) or dots == len(cells) - cells.count(""):
+            return False
+    # no cell that int() or float() reads holds ";" or ","
+    return _INT_WRITTEN_OTHERWISE.search(";%s," % ",;".join(cells)) is not None
 
 
 def ingest_csv(path: str, name: str) -> Relation:

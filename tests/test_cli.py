@@ -674,9 +674,10 @@ class TestRunCommand:
         '{"1f": {"m": 0.4}, "01f": {"m": 0.2}}', '{"1f": {"m": 0.4}, "1F": {"m": 0.2}}',
         # json.loads reads UTF-16 and UTF-32 bytes too, but a table is UTF-8
         '{"1": {"m": 0.4}}'.encode("utf-16"), '{"1": {"m": 0.4}, "\u00e9": {}}'.encode("latin-1"),
+        '{"1": 0.4}',
     ], ids=["missing", "non-hex-key", "invalid-json", "0x-prefix", "plus-sign", "space",
             "underscore", "minus-sign", "leading-zero-twin", "upper-case-twin", "utf-16",
-            "latin-1"])
+            "latin-1", "number-row"])
     def test_bad_lookup_table_exits_2(self, tmp_path, capsys, content):
         (tmp_path / "small.csv").write_text("c\na\nb\n")
         if isinstance(content, bytes):
@@ -728,95 +729,44 @@ class TestRunCommand:
         assert manifest["grid"][0]["measures"]["m"]["normalized"] == pytest.approx(0.2)
 
 
-class TestLookupCache:
-    """A process parses a lookup file again only when its bytes differ from
-    those it parsed last."""
+class TestLookupTable:
+    """Estimators built from one lookup file share no state that either
+    could change, and a row may be any value ``dict`` reads."""
 
     # all 128 bitmaps of small.csv's seven literals (c:a, c:b, d:x, d:y, d:z, e:p, e:q)
     TABLE = {format(bits, "x"): {"m": 0.05 + bits * 7 % 11 / 11, "n": 0.05 + bits * 5 % 13 / 13}
              for bits in range(128)}
 
-    @pytest.fixture(autouse=True)
-    def no_table_parsed(self, monkeypatch):
-        monkeypatch.setattr(cli, "_parsed_lookup", (None, None))
-
-    def config(self, tmp_path, algorithm="apx"):
+    def config(self, tmp_path):
         (tmp_path / "small.csv").write_text("c,d,e\na,x,p\na,y,q\nb,x,q\nb,z,p\n")
         (tmp_path / "table.json").write_text(json.dumps(self.TABLE))
-        search = {"algorithm": algorithm, "epsilon": 0.2, **({"k": 2} if algorithm == "div" else {})}
-        path = tmp_path / f"{algorithm}.json"
+        path = tmp_path / "apx.json"
         path.write_text(json.dumps({
             "sources": [{"path": "small.csv", "name": "small"}],
             "target": "c",
             "measures": [{"name": "m", "p_low": 0.01}, {"name": "n", "p_low": 0.01}],
             "estimator": {"builtin": "lookup", "path": "table.json"},
-            "search": search,
-            "output_dir": f"out-{algorithm}",
+            "search": {"algorithm": "apx", "epsilon": 0.2},
         }))
         return str(path)
-
-    def test_one_decode_for_configs_over_one_table(self, tmp_path, monkeypatch):
-        paths = [self.config(tmp_path, a) for a in ("apx", "bi", "nobi", "div")]
-        text = (tmp_path / "table.json").read_text()
-        decodes = []
-        loads = json.loads
-
-        def counting_loads(s, *args, **kwargs):
-            if s == text:
-                decodes.append(s)
-            return loads(s, *args, **kwargs)
-
-        monkeypatch.setattr(json, "loads", counting_loads)
-        cached = [execute_run(RunConfig.from_file(p))[:2] for p in paths]
-        assert len(decodes) == 1
-        uncached = []
-        for p in paths:
-            monkeypatch.setattr(cli, "_parsed_lookup", (None, None))
-            uncached.append(execute_run(RunConfig.from_file(p))[:2])
-        assert len(decodes) == 5
-        assert [code for code, _ in cached] == [EXIT_OK] * 4
-        assert [(c, strip_volatile(m)) for c, m in cached] == [
-            (c, strip_volatile(m)) for c, m in uncached]
-
-    def test_table_rewritten_in_place_is_read_again(self, tmp_path):
-        path = self.config(tmp_path)
-        table = tmp_path / "table.json"
-        halved = {k: {name: v / 2 for name, v in row.items()} for k, row in self.TABLE.items()}
-        for values in (self.TABLE, halved):
-            stat = table.stat()
-            table.write_text(json.dumps(values))
-            # the same time stamps: the cache is keyed by content alone
-            os.utime(table, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-            code, manifest, _, _ = execute_run(RunConfig.from_file(path))
-            assert code == EXIT_OK
-            raw = {int(e["bitmap"], 16): {n: e["measures"][n]["raw"] for n in "mn"}
-                   for e in manifest["grid"]}
-            assert raw and raw == {bits: values[format(bits, "x")] for bits in raw}
-
-    # int() refuses "zz" as it parses; it reads "0x1f", which the key check refuses
-    @pytest.mark.parametrize("content", ['{"zz": {"m": 0.4}}', '{"0x1f": {"m": 0.4}}'],
-                             ids=["non-hex-key", "0x-prefix"])
-    def test_invalid_table_after_a_valid_one_exits_2(self, tmp_path, capsys, content):
-        path = self.config(tmp_path)
-        assert main(["run", "--config", path]) == EXIT_OK
-        (tmp_path / "table.json").write_text(content)
-        for _ in range(2):  # refused every time
-            assert main(["run", "--config", path]) == EXIT_BAD_CONFIG
-            err = capsys.readouterr().err
-            assert "cannot read lookup table" in err and "table.json" in err
-            assert "Traceback" not in err
 
     def test_estimators_from_one_table_share_no_state(self, tmp_path):
         cfg = RunConfig.from_file(self.config(tmp_path))
         first = cfg.build_estimator()
         first.table[0] = {"m": 9.0, "n": 9.0}
         del first.table[1]
-        with pytest.raises(TypeError):  # a row is read-only
-            first.table[2]["m"] = 9.0
+        first.table[2]["m"] = 9.0
         first.estimate(SearchState(Bitmap(3, 7)), None)["m"] = 9.0
+        assert first.estimate(SearchState(Bitmap(3, 7)), None) == self.TABLE["3"]
         second = cfg.build_estimator()
         assert {format(bits, "x"): second.estimate(SearchState(Bitmap(bits, 7)), None)
                 for bits in range(128)} == self.TABLE
+
+    def test_row_written_as_pairs_reads_as_its_object(self, tmp_path):
+        path = self.config(tmp_path)
+        (tmp_path / "table.json").write_text(json.dumps({"3": [["m", 0.2], ["n", 0.7]]}))
+        estimator = RunConfig.from_file(path).build_estimator()
+        assert estimator.estimate(SearchState(Bitmap(3, 7)), None) == {"m": 0.2, "n": 0.7}
 
 
 class TestVerifyCommand:

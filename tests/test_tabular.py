@@ -127,6 +127,12 @@ class TestCsvIngest:
         p.write_text(f"code\n12\n{code}\n1.5\n")
         assert ingest_csv(str(p), "f").column("code") == ["12", code, "1.5"]
 
+    def test_int_written_otherwise_among_empty_cells_keeps_a_float_column_str(self, tmp_path):
+        # one "." in four cells, two of them empty: "012" is the one without
+        p = tmp_path / "f.csv"
+        p.write_text("code,w\n1.5,a\n,a\n012,a\n,a\n")
+        assert ingest_csv(str(p), "f").column("code") == ["1.5", None, "012", None]
+
     def test_float_column_with_ints_written_as_python_writes_them(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("v,w\n12,a\n0,a\n-1,a\n1.5,a\n-0.0,a\n1e3,a\n,a\n")

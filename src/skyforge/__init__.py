@@ -20,7 +20,6 @@ from .measures import (
     TestLog,
     build_correlation_graph,
     estimate_bounds,
-    normalize,
     valuate,
 )
 from .operators import Bitmap, SearchState, StateSpace

@@ -121,7 +121,7 @@ class RidgeEstimator:
         x = np.take(gathered, [view.column[a] for a in feature_names], axis=1,
                     out=flat_x.reshape(n, n_features), mode="clip")
         y = gathered[:, view.column[self.target]]
-        # an overflow or 0/0 gives a non-finite measure, which ``normalize``
+        # an overflow or 0/0 gives a non-finite measure, which ``valuate``
         # refuses, whatever the warnings filter says
         with np.errstate(over="ignore", invalid="ignore"):
             # a NaN takes its feature's mean over the other rows (0.0 when it
@@ -227,7 +227,7 @@ class SubprocessEstimator:
             if not (isinstance(response, dict) and response.get("id") == request["id"]
                     and isinstance(response.get("measures"), dict)):
                 raise EstimatorFailure("malformed estimator response")
-            return response["measures"]  # values are checked by normalize
+            return response["measures"]  # values are checked by valuate
         except BaseException:
             ahead, self._ahead = self._ahead, None
             if ahead is not None:  # the walk ends here, so that reply is not waited for

@@ -63,7 +63,7 @@ class MeasureSet:
         self.decisive_index = names.index(decisive)
         self.grid_indices = tuple(i for i in range(len(names)) if i != self.decisive_index)
         # one row per measure, read by ``valuate`` on every estimate
-        self.table = tuple((s.name, s, s.raw_low, s.raw_high, s.raw_high - s.raw_low,
+        self.table = tuple((s.name, s.raw_low, s.raw_high, s.raw_high - s.raw_low,
                             s.direction == MINIMIZE) for s in specs)
 
     def __len__(self):
@@ -71,25 +71,6 @@ class MeasureSet:
 
     def __iter__(self):
         return iter(self.specs)
-
-
-def normalize(spec: MeasureSpec, raw: float) -> float:
-    """Scale a raw measure into (0,1], inverting maximized measures.
-
-    The result clamps to [1e-6, 1] so downstream logarithms stay defined.
-    Booleans, strings and other non-numbers are estimator faults, never
-    coerced.
-    """
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise EstimatorFailure(f"non-numeric raw value {raw!r} for {spec.name}")
-    if not math.isfinite(raw):
-        raise EstimatorFailure(f"non-finite raw value {raw!r} for {spec.name}")
-    span = spec.raw_high - spec.raw_low
-    if spec.direction == MINIMIZE:
-        v = (raw - spec.raw_low) / span
-    else:
-        v = (spec.raw_high - raw) / span
-    return min(max(v, NORMALIZED_FLOOR), 1.0)
 
 
 @dataclass(frozen=True)
@@ -138,6 +119,11 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
     All measures come back from a single estimator call; repeats on the same
     bitmap are served from the log.  ``upcoming``, the state valuated next
     if the caller knows it, goes to the estimator.  Returns ``(entry, invoked)``.
+
+    Each raw value scales into (0,1] over its measure's raw bounds, inverted
+    for a maximized measure, and clamps to [1e-6, 1] so downstream logarithms
+    stay defined.  Booleans, strings and other non-numbers are estimator
+    faults, never coerced, and so are non-finite values.
     """
     cached = log.get(state.bitmap)
     if cached is not None:
@@ -145,15 +131,17 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
     try:
         raw = estimator.estimate(state, space, upcoming)
         values, reported = [], {}
-        for name, spec, low, high, span, minimize in measures.table:
+        for name, low, high, span, minimize in measures.table:
             if name not in raw:
                 raise EstimatorFailure(f"estimator returned no value for measure {name!r}")
             x = raw[name]
-            if type(x) is float and -_BIG <= x <= _BIG:  # normalize's arithmetic, inlined
-                v = (x - low) / span if minimize else (high - x) / span
-                values.append(1.0 if v > 1.0 else NORMALIZED_FLOOR if v < NORMALIZED_FLOOR else v)
-            else:  # ints, float subclasses and every refusal
-                values.append(normalize(spec, x))
+            if not (type(x) is float and -_BIG <= x <= _BIG):  # ints, float subclasses, refusals
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise EstimatorFailure(f"non-numeric raw value {x!r} for {name}")
+                if not math.isfinite(x):
+                    raise EstimatorFailure(f"non-finite raw value {x!r} for {name}")
+            v = (x - low) / span if minimize else (high - x) / span
+            values.append(1.0 if v > 1.0 else NORMALIZED_FLOOR if v < NORMALIZED_FLOOR else v)
             reported[name] = float(x)
     except EstimatorFailure as exc:  # the one place a failure learns its state
         exc.bitmap = state.bitmap

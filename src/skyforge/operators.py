@@ -52,11 +52,10 @@ class Bitmap:
 
 @dataclass(frozen=True)
 class SearchState:
-    """An unvaluated node of the running graph: bitmap and depth.  A
-    valuated state is its ``measures.LogEntry``."""
+    """An unvaluated node of the running graph: its bitmap.  A valuated
+    state is its ``measures.LogEntry``."""
 
     bitmap: Bitmap
-    level: int = 0
 
 
 def _powers_in(low: int, high: int) -> int:
@@ -210,7 +209,7 @@ class StateSpace:
         raise ArgumentError(f"no bit for literal {literal!r}")
 
     def root_state(self) -> SearchState:
-        return SearchState(self.full_bitmap(), level=0)
+        return SearchState(self.full_bitmap())
 
     # -- semantics -----------------------------------------------------------
 
@@ -292,13 +291,13 @@ class StateSpace:
         child = Bitmap(bits & ~bit, state.bitmap.length)
         if self.is_degenerate(child):
             raise ArgumentError(f"reduct by {literal!r} empties the dataset")
-        return SearchState(child, state.level + 1)
+        return SearchState(child)
 
     def apply_augment(self, state: SearchState, literal: Literal) -> SearchState:
         bit, bits = 1 << self.bit_of(literal), state.bitmap.bits
         if bits & bit:
             raise ArgumentError(f"value bit for {literal!r} already set")
-        return SearchState(Bitmap(bits | bit, state.bitmap.length), state.level + 1)
+        return SearchState(Bitmap(bits | bit, state.bitmap.length))
 
     def op_gen(self, state: SearchState, direction: str, lo: int = 0,
                hi: Optional[int] = None) -> list:

@@ -159,7 +159,7 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     while True:
         bitmap = Bitmap(sub | fixed, space.n_bits)
         if not space.is_degenerate(bitmap):
-            todo.append(SearchState(bitmap, level=0))
+            todo.append(SearchState(bitmap))
         if sub == free:
             break
         sub = (sub - free) & free  # the next submask of free, in ascending order

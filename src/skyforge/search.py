@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import le
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,7 +75,6 @@ class SearchConfig:
 class RunningGraph:
     """DAG of explored states connected by one-flip transitions."""
 
-    nodes: dict = field(default_factory=dict)   # bits -> SearchState, once valuated
     roots: list = field(default_factory=list)
     # child bits -> first inbound parent bits, for every child the walk reached
     parents: dict = field(default_factory=dict)
@@ -137,7 +135,7 @@ def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> Sear
             if a != target and space.attr_bits[a]:
                 bits.append(space.attr_bits[a][0])
                 break
-    return SearchState(space.bitmap_from_bits(bits), level=0)
+    return SearchState(space.bitmap_from_bits(bits))
 
 
 def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
@@ -146,7 +144,10 @@ def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
     if len(a) != len(b):
         raise ArgumentError("vectors cover different measure sets")
     factor = 1.0 + eps
-    return all(x <= factor * y for x, y in zip(a, b))
+    for x, y in zip(a, b):
+        if not x <= factor * y:
+            return False
+    return True
 
 
 def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: dict,
@@ -338,10 +339,10 @@ class _Runner:
             upcoming = None
         return valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)[0]
 
-    def expand(self, frontier: list, direction: str, level: int):
-        """Yield the children of the frontier (entries at ``level``) in
-        ascending bitmap order, as sorted batches, and record for each child
-        the lowest-index frontier state that generates it as its parent.
+    def expand(self, frontier: list, direction: str):
+        """Yield the children of the frontier in ascending bitmap order, as
+        sorted batches, and record for each child the lowest-index frontier
+        state that generates it as its parent.
 
         A parent's bound is the smallest bitmap one of its children could
         have: the parent with its highest unprotected set bit cleared
@@ -354,12 +355,10 @@ class _Runner:
         batch.  When the remaining budget covers every possible child (one
         per flippable bit of each parent), all parents open in one batch and
         no bound is computed.  Children stay ints until yielded, so a child
-        reached from several parents becomes one ``SearchState``.  A child's
-        level, ``level + 1``, is its popcount distance from its root, so only
-        same-level duplicates occur.
+        reached from several parents becomes one ``SearchState``.
         """
         n_bits, free, op_gen = self.space.n_bits, self.space.free_bits, self.space.op_gen
-        parents, child_level = self.graph.parents, level + 1
+        parents = self.graph.parents
         parent_bits = [state.bitmap.bits for state in frontier]
         if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
             # one batch of every parent, opened in index order, so the first
@@ -376,7 +375,7 @@ class _Runner:
                 batch = []
                 for bits in sorted(first):
                     parents.setdefault(bits, parent_bits[first[bits]])
-                    batch.append(SearchState(Bitmap(bits, n_bits), child_level))
+                    batch.append(SearchState(Bitmap(bits, n_bits)))
                 yield batch
 
     def _bounded_batches(self, frontier: list, direction: str):
@@ -407,9 +406,9 @@ class _Runner:
 
     def valuate_children(self, frontier: list, direction: str, level: int) -> list:
         """Valuate the frontier's unpruned children in bitmap order as
-        ``expand`` yields them, adding each to the graph and the grid as
-        soon as it is valuated, so an estimator failure loses no paid
-        valuation.
+        ``expand`` yields them, submitting each to the grid as soon as it is
+        valuated, so an estimator failure loses no paid valuation.  A child
+        pruned instead is recorded at ``level + 1``, one past the frontier's.
 
         When the walk prunes, every child of the side is checked before any
         is valuated, so every prune check reads the log as it stood before
@@ -418,9 +417,10 @@ class _Runner:
         valuated: a logged child is kept as logged, and each estimator call
         is told the batch's next child that is not logged.
         """
-        batches = self.expand(frontier, direction, level)
+        batches = self.expand(frontier, direction)
         if self.pruning:
-            batches = [[c for batch in batches for c in batch if not self.try_prune(c)]]
+            batches = [[c for batch in batches for c in batch
+                        if not self.try_prune(c, level + 1)]]
         kept = []
         for batch in batches:
             logged = [self.log.get(c.bitmap) for c in batch]
@@ -429,20 +429,19 @@ class _Runner:
             for c, entry in zip(batch, logged):
                 if entry is None:
                     entry = self.valuate_one(c, next(calls, None))
-                kept.append(self.keep(c, entry))
+                kept.append(self.keep(entry))
         return kept
 
-    def keep(self, state: SearchState, entry: LogEntry) -> LogEntry:
-        self.graph.nodes[state.bitmap.bits] = state
+    def keep(self, entry: LogEntry) -> LogEntry:
         self.grid.submit(entry)
         return entry
 
     def start_root(self, state: SearchState) -> LogEntry:
-        entry = self.keep(state, self.valuate_one(state))
+        entry = self.keep(self.valuate_one(state))
         self.graph.roots.append(state.bitmap)
         return entry
 
-    def try_prune(self, child: SearchState) -> bool:
+    def try_prune(self, child: SearchState, level: int) -> bool:
         if not self.regions:
             return False
         if child.bitmap.bits in self.pruned_bits:
@@ -456,26 +455,22 @@ class _Runner:
                            self.measures, self.space)
         if region is None:
             return False
-        self.pruned.append(PrunedState(child.bitmap, region[0].bitmap, region[1].bitmap,
-                                       child.level))
+        self.pruned.append(PrunedState(child.bitmap, region[0].bitmap, region[1].bitmap, level))
         self.pruned_bits.add(child.bitmap.bits)
         return True
 
     def add_regions(self, valuated_f: list, valuated_b: list):
         """Admit each (forward, backward) pair whose backward endpoint lies
-        strictly inside the forward one and eps-dominates it, forward-major
-        (``param_eps_dominates``, inlined: every vector here is complete)."""
-        factor = 1.0 + self.cfg.epsilon
-        backward = [(b_state.bitmap.bits, b_state.perf, b_state) for b_state in valuated_b]
+        strictly inside the forward one and eps-dominates it, forward-major."""
+        eps = self.cfg.epsilon
+        backward = [(b_state.bitmap.bits, b_state) for b_state in valuated_b]
         for f_state in valuated_f:
             f = f_state.bitmap.bits
-            outside, scaled = ~f, None
-            for b, b_perf, b_state in backward:
+            outside = ~f
+            for b, b_state in backward:
                 if b == f or b & outside:
                     continue  # the backward endpoint must lie strictly inside
-                if scaled is None:
-                    scaled = [factor * y for y in f_state.perf]
-                if all(map(le, b_perf, scaled)):
+                if param_eps_dominates(b_state.perf, f_state.perf, eps):
                     self.regions.append((f_state, b_state))
 
     def diversify(self, valuated: list) -> list:

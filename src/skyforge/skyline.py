@@ -46,11 +46,9 @@ class SkylineGrid:
         self._axes = tuple((i, specs[i].p_low) for i in self.measures.grid_indices)
         self._decisive = self.measures.decisive_index
 
-    def _coord(self, value: float, p_low: float) -> int:
-        return math.floor(math.log(value / p_low) / self._log_base)
-
     def position_unchecked(self, perf: tuple) -> tuple:
-        # _coord's formula, inlined over the axes: this runs once per submit
+        """The vector's cell: ``floor(log(v / p_low) / log1p(eps))`` on each
+        grid axis, without the bound filter ``submit`` applies first."""
         floor, log, base = math.floor, math.log, self._log_base
         pos = []
         for i, p_low in self._axes:
@@ -58,11 +56,7 @@ class SkylineGrid:
         return tuple(pos)
 
     def max_cells(self) -> int:
-        total = 1
-        for i in self.measures.grid_indices:
-            spec = self.measures.specs[i]
-            total *= self._coord(spec.p_high, spec.p_low) + 1
-        return total
+        return math.prod(coord + 1 for coord in self.position_unchecked(self._p_high))
 
     def submit(self, entry: LogEntry) -> str:
         """UPareto step: bound-filter, locate the cell, insert or replace.

@@ -444,16 +444,16 @@ def test_op_gen_matches_from_scratch_reference(name, space):
     runner.space = space  # expand through the space whose cache is checked below
     for parent in parents:
         for direction in (FORWARD, BACKWARD):
-            state = SearchState(parent, level=3)
+            state = SearchState(parent)
             got = space.op_gen(state, direction)
             assert got == reference_children(space, parent, direction)
             for child in got:
                 assert 0 < child < 1 << space.n_bits
                 assert (child ^ parent.bits) & protected_bits == 0
-            yielded = [c for batch in runner.expand([state], direction, 3) for c in batch]
+            yielded = [c for batch in runner.expand([state], direction) for c in batch]
             assert [c.bitmap.bits for c in yielded] == sorted(got)
             for child in yielded:
-                assert child.level == 4 and child.bitmap.length == space.n_bits
+                assert child.bitmap.length == space.n_bits
     assert space._row_count_cache
     for bits, entry in space._row_count_cache.items():
         assert entry == reference_mask(space, bits), hex(bits)
@@ -466,7 +466,7 @@ def test_row_count_cache_after_bi_walk_matches_reference(seed):
     u, ms, est = make_monotone_instance(seed)
     res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="bi"))
     cache = res.space._row_count_cache
-    assert set(res.graph.nodes) <= set(cache)
+    assert {e.bitmap.bits for e in res.log} <= set(cache)
     for bits, entry in cache.items():
         assert entry == reference_mask(res.space, bits), hex(bits)
 

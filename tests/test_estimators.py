@@ -303,7 +303,7 @@ class TestLookahead:
     def two_states(space):
         root = space.root_state()
         child = sorted(space.op_gen(root, FORWARD))[0]
-        return root, SearchState(Bitmap(child, space.n_bits), level=1)
+        return root, SearchState(Bitmap(child, space.n_bits))
 
     @pytest.mark.parametrize("algorithm, budget", [
         ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9)])
@@ -399,7 +399,7 @@ class TestLookahead:
             return estimate(self, state, space, upcoming)
         monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
         monkeypatch.setattr(search._Runner, "keep",
-                            lambda self, state, entry: keeps.append(state) or keep(self, state, entry))
+                            lambda self, entry: keeps.append(entry) or keep(self, entry))
         u, measures, _ = make_monotone_instance(seed)
         est = self.make(tmp_path, "record", timeout=10)
         try:

@@ -3,9 +3,9 @@
 Each algorithm runs over the toy pool (several lookup tables and budgets),
 the pruning worked example and a few monotone instances.  Everything a run
 leaves behind is serialized in order: the test log (bitmaps, vectors, row
-counts), grid cells, running-graph nodes, roots, the first-inbound parent of
-every child the walk reached (in the order reached), pruned states, the
-diversified set and the valuation count.  Any change to search order,
+counts), grid cells, roots, the first-inbound parent of every child the walk
+reached (in the order reached), pruned states, the diversified set and the
+valuation count.  Any change to search order,
 pruning or diversification changes the digest.  Only lookup estimators are
 used, so the digests do not depend on floating-point BLAS.
 """
@@ -21,10 +21,10 @@ from conftest import build_pruning_fixture, make_monotone_instance
 from test_search import toy_setup
 
 GOLDEN = {
-    "apx": "6c818f8b6a8b85734759d363e3961e8a74ee0de5b7ca8ff47b279ef4f55368ea",
-    "bi": "f05675b75e3c9fa883cfcad93da12fe68f9b41cfdfa0e23a223adbebfafa4306",
-    "nobi": "fe24afd9d53ce92fb128c593d26d4e10ab7f9989d1873319cbff99e77650dd3f",
-    "div": "1b05038c1c3299044ce6302b8d796ba5cf1cda434a67264449af04eec7f8594b",
+    "apx": "a792fdac53d605e3c9abfa1a92e9c1ac319729208185e95f676680ac1b79e11e",
+    "bi": "f16d3de6491b45ad32936b1ae3f84f46762f9909fedad7a745da11342244c11b",
+    "nobi": "3f41b2b96907012087f59a6400149e9b0cddf947727dc85f9210f343996b12e4",
+    "div": "d91ff02f3742312d2d8d58a1b155ede85f5284daec5c84be59b8c92103dbe686",
 }
 
 
@@ -38,7 +38,6 @@ def fingerprint(res) -> dict:
         "cells": sorted((list(p), o.bitmap.bits, list(o.perf))
                         for p, o in res.grid.cells.items()),
         "below_floor": sorted(res.grid.below_floor),
-        "nodes": [(bits, s.level) for bits, s in res.graph.nodes.items()],
         "roots": [b.bits for b in res.graph.roots],
         "parents": [(bits, parent, "reduct" if parent & ~bits else "augment")
                     for bits, parent in res.graph.parents.items()],

@@ -18,11 +18,10 @@ from skyforge import (
     TestLog,
     build_correlation_graph,
     estimate_bounds,
-    normalize,
     valuate,
 )
 from skyforge.estimators import TRAIN_ERROR
-from skyforge.measures import NORMALIZED_FLOOR, LogEntry
+from skyforge.measures import MINIMIZE, NORMALIZED_FLOOR, LogEntry
 from skyforge.operators import StateSpace
 from skyforge.tabular import Literal, Relation, UniversalTable
 
@@ -37,47 +36,55 @@ from conftest import (
 )
 
 
+def normalized(spec: MeasureSpec, raw) -> float:
+    """``valuate``'s normalization of one raw value, or its refusal raised."""
+    got = valuated_or_refused([spec], [raw])
+    if isinstance(got, str):
+        raise EstimatorFailure(got)
+    return got[0]
+
+
 class TestNormalize:
     def test_midpoint_of_an_hour_budget(self):
         spec = MeasureSpec("train_cost", raw_low=0, raw_high=3600)
-        assert normalize(spec, 1800) == 0.5
+        assert normalized(spec, 1800) == 0.5
 
     def test_floor_keeps_range_open_at_zero(self):
         spec = MeasureSpec("m", raw_low=0, raw_high=10)
-        assert normalize(spec, 0) == NORMALIZED_FLOOR
+        assert normalized(spec, 0) == NORMALIZED_FLOOR
 
     def test_maximize_inverts(self):
         spec = MeasureSpec("acc", direction="maximize", raw_low=0, raw_high=1)
-        assert normalize(spec, 0.65) == pytest.approx(0.35)
+        assert normalized(spec, 0.65) == pytest.approx(0.35)
 
     def test_non_finite_raw_fails(self):
         spec = MeasureSpec("m")
         with pytest.raises(EstimatorFailure):
-            normalize(spec, float("nan"))
+            normalized(spec, float("nan"))
 
     @pytest.mark.parametrize("raw", [True, False, "1.5", " 7 ", None, [1.0]])
     def test_non_numeric_raw_fails_naming_the_measure(self, raw):
         spec = MeasureSpec("holdout_error")
         with pytest.raises(EstimatorFailure, match="non-numeric raw value .* holdout_error"):
-            normalize(spec, raw)
+            normalized(spec, raw)
 
     def test_clamps_above_one(self):
         spec = MeasureSpec("m", raw_low=0, raw_high=10)
-        assert normalize(spec, 25) == 1.0
+        assert normalized(spec, 25) == 1.0
 
     @given(st.floats(min_value=0, max_value=100), st.floats(min_value=0, max_value=100))
     @settings(max_examples=80, deadline=None)
     def test_monotone_for_minimize(self, a, b):
         spec = MeasureSpec("m", raw_low=0, raw_high=100)
         lo, hi = min(a, b), max(a, b)
-        assert normalize(spec, lo) <= normalize(spec, hi)
+        assert normalized(spec, lo) <= normalized(spec, hi)
 
     @given(st.floats(min_value=0, max_value=100), st.floats(min_value=0, max_value=100))
     @settings(max_examples=80, deadline=None)
     def test_antitone_for_maximize(self, a, b):
         spec = MeasureSpec("m", direction="maximize", raw_low=0, raw_high=100)
         lo, hi = min(a, b), max(a, b)
-        assert normalize(spec, lo) >= normalize(spec, hi)
+        assert normalized(spec, lo) >= normalized(spec, hi)
 
 
 class TestMeasureSpec:
@@ -99,7 +106,7 @@ class TestMeasureSpec:
 
     def test_extreme_finite_bounds_accepted(self):
         spec = MeasureSpec("m", raw_low=-1e307, raw_high=1e307)
-        assert normalize(spec, 0.0) == 0.5
+        assert normalized(spec, 0.0) == 0.5
 
 
 class TestMeasureSet:
@@ -182,6 +189,25 @@ def valuated_or_refused(specs, raws):
     return entry.perf
 
 
+def normalize(spec: MeasureSpec, raw: float) -> float:
+    """Scale a raw measure into (0,1], inverting maximized measures.
+
+    The result clamps to [1e-6, 1] so downstream logarithms stay defined.
+    Booleans, strings and other non-numbers are estimator faults, never
+    coerced.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise EstimatorFailure(f"non-numeric raw value {raw!r} for {spec.name}")
+    if not math.isfinite(raw):
+        raise EstimatorFailure(f"non-finite raw value {raw!r} for {spec.name}")
+    span = spec.raw_high - spec.raw_low
+    if spec.direction == MINIMIZE:
+        v = (raw - spec.raw_low) / span
+    else:
+        v = (spec.raw_high - raw) / span
+    return min(max(v, NORMALIZED_FLOOR), 1.0)
+
+
 def normalized_or_refused(specs, raws):
     """The same through ``normalize``, one measure at a time, and the
     message ``valuate`` gives a refusal."""
@@ -225,8 +251,9 @@ def specs_and_raws(draw):
 
 
 class TestNormalizationTable:
-    """``valuate`` normalizes through ``MeasureSet.table``; ``normalize`` is
-    the reference, bit for bit, refusals and their messages included."""
+    """``valuate`` normalizes through ``MeasureSet.table``; ``normalize``, a
+    per-measure function the library once had, is the reference, bit for
+    bit, refusals and their messages included."""
 
     @given(specs_and_raws())
     @settings(max_examples=400, deadline=None)

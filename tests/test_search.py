@@ -175,7 +175,7 @@ class TestRunApx:
     def test_max_len_limits_depth(self):
         u, ms, est = toy_setup()
         res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", max_len=1))
-        assert all(s.level <= 1 for s in res.graph.nodes.values())
+        assert all(len(res.graph.path_to(e.bitmap)) <= 1 for e in res.log)
         # root plus its four feature flips
         assert res.valuations == 5
 
@@ -211,7 +211,8 @@ class TestRunApx:
         res = run_algorithm(toy_universal, three_measures(p_low=0.05), FailsOnFourthCall(),
                             SearchConfig(epsilon=0.3, target="t"))
         assert res.partial and len(res.log) == res.valuations == 3
-        assert {e.bitmap.bits for e in res.log} <= set(res.graph.nodes)
+        reached = set(res.graph.parents) | {b.bits for b in res.graph.roots}
+        assert {e.bitmap.bits for e in res.log} <= reached
         assert not check_eps_cover(res.grid, list(res.log), 0.3)["eps_cover_violations"]
 
     def test_non_mapping_estimate_ends_walk_as_failure(self, toy_universal):
@@ -251,7 +252,7 @@ class TestRunBi:
         # frontiers meet at the one-literal states; all four states valuated,
         # nothing expanded past the meeting level
         assert res.valuations == 4
-        assert all(s.level <= 1 for s in res.graph.nodes.values())
+        assert all(len(res.graph.path_to(e.bitmap)) <= 1 for e in res.log)
         assert len(res.graph.parents) == 2
 
     def test_exhaustive_no_pruning_covers_full_space(self):
@@ -301,9 +302,9 @@ class TestRunBi:
             sides.append([])
             return real_side(runner, frontier, direction, level)
 
-        def recording_prune(runner, child):
+        def recording_prune(runner, child, level):
             sides[-1].append("prune")
-            return real_prune(runner, child)
+            return real_prune(runner, child, level)
 
         class Recording:
             def __init__(self, inner):
@@ -372,6 +373,56 @@ class TestParamEpsDominates:
         b = perf(0.40, 0.40, 0.40)
         assert param_eps_dominates(a, b, 0.3)
         assert not naive_eps_dominates(a, b, 0.3)
+
+    def test_factor_bound_is_inclusive_and_lengths_must_match(self):
+        b = perf(0.40, 0.50, 0.25)
+        at_bound = tuple((1.0 + 0.3) * y for y in b)
+        assert param_eps_dominates(at_bound, b, 0.3)
+        # one measure a single float step past the bound fails, at any position
+        for m in range(3):
+            past = list(at_bound)
+            past[m] = math.nextafter(past[m], 1.0)
+            assert not param_eps_dominates(tuple(past), b, 0.3)
+        with pytest.raises(ArgumentError, match="different measure sets"):
+            param_eps_dominates(at_bound[:2], b, 0.3)
+
+
+class TestAddRegions:
+    @pytest.mark.parametrize("algorithm", ["bi", "div"])
+    def test_admits_exactly_the_strictly_nested_dominated_pairs(self, algorithm, monkeypatch):
+        # each call admits, forward-major, every (forward, backward) pair
+        # whose backward bitmap lies strictly inside the forward one and
+        # whose backward vector is within (1+eps) of the forward one
+        calls = []
+        real = search_module._Runner.add_regions
+
+        def recording(runner, valuated_f, valuated_b):
+            before = len(runner.regions)
+            real(runner, valuated_f, valuated_b)
+            calls.append((list(valuated_f), list(valuated_b), runner.regions[before:],
+                          runner.cfg.epsilon))
+
+        monkeypatch.setattr(search_module._Runner, "add_regions", recording)
+        k = 2 if algorithm == "div" else 0
+        u, ms, est, _, _ = build_pruning_fixture()
+        run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", theta=0.55,
+                                               algorithm=algorithm, k=k))
+        for seed in range(8):
+            u, ms, est = make_monotone_instance(seed)
+            run_algorithm(u, ms, est, SearchConfig(epsilon=0.2, target="t",
+                                                   algorithm=algorithm, k=k))
+        admitted = refused = 0
+        for valuated_f, valuated_b, got, eps in calls:
+            nested = [(f, b) for f in valuated_f for b in valuated_b
+                      if f.bitmap.contains(b.bitmap) and b.bitmap.bits != f.bitmap.bits]
+            expected = [(f, b) for f, b in nested
+                        if all(b.perf[m] <= (1 + eps) * f.perf[m] for m in range(len(f.perf)))]
+            assert [(f.bitmap.bits, b.bitmap.bits) for f, b in got] == \
+                   [(f.bitmap.bits, b.bitmap.bits) for f, b in expected]
+            assert all(g[0] is e[0] and g[1] is e[1] for g, e in zip(got, expected))
+            admitted += len(expected)
+            refused += len(nested) - len(expected)
+        assert admitted > 0 and refused > 0
 
 
 class TestCanPrune:
@@ -619,7 +670,7 @@ def same_level_frontiers(draw):
         if members and outside and draw(st.booleans()):
             drop, add = draw(st.sampled_from(sorted(members))), draw(st.sampled_from(outside))
             frontier.append(bits ^ (1 << drop) ^ (1 << add))
-    frontier = [SearchState(Bitmap(b, n), level=2) for b in dict.fromkeys(frontier)]
+    frontier = [SearchState(Bitmap(b, n)) for b in dict.fromkeys(frontier)]
     return u, ms, est, cfg, draw(st.sampled_from([FORWARD, BACKWARD])), frontier
 
 
@@ -633,11 +684,11 @@ class TestLazyExpansion:
         for state in frontier:
             for child in runner.space.op_gen(state, direction):
                 first_parent.setdefault(child, state.bitmap.bits)
-        batches = list(runner.expand(frontier, direction, 2))
+        batches = list(runner.expand(frontier, direction))
         streamed = [c.bitmap.bits for batch in batches for c in batch]
         assert all(batches)
         assert streamed == sorted(first_parent)
-        assert all(c.level == 3 for batch in batches for c in batch)
+        assert all((bits ^ first_parent[bits]).bit_count() == 1 for bits in streamed)
         assert runner.graph.parents == first_parent
         if cfg.budget == 2**31:
             assert len(batches) <= 1
@@ -657,7 +708,7 @@ class TestLazyExpansion:
         streamed = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(StateSpace, "op_gen", recording_op_gen)
-            for batch in runner.expand(frontier, direction, 2):
+            for batch in runner.expand(frontier, direction):
                 streamed += [c.bitmap.bits for c in batch]
                 # no child built so far waits for a later batch; a child
                 # reached from several parents is built once by each
@@ -675,9 +726,9 @@ class TestLazyExpansion:
             made.append(args[0].bits)
             return real_state(*args, **kwargs)
 
-        def recording_expand(runner, frontier, direction, level):
+        def recording_expand(runner, frontier, direction):
             made.clear()
-            batches = list(real_expand(runner, frontier, direction, level))
+            batches = list(real_expand(runner, frontier, direction))
             generated = [c for s in frontier for c in runner.space.op_gen(s, direction)]
             levels.append((list(made), generated, [c.bitmap.bits for b in batches for c in b]))
             yield from batches
@@ -698,7 +749,7 @@ class TestLazyExpansion:
         order until the budget is spent."""
         space = StateSpace(u, protected=("t",))
         log, grid = TestLog(), SkylineGrid(0.3, ms)
-        level, used, depth = [space.root_state()], 0, 0
+        level, used = [space.root_state()], 0
         while level:
             valuated = []
             for state in level:
@@ -708,9 +759,8 @@ class TestLazyExpansion:
                 used += invoked
                 valuated.append(entry)
                 grid.submit(entry)
-            depth += 1
             children = {c for s in valuated for c in space.op_gen(s, FORWARD)}
-            level = [SearchState(Bitmap(b, space.n_bits), depth) for b in sorted(children)]
+            level = [SearchState(Bitmap(b, space.n_bits)) for b in sorted(children)]
         return log, grid
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])
@@ -736,7 +786,7 @@ class TestLazyExpansion:
             parents = {bits for bits, _ in opened}
             level_two = sum(n for bits, n in opened if bits in level_one)
             # the open level-1 parents' whole child lists, as eager generation built
-            eager = sum(len(op_gen(space, SearchState(Bitmap(bits, space.n_bits), 1), FORWARD))
+            eager = sum(len(op_gen(space, SearchState(Bitmap(bits, space.n_bits)), FORWARD))
                         for bits in parents & set(level_one))
             log, grid = self.eager_apx(u, ms, est, budget)
             assert [(e.bitmap, e.perf, e.row_count) for e in res.log] == \

@@ -149,6 +149,22 @@ class TestUPareto:
         (occ,) = grid.occupants()
         assert occ.perf[0] == 0.4
 
+    @given(st.floats(0.05, 2.0),
+           st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)), min_size=1,
+                    max_size=4),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_max_cells_is_the_product_of_axis_cell_counts(self, eps, bounds, data):
+        specs = [MeasureSpec(f"m{i}", p_low=min(a, b), p_high=max(a, b))
+                 for i, (a, b) in enumerate(bounds)]
+        decisive = data.draw(st.sampled_from([spec.name for spec in specs]))
+        grid = SkylineGrid(eps, MeasureSet(specs, decisive=decisive))
+        expected = 1
+        for i in grid.measures.grid_indices:
+            ratio = specs[i].p_high / specs[i].p_low
+            expected *= math.floor(math.log(ratio) / math.log1p(eps)) + 1
+        assert grid.max_cells() == expected
+
     def test_occupancy_never_exceeds_cell_bound(self):
         grid = make_grid(eps=0.5, p_low=0.1)
         rng = random.Random(7)

@@ -294,15 +294,19 @@ def execute_run(cfg: RunConfig):
 
     Returns ``(exit_code, manifest, result, space)``.
     """
-    universal = cfg.build_universal()
-    estimator = cfg.build_estimator()  # last: a failure before it leaves nothing open
-    out_dir = cfg.output_dir()
+    # first, so a command estimator's first child starts up during the set-up
+    estimator = cfg.build_estimator()
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
+        universal = cfg.build_universal()
+        out_dir = cfg.output_dir()
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ArgumentError(f"cannot create output directory {out_dir}: "
+                                f"{exc.strerror or exc}") from None
+    except BaseException:
         estimator.close()
-        raise ArgumentError(f"cannot create output directory {out_dir}: "
-                            f"{exc.strerror or exc}") from None
+        raise
 
     started = time.perf_counter()
     try:

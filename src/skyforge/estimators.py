@@ -1,10 +1,12 @@
 """Built-in deterministic estimators and the external subprocess protocol.
 
 An estimator maps a search state to raw (un-normalized) measure values in a
-single call, ``estimate(state, space, upcoming=None)``; ``upcoming`` is the
-state the walk valuates next when it knows one, which an estimator may get
-ready while it works on ``state``.  All built-ins are RNG-free so identical
-runs stay bit-identical.
+single call, ``estimate(state, space, upcoming=())``; ``upcoming`` is a tuple
+of the states the walk valuates next, in order, which an estimator may get
+ready while it works on ``state``.  Its class attribute ``lookahead`` says
+how many upcoming states it can use (0 for the built-ins, which ignore
+them); the walk names at most that many.  All built-ins are RNG-free so
+identical runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,13 +36,13 @@ class LookupEstimator:
     """
 
     requires_feature = False
+    lookahead = 0
 
     def __init__(self, table: dict, default: Optional[dict] = None):
         self.table = dict(table)
         self.default = default
 
-    def estimate(self, state: SearchState, space: StateSpace,
-                 upcoming: Optional[SearchState] = None) -> dict:
+    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
         row = self.table.get(state.bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure("no lookup entry")
@@ -77,6 +80,7 @@ class RidgeEstimator:
     """
 
     requires_feature = True
+    lookahead = 0
 
     def __init__(self, target: str, lam: float = 1e-8):
         if not target:
@@ -86,8 +90,7 @@ class RidgeEstimator:
         self.target = target
         self.lam = lam
 
-    def estimate(self, state: SearchState, space: StateSpace,
-                 upcoming: Optional[SearchState] = None) -> dict:
+    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
         attrs = space.active_attributes(state.bitmap)
         if self.target not in attrs:
             raise EstimatorFailure(f"target column {self.target!r} missing from state")
@@ -163,6 +166,10 @@ class RidgeEstimator:
 
 # epoll refuses a wait above 2**31 - 1 ms, so no finite timeout may exceed it
 MAX_TIMEOUT_S = (2**31 - 1) / 1000
+# copies of a command that run at once: one for the current state and one for
+# each upcoming state whose request is in flight (more lose to start-up CPU
+# on two cores)
+MAX_CHILDREN = 4
 
 
 class SubprocessEstimator:
@@ -173,17 +180,20 @@ class SubprocessEstimator:
     Response: {"id": n, "measures": {"name": raw, ...}}
 
     The engine writes the expanded dataset to a temp CSV before each request
-    and normalizes the returned raw values.  Up to two copies of the command
-    run at once, and each sees one request at a time.  Given the state
-    valuated next (``upcoming``), the engine writes that state's CSV and
-    sends its request to the idle copy before it waits for the current
-    reply.  The next call waits for that reply if it is for that state, and
-    drains and discards it otherwise.  Ids increase across both copies, in
-    valuation order.  A command that must not run twice at once has to
-    serialize itself (behind a lock file, say).
+    and normalizes the returned raw values.  Up to ``MAX_CHILDREN`` copies of
+    the command run at once, and each sees one request at a time; the first
+    starts when the estimator is built.  Given the states valuated next
+    (``upcoming``), the engine writes their CSVs and sends their requests to
+    idle copies, up to one request in flight per copy, before it waits for
+    the current reply.  Requests in flight are answered in the order sent: a
+    call takes the first if it is for its state, and drains and discards it
+    otherwise.  Ids increase across every copy, in valuation order.  A
+    command that must not run twice at once has to serialize itself (behind
+    a lock file, say).
     """
 
     requires_feature = False
+    lookahead = MAX_CHILDREN - 1  # upcoming states a call can use
 
     def __init__(self, command: Sequence[str], timeout: float = 60.0):
         if not command:
@@ -193,13 +203,19 @@ class SubprocessEstimator:
                                 f"{MAX_TIMEOUT_S} s, got {timeout!r}")
         self.command = list(command)
         self.timeout = timeout
-        self._children: list = []  # at most two
-        self._ahead = None  # (space, bits, request, child, deadline) sent for the next call
+        self._children: list = []  # at most MAX_CHILDREN
+        # (space, bits, request, child, deadline) sent for later calls, in
+        # send order, at most one per child
+        self._ahead: deque = deque()
         self.calls = 0  # requests sent; each request's id is its number
+        try:
+            self._idle()  # the first child starts up while the caller sets up
+        except Exception:
+            pass  # the first call starts it again and reports the error
 
-    def _idle(self, busy: Optional[_Child] = None) -> _Child:
-        """A live child other than ``busy``, started if there is none."""
-        for child in [c for c in self._children if c is not busy]:
+    def _idle(self, busy=()) -> _Child:
+        """A live child not in ``busy``, started if there is none."""
+        for child in [c for c in self._children if c not in busy]:
             if child.proc.poll() is None:
                 return child
             self._reap(child)  # a dead child's pipes are still open
@@ -207,55 +223,57 @@ class SubprocessEstimator:
         self._children.append(child)
         return child
 
-    def estimate(self, state: SearchState, space: StateSpace,
-                 upcoming: Optional[SearchState] = None) -> dict:
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None and (ahead[0] is not space or ahead[1] != state.bitmap.bits):
-            self._drop(ahead, drain=True)
-            ahead = None
-        if ahead is None:
-            child = self._idle()  # a new child starts up while the CSV is written
-            request = self._write(state, space)
+    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
+        ahead, bits = self._ahead, state.bitmap.bits
+        while ahead and (ahead[0][0] is not space or ahead[0][1] != bits):
+            self._drop(ahead.popleft(), drain=True)
+        if ahead:
+            request, child, deadline = ahead.popleft()[2:]
         else:
-            request, child, deadline = ahead[2:]
+            child = self._idle()  # a new child starts up while the CSV is written
+            request, deadline = self._write(state, space), None
         try:
-            if ahead is None:
+            if deadline is None:
                 deadline = self._send(child, request)
-            if upcoming is not None:
-                self._send_ahead(upcoming, space, child)
+            self._send_ahead(upcoming, space, child)
             response = self._receive(child, deadline)
             if not (isinstance(response, dict) and response.get("id") == request["id"]
                     and isinstance(response.get("measures"), dict)):
                 raise EstimatorFailure("malformed estimator response")
             return response["measures"]  # values are checked by valuate
         except BaseException:
-            ahead, self._ahead = self._ahead, None
-            if ahead is not None:  # the walk ends here, so that reply is not waited for
-                self._drop(ahead, drain=False)
+            while ahead:  # the walk ends here, so no reply ahead is waited for
+                self._drop(ahead.popleft(), drain=False)
             raise
         finally:
             _unlink(request["csv_path"])
 
-    def _send_ahead(self, upcoming: SearchState, space: StateSpace, busy: _Child):
-        """Write the upcoming state's CSV and send its request to the child
-        that is not ``busy``."""
-        try:
-            child = self._idle(busy)  # a new child starts up while the CSV is written
-            request = self._write(upcoming, space)
-        except Exception:
-            return  # the upcoming state's own call tries again and reports the error
-        try:
-            deadline = self._send(child, request)
-        except EstimatorFailure:  # a broken pipe: that child is gone
-            _unlink(request["csv_path"])
-            self._reap(child)
-            return
-        self._ahead = (space, upcoming.bitmap.bits, request, child, deadline)
+    def _send_ahead(self, upcoming: tuple, space: StateSpace, current: _Child):
+        """Top the requests in flight up from ``upcoming``: the first states
+        are the ones already sent, and each next state's CSV is written and
+        its request sent to an idle child while a child is free (``current``
+        holds the current request).  The first state that cannot be sent
+        stops the rest, so ids stay in valuation order."""
+        ahead = self._ahead
+        for state in upcoming[len(ahead):MAX_CHILDREN - 1]:
+            try:
+                # a new child starts up while the CSV is written
+                child = self._idle([current, *(entry[3] for entry in ahead)])
+                request = self._write(state, space)
+            except Exception:
+                return  # the state's own call tries again and reports the error
+            try:
+                deadline = self._send(child, request)
+            except EstimatorFailure:  # a broken pipe: that child is gone
+                _unlink(request["csv_path"])
+                self._reap(child)
+                return
+            ahead.append((space, state.bitmap.bits, request, child, deadline))
 
-    def _drop(self, ahead: tuple, drain: bool):
+    def _drop(self, entry: tuple, drain: bool):
         """Discard a request sent ahead: read and ignore its reply, or stop
         its child without waiting, then delete its CSV."""
-        request, child, deadline = ahead[2:]
+        request, child, deadline = entry[2:]
         try:
             if drain:
                 self._receive(child, deadline)
@@ -341,13 +359,12 @@ class SubprocessEstimator:
             proc.wait()
 
     def close(self):
-        """Reap every child, alive or not, then remove a CSV sent ahead;
+        """Reap every child, alive or not, then remove every CSV sent ahead;
         idempotent."""
-        ahead, self._ahead = self._ahead, None
         while self._children:
             self._reap(self._children[-1])
-        if ahead is not None:
-            _unlink(ahead[2]["csv_path"])
+        while self._ahead:
+            _unlink(self._ahead.popleft()[2]["csv_path"])
 
 
 class _Child:

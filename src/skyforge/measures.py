@@ -113,17 +113,19 @@ class TestLog:
 
 
 def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
-            space: StateSpace, upcoming: Optional[SearchState] = None):
+            space: StateSpace, upcoming: tuple = ()):
     """Return the state's log entry, invoking the estimator at most once.
 
     All measures come back from a single estimator call; repeats on the same
-    bitmap are served from the log.  ``upcoming``, the state valuated next
-    if the caller knows it, goes to the estimator.  Returns ``(entry, invoked)``.
+    bitmap are served from the log.  ``upcoming``, the states the caller
+    valuates next, in order (empty when it knows none), goes to the
+    estimator.  Returns ``(entry, invoked)``.
 
     Each raw value scales into (0,1] over its measure's raw bounds, inverted
     for a maximized measure, and clamps to [1e-6, 1] so downstream logarithms
     stay defined.  Booleans, strings and other non-numbers are estimator
-    faults, never coerced, and so are non-finite values.
+    faults, never coerced, and so are non-finite values and ints beyond
+    float range.
     """
     cached = log.get(state.bitmap)
     if cached is not None:
@@ -138,6 +140,8 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
             if not (type(x) is float and -_BIG <= x <= _BIG):  # ints, float subclasses, refusals
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
                     raise EstimatorFailure(f"non-numeric raw value {x!r} for {name}")
+                if isinstance(x, int) and not -_BIG <= x <= _BIG:  # compared exactly
+                    raise EstimatorFailure(f"int raw value beyond float range for {name}")
                 if not math.isfinite(x):
                     raise EstimatorFailure(f"non-finite raw value {x!r} for {name}")
             v = (x - low) / span if minimize else (high - x) / span

@@ -145,9 +145,10 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     ascending bitmap order.
 
     Walks the submasks of the free bits in ascending order, each with every
-    bit of the protected target, when given.  Each valuation is told the next
-    state whose valuation calls the estimator (one not already in the log).
-    Refuses instances whose bitmap is longer than ``max_bits``.
+    bit of the protected target, when given.  Each valuation is told up to
+    the estimator's ``lookahead`` next states whose valuations call the
+    estimator (those not already in the log).  Refuses instances whose
+    bitmap is longer than ``max_bits``.
     """
     _check_cap(universal, target, max_bits)
     space = StateSpace(universal, protected=(target,))
@@ -163,11 +164,15 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
         if sub == free:
             break
         sub = (sub - free) & free  # the next submask of free, in ascending order
-    logged = {entry.bitmap.bits for entry in log}
-    calls = [state for state in todo if state.bitmap.bits not in logged]
-    upcoming = dict(zip((state.bitmap.bits for state in calls), calls[1:]))
-    return [valuate(state, estimator, log, measures, space, upcoming.get(state.bitmap.bits))[0]
-            for state in todo]
+    lookahead = getattr(estimator, "lookahead", 0)
+    calls = tuple(state for state in todo if log.get(state.bitmap) is None) if lookahead else ()
+    entries, called = [], 0
+    for state in todo:
+        if called < len(calls) and calls[called] is state:
+            called += 1  # the calls after this one start at index ``called``
+        entries.append(valuate(state, estimator, log, measures, space,
+                               calls[called:called + lookahead])[0])
+    return entries
 
 
 def check_eps_cover(grid: SkylineGrid, all_states: Sequence[LogEntry],

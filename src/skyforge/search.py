@@ -310,6 +310,7 @@ class _Runner:
         self.space = StateSpace(universal, protected=protected)
         self.measures = measures
         self.estimator = estimator
+        self.lookahead = getattr(estimator, "lookahead", 0)  # upcoming states it can use
         self.cfg = cfg
         self.pruning = cfg.algorithm in ("bi", "div")
         self.grid = SkylineGrid(cfg.epsilon, measures)
@@ -327,16 +328,16 @@ class _Runner:
             self._corr_cache = (len(self.log), graph)
         return self._corr_cache[1]
 
-    def valuate_one(self, state: SearchState, upcoming: Optional[SearchState] = None
-                    ) -> LogEntry:
-        """Valuate ``state``; ``upcoming``, the state valuated next, goes to
-        the estimator unless this call may be the last the budget allows."""
+    def valuate_one(self, state: SearchState, upcoming: tuple = ()) -> LogEntry:
+        """Valuate ``state``; ``upcoming``, the states valuated next, in
+        order, goes to the estimator cut to those the budget still pays for
+        after this call, so no request is sent past the budget."""
         # the run's own log gains one entry per estimator call that returns
         used = len(self.log)
-        if used + 1 >= self.cfg.budget:
+        if used + len(upcoming) >= self.cfg.budget:
             if used >= self.cfg.budget and self.log.get(state.bitmap) is None:
                 raise _BudgetExhausted
-            upcoming = None
+            upcoming = upcoming[:max(self.cfg.budget - used - 1, 0)]
         return valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)[0]
 
     def expand(self, frontier: list, direction: str):
@@ -415,20 +416,23 @@ class _Runner:
         this side's valuations, and the side's unpruned children form one
         batch.  Each child is looked up in the log once, before its batch is
         valuated: a logged child is kept as logged, and each estimator call
-        is told the batch's next child that is not logged.
+        is told up to the estimator's ``lookahead`` next children of the
+        batch that are not logged.
         """
         batches = self.expand(frontier, direction)
         if self.pruning:
             batches = [[c for batch in batches for c in batch
                         if not self.try_prune(c, level + 1)]]
-        kept = []
+        kept, lookahead = [], self.lookahead
         for batch in batches:
             logged = [self.log.get(c.bitmap) for c in batch]
-            calls = iter([c for c, entry in zip(batch, logged) if entry is None])
-            next(calls, None)  # each call is told the call after it
+            calls = (tuple(c for c, entry in zip(batch, logged) if entry is None)
+                     if lookahead else ())
+            called = 0
             for c, entry in zip(batch, logged):
                 if entry is None:
-                    entry = self.valuate_one(c, next(calls, None))
+                    called += 1  # the calls after this one start at index ``called``
+                    entry = self.valuate_one(c, calls[called:called + lookahead])
                 kept.append(self.keep(entry))
         return kept
 

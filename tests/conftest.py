@@ -58,12 +58,11 @@ def perf(*values) -> tuple:
 
 
 class SerialEstimator(SubprocessEstimator):
-    """Never told the upcoming state, so every CSV is written just before
+    """Never told the upcoming states, so every CSV is written just before
     its own request and one child serves every request: the serial
     reference for the command estimator."""
 
-    def estimate(self, state, space, upcoming=None):
-        return super().estimate(state, space)
+    lookahead = 0
 
 
 @pytest.fixture
@@ -100,6 +99,27 @@ def record_steps(monkeypatch) -> list:
     return steps
 
 
+def one_request_per_child(monkeypatch) -> set:
+    """Make every estimator fail the test if it sends a child a request
+    while that child owes a reply; returns the children that owe one."""
+    busy = set()
+    send, receive = SubprocessEstimator._send, SubprocessEstimator._receive
+
+    def checked_send(self, child, request):
+        assert child not in busy, "two requests in flight at one child"
+        deadline = send(self, child, request)
+        busy.add(child)
+        return deadline
+
+    def checked_receive(self, child, deadline):
+        busy.discard(child)
+        return receive(self, child, deadline)
+
+    monkeypatch.setattr(SubprocessEstimator, "_send", checked_send)
+    monkeypatch.setattr(SubprocessEstimator, "_receive", checked_receive)
+    return busy
+
+
 def in_flight_at_writes(steps: list) -> tuple:
     """The number of requests sent and not yet answered at each write, and
     the most at any one time."""
@@ -121,7 +141,7 @@ class Counting:
     def __init__(self, inner, fail_at=None):
         self.inner, self.fail_at, self.calls, self.returned = inner, fail_at, 0, 0
 
-    def estimate(self, state, space, upcoming=None):
+    def estimate(self, state, space, upcoming=()):
         self.calls += 1
         if self.calls == self.fail_at:
             raise EstimatorFailure("boom", bitmap=state.bitmap)

@@ -15,6 +15,7 @@ import skyforge.cli as cli
 from skyforge import (ArgumentError, Bitmap, MeasureSet, MeasureSpec, SearchState,
                       SubprocessEstimator)
 from skyforge.operators import StateSpace
+from skyforge.estimators import MAX_CHILDREN
 from skyforge.oracle import state_count_bound
 from skyforge.tabular import Literal
 from skyforge.cli import (
@@ -529,6 +530,26 @@ class TestRunCommand:
         failure = load_manifest(os.path.dirname(out["manifest"]))["failure"]
         assert "non-numeric raw value '1.5' for holdout_error" in failure
 
+    @pytest.mark.parametrize("estimator", ["lookup", "command"])
+    def test_int_beyond_float_range_exits_3_naming_the_measure(self, tmp_path, capsys,
+                                                               estimator):
+        # a raw value of 1 followed by 400 zeros fails like a non-finite one,
+        # without its digits in the message
+        raw = json.loads(base_config(tmp_path).read_text())
+        if estimator == "lookup":
+            raw["estimator"] = {"builtin": "lookup", "default": {
+                "holdout_error": 10 ** 400, "train_cost": 5.0, "model_size": 2.0}}
+        else:
+            child = CONSTANT_CHILD.replace("'holdout_error': 50.0", "'holdout_error': 10 ** 400")
+            raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": 10}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_ESTIMATOR
+        out = json.loads(capsys.readouterr().out)
+        failure = load_manifest(os.path.dirname(out["manifest"]))["failure"]
+        assert "int raw value beyond float range for holdout_error" in failure
+        assert "0" * 20 not in failure
+
     @pytest.mark.parametrize("child,timeout,cause", [
         # a reply line that is not JSON
         ("import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n",
@@ -581,25 +602,46 @@ class TestRunCommand:
         path = tmp_path / "child.json"
         path.write_text(json.dumps(raw))
         assert execute(RunConfig.from_file(str(path)))[0] == EXIT_OK
-        assert len(spawned) == 2  # the second child serves the requests sent ahead
+        # the first child starts with the operation; three more serve the
+        # requests sent ahead
+        assert len(spawned) == MAX_CHILDREN
         assert reaped(spawned)
 
+    def test_bad_source_after_the_first_child_starts_exits_2(self, tmp_path, monkeypatch,
+                                                             spawned, capsys):
+        # the estimator, and so its first child, is built before the sources
+        # are read; a source that cannot be read still leaves no process
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", CONSTANT_CHILD], "timeout": 10}
+        raw["sources"] = [{"path": "missing.csv", "name": "pool"}]
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_BAD_CONFIG
+        assert "missing.csv" in capsys.readouterr().err
+        assert len(spawned) == 1 and reaped(spawned)
+
+    @pytest.mark.parametrize("failing", range(1, 7))
     @pytest.mark.parametrize("fault, timeout", [("sys.exit(1)", 10), ("time.sleep(30)", 1)],
                              ids=["crash", "timeout"])
     def test_failure_with_the_next_request_in_flight(self, tmp_path, monkeypatch, spawned,
-                                                     fault, timeout):
-        # request 4 fails while the other child holds request 5: the run ends
-        # as the serial one does, without waiting for reply 5
+                                                     fault, timeout, failing):
+        # request ``failing`` fails while other children hold the requests
+        # after it: the run ends as the serial one does, and no reply past
+        # the failing one is waited for
         tmp = tmp_path / "tmp"
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
         child = CONSTANT_CHILD.replace("import json, sys\n", "import json, sys, time\n").replace(
             "    req = json.loads(line)\n",
-            f"    req = json.loads(line)\n    if req['id'] == 4:\n        {fault}\n")
+            f"    req = json.loads(line)\n    if req['id'] == {failing}:\n        {fault}\n")
         raw = json.loads(base_config(tmp_path).read_text())
         raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": timeout}
         raw["search"] = {"algorithm": "nobi", "epsilon": 0.3}
         path = tmp_path / "child.json"
         path.write_text(json.dumps(raw))
+        receive, waits = SubprocessEstimator._receive, []
+        monkeypatch.setattr(SubprocessEstimator, "_receive",
+                            lambda self, *args: waits.append(self) or receive(self, *args))
         results = []
         for cls in (SubprocessEstimator, SerialEstimator):
             built = []
@@ -607,15 +649,20 @@ class TestRunCommand:
                                 lambda *args, cls=cls, **kw: built.append(cls(*args, **kw))
                                 or built[-1])
             spawned.clear()
+            waits.clear()
             started = time.monotonic()
             code, manifest, _, _ = execute_run(RunConfig.from_file(str(path)))
-            assert time.monotonic() - started < 10  # reply 5 was not waited for
-            assert code == EXIT_ESTIMATOR and manifest["valuations"] == 3
+            assert time.monotonic() - started < 10
+            assert code == EXIT_ESTIMATOR and manifest["valuations"] == failing - 1
+            assert len(waits) == failing  # replies 1 to ``failing``, each once
             assert reaped(spawned) and list(tmp.glob("skyforge_*.csv")) == []
             results.append((strip_volatile(manifest), built[0].calls, len(spawned)))
-        (two, calls, children), (serial, serial_calls, serial_children) = results
-        assert two == serial
-        assert (calls, children) == (5, 2) and (serial_calls, serial_children) == (4, 1)
+        (pooled, calls, children), (serial, serial_calls, serial_children) = results
+        assert pooled == serial
+        assert (serial_calls, serial_children) == (failing, 1)
+        # the two roots are valuated unhinted; the first forward batch holds
+        # requests 3 to 6, and request 3's call sends 4 to 6 ahead
+        assert (calls, children) == ((failing, 1) if failing < 3 else (6, MAX_CHILDREN))
 
     @pytest.mark.parametrize("case", ["finished", "budget-stop", "malformed", "timeout"])
     def test_no_temp_csv_left_behind(self, tmp_path, monkeypatch, case):
@@ -780,7 +827,7 @@ class TestVerifyCommand:
 
     def test_enumeration_writes_ahead_of_the_child(self, tmp_path, monkeypatch):
         # after the first, every CSV of the oracle's enumeration is written
-        # while a child works on the request before it
+        # while children work on the requests before it, up to three at once
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
         events = record_steps(monkeypatch)
         enumerate_all = cli.enumerate_all
@@ -798,9 +845,35 @@ class TestVerifyCommand:
         code, payload = execute_verify(RunConfig.from_file(str(path)))
         assert code == EXIT_OK
         at_writes, _ = in_flight_at_writes(events)
-        assert len(at_writes) == payload["total_states"] > 2
-        assert at_writes == [0] + [1] * (len(at_writes) - 1)
+        assert len(at_writes) == payload["total_states"] > MAX_CHILDREN
+        assert at_writes == [0, 1, 2] + [3] * (len(at_writes) - 3)
         assert list((tmp_path / "tmp").glob("skyforge_*.csv")) == []
+
+    @pytest.mark.parametrize("algorithm", ["nobi", "bi"])
+    def test_command_estimator_reports_as_the_serial_one(self, tmp_path, monkeypatch, spawned,
+                                                          algorithm):
+        # the search and the oracle's enumeration both send requests ahead;
+        # the report equals the one-child run's
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        child = CONSTANT_CHILD.replace(
+            "'holdout_error': 50.0", "'holdout_error': int(req['bitmap'], 16) % 97 + req['rows']")
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["estimator"] = {"command": [sys.executable, "-c", child], "timeout": 10}
+        raw["search"] = {"algorithm": algorithm, "epsilon": 0.3}
+        path = tmp_path / "child.json"
+        path.write_text(json.dumps(raw))
+        reports = []
+        for cls in (SubprocessEstimator, SerialEstimator):
+            monkeypatch.setattr(cli, "SubprocessEstimator", cls)
+            spawned.clear()
+            code, report = execute_verify(RunConfig.from_file(str(path)))
+            assert reaped(spawned) and list(tmp.glob("skyforge_*.csv")) == []
+            reports.append((code, report, len(spawned)))
+        (code, report, children), (serial_code, serial_report, serial_children) = reports
+        assert (code, report) == (serial_code, serial_report) and code in (EXIT_OK, EXIT_VIOLATIONS)
+        assert report["total_states"] > MAX_CHILDREN and report["exact_front"]
+        assert (children, serial_children) == (MAX_CHILDREN, 1)
 
     def test_corrupted_grid_detected(self, tmp_path, monkeypatch):
         cfg = RunConfig.from_file(str(base_config(tmp_path)))

@@ -26,13 +26,13 @@ from skyforge import (
     run_algorithm,
     valuate,
 )
-from skyforge.estimators import (HOLDOUT_ERROR, MAX_TIMEOUT_S, MODEL_SIZE, TRAIN_COST,
-                                 TRAIN_ERROR, WORST_ERROR)
+from skyforge.estimators import (HOLDOUT_ERROR, MAX_CHILDREN, MAX_TIMEOUT_S, MODEL_SIZE,
+                                 TRAIN_COST, TRAIN_ERROR, WORST_ERROR)
 from skyforge import search
 from skyforge.operators import FORWARD, StateSpace
 
-from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance, reaped,
-                      record_steps)
+from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance,
+                      one_request_per_child, reaped, record_steps)
 
 
 def numeric_universal(rows, schema=("x", "y")):
@@ -306,20 +306,24 @@ class TestLookahead:
         return root, SearchState(Bitmap(child, space.n_bits))
 
     @pytest.mark.parametrize("algorithm, budget", [
-        ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9)])
+        ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9), ("apx", 2**31),
+        *((algorithm, budget) for algorithm in ("apx", "bi", "nobi", "div")
+          for budget in (1, 2, 3, 5))])
     def test_child_sees_what_the_serial_path_sends(self, tmp_path, monkeypatch, spawned,
                                                    algorithm, budget):
         # the same requests and CSV bytes under the same ids, none beyond the
-        # budget, while each next request is in flight on a second child
+        # budget, while the next requests are in flight on up to three more
+        # children, never two at one child
         tmp = tmp_path / "tmp"
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
         steps = record_steps(monkeypatch)
+        busy = one_request_per_child(monkeypatch)
         results = {}
         for label, cls in (("ahead", SubprocessEstimator), ("serial", SerialEstimator)):
             u, measures, _ = make_monotone_instance(3)
-            est = self.make(tmp_path, label, cls, timeout=10)
             steps.clear()
             spawned.clear()
+            est = self.make(tmp_path, label, cls, timeout=10)
             cfg = SearchConfig(epsilon=0.2, target="t", algorithm=algorithm, k=2, budget=budget)
             try:
                 res = run_algorithm(u, measures, est, cfg)
@@ -327,7 +331,7 @@ class TestLookahead:
                 est.close()
             assert not res.partial and est.calls == res.valuations <= budget
             assert steps.count("_write") == steps.count("_send") == res.valuations  # none wasted
-            assert reaped(spawned)
+            assert reaped(spawned) and not busy
             assert list(tmp.glob("skyforge_*.csv")) == []
             results[label] = (self.recorded(tmp_path, label), *in_flight_at_writes(steps),
                               len(spawned), res.valuations)
@@ -336,8 +340,10 @@ class TestLookahead:
         assert ahead == serial and len(ahead) == valuations
         assert [r["request"]["id"] for r in ahead] == list(range(1, valuations + 1))
         assert set(serial_at_writes) == {0} and serial_most == serial_children == 1
-        assert most == children == 2
-        assert sum(n > 0 for n in at_writes) >= valuations // 2
+        assert most == children <= MAX_CHILDREN
+        if budget > 5:
+            assert most == MAX_CHILDREN
+            assert sum(n > 0 for n in at_writes) >= valuations // 2
 
     def test_next_request_reuses_the_csv_written_ahead(self, tmp_path, monkeypatch):
         # the upcoming state's request goes to the other child before the
@@ -351,8 +357,9 @@ class TestLookahead:
         monkeypatch.setattr(est, "_send", lambda to, request: sent.append(
             (to, request["csv_path"])) or send(to, request))
         try:
-            est.estimate(root, space, child)
-            written, to = est._ahead[2]["csv_path"], est._ahead[3]
+            est.estimate(root, space, (child,))
+            [(_, _, request, to, _)] = est._ahead
+            written = request["csv_path"]
             assert os.path.exists(written) and est.calls == 2
             assert sent[1] == (to, written) and sent[0][0] is not to
             est.estimate(child, space)
@@ -371,8 +378,8 @@ class TestLookahead:
         root, child = self.two_states(space)
         est = self.make(tmp_path, "record", timeout=10)
         try:
-            est.estimate(child, space, root)
-            est.estimate(child, space, root)  # not the announced state
+            est.estimate(child, space, (root,))
+            est.estimate(child, space, (root,))  # not the announced state
             assert len(list(tmp.glob("skyforge_*.csv"))) == 1  # root's, sent again
             assert len(spawned) == 2 and not any(p.poll() for p in spawned)  # drained, not stopped
             assert est.estimate(root, space)["m1"] == 1 / (3 + 2)  # reply 4, not the drained 2
@@ -384,6 +391,37 @@ class TestLookahead:
             (1, child.bitmap.to_hex()), (2, root.bitmap.to_hex()),
             (3, child.bitmap.to_hex()), (4, root.bitmap.to_hex())]
 
+    def test_requests_ahead_are_answered_in_order(self, tmp_path, monkeypatch, spawned):
+        # a call tops the requests in flight up to three from its hint; a
+        # call for a later state drains the replies ahead of its own
+        tmp = tmp_path / "tmp"
+        monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
+        space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]]))
+        root = space.root_state()
+        c = [SearchState(Bitmap(bits, space.n_bits))
+             for bits in sorted(space.op_gen(root, FORWARD))]
+        est = self.make(tmp_path, "record", timeout=10)
+
+        def in_flight():
+            return [entry[1] for entry in est._ahead]
+        try:
+            est.estimate(root, space, tuple(c))  # six named, three sent
+            assert in_flight() == [s.bitmap.bits for s in c[:3]] and est.calls == 4
+            est.estimate(c[0], space, tuple(c[1:]))  # one more sent
+            assert in_flight() == [s.bitmap.bits for s in c[1:4]] and est.calls == 5
+            est.estimate(c[2], space)  # c[1]'s reply is read and discarded
+            assert in_flight() == [c[3].bitmap.bits] and est.calls == 5
+            assert len(list(tmp.glob("skyforge_*.csv"))) == 1
+            est.estimate(c[3], space)
+            assert in_flight() == [] and est.calls == 5
+            assert len(spawned) == MAX_CHILDREN and not any(p.poll() for p in spawned)
+        finally:
+            est.close()
+        assert list(tmp.glob("skyforge_*.csv")) == [] and reaped(spawned)
+        assert [(r["request"]["id"], r["request"]["bitmap"])
+                for r in self.recorded(tmp_path, "record")] == [
+            (i + 1, s.bitmap.to_hex()) for i, s in enumerate([root, *c[:4]])]
+
     @pytest.mark.parametrize("seed", [1, 5])
     def test_hints_name_only_states_that_call_the_estimator(self, tmp_path, monkeypatch,
                                                            seed):
@@ -394,8 +432,8 @@ class TestLookahead:
         calls, keeps = [], []
         estimate, keep = SubprocessEstimator.estimate, search._Runner.keep
 
-        def recording_estimate(self, state, space, upcoming=None):
-            calls.append((state.bitmap.bits, upcoming and upcoming.bitmap.bits))
+        def recording_estimate(self, state, space, upcoming=()):
+            calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
             return estimate(self, state, space, upcoming)
         monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
         monkeypatch.setattr(search._Runner, "keep",
@@ -409,8 +447,9 @@ class TestLookahead:
             est.close()
         assert not res.partial and len(keeps) > res.valuations  # logged states kept again
         assert est.calls == res.valuations == steps.count("_write") == len(calls)
-        assert calls[-1][1] is None
-        assert all(hint in (None, calls[i + 1][0]) for i, (_, hint) in enumerate(calls[:-1]))
+        assert calls[-1][1] == () and any(len(hint) == MAX_CHILDREN - 1 for _, hint in calls)
+        assert all(len(hint) < MAX_CHILDREN and hint == tuple(
+            bits for bits, _ in calls[i + 1:i + 1 + len(hint)]) for i, (_, hint) in enumerate(calls))
 
     def test_failed_lookahead_surfaces_from_its_own_state(self, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
@@ -429,8 +468,8 @@ class TestLookahead:
         ms = MeasureSet([MeasureSpec(m) for m in ("m0", "m1", "m2")])
         log = TestLog()
         try:
-            assert valuate(root, est, log, ms, space, child)[1]  # reply 1 still read
-            assert est._ahead is None
+            assert valuate(root, est, log, ms, space, (child,))[1]  # reply 1 still read
+            assert not est._ahead
             with pytest.raises(EstimatorFailure, match="no space left") as err:
                 valuate(child, est, log, ms, space)
             assert err.value.bitmap == child.bitmap and est.calls == 1
@@ -457,9 +496,9 @@ class TestLookahead:
             est.estimate(root, space)  # the child is up before the timed call
             monkeypatch.setattr(space, "dataset", slow_dataset)
             with pytest.raises(EstimatorFailure, match="timed out"):
-                est.estimate(root, space, child)
+                est.estimate(root, space, (child,))
             # the request sent ahead is not waited for: both children are gone
-            assert est._ahead is None and est._children == []
+            assert not est._ahead and est._children == []
             assert list(tmp.glob("skyforge_*.csv")) == []
         finally:
             est.close()

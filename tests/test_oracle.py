@@ -91,12 +91,15 @@ class TestEnumerateAll:
         assert bits == sorted(bits)
 
     def test_each_call_is_told_the_next_call(self):
-        # a state already in the log calls no estimator, so it is skipped
+        # each call is told the next ``lookahead`` calls, in order; a state
+        # already in the log calls no estimator, so it is skipped
         calls = []
 
         class Recording(LookupEstimator):
-            def estimate(self, state, space, upcoming=None):
-                calls.append((state.bitmap.bits, upcoming and upcoming.bitmap.bits))
+            lookahead = 3
+
+            def estimate(self, state, space, upcoming=()):
+                calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
                 return super().estimate(state, space, upcoming)
 
         u, ms = build_toy_universal(), flat_measures()
@@ -108,7 +111,20 @@ class TestEnumerateAll:
                       log=log)
         called = [bits for bits, _ in calls]
         assert called == [bits for i, bits in enumerate(every) if i % 3 != 1]
-        assert [upcoming for _, upcoming in calls] == called[1:] + [None]
+        assert [upcoming for _, upcoming in calls] == [
+            tuple(called[i + 1:i + 4]) for i in range(len(called))]
+
+    def test_an_estimator_without_lookahead_is_told_nothing(self):
+        hints = []
+
+        class Recording(LookupEstimator):
+            def estimate(self, state, space, upcoming=()):
+                hints.append(upcoming)
+                return super().estimate(state, space, upcoming)
+
+        enumerate_all(build_toy_universal(), Recording({}, default={n: 0.5 for n in (
+            "m0", "m1", "m2")}), flat_measures())
+        assert len(hints) > 1 and set(hints) == {()}
 
     @pytest.mark.parametrize("target", [None, "t"])
     @pytest.mark.parametrize("seed", range(6))

@@ -2,11 +2,11 @@
 
 An estimator maps a search state to raw (un-normalized) measure values in a
 single call, ``estimate(state, space, upcoming=())``; ``upcoming`` is a tuple
-of the states the walk valuates next, in order, which an estimator may get
+of the next states whose valuations call it, in order, which it may get
 ready while it works on ``state``.  Its class attribute ``lookahead`` says
-how many upcoming states it can use (0 for the built-ins, which ignore
-them); the walk names at most that many.  All built-ins are RNG-free so
-identical runs stay bit-identical.
+how many it can use (0 for the built-ins, which ignore them); the walk names
+that many, across batches, sides and levels, up to a barrier or the budget.
+All built-ins are RNG-free so identical runs stay bit-identical.
 """
 
 from __future__ import annotations

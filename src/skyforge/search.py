@@ -6,18 +6,22 @@
 ``div``   ``bi`` whose per-level survivors are greedily diversified down to
           k states before expansion continues.
 
-Everything is deterministic: children valuate and submit in bitmap order,
-queues advance level by level, and no RNG is involved anywhere.  Children
-stay ``int`` bitmaps through generation, deduplication and containment
-tests; each level builds one ``SearchState`` per distinct child it yields.
-Once valuated, a state is the log's own ``LogEntry``, wherever it is held.
+Everything is deterministic and RNG-free.  The walk is one stream of
+states in valuation order, children in bitmap order, cut by the budget in
+one place; it reads results only at barriers, so each estimator call is
+told the next calls across batches, sides and levels.  Children stay
+``int`` bitmaps through generation, deduplication and containment tests;
+each level builds one ``SearchState`` per distinct child it yields.  Once
+valuated, a state is the log's own ``LogEntry``, wherever it is held.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -299,20 +303,13 @@ def diversify_level(level_set: Sequence[LogEntry], k: int, alpha: float,
 # -- the level-wise runner ----------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Runner:
     def __init__(self, universal: UniversalTable, measures: MeasureSet,
                  estimator, cfg: SearchConfig):
-        protected = (cfg.target,) if cfg.target else ()
-        self.space = StateSpace(universal, protected=protected)
+        self.space = StateSpace(universal, protected=(cfg.target,) if cfg.target else ())
         self.measures = measures
         self.estimator = estimator
-        self.lookahead = getattr(estimator, "lookahead", 0)  # upcoming states it can use
         self.cfg = cfg
-        self.pruning = cfg.algorithm in ("bi", "div")
         self.grid = SkylineGrid(cfg.epsilon, measures)
         self.log = TestLog()
         self.graph = RunningGraph()
@@ -320,6 +317,8 @@ class _Runner:
         self.pruned: list = []
         self.pruned_bits: set = set()  # once pruned, never revisited from either side
         self.div_set: list = []
+        self.claimed: set = set()  # bits of every call the stream has yielded
+        self.kept: list = []  # the entry of every state valuated, in stream order
         self._corr_cache = None
 
     def corr_graph(self) -> dict:
@@ -327,18 +326,6 @@ class _Runner:
             graph = build_correlation_graph(self.log, self.cfg.theta, self.measures)
             self._corr_cache = (len(self.log), graph)
         return self._corr_cache[1]
-
-    def valuate_one(self, state: SearchState, upcoming: tuple = ()) -> LogEntry:
-        """Valuate ``state``; ``upcoming``, the states valuated next, in
-        order, goes to the estimator cut to those the budget still pays for
-        after this call, so no request is sent past the budget."""
-        # the run's own log gains one entry per estimator call that returns
-        used = len(self.log)
-        if used + len(upcoming) >= self.cfg.budget:
-            if used >= self.cfg.budget and self.log.get(state.bitmap) is None:
-                raise _BudgetExhausted
-            upcoming = upcoming[:max(self.cfg.budget - used - 1, 0)]
-        return valuate(state, self.estimator, self.log, self.measures, self.space, upcoming)[0]
 
     def expand(self, frontier: list, direction: str):
         """Yield the children of the frontier in ascending bitmap order, as
@@ -353,7 +340,7 @@ class _Runner:
         final.  Each batch asks every open parent's ``op_gen`` for only its
         children from the previous batch's limit up to that bound (no limit
         once every parent is open), so every child built is yielded in that
-        batch.  When the remaining budget covers every possible child (one
+        batch.  When the unclaimed budget covers every possible child (one
         per flippable bit of each parent), all parents open in one batch and
         no bound is computed.  Children stay ints until yielded, so a child
         reached from several parents becomes one ``SearchState``.
@@ -361,7 +348,7 @@ class _Runner:
         n_bits, free, op_gen = self.space.n_bits, self.space.free_bits, self.space.op_gen
         parents = self.graph.parents
         parent_bits = [state.bitmap.bits for state in frontier]
-        if self.cfg.budget - len(self.log) >= len(frontier) * free.bit_count():
+        if self.cfg.budget - len(self.claimed) >= len(frontier) * free.bit_count():
             # one batch of every parent, opened in index order, so the first
             # parent to reach a child is its lowest-index one; no bound is read
             first: dict = {}  # child bits -> lowest frontier index
@@ -405,46 +392,6 @@ class _Runner:
             lo = hi
             yield first
 
-    def valuate_children(self, frontier: list, direction: str, level: int) -> list:
-        """Valuate the frontier's unpruned children in bitmap order as
-        ``expand`` yields them, submitting each to the grid as soon as it is
-        valuated, so an estimator failure loses no paid valuation.  A child
-        pruned instead is recorded at ``level + 1``, one past the frontier's.
-
-        When the walk prunes, every child of the side is checked before any
-        is valuated, so every prune check reads the log as it stood before
-        this side's valuations, and the side's unpruned children form one
-        batch.  Each child is looked up in the log once, before its batch is
-        valuated: a logged child is kept as logged, and each estimator call
-        is told up to the estimator's ``lookahead`` next children of the
-        batch that are not logged.
-        """
-        batches = self.expand(frontier, direction)
-        if self.pruning:
-            batches = [[c for batch in batches for c in batch
-                        if not self.try_prune(c, level + 1)]]
-        kept, lookahead = [], self.lookahead
-        for batch in batches:
-            logged = [self.log.get(c.bitmap) for c in batch]
-            calls = (tuple(c for c, entry in zip(batch, logged) if entry is None)
-                     if lookahead else ())
-            called = 0
-            for c, entry in zip(batch, logged):
-                if entry is None:
-                    called += 1  # the calls after this one start at index ``called``
-                    entry = self.valuate_one(c, calls[called:called + lookahead])
-                kept.append(self.keep(entry))
-        return kept
-
-    def keep(self, entry: LogEntry) -> LogEntry:
-        self.grid.submit(entry)
-        return entry
-
-    def start_root(self, state: SearchState) -> LogEntry:
-        entry = self.keep(self.valuate_one(state))
-        self.graph.roots.append(state.bitmap)
-        return entry
-
     def try_prune(self, child: SearchState, level: int) -> bool:
         if not self.regions:
             return False
@@ -477,51 +424,103 @@ class _Runner:
                 if param_eps_dominates(b_state.perf, f_state.perf, eps):
                     self.regions.append((f_state, b_state))
 
-    def diversify(self, valuated: list) -> list:
-        unique: dict = {}
-        for s in valuated[0] + valuated[1]:
-            unique.setdefault(s.bitmap.bits, s)
-        self.div_set = diversify_level(list(unique.values()), self.cfg.k,
-                                       self.cfg.alpha, self.log, self.measures)
-        chosen = {s.bitmap.bits for s in self.div_set}
-        return [[s for s in side if s.bitmap.bits in chosen] for side in valuated]
+    def batches(self):
+        """The walk's states in valuation order, as lists: the roots, then
+        each level's forward and backward sides.  None marks a barrier, the
+        only place the walk reads results: every state yielded before it is
+        valuated by then, its entry in ``kept``.  A pruning side checks each
+        child before it yields any, after a barrier once regions exist, and
+        each bi and div level ends at one to admit regions and diversify;
+        apx and nobi read only bitmaps, so they have no barrier."""
+        cfg, graph, pruning = self.cfg, self.graph, self.cfg.algorithm in ("bi", "div")
+        root = self.space.root_state()
+        yield [root]
+        graph.roots.append(root.bitmap)
+        frontiers = [[root], []]
+        if cfg.algorithm != "apx":
+            needs_feature = bool(getattr(self.estimator, "requires_feature", False))
+            back = back_st(self.space, cfg.target, needs_feature)
+            if back.bitmap.bits == root.bitmap.bits:
+                return
+            yield [back]
+            graph.roots.append(back.bitmap)
+            frontiers[1].append(back)
+        level = 0
+        while (frontiers[0] or frontiers[1]) and (cfg.max_len is None or level < cfg.max_len):
+            if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
+                return  # frontiers met: every candidate between is explored
+            sides = []
+            for frontier, direction in zip(frontiers, (FORWARD, BACKWARD)):
+                batches = self.expand(frontier, direction)
+                if pruning:
+                    if self.regions:
+                        yield None  # each check reads the log as it stood before the side
+                    batches = [[c for batch in batches for c in batch
+                                if not self.try_prune(c, level + 1)]]
+                sides.append([])
+                for batch in batches:
+                    yield batch
+                    sides[-1] += batch
+            frontiers = sides
+            if pruning:
+                yield None  # the level's entries are the last ones kept
+                n, kept = len(sides[0]), self.kept[len(self.kept) - len(sides[0]) - len(sides[1]):]
+                frontiers = [kept[:n], kept[n:]]
+                self.add_regions(*frontiers)
+                if cfg.algorithm == "div":
+                    unique = {s.bitmap.bits: s for s in kept}  # both sides may reach a state
+                    self.div_set = diversify_level(list(unique.values()), cfg.k, cfg.alpha,
+                                                   self.log, self.measures)
+                    chosen = {s.bitmap.bits for s in self.div_set}
+                    frontiers = [[s for s in f if s.bitmap.bits in chosen] for f in frontiers]
+            level += 1
+
+    def states(self):
+        """The walk as one stream: ``(state, call)`` in valuation order, and
+        None at each barrier; ``call`` says no earlier state has the bitmap,
+        so valuating it calls the estimator.  The stream ends before the
+        first call past the budget, so a cut level reaches no barrier."""
+        claimed, budget = self.claimed, self.cfg.budget
+        for batch in self.batches():
+            if batch is None:
+                yield None
+                continue
+            for state in batch:
+                call = state.bitmap.bits not in claimed
+                if call:
+                    if len(claimed) >= budget:
+                        return
+                    claimed.add(state.bitmap.bits)
+                yield state, call
 
     def walk(self):
-        """Valuate the start states, then expand forward (reducts) and
-        backward (augments) level by level until the frontiers empty or
-        meet, or ``max_len`` or the budget stops the walk."""
-        cfg = self.cfg
-        try:
-            fwd_root = self.start_root(self.space.root_state())
-            frontiers = [[fwd_root], []]
-            if cfg.algorithm != "apx":
-                needs_feature = bool(getattr(self.estimator, "requires_feature", False))
-                bwd_start = back_st(self.space, cfg.target, needs_feature)
-                if bwd_start.bitmap.bits == fwd_root.bitmap.bits:
-                    return
-                frontiers[1].append(self.start_root(bwd_start))
-            level = 0
-            while frontiers[0] or frontiers[1]:
-                if cfg.max_len is not None and level >= cfg.max_len:
-                    break
-                if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
-                    break  # frontiers met: every candidate between is explored
-                valuated = [self.valuate_children(frontier, direction, level)
-                            for frontier, direction in zip(frontiers, (FORWARD, BACKWARD))]
-                if self.pruning:
-                    self.add_regions(*valuated)
-                if cfg.algorithm == "div":
-                    valuated = self.diversify(valuated)
-                frontiers = valuated
-                level += 1
-        except _BudgetExhausted:
-            pass  # a stopped walk reads no regions, so the cut level adds none
+        """Valuate the stream in order, telling each estimator call the next
+        ``lookahead`` calls of the stream; a barrier, or the stream's end,
+        valuates every state pulled before it.  Each entry goes to the grid
+        at once, so an estimator failure loses no paid valuation."""
+        lookahead = getattr(self.estimator, "lookahead", 0)  # upcoming states it can use
+        submit, kept = self.grid.submit, self.kept
+        pending, calls = deque(), 0  # pulled (state, call) pairs; their calls
+        for item in chain(self.states(), (None,)):
+            if item is not None:
+                pending.append(item)
+                calls += item[1]
+            # the head goes once ``lookahead`` calls follow it, or at a barrier
+            while pending and (item is None or calls - pending[0][1] >= lookahead):
+                state, call = pending.popleft()
+                calls -= call
+                upcoming = tuple(s for s, c in pending if c) if calls else ()
+                entry = valuate(state, self.estimator, self.log, self.measures, self.space,
+                                upcoming)[0]
+                submit(entry)
+                kept.append(entry)
 
 
 def run_algorithm(universal: UniversalTable, measures: MeasureSet, estimator,
                   cfg: SearchConfig) -> RunResult:
     """Run ``cfg.algorithm``; an estimator failure ends the walk early and
-    returns what was found so far, flagged ``partial``."""
+    returns what was found so far, flagged ``partial``, whose graph may also
+    name states the stream had already yielded past the failing call."""
     runner = _Runner(universal, measures, estimator, cfg)
     failure = None
     try:

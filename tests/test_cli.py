@@ -12,8 +12,8 @@ import jsonschema
 import pytest
 
 import skyforge.cli as cli
-from skyforge import (ArgumentError, Bitmap, MeasureSet, MeasureSpec, SearchState,
-                      SubprocessEstimator)
+from skyforge import (ArgumentError, Bitmap, EstimatorFailure, MeasureSet, MeasureSpec,
+                      SearchState, SubprocessEstimator)
 from skyforge.operators import StateSpace
 from skyforge.estimators import MAX_CHILDREN
 from skyforge.oracle import state_count_bound
@@ -109,6 +109,28 @@ def strip_volatile(manifest):
     m = copy.deepcopy(manifest)
     m.pop("timing", None)
     return m
+
+
+class RowShareEstimator:
+    """Measures that fall with the state's row share, so bi prunes on the
+    pool; call ``fail_at`` fails instead, and ``hints`` records the length
+    of each call's hint."""
+
+    requires_feature = False
+
+    def __init__(self, lookahead, fail_at=None):
+        self.lookahead, self.fail_at, self.hints = lookahead, fail_at, []
+
+    def estimate(self, state, space, upcoming=()):
+        self.hints.append(len(upcoming))
+        if len(self.hints) == self.fail_at:
+            raise EstimatorFailure("boom", bitmap=state.bitmap)
+        share = space.row_count(state.bitmap) / len(space.universal.relation.rows)
+        return {"holdout_error": 200 * (0.9 - 0.6 * share),
+                "train_cost": 20 * (0.9 - 0.5 * share), "model_size": 10 * (0.9 - 0.4 * share)}
+
+    def close(self):
+        """Nothing to release."""
 
 
 class TestConfigValidation:
@@ -660,9 +682,41 @@ class TestRunCommand:
         (pooled, calls, children), (serial, serial_calls, serial_children) = results
         assert pooled == serial
         assert (serial_calls, serial_children) == (failing, 1)
-        # the two roots are valuated unhinted; the first forward batch holds
-        # requests 3 to 6, and request 3's call sends 4 to 6 ahead
-        assert (calls, children) == ((failing, 1) if failing < 3 else (6, MAX_CHILDREN))
+        # the forward root's call already sends the backward root and two
+        # children ahead, so each call tops the requests in flight up to
+        # three past its own
+        assert (calls, children) == (failing + MAX_CHILDREN - 1, MAX_CHILDREN)
+
+    @pytest.mark.parametrize("algorithm", ["bi", "div"])
+    def test_partial_run_with_lookahead_matches_the_serial_one(self, tmp_path, monkeypatch,
+                                                               algorithm):
+        """When call ``i`` of an estimator told three upcoming states fails,
+        a bi or div run keeps the serial run's log and manifest, whichever
+        barrier, prune check or level the call falls next to.  Only
+        ``result.graph`` may differ: it may also name states the stream had
+        already yielded past the failing call, and no manifest reads those."""
+        raw = json.loads(base_config(tmp_path).read_text())
+        raw["max_clusters"] = 3
+        raw["search"] = {"algorithm": algorithm, "epsilon": 0.3,
+                         "k": 2 if algorithm == "div" else 0}
+        path = tmp_path / "row-share.json"
+        path.write_text(json.dumps(raw))
+        cfg = RunConfig.from_file(str(path))
+        built = []
+
+        def run(lookahead, fail_at=None):
+            monkeypatch.setattr(RunConfig, "build_estimator", lambda self: built.append(
+                RowShareEstimator(lookahead, fail_at)) or built[-1])
+            code, manifest, result, _ = execute_run(cfg)
+            return code, strip_volatile(manifest), [(e.bitmap, e.perf) for e in result.log]
+
+        code, manifest, log = run(0)
+        assert code == EXIT_OK and manifest["pruned"]
+        for fail_at in range(1, len(log) + 1):
+            serial = run(0, fail_at)
+            assert serial[0] == EXIT_ESTIMATOR and serial[2] == log[:fail_at - 1]
+            assert run(3, fail_at) == serial
+            assert built[-1].hints[0] == 3  # the forward root's call sends three ahead
 
     @pytest.mark.parametrize("case", ["finished", "budget-stop", "malformed", "timeout"])
     def test_no_temp_csv_left_behind(self, tmp_path, monkeypatch, case):

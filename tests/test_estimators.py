@@ -28,8 +28,8 @@ from skyforge import (
 )
 from skyforge.estimators import (HOLDOUT_ERROR, MAX_CHILDREN, MAX_TIMEOUT_S, MODEL_SIZE,
                                  TRAIN_COST, TRAIN_ERROR, WORST_ERROR)
-from skyforge import search
 from skyforge.operators import FORWARD, StateSpace
+from skyforge.skyline import SkylineGrid
 
 from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance,
                       one_request_per_child, reaped, record_steps)
@@ -430,14 +430,14 @@ class TestLookahead:
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
         steps = record_steps(monkeypatch)
         calls, keeps = [], []
-        estimate, keep = SubprocessEstimator.estimate, search._Runner.keep
+        estimate, submit = SubprocessEstimator.estimate, SkylineGrid.submit
 
         def recording_estimate(self, state, space, upcoming=()):
             calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
             return estimate(self, state, space, upcoming)
         monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
-        monkeypatch.setattr(search._Runner, "keep",
-                            lambda self, entry: keeps.append(entry) or keep(self, entry))
+        monkeypatch.setattr(SkylineGrid, "submit",
+                            lambda self, entry: keeps.append(entry) or submit(self, entry))
         u, measures, _ = make_monotone_instance(seed)
         est = self.make(tmp_path, "record", timeout=10)
         try:

@@ -295,12 +295,12 @@ class TestRunBi:
         # every prune check of a side reads the log as it stood before the
         # side's valuations, however many batches ``expand`` yields
         sides = []  # the "prune" and "estimate" events of each side, in order
-        real_side = search_module._Runner.valuate_children
+        real_expand = search_module._Runner.expand
         real_prune = search_module._Runner.try_prune
 
-        def recording_side(runner, frontier, direction, level):
-            sides.append([])
-            return real_side(runner, frontier, direction, level)
+        def recording_expand(runner, frontier, direction):
+            sides.append([])  # a side starts with its expansion
+            return real_expand(runner, frontier, direction)
 
         def recording_prune(runner, child, level):
             sides[-1].append("prune")
@@ -315,7 +315,7 @@ class TestRunBi:
                     sides[-1].append("estimate")
                 return self.inner.estimate(state, space, upcoming)
 
-        monkeypatch.setattr(search_module._Runner, "valuate_children", recording_side)
+        monkeypatch.setattr(search_module._Runner, "expand", recording_expand)
         monkeypatch.setattr(search_module._Runner, "try_prune", recording_prune)
         mixed = 0
         for seed, budget in itertools.product(range(8), (7, 15, 40)):
@@ -851,3 +851,47 @@ class TestDeterminismAndBudget:
                 else:
                     state = space.apply_augment(state, literal)
             assert state.bitmap == occupant.bitmap
+
+
+class HintRecorder:
+    """Wraps an estimator as one that uses three upcoming states, and
+    records each call's state and hint as bits."""
+
+    requires_feature = False
+    lookahead = 3
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def estimate(self, state, space, upcoming=()):
+        self.calls.append((state.bitmap.bits, tuple(s.bitmap.bits for s in upcoming)))
+        return self.inner.estimate(state, space, upcoming)
+
+
+class TestValuationStream:
+    @pytest.mark.parametrize("algorithm", search_module.ALGORITHMS)
+    def test_hints_are_exact_across_every_edge(self, algorithm):
+        # each call is told the calls that follow it, in order, across
+        # batches, sides, levels and the two roots; apx and nobi read only
+        # bitmaps, so every hint is full, and only a barrier of bi or div (a
+        # side's prune checks once regions exist, or a level's end) cuts one
+        cases = [(toy_setup(seed), 0.3) for seed in range(6)]
+        cases += [(make_monotone_instance(seed), 0.2) for seed in range(8)]
+        short = 0
+        for ((u, ms, est), eps), budget in itertools.product(cases, (3, 10, 2**31)):
+            recorder = HintRecorder(est)
+            res = run_algorithm(u, ms, recorder, SearchConfig(
+                epsilon=eps, target="t", budget=budget, algorithm=algorithm,
+                k=2 if algorithm == "div" else 0))
+            called = [bits for bits, _ in recorder.calls]
+            assert called == [e.bitmap.bits for e in res.log]  # each call once
+            assert len(called) == res.valuations <= budget
+            for i, (_, hint) in enumerate(recorder.calls):
+                # a prefix of the calls that follow: never a logged state,
+                # never one past the budget
+                assert hint == tuple(called[i + 1:i + 1 + len(hint)])
+                full = min(3, len(called) - i - 1)
+                if algorithm in ("apx", "nobi"):
+                    assert len(hint) == full
+                short += len(hint) < full
+        assert short if algorithm in ("bi", "div") else not short

@@ -497,7 +497,9 @@ class _Runner:
         """Valuate the stream in order, telling each estimator call the next
         ``lookahead`` calls of the stream; a barrier, or the stream's end,
         valuates every state pulled before it.  Each entry goes to the grid
-        at once, so an estimator failure loses no paid valuation."""
+        at once, so an estimator failure loses no paid valuation; a state
+        the stream yields again is kept from the log, since submitting an
+        entry twice changes nothing."""
         lookahead = getattr(self.estimator, "lookahead", 0)  # upcoming states it can use
         submit, kept = self.grid.submit, self.kept
         pending, calls = deque(), 0  # pulled (state, call) pairs; their calls
@@ -508,7 +510,10 @@ class _Runner:
             # the head goes once ``lookahead`` calls follow it, or at a barrier
             while pending and (item is None or calls - pending[0][1] >= lookahead):
                 state, call = pending.popleft()
-                calls -= call
+                if not call:  # logged and submitted when the stream first yielded it
+                    kept.append(self.log.get(state.bitmap))
+                    continue
+                calls -= 1
                 upcoming = tuple(s for s, c in pending if c) if calls else ()
                 entry = valuate(state, self.estimator, self.log, self.measures, self.space,
                                 upcoming)[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -442,40 +443,100 @@ def build_universal(sources: Sequence[Relation], join_keys: Optional[dict] = Non
 _KMEANS_TOL = 1e-9  # Lloyd stops once no centroid moves this far
 _KMEANS_MAX_ITER = 200
 
+# the largest magnitude M (among the values and the centroids) below which
+# float distances neither overflow nor round across a centroid gap above
+# M * _KMEANS_GAP (see ``_run_cuts``)
+_KMEANS_MAX_MAGNITUDE = 2.0**1000
+_KMEANS_GAP = 2.0**-48
+
+
+def _run_cuts(vals: list, centroids: list, top: float, last: Optional[tuple]) -> Optional[list]:
+    """Where ``_nearest`` splits the ascending ``vals`` among ``centroids``,
+    as cuts: cluster i is ``vals[cuts[i]:cuts[i + 1]]``.  None unless the
+    centroids ascend with every gap above M * 2**-48, M < 2**1000 being the
+    largest magnitude among ``top`` (that of the values) and the centroids;
+    ``kmeans_1d`` says why the cuts are exact then.  Cut i depends on
+    centroids i - 1 and i alone, so it stays where ``last`` (an earlier
+    call's centroids and cuts) has it while neither moved.
+    """
+    m = max(top, abs(centroids[0]), abs(centroids[-1]))
+    gap = m * _KMEANS_GAP
+    if not (m < _KMEANS_MAX_MAGNITUDE
+            and all(b - a > gap for a, b in zip(centroids, centroids[1:]))):
+        return None
+    n, cuts = len(vals), [0]
+    for i in range(1, len(centroids)):
+        a, b = centroids[i - 1], centroids[i]
+        if last and last[0][i - 1] == a and last[0][i] == b:
+            cuts.append(last[1][i])
+            continue
+        j = bisect_left(vals, (a + b) / 2, cuts[-1])
+        if j < n and not abs(vals[j] - b) < abs(vals[j] - a):
+            j = bisect_left(vals, True, j + 1, n, key=lambda v: abs(v - b) < abs(v - a))
+        cuts.append(j)
+    cuts.append(n)
+    return cuts
+
 
 def kmeans_1d(values: Sequence[float], k: int) -> list:
     """Deterministic 1-D Lloyd clustering.
 
     Centroids seed at the k quantile midpoints of the sorted values; no RNG.
     Returns the list of non-empty clusters as lists of values.
+
+    Each iteration gives every value its nearest centroid as ``_nearest``
+    does, ties to the lower one.  When the centroids ascend with every gap
+    above M * 2**-48, M < 2**1000 being the largest magnitude among the
+    values and the centroids, no value needs a label: a float subtraction
+    of two values within M errs by at most M * 2**-52, so two distances
+    whose exact values differ by more than M * 2**-50 keep their order.
+    Across such a gap no two distances round into a false tie, so each
+    cluster is a run of the sorted values, and cluster i starts at the
+    first value strictly nearer centroid i than centroid i - 1.  No value
+    below the two centroids' rounded midpoint is: no float lies strictly
+    between the exact midpoint and its rounding, and rounding keeps order.
+    So the cut is the first value at or above that midpoint, unless its
+    distances round it no nearer centroid i, and then a bisection on the
+    distances above it finds the cut.  An iteration thus moves only the
+    k - 1 cuts (``_run_cuts``) and re-averages only the runs whose ends
+    moved, since the same run sums to the same float.  Any other iteration
+    labels every value through ``_nearest``.  Both give the same clusters,
+    bit for bit.
     """
-    vals = sorted(float(v) for v in values)
+    vals = sorted(map(float, values))
     n = len(vals)
     k = min(k, n)
     if k <= 0:
         return []
-    points = np.array(vals)
+    points = np.array(vals, dtype=np.float64)
     if k == n and not (points[1:] <= points[:-1]).any():
         return [[v] for v in vals]  # each seed is a distinct value, nearest to itself alone
+    top = float(np.abs(points).max())  # NaN, failing the bound, when a value is NaN
     centroids = [vals[(2 * j + 1) * n // (2 * k)] for j in range(k)]
+    last = None  # the last iteration's centroids and cuts, when it found them as runs
     for _ in range(_KMEANS_MAX_ITER):
-        labels = _nearest(points, centroids)
+        cuts = _run_cuts(vals, centroids, top, last) if top < _KMEANS_MAX_MAGNITUDE else None
+        runs = last and last[1]  # the runs ``centroids`` are the means of
+        last = cuts and (centroids, cuts)
         ordered = vals
-        if (labels[1:] < labels[:-1]).any():  # centroids out of order
-            order = np.argsort(labels, kind="stable")
-            labels, ordered = labels[order], points[order].tolist()
+        if cuts is None:
+            labels = _nearest(points, centroids)
+            if (labels[1:] < labels[:-1]).any():  # centroids out of order
+                order = np.argsort(labels, kind="stable")
+                labels, ordered = labels[order], points[order].tolist()
+            cuts = np.searchsorted(labels, np.arange(k + 1)).tolist()
         # each cluster is a run of ascending Python floats, so ``sum`` adds
-        # them in the order a cluster's mask would list them
-        bounds = np.searchsorted(labels, np.arange(k + 1)).tolist()
-        clusters = [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
+        # them in the order a cluster's mask would list them; a run that
+        # kept its ends keeps its centroid
         new_centroids = [
-            (sum(c) / len(c)) if c else centroids[i] for i, c in enumerate(clusters)
-        ]
+            centroids[i] if a == b or runs and runs[i] == a and runs[i + 1] == b
+            else sum(ordered[a:b]) / (b - a)
+            for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
         shift = max(abs(a - b) for a, b in zip(centroids, new_centroids))
         centroids = new_centroids
         if shift < _KMEANS_TOL:
             break
-    return [c for c in clusters if c]
+    return [ordered[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def derive_literals(u: UniversalTable, attribute: str, max_clusters: int) -> list:

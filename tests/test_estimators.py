@@ -26,10 +26,10 @@ from skyforge import (
     run_algorithm,
     valuate,
 )
+from skyforge import search
 from skyforge.estimators import (HOLDOUT_ERROR, MAX_CHILDREN, MAX_TIMEOUT_S, MODEL_SIZE,
                                  TRAIN_COST, TRAIN_ERROR, WORST_ERROR)
 from skyforge.operators import FORWARD, StateSpace
-from skyforge.skyline import SkylineGrid
 
 from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance,
                       one_request_per_child, reaped, record_steps)
@@ -429,15 +429,15 @@ class TestLookahead:
         # hint skips them, so no request or CSV is spent on a logged state
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp_path / "tmp"))
         steps = record_steps(monkeypatch)
-        calls, keeps = [], []
-        estimate, submit = SubprocessEstimator.estimate, SkylineGrid.submit
+        calls, runners = [], []
+        estimate, init = SubprocessEstimator.estimate, search._Runner.__init__
 
         def recording_estimate(self, state, space, upcoming=()):
             calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
             return estimate(self, state, space, upcoming)
         monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
-        monkeypatch.setattr(SkylineGrid, "submit",
-                            lambda self, entry: keeps.append(entry) or submit(self, entry))
+        monkeypatch.setattr(search._Runner, "__init__",
+                            lambda self, *args: runners.append(self) or init(self, *args))
         u, measures, _ = make_monotone_instance(seed)
         est = self.make(tmp_path, "record", timeout=10)
         try:
@@ -445,6 +445,7 @@ class TestLookahead:
                                 SearchConfig(epsilon=0.2, target="t", algorithm="div", k=2))
         finally:
             est.close()
+        keeps, = (runner.kept for runner in runners)
         assert not res.partial and len(keeps) > res.valuations  # logged states kept again
         assert est.calls == res.valuations == steps.count("_write") == len(calls)
         assert calls[-1][1] == () and any(len(hint) == MAX_CHILDREN - 1 for _, hint in calls)

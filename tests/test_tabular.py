@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import FrozenInstanceError
@@ -21,7 +22,8 @@ from skyforge import (
 )
 from skyforge import tabular
 from skyforge.operators import StateSpace
-from skyforge.tabular import _BLOCK_CELLS, _nearest, _nearest_sorted, _outer_join, _sort_key
+from skyforge.tabular import (_BLOCK_CELLS, _nearest, _nearest_sorted, _outer_join, _run_cuts,
+                              _sort_key)
 
 
 def rel(name, schema, rows):
@@ -714,6 +716,117 @@ class TestNearestSorted:
 ])
 def test_kmeans_k_equals_n(values):
     assert kmeans_1d(values, len(values)) == reference_kmeans_1d(values, len(values))
+
+
+# -- k-means iterations that move cuts between runs of the sorted values ------
+#
+# An iteration whose centroids ascend with every gap above M * 2**-48 (M the
+# largest magnitude among the values and the centroids) moves the cuts
+# between runs (``_run_cuts``); any other labels every value through
+# ``_nearest``.  Unit-scale values beside ~1e17-scale ones (whose floats lie
+# 16 apart) put some centroid gaps far above M * 2**-48 and others far below.
+
+unit_floats = st.floats(-4, 4, allow_nan=False)
+big_floats = st.tuples(st.sampled_from([1e17, -1e17]), st.integers(-64, 64)).map(
+    lambda t: t[0] + 16.0 * t[1])
+kmeans_pieces = st.one_of(
+    unit_floats.map(lambda x: [x]),
+    big_floats.map(lambda x: [x]),
+    st.sampled_from([[0.0], [-0.0]]),
+    st.tuples(st.one_of(unit_floats, big_floats), st.integers(2, 12)).map(
+        lambda t: ulp_run(*t)),
+    st.tuples(st.one_of(unit_floats, big_floats), st.integers(2, 4)).map(
+        lambda t: [t[0]] * t[1]),  # duplicates
+)
+
+
+def cuts_of(labels, k):
+    """The cuts between the runs of ascending ``labels``."""
+    assert labels == sorted(labels)
+    return [sum(label < i for label in labels) for i in range(k + 1)]
+
+
+def run_cut_results(monkeypatch):
+    """Record, for each iteration, whether ``_run_cuts`` found the clusters."""
+    found = []
+    monkeypatch.setattr(tabular, "_run_cuts",
+                        lambda *args: found.append(_run_cuts(*args)) or found[-1])
+    return found
+
+
+class TestKmeansRuns:
+    @given(st.lists(kmeans_pieces, min_size=1, max_size=12).map(
+        lambda pieces: [v for piece in pieces for v in piece]), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_across_the_guard(self, column, k):
+        assert repr(kmeans_1d(column, k)) == repr(reference_kmeans_1d(column, k))
+
+    def test_guard_at_the_gap_edge(self):
+        # M is 1.0, so a centroid gap must exceed 2**-48: a gap of exactly
+        # 2**-48 fails the guard, and one ulp more passes it
+        vals = sorted([-1.0, 1.0, -0.5, *ulp_run(0.25, 80), *ulp_run(0.25 + 2**-47, 80)])
+        at = 0.25 + 2**-48
+        above = math.nextafter(at, math.inf)
+        assert _run_cuts(vals, [-0.5, 0.25, at], 1.0, None) is None
+        assert _run_cuts(vals, [-0.5, 0.25, above, above + 2**-48], 1.0, None) is None
+        for centroids in ([-0.5, 0.25, above], [-0.5, 0.25, above, above + 2**-47]):
+            cuts = cuts_of(nearest_spec(vals, centroids), len(centroids))
+            assert _run_cuts(vals, centroids, 1.0, None) == cuts
+            assert 0 < cuts[2] - cuts[1] < 80  # the ulp run splits between 0.25 and above
+
+    def test_rounded_ties_past_the_midpoint_stay_below(self):
+        # a value v below 2**-54 lies at 1.0 from both -1.0 and 1.0 once
+        # rounded, so the tie keeps it with -1.0: the cut is 56 values past
+        # the midpoint 0.0
+        vals = [-1.0, *(i * 1e-18 for i in range(100)), 1.0]
+        cuts = _run_cuts(vals, [-1.0, 1.0], 1.0, None)
+        assert cuts == cuts_of(nearest_spec(vals, [-1.0, 1.0]), 2) == [0, 57, 102]
+        # seeds -(1 + 5 * 2**-52) and 1 + 5 * 2**-52, whose midpoint is 0.0
+        column = [-v for v in ulp_run(1.0, 60)] + vals[1:99] + ulp_run(1.0, 60)
+        assert repr(kmeans_1d(column, 2)) == repr(reference_kmeans_1d(column, 2))
+
+    @pytest.mark.parametrize("last", [0.25 + 2**-48, math.nextafter(0.25 + 2**-48, math.inf)])
+    def test_first_iteration_at_the_gap_edge(self, monkeypatch, last):
+        # seeds -0.5, 0.25 and the last value, 2**-48 apart or one ulp more
+        column = [-1.0, -0.5, 0.0, 0.25, 0.25 + 2**-49, last]
+        found = run_cut_results(monkeypatch)
+        assert repr(kmeans_1d(column, 3)) == repr(reference_kmeans_1d(column, 3))
+        assert (found[0] is not None) == (last > 0.25 + 2**-48)
+
+    def test_iterations_take_both_paths_in_one_call(self, monkeypatch):
+        # the seeds 1e17 and 1e17 + 32 lie closer than 1e17 * 2**-48; the
+        # next centroids, near 5e16 and 1e17, do not
+        column = [-0.0, 1e17, 1e17 + 16, 1e17 + 32]
+        found = run_cut_results(monkeypatch)
+        assert repr(kmeans_1d(column, 2)) == repr(reference_kmeans_1d(column, 2))
+        assert found[0] is None and found[1] is not None
+
+    def test_well_spread_column_labels_no_value(self, monkeypatch):
+        rng = random.Random(700)
+        column = [rng.gauss(0.0, 1.0) for _ in range(700)]
+        monkeypatch.setattr(tabular, "_run_cuts", lambda *args: None)
+        labelled = kmeans_1d(column, 30)  # every iteration through _nearest
+        monkeypatch.undo()
+
+        def no_labels(points, centers):
+            raise AssertionError("_nearest called")
+        monkeypatch.setattr(tabular, "_nearest", no_labels)
+        assert kmeans_1d(column, 30) == labelled
+
+    # recorded from the labelling loop, which the scalar reference is too
+    # slow to check at these sizes; sum() of floats, and so a centroid's
+    # last bits, is as Python 3.11 computes it
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("gauss", 5000, "1da6406ce2a378a9987a47c2dec0c0bb126272da9ead376bac646354796254c9"),
+        ("gauss", 50000, "e4708b78297162ed6a89d4e608c45e61c24355009f2ae406e47b6f4c4f91c2b5"),
+        ("lognormal", 5000, "e45aa26c292ca93f900c07a7c727eeeb70b149f9fce2d11a56cbfc7c10d202b7"),
+        ("lognormal", 50000, "9006c470e7427e18b9946be33f3c4ea6e4b860d5943a0d6c7fc4ae75f5274e9e"),
+    ])
+    def test_large_columns_keep_their_clusters(self, kind, n, digest):
+        rng = random.Random(n)
+        draw = rng.gauss if kind == "gauss" else rng.lognormvariate
+        clusters = kmeans_1d([draw(0.0, 1.0) for _ in range(n)], 30)
+        assert hashlib.sha256(repr(clusters).encode()).hexdigest() == digest
 
 
 class TestOuterJoinCompression:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import and_, itemgetter
 from typing import Iterable, Optional
 
@@ -65,10 +65,11 @@ def _powers_in(low: int, high: int) -> int:
     return below_high & ~below_low
 
 
-def _mask_of(flags) -> int:
-    """Row mask (bit r set for each true ``flags[r]``) of a boolean sequence."""
-    packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def _row_masks(flags: np.ndarray) -> list:
+    """Row mask (bit r set for each true ``flags[i, r]``) of each line ``i``."""
+    size = (flags.shape[1] + 7) // 8
+    raw = np.packbits(flags, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i * size:i * size + size], "little") for i in range(len(flags))]
 
 
 @dataclass(frozen=True)
@@ -151,45 +152,54 @@ class StateSpace:
         for a in self.protected:
             self.free_bits &= ~self._attr_field[a]
 
-        rel = universal.relation
-        self._n_rows = len(rel.rows)
-        self._all_rows_mask = (1 << self._n_rows) - 1
-        self._null_mask = {}
-        self._bit_mask = [0] * self.n_bits
-        for a in universal.schema:
-            cells = rel.column(a)
-            self._null_mask[a] = _mask_of([v is None for v in cells])
-            # cluster index per row; -1 where the cell is null or in no cluster
-            table = universal._cluster_tables.get(a, {})
-            clusters = np.fromiter(map(table.get, cells, repeat(-1)), np.intp, len(cells))
-            for k, i in enumerate(self.attr_bits[a]):
-                self._bit_mask[i] = _mask_of(clusters == k)
+        rel, schema, n_bits = universal.relation, universal.schema, self.n_bits
+        n, width = len(rel.rows), len(schema)
+        self._n_rows, self._all_rows_mask = n, (1 << n) - 1
+        # Columns are coded over their distinct cell objects, told apart by
+        # identity (0.0 and -0.0, or 1, 1.0 and True, differ in kind or text):
+        # ``_codes[r, j]`` indexes cell (r, j)'s object in ``_distinct``, whose
+        # slot is its cluster's bit, else its column's null or the clusterless slot.
+        first_at, firsts, self._distinct, slots = [], [], [], []
+        for j, (a, cells) in enumerate(zip(schema, zip(*rel.rows))):
+            first: dict = {}  # object id -> its first position j * n + r
+            first_at += map(first.setdefault, map(id, cells), range(j * n, j * n + n))
+            objects = [cells[p - j * n] for p in first.values()]
+            firsts += first.values()
+            table, slot_of = universal._cluster_tables.get(a, {}), self.attr_bits[a]
+            slots += [n_bits + j if v is None else slot_of[table[v]] if v in table
+                      else n_bits + width for v in objects]
+            self._distinct += objects
+        code = np.empty(n * width, np.intp)
+        code[firsts] = np.arange(len(firsts))
+        self._codes = code[np.fromiter(first_at, np.intp, n * width).reshape(width, n).T]
 
         self._row_count_cache: dict = {}
         self._weights = rel.row_weights
-        weights = np.array(self._weights, dtype=np.int64)
-        # plane k holds the rows whose weight has bit k set, so a weighted
-        # count is a handful of popcounts
-        self._weight_planes = [_mask_of(weights >> k & 1)
-                               for k in range(max(self._weights, default=0).bit_length())]
+        # one line per slot, then plane k: the rows whose weight has bit k
+        # set, so a weighted count is a handful of popcounts
+        planes = max(self._weights, default=0).bit_length()
+        flags = np.zeros((n_bits + width + 1 + planes, n), bool)
+        flags[np.array(slots, dtype=np.intp)[self._codes], np.arange(n)[:, None]] = True
+        flags[n_bits + width + 1:] = np.array(self._weights, int) >> np.arange(planes)[:, None] & 1
+        masks = _row_masks(flags)
+        self._bit_mask, self._weight_planes = masks[:n_bits], masks[n_bits + width + 1:]
+        self._null_mask = dict(zip(schema, masks[n_bits:]))
 
     @cached_property
     def columns(self) -> ColumnarView:
         """The universal relation as a float matrix plus per-column masks of
         numeric and non-numeric cells, built on first use."""
-        rel = self.universal.relation
-        values = np.full((self._n_rows, len(rel.schema)), np.nan)
-        number, non_numeric = {}, {}
-        for c, a in enumerate(rel.schema):
-            cells = rel.column(a)
-            # one pass over the cells: 0 null, 1 number, 2 bool (a number too), 3 other
-            kind = np.array([(2 if isinstance(v, bool) else 1) if isinstance(v, (int, float))
-                             else 0 if v is None else 3 for v in cells], dtype=np.int8)
-            is_number = (kind == 1) | (kind == 2)
-            values[is_number, c] = np.array(cells, dtype=object)[is_number]
-            number[a], non_numeric[a] = _mask_of(is_number), _mask_of(kind >= 2)
-        return ColumnarView(values, {a: c for c, a in enumerate(rel.schema)},
-                            number, non_numeric, np.array(self._weights, dtype=np.int64))
+        schema = self.universal.schema
+        # per distinct cell object: whether it is a number (bools count), and
+        # whether it is a non-null bool or non-number
+        number = [isinstance(v, (int, float)) for v in self._distinct]
+        other = [v is not None and (isinstance(v, bool) or not k) for v, k in zip(self._distinct, number)]
+        floats = np.array([float(v) if k else np.nan for v, k in zip(self._distinct, number)])
+        masks = _row_masks(np.array([number, other], bool)[:, self._codes.T].reshape(2 * len(schema), -1))
+        # row-major, as estimators gather whole rows
+        values = np.ascontiguousarray(floats[self._codes])
+        return ColumnarView(values, {a: c for c, a in enumerate(schema)}, dict(zip(schema, masks)),
+                            dict(zip(schema, masks[len(schema):])), np.array(self._weights, dtype=np.int64))
 
     # -- bitmap construction -------------------------------------------------
 
@@ -262,9 +272,9 @@ class StateSpace:
 
     @cached_property
     def _csv(self) -> tuple:
-        """Every universal cell rendered once by ``_csv_cell``, row by row,
-        and every universal row's whole CSV line."""
-        cells = [tuple(map(_csv_cell, row)) for row in self.universal.relation.rows]
+        """Every universal cell as ``_csv_cell`` renders each distinct object
+        once, row by row, and every universal row's whole CSV line."""
+        cells = np.array(list(map(_csv_cell, self._distinct)), dtype=object)[self._codes].tolist()
         return cells, _csv_lines(cells, len(self.universal.schema))
 
     def dataset(self, bitmap: Bitmap) -> Relation:

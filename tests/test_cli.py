@@ -33,6 +33,7 @@ from skyforge.cli import (
 )
 
 from conftest import SerialEstimator, in_flight_at_writes, reaped, record_steps
+from test_operators import reference_csv
 
 POOL_CSV = "y,f1,f2\n" + "\n".join(
     f"{2.0 * i + (i % 3)},{float(i)},{float(i % 4)}" for i in range(12)
@@ -828,6 +829,56 @@ class TestRunCommand:
         # single-measure grid keeps the scalar minimum
         assert len(manifest["grid"]) == 1
         assert manifest["grid"][0]["measures"]["m"]["normalized"] == pytest.approx(0.2)
+
+
+class TestOutputBytes:
+    """A run's dataset files, byte for byte, end to end: a lookup estimator
+    (no BLAS) over a pool of quoted strings, a newline in a cell, nulls,
+    ints, floats and -0.0, with a repeated row and an output that drops a
+    column."""
+
+    POOL = ('name,qty,price,note\r\n'
+            '"Paris, FR",3,1.5,"say ""hi"", twice"\r\n'
+            '"Oslo\nN",,2.25,\r\n'
+            '"Paris, FR",7,,"say ""hi"", twice"\r\n'
+            'The "Hub",3,-0.0,\r\n'
+            '"Oslo\nN",12,1.5,"say ""hi"", twice"\r\n'
+            'The "Hub",7,10.125,\r\n'
+            'Lima,3,-0.0,"say ""hi"", twice"\r\n'
+            '"Paris, FR",3,1.5,"say ""hi"", twice"\r\n')
+    # ten bits: name, qty and price three each, note one (bit 9); 3ff keeps
+    # every value, 1ff drops note, 3fe drops the first name cluster
+    TABLE = {"3ff": {"m": 0.2, "n": 0.8}, "1ff": {"m": 0.8, "n": 0.2}, "3fe": {"m": 0.5, "n": 0.5}}
+    # SHA-256 of the dataset files in file-name order
+    DIGEST = "4d0511b1387a491817e334f3da7efb2a61b5d9ef99612a9aa5a79748f07f52ac"
+
+    def test_files_match_csv_writer_and_digest(self, tmp_path):
+        (tmp_path / "pool.csv").write_bytes(self.POOL.encode())
+        (tmp_path / "table.json").write_text(json.dumps(self.TABLE))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "sources": [{"path": "pool.csv", "name": "pool"}],
+            "max_clusters": 3,
+            "measures": [{"name": "m", "p_low": 0.01}, {"name": "n", "p_low": 0.01}],
+            "estimator": {"builtin": "lookup", "path": "table.json",
+                          "default": {"m": 0.9, "n": 0.9}},
+            "search": {"algorithm": "apx", "epsilon": 0.1},
+            "output_dir": "out",
+        }))
+        code, manifest, _, space = execute_run(RunConfig.from_file(str(path)))
+        assert code == EXIT_OK
+        entries = sorted(manifest["grid"], key=lambda e: e["csv"])
+        assert [e["bitmap"] for e in entries] == ["1ff", "2ff", "3fe", "3ff"]
+        assert entries[0]["columns"] == ["name", "qty", "price"]
+        digest = hashlib.sha256()
+        for entry in entries:
+            ours = (tmp_path / "out" / entry["csv"]).read_bytes()
+            dataset = space.dataset(Bitmap.from_hex(entry["bitmap"], space.n_bits))
+            reference_csv(str(tmp_path / "reference.csv"), dataset)
+            assert ours == (tmp_path / "reference.csv").read_bytes(), entry["csv"]
+            digest.update(ours)
+        assert b'"The ""Hub""",3,-0.0' in ours and b'"Oslo\nN",,1.5' in ours
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestLookupTable:

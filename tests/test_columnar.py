@@ -4,16 +4,22 @@ The ridge estimator scores states from ``StateSpace.columns`` and op_gen
 builds child row masks from a parent's prefix/suffix ANDs.  Both are checked
 here against small row-wise references that materialize every state from
 scratch: the ridge measures must be exactly equal (no tolerance) and op_gen
-must produce the same children and cache the same (mask, count) pairs.
+must produce the same children and cache the same (mask, count) pairs.  The
+space's row masks, float view and CSV rendering, built from columns coded
+over their distinct cell objects, are checked against per-cell loops.
 """
 
 import random
 import warnings
+from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyforge import (
+    ArgumentError,
     Bitmap,
     EstimatorFailure,
     Literal,
@@ -34,7 +40,7 @@ from skyforge.estimators import (
     WORST_ERROR,
 )
 from skyforge.operators import BACKWARD, FORWARD, StateSpace
-from skyforge.tabular import build_universal, compress_rows, derive_all_literals
+from skyforge.tabular import _csv_cell, _csv_lines, build_universal, compress_rows, derive_all_literals
 
 from conftest import (
     build_pruning_fixture,
@@ -475,3 +481,155 @@ def test_row_indices_lists_set_rows():
     space = StateSpace(mixed_universal())
     assert space.row_indices(0).tolist() == []
     assert space.row_indices(0b100000101).tolist() == [0, 2, 8]
+
+
+# -- coded columns -------------------------------------------------------------
+
+
+def _mask_of(flags) -> int:
+    """Row mask (bit r set for each true ``flags[r]``) of a boolean sequence."""
+    packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def reference_coded(space: StateSpace) -> tuple:
+    """The null masks, literal bit masks, weight planes, ``ColumnarView``
+    arrays and masks, and rendered CSV cells and lines of ``space``'s
+    universal, from loops over every cell: the space's own construction
+    before its columns were coded over their distinct cell objects."""
+    u = space.universal
+    rel = u.relation
+    null_mask, bit_mask = {}, [0] * space.n_bits
+    for a in u.schema:
+        cells = rel.column(a)
+        null_mask[a] = _mask_of([v is None for v in cells])
+        # cluster index per row; -1 where the cell is null or in no cluster
+        table = u._cluster_tables.get(a, {})
+        clusters = np.fromiter(map(table.get, cells, repeat(-1)), np.intp, len(cells))
+        for k, i in enumerate(space.attr_bits[a]):
+            bit_mask[i] = _mask_of(clusters == k)
+    values = np.full((len(rel.rows), len(rel.schema)), np.nan)
+    number, non_numeric = {}, {}
+    for c, a in enumerate(rel.schema):
+        cells = rel.column(a)
+        # one pass over the cells: 0 null, 1 number, 2 bool (a number too), 3 other
+        kind = np.array([(2 if isinstance(v, bool) else 1) if isinstance(v, (int, float))
+                         else 0 if v is None else 3 for v in cells], dtype=np.int8)
+        is_number = (kind == 1) | (kind == 2)
+        values[is_number, c] = np.array(cells, dtype=object)[is_number]
+        number[a], non_numeric[a] = _mask_of(is_number), _mask_of(kind >= 2)
+    weights = np.array(rel.row_weights, dtype=np.int64)
+    planes = [_mask_of(weights >> k & 1) for k in range(max(rel.row_weights, default=0).bit_length())]
+    csv_cells = [tuple(map(_csv_cell, row)) for row in rel.rows]
+    return (null_mask, bit_mask, planes, values, number, non_numeric,
+            csv_cells, _csv_lines(csv_cells, len(rel.schema)))
+
+
+def assert_coded_matches(space: StateSpace):
+    null_mask, bit_mask, planes, values, number, non_numeric, cells, lines = reference_coded(space)
+    assert space._null_mask == null_mask
+    assert space._bit_mask == bit_mask
+    assert space._weight_planes == planes
+    view = space.columns
+    assert view.values.shape == values.shape
+    # bitwise, so -0.0 against 0.0 and a NaN's payload count
+    assert view.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert view.column == {a: c for c, a in enumerate(space.universal.schema)}
+    assert (view.number, view.non_numeric) == (number, non_numeric)
+    assert view.weights.tolist() == list(space.universal.relation.row_weights)
+    got_cells, got_lines = space._csv
+    assert [tuple(row) for row in got_cells] == cells
+    assert got_lines == lines
+
+
+def fresh(v):
+    """A cell equal to ``v`` that is another object, wherever Python makes
+    one (not for None, bools, small ints or one-character strings)."""
+    if isinstance(v, float):
+        return float(repr(v))
+    if isinstance(v, str):
+        return "".join(list(v))
+    if type(v) is int:
+        return int(str(v))
+    return v
+
+
+# values that are equal, or nearly so, but differ in type, sign, or how
+# they render; a column draws its cells from one such family and a few others
+CODED_FAMILIES = ([0.0, -0.0], [1, 1.0, True], [0, False, None], ["a,b", 'say "hi"', "a,b"],
+                  ["x\ry", "two\nlines", ""], [2**53 - 1, 2**53, 2**53 + 1, float(2**53)],
+                  [-(2**53) - 1, 0.5, -0.0])
+CODED_VALUES = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "a", "b"]), max_size=3),
+)
+
+
+@st.composite
+def coded_universals(draw):
+    """A weighted table of 1-3 columns and 1-7 rows, with derived literals,
+    some attributes' literals dropped, and compressed or not.  Each column
+    draws its cells from a family of ``CODED_FAMILIES`` and up to two other
+    values, each cell the value itself or an equal copy that is another
+    object."""
+    width, n = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    schema = [f"c{j}" for j in range(width)]
+    columns = []
+    for _ in schema:
+        palette = draw(st.sampled_from(CODED_FAMILIES)) + draw(st.lists(CODED_VALUES, max_size=2))
+        picks = draw(st.lists(st.tuples(st.sampled_from(palette), st.booleans()),
+                              min_size=n, max_size=n))
+        columns.append([fresh(v) if copy else v for v, copy in picks])
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    u = derive_all_literals(UniversalTable(Relation("u", schema, zip(*columns), weights=weights)),
+                            draw(st.integers(1, 3)))
+    dropped = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    dropped[draw(st.integers(0, width - 1))] = False
+    u = UniversalTable(u.relation, {a: () if drop else u.literals(a)
+                                    for a, drop in zip(schema, dropped)})
+    return compress_rows(u) if draw(st.booleans()) else u
+
+
+class TestCodedColumns:
+    """The space codes each column over its distinct cell objects and builds
+    its masks, float view and CSV cells from the codes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coded_universals())
+    def test_matches_per_cell_reference(self, universal):
+        try:
+            space = StateSpace(universal)
+        except ArgumentError:  # no attribute kept a literal
+            return
+        assert_coded_matches(space)
+
+    def test_equal_cells_of_other_objects_stay_apart(self):
+        zero, minus_zero, big = 0.0, fresh(-0.0), 2**53 + 1
+        rows = [
+            (zero, 1, "a,b", big, None),
+            (minus_zero, 1.0, fresh("a,b"), fresh(big), "q"),
+            (fresh(zero), True, 'say "hi"', 2**53, "q"),
+            (-0.0, 1, "two\nlines", None, "r\rs"),
+            (None, False, "a,b", big, "q"),
+        ]
+        schema = ("z", "one", "s", "big", "d")
+        u = derive_all_literals(UniversalTable(Relation("u", schema, rows, weights=(1, 3, 1, 2, 5))), 2)
+        u = UniversalTable(u.relation, {**u.literal_index, "d": ()})  # an attribute with no literal
+        space = StateSpace(u)
+        assert_coded_matches(space)
+        cells, lines = space._csv
+        assert [row[0] for row in cells] == ["0.0", "-0.0", "0.0", "-0.0", ""]
+        assert [row[1] for row in cells] == ["1", "1.0", "True", "1", "False"]
+        assert lines[1] == '-0.0,1.0,"a,b",9007199254740993,q'
+        view = space.columns
+        assert np.signbit(view.values[:, 0]).tolist() == [False, True, False, True, False]
+        assert view.values[0, 3] == float(big) and view.non_numeric["one"] == 0b10100
+        assert_coded_matches(StateSpace(compress_rows(u)))
+
+    @pytest.mark.parametrize("rows", [[(0.5,)], [(None, "x")], [("x", 1), ("x", 2)]])
+    def test_one_row_or_one_column(self, rows):
+        schema = [f"c{j}" for j in range(len(rows[0]))]
+        u = derive_all_literals(UniversalTable(Relation("u", schema, rows, weights=[3] * len(rows))))
+        assert_coded_matches(StateSpace(u))

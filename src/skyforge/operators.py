@@ -5,9 +5,9 @@ pair of the universal table, attribute presence being implied by having at
 least one value bit set.  Two equal bitmaps always materialize cell-identical
 datasets, so bitmaps serve as state keys everywhere.
 
-``StateSpace.op_gen`` returns children as plain ``int`` bitmaps: the walk
-deduplicates them and wraps only the distinct ones it keeps in a
-``SearchState``.
+``StateSpace.op_gen`` expands a whole frontier at once: it returns each
+distinct child once, as a plain ``int`` bitmap with its lowest-index parent,
+and the walk wraps only the children it keeps in a ``SearchState``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import and_, itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -309,56 +309,83 @@ class StateSpace:
             raise ArgumentError(f"value bit for {literal!r} already set")
         return SearchState(Bitmap(bits | bit, state.bitmap.length))
 
-    def op_gen(self, state: SearchState, direction: str, lo: int = 0,
+    def op_gen(self, parents: Sequence, direction: str, lo: int = 0,
                hi: Optional[int] = None) -> list:
-        """The bitmaps (ints) of every applicable one-flip child ``c`` of
-        ``state`` (only its bitmap is read, so a valuated ``LogEntry`` will
-        do) with ``lo <= c < hi`` (``hi`` None: no upper limit).
+        """``(child, index)`` for every distinct applicable one-flip child of
+        the ``parents`` (states or log entries: only their bitmaps are read)
+        with ``lo <= child < hi`` (``hi`` None: no upper limit), in ascending
+        child order, ``index`` being the lowest index of a parent that
+        generates the child.
 
         Forward flips set bits off (reducts), backward flips clear bits on
-        (augments), in ascending bit order: attributes in schema order,
-        literals in derivation order.  Children with empty datasets are
-        skipped, as are bits of protected attributes.  A reduct of bit ``i``
-        is ``bits - 2**i`` and an augment ``bits + 2**i``, so the range is a
-        window of bit positions, and no child outside it is built.  A child
-        differs from its parent in one attribute, so on a row-count cache
-        miss its row mask is the parent's other attributes' masks (prefix
-        and suffix ANDs, built on the call's first miss) and the flipped
-        attribute's new mask; every built child's (mask, count) is cached.
+        (augments).  Children with empty datasets are skipped, as are bits
+        of protected attributes.  A reduct of bit ``i`` is ``bits - 2**i``
+        and an augment ``bits + 2**i``, so the range is a window of bit
+        positions, and no child outside it is built.
+
+        Every child is first mapped to its lowest-index parent; only then is
+        each distinct child looked up once in the row-count cache, and a
+        missing one's (mask, count) built and cached.  A child differs from
+        that parent in one attribute, so when the parent's mask is cached
+        the child's is one AND away for a reduct that leaves the attribute
+        another cluster (the parent's mask without the flipped cluster's
+        rows) or an augment of an absent attribute (the parent's mask with
+        the attribute's nulls and the cluster's rows).  Otherwise it is the
+        AND of the parent's other attributes' masks (prefix and suffix
+        ANDs, built once per parent on first need) and the flipped
+        attribute's new mask.
         """
         if direction not in (FORWARD, BACKWARD):
             raise ArgumentError(f"unknown direction {direction!r}")
-        bits = state.bitmap.bits
-        if direction == FORWARD and not bits & (bits - 1):
-            return []  # reducts of at most one set bit leave the empty bitmap
-        if hi is None and lo <= 0:  # every bit position is in the window
-            flippable = bits if direction == FORWARD else ~bits
-        else:
-            hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
-            if direction == FORWARD:  # lo <= bits - 2**i < hi
-                flippable = bits & _powers_in(bits - hi + 1, bits - lo + 1)
-            else:  # lo <= bits + 2**i < hi
-                flippable = ~bits & _powers_in(lo - bits, hi - bits)
-        flippable &= self.free_bits
-        cache = self._row_count_cache
-        others = None  # schema index -> AND of the parent's other attributes' masks
-        out = []
-        while flippable:  # set bits, lowest first: ascending child order
-            flip = flippable & -flippable
-            flippable ^= flip
-            child = bits ^ flip
+        forward, free = direction == FORWARD, self.free_bits
+        windowed = hi is not None or lo > 0
+        hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
+        parent_bits = [p.bitmap.bits for p in parents]
+        first: dict = {}  # child bits -> lowest parent index
+        for index in range(len(parent_bits) - 1, -1, -1):  # lower indices write last
+            bits = parent_bits[index]
+            if forward:
+                if not bits & (bits - 1):
+                    continue  # reducts of at most one set bit leave the empty bitmap
+                flippable = bits & free
+                if windowed:  # lo <= bits - 2**i < hi
+                    flippable &= _powers_in(bits - hi + 1, bits - lo + 1)
+            else:
+                flippable = ~bits & free
+                if windowed:  # lo <= bits + 2**i < hi
+                    flippable &= _powers_in(lo - bits, hi - bits)
+            while flippable:
+                flip = flippable & -flippable
+                flippable ^= flip
+                first[bits ^ flip] = index
+        cache, out = self._row_count_cache, []
+        others: dict = {}  # parent index -> AND of its other attributes' masks, by schema index
+        for item in sorted(first.items()):
+            child, index = item
             entry = cache.get(child)
             if entry is None:
-                if others is None:
-                    allowed = [self._allowed(x, bits) for x in self.universal.schema]
-                    # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
-                    before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
-                    after = list(accumulate(reversed(allowed), and_,
-                                            initial=self._all_rows_mask))[::-1]
-                    others = [b & c for b, c in zip(before, after[1:])]
-                j, a = self._bit_attribute[flip.bit_length() - 1]
-                mask = others[j] & self._allowed(a, child)
+                bits = parent_bits[index]
+                i = (child ^ bits).bit_length() - 1
+                j, a = self._bit_attribute[i]
+                parent = cache.get(bits)
+                if parent is not None and forward and child & self._attr_field[a]:
+                    mask = parent[0] & ~self._bit_mask[i]  # ``a`` keeps another cluster
+                elif parent is not None and not forward and not bits & self._attr_field[a]:
+                    mask = parent[0] & (self._null_mask[a] | self._bit_mask[i])  # ``a`` was absent
+                else:
+                    if index not in others:
+                        others[index] = self._others(bits)
+                    mask = others[index][j] & self._allowed(a, child)
                 entry = cache[child] = (mask, self._count(mask))
             if entry[1]:
-                out.append(child)
+                out.append(item)
         return out
+
+    def _others(self, bits: int) -> list:
+        """By schema index ``j``, the AND of every other attribute's mask
+        under ``bits``: prefix and suffix ANDs of the attribute masks."""
+        allowed = [self._allowed(a, bits) for a in self.universal.schema]
+        # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
+        before = list(accumulate(allowed, and_, initial=self._all_rows_mask))
+        after = list(accumulate(reversed(allowed), and_, initial=self._all_rows_mask))[::-1]
+        return [b & c for b, c in zip(before, after[1:])]

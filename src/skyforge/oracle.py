@@ -14,6 +14,7 @@ kernels compute.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,8 +148,10 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     Walks the submasks of the free bits in ascending order, each with every
     bit of the protected target, when given.  Each valuation is told up to
     the estimator's ``lookahead`` next states whose valuations call the
-    estimator (those not already in the log).  Refuses instances whose
-    bitmap is longer than ``max_bits``.
+    estimator (those not already in the log), from a queue of the states
+    pulled ahead of it, as the search's walk does, so each state is looked
+    up in the log once.  Refuses instances whose bitmap is longer than
+    ``max_bits``.
     """
     _check_cap(universal, target, max_bits)
     space = StateSpace(universal, protected=(target,))
@@ -165,13 +168,19 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
             break
         sub = (sub - free) & free  # the next submask of free, in ascending order
     lookahead = getattr(estimator, "lookahead", 0)
-    calls = tuple(state for state in todo if log.get(state.bitmap) is None) if lookahead else ()
-    entries, called = [], 0
-    for state in todo:
-        if called < len(calls) and calls[called] is state:
-            called += 1  # the calls after this one start at index ``called``
-        entries.append(valuate(state, estimator, log, measures, space,
-                               calls[called:called + lookahead])[0])
+    logged = {entry.bitmap.bits for entry in log}  # valuating these calls no estimator
+    entries, pending, calls = [], deque(), 0  # pulled (state, call) pairs; their calls
+    for state in itertools.chain(todo, (None,)):
+        if state is not None:
+            call = state.bitmap.bits not in logged
+            pending.append((state, call))
+            calls += call
+        # the head goes once ``lookahead`` calls follow it, or at the end
+        while pending and (state is None or calls - pending[0][1] >= lookahead):
+            head, call = pending.popleft()
+            calls -= call
+            upcoming = tuple(s for s, c in pending if c) if calls else ()
+            entries.append(valuate(head, estimator, log, measures, space, upcoming)[0])
     return entries
 
 

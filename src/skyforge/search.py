@@ -9,10 +9,13 @@
 Everything is deterministic and RNG-free.  The walk is one stream of
 states in valuation order, children in bitmap order, cut by the budget in
 one place; it reads results only at barriers, so each estimator call is
-told the next calls across batches, sides and levels.  Children stay
-``int`` bitmaps through generation, deduplication and containment tests;
-each level builds one ``SearchState`` per distinct child it yields.  Once
-valuated, a state is the log's own ``LogEntry``, wherever it is held.
+told the next calls across batches, sides and levels.  Each batch of a
+level is one ``StateSpace.op_gen`` call over the frontier's open parents,
+which deduplicates their children before it builds any row mask.
+Children stay ``int`` bitmaps through generation, deduplication and
+containment tests; each level builds one ``SearchState`` per distinct child
+it yields.  Once valuated, a state is the log's own ``LogEntry``, wherever
+it is held.
 """
 
 from __future__ import annotations
@@ -332,44 +335,42 @@ class _Runner:
         sorted batches, and record for each child the lowest-index frontier
         state that generates it as its parent.
 
+        When the unclaimed budget covers every possible child (one per
+        flippable bit of each parent), one ``op_gen`` call over the whole
+        frontier is the only batch, and no bound is computed.  Otherwise
+        parents open in batches that double from one (see
+        ``_bounded_batches``), so a budget stop leaves later parents
+        unopened.  Children stay ints until yielded, so a child reached from
+        several parents becomes one ``SearchState``.
+        """
+        n_bits, parents = self.space.n_bits, self.graph.parents
+        parent_bits = [state.bitmap.bits for state in frontier]
+        if self.cfg.budget - len(self.claimed) >= len(frontier) * self.space.free_bits.bit_count():
+            batches = [self.space.op_gen(frontier, direction)]
+        else:
+            batches = self._bounded_batches(frontier, direction)
+        for children in batches:
+            if children:
+                batch = []
+                for bits, index in children:
+                    parents.setdefault(bits, parent_bits[index])
+                    batch.append(SearchState(Bitmap(bits, n_bits)))
+                yield batch
+
+    def _bounded_batches(self, frontier: list, direction: str):
+        """``expand``'s batches when the budget may stop the level, as
+        ``op_gen`` lists of ``(child bits, frontier index)``.
+
         A parent's bound is the smallest bitmap one of its children could
         have: the parent with its highest unprotected set bit cleared
         (reducts) or its lowest unprotected clear bit set (augments).
         Parents open in bound order, in batches that double from one; once a
         batch is open, every child below the next unopened parent's bound is
-        final.  Each batch asks every open parent's ``op_gen`` for only its
-        children from the previous batch's limit up to that bound (no limit
-        once every parent is open), so every child built is yielded in that
-        batch.  When the unclaimed budget covers every possible child (one
-        per flippable bit of each parent), all parents open in one batch and
-        no bound is computed.  Children stay ints until yielded, so a child
-        reached from several parents becomes one ``SearchState``.
+        final.  Each batch is one ``op_gen`` call over every open parent for
+        only the children from the previous batch's limit up to that bound
+        (no limit once every parent is open), so every child built is
+        yielded in that batch.
         """
-        n_bits, free, op_gen = self.space.n_bits, self.space.free_bits, self.space.op_gen
-        parents = self.graph.parents
-        parent_bits = [state.bitmap.bits for state in frontier]
-        if self.cfg.budget - len(self.claimed) >= len(frontier) * free.bit_count():
-            # one batch of every parent, opened in index order, so the first
-            # parent to reach a child is its lowest-index one; no bound is read
-            first: dict = {}  # child bits -> lowest frontier index
-            for index, state in enumerate(frontier):
-                for child in op_gen(state, direction):
-                    first.setdefault(child, index)
-            batches = [first]
-        else:
-            batches = self._bounded_batches(frontier, direction)
-        for first in batches:
-            if first:
-                batch = []
-                for bits in sorted(first):
-                    parents.setdefault(bits, parent_bits[first[bits]])
-                    batch.append(SearchState(Bitmap(bits, n_bits)))
-                yield batch
-
-    def _bounded_batches(self, frontier: list, direction: str):
-        """``expand``'s batches when the budget may stop the level, as dicts
-        of child bits -> lowest frontier index: parents open in bound order,
-        in batches that double from one."""
         forward, free = direction == FORWARD, self.space.free_bits
         order = []  # (bound, frontier index) of every parent with a flippable bit
         for index, state in enumerate(frontier):
@@ -384,13 +385,11 @@ class _Runner:
             opened += size
             size *= 2
             hi = order[opened][0] if opened < len(order) else None
-            first: dict = {}
-            for _, index in order[:opened]:
-                for child in self.space.op_gen(frontier[index], direction, lo, hi):
-                    if first.setdefault(child, index) > index:
-                        first[child] = index
+            # in frontier order, so op_gen's lowest parent is the lowest frontier index
+            open_indices = sorted(index for _, index in order[:opened])
+            children = self.space.op_gen([frontier[i] for i in open_indices], direction, lo, hi)
             lo = hi
-            yield first
+            yield [(bits, open_indices[k]) for bits, k in children]
 
     def try_prune(self, child: SearchState, level: int) -> bool:
         if not self.regions:

@@ -187,6 +187,12 @@ def toy_universal():
     return build_toy_universal()
 
 
+def children_of(space, state, direction, lo=0, hi=None) -> list:
+    """One parent's child bitmaps in ascending order: ``op_gen`` over a
+    frontier of that parent alone."""
+    return [child for child, _ in space.op_gen([state], direction, lo, hi)]
+
+
 def make_random_instance(seed: int):
     """Seeded random instance for the sweep: <= 5 attributes, <= 3 literals
     each, three measures, and a deterministic random lookup estimator."""

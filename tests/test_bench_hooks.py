@@ -21,7 +21,7 @@ finally:
 
 from skyforge import cli
 from skyforge.estimators import LookupEstimator, SubprocessEstimator
-from skyforge.operators import BACKWARD, FORWARD, SearchState, StateSpace
+from skyforge.operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
 from skyforge.search import SearchConfig, run_algorithm
 from skyforge.tabular import Relation
 
@@ -48,11 +48,17 @@ def test_probe_targets_exist():
 
 
 def test_op_gen_returns_a_list():
-    # the tracer counts operators.children with len() of op_gen's result
+    # the tracer counts operators.children with len() of op_gen's result:
+    # one (child, parent index) pair per distinct child of the frontier
     space = StateSpace(build_toy_universal(), protected=("t",))
     back = SearchState(space.bitmap_from_bits(space.attr_bits["t"]))
-    assert isinstance(space.op_gen(space.root_state(), FORWARD), list)
-    assert isinstance(space.op_gen(back, BACKWARD), list)
+    level_one = [SearchState(Bitmap(c, space.n_bits))
+                 for c, _ in space.op_gen([space.root_state()], FORWARD)]
+    level_two = space.op_gen(level_one, FORWARD)
+    assert isinstance(level_two, list)
+    assert len(level_two) == len({c for c, _ in level_two}) > 0
+    assert sum(len(space.op_gen([s], FORWARD)) for s in level_one) > len(level_two)
+    assert isinstance(space.op_gen([back], BACKWARD), list)
 
 
 def test_install_then_uninstall_restores_every_original():

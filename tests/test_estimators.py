@@ -31,7 +31,7 @@ from skyforge.estimators import (HOLDOUT_ERROR, MAX_CHILDREN, MAX_TIMEOUT_S, MOD
                                  TRAIN_COST, TRAIN_ERROR, WORST_ERROR)
 from skyforge.operators import FORWARD, StateSpace
 
-from conftest import (SerialEstimator, in_flight_at_writes, make_monotone_instance,
+from conftest import (SerialEstimator, children_of, in_flight_at_writes, make_monotone_instance,
                       one_request_per_child, reaped, record_steps)
 
 
@@ -302,7 +302,7 @@ class TestLookahead:
     @staticmethod
     def two_states(space):
         root = space.root_state()
-        child = sorted(space.op_gen(root, FORWARD))[0]
+        child = children_of(space, root, FORWARD)[0]
         return root, SearchState(Bitmap(child, space.n_bits))
 
     @pytest.mark.parametrize("algorithm, budget", [
@@ -399,7 +399,7 @@ class TestLookahead:
         space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]]))
         root = space.root_state()
         c = [SearchState(Bitmap(bits, space.n_bits))
-             for bits in sorted(space.op_gen(root, FORWARD))]
+             for bits in children_of(space, root, FORWARD)]
         est = self.make(tmp_path, "record", timeout=10)
 
         def in_flight():

@@ -3,6 +3,8 @@ import functools
 import math
 import os
 import tempfile
+from itertools import accumulate
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,10 @@ from skyforge import (
     SearchState,
     UniversalTable,
 )
-from skyforge.operators import BACKWARD, FORWARD, StateSpace
-from skyforge.tabular import write_csv
+from skyforge.operators import BACKWARD, FORWARD, StateSpace, _powers_in
+from skyforge.tabular import compress_rows, write_csv
 
-from conftest import build_toy_universal, make_random_instance
+from conftest import build_toy_universal, children_of, make_random_instance
 
 
 @pytest.fixture
@@ -145,13 +147,14 @@ class TestOpGen:
     def test_range_keeps_the_unbounded_children_inside_it(self, call):
         u, protected, state, direction, lo, hi = call
         ranged_space = StateSpace(u, protected)
-        ranged = ranged_space.op_gen(state, direction, lo, hi)
-        every = StateSpace(u, protected).op_gen(state, direction)
+        ranged = children_of(ranged_space, state, direction, lo, hi)
+        every = children_of(StateSpace(u, protected), state, direction)
         top = math.inf if hi is None else hi
         assert ranged == [c for c in every if lo <= c < top]
         scan = StateSpace(u, protected)
-        assert ranged == scanned_children(scan, state.bitmap.bits, direction, lo, top)
-        assert every == scanned_children(scan, state.bitmap.bits, direction, 0, math.inf)
+        # in ascending child order, whatever the direction
+        assert ranged == sorted(scanned_children(scan, state.bitmap.bits, direction, lo, top))
+        assert every == sorted(scanned_children(scan, state.bitmap.bits, direction, 0, math.inf))
         # every row mask op_gen cached is the one row_mask builds from scratch
         for bits, (mask, _) in ranged_space._row_count_cache.items():
             assert mask == StateSpace(u, protected).row_mask(Bitmap(bits, scan.n_bits))
@@ -161,29 +164,29 @@ class TestOpGen:
     def test_full_forward_has_one_child_per_bit(self):
         # no protected attribute: every set bit is flippable
         sp = StateSpace(build_toy_universal())
-        children = sp.op_gen(sp.root_state(), FORWARD)
+        children = children_of(sp, sp.root_state(), FORWARD)
         assert len(children) == sp.n_bits
 
     def test_zero_bitmap_forward_empty(self, space):
         s = SearchState(Bitmap(0, space.n_bits))
-        assert space.op_gen(s, FORWARD) == []
+        assert space.op_gen([s], FORWARD) == []
 
     def test_backward_complement_count(self, space):
         s = SearchState(space.bitmap_from_bits([0, 1, 2]))
-        children = space.op_gen(s, BACKWARD)
+        children = children_of(space, s, BACKWARD)
         assert len(children) == space.n_bits - 3
 
     def test_protected_attribute_not_flipped(self):
         sp = StateSpace(build_toy_universal(), protected=("t",))
-        children = sp.op_gen(sp.root_state(), FORWARD)
+        children = children_of(sp, sp.root_state(), FORWARD)
         flipped = {sp.bit_literals[(c ^ sp.full_bitmap().bits).bit_length() - 1].attribute
                    for c in children}
         assert "t" not in flipped
         assert len(children) == sp.n_bits - len(sp.attr_bits["t"])
 
     def test_deterministic_order(self, space):
-        a = space.op_gen(space.root_state(), FORWARD)
-        b = space.op_gen(space.root_state(), FORWARD)
+        a = space.op_gen([space.root_state()], FORWARD)
+        b = space.op_gen([space.root_state()], FORWARD)
         assert a == b
 
     @given(st.integers(min_value=0, max_value=63))
@@ -192,8 +195,100 @@ class TestOpGen:
         sp = StateSpace(build_toy_universal())
         s = SearchState(Bitmap(bits, sp.n_bits))
         for direction in (FORWARD, BACKWARD):
-            for child in sp.op_gen(s, direction):
+            for child in children_of(sp, s, direction):
                 assert (child ^ bits).bit_count() == 1
+
+
+def reference_op_gen(space, state, direction, lo=0, hi=None) -> list:
+    """``StateSpace.op_gen`` as it was when it expanded one parent per
+    call: the children of ``state`` in ascending flipped-bit order, each
+    cache miss built from the parent's prefix and suffix masks (built on
+    the call's first miss) and cached."""
+    bits = state.bitmap.bits
+    if direction == FORWARD and not bits & (bits - 1):
+        return []  # reducts of at most one set bit leave the empty bitmap
+    if hi is None and lo <= 0:  # every bit position is in the window
+        flippable = bits if direction == FORWARD else ~bits
+    else:
+        hi = 1 << space.n_bits if hi is None else hi  # above every bitmap
+        if direction == FORWARD:  # lo <= bits - 2**i < hi
+            flippable = bits & _powers_in(bits - hi + 1, bits - lo + 1)
+        else:  # lo <= bits + 2**i < hi
+            flippable = ~bits & _powers_in(lo - bits, hi - bits)
+    flippable &= space.free_bits
+    cache = space._row_count_cache
+    others = None  # schema index -> AND of the parent's other attributes' masks
+    out = []
+    while flippable:  # set bits, lowest first
+        flip = flippable & -flippable
+        flippable ^= flip
+        child = bits ^ flip
+        entry = cache.get(child)
+        if entry is None:
+            if others is None:
+                allowed = [space._allowed(x, bits) for x in space.universal.schema]
+                # before[k] is the AND of allowed[:k], after[k] of allowed[k:]
+                before = list(accumulate(allowed, and_, initial=space._all_rows_mask))
+                after = list(accumulate(reversed(allowed), and_,
+                                        initial=space._all_rows_mask))[::-1]
+                others = [b & c for b, c in zip(before, after[1:])]
+            j, a = space._bit_attribute[flip.bit_length() - 1]
+            mask = others[j] & space._allowed(a, child)
+            entry = cache[child] = (mask, space._count(mask))
+        if entry[1]:
+            out.append(child)
+    return out
+
+
+@st.composite
+def frontier_op_gen_calls(draw):
+    """A compressed (weighted) universal of two to four attributes of one to
+    three clusters each, with nulls, whose target ``t`` is sometimes
+    protected; a frontier of parents, some a swap of two bits away from
+    another so that they share children, and the parents whose row masks
+    are cached before the call (the others miss); a direction; and a child
+    range, drawn as ``ranged_op_gen_calls`` draws it."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    attrs = ["t"] + [f"f{j}" for j in range(len(counts) - 1)]
+    cells = [st.one_of(st.none(), st.integers(0, k - 1)) for k in counts]
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=12))
+    u = compress_rows(UniversalTable(relation=Relation("u", attrs, rows), literal_index={
+        a: tuple(Literal(a, v) for v in range(k)) for a, k in zip(attrs, counts)}))
+    n = sum(counts)
+    parents = []
+    for bits in draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=8)):
+        parents.append(bits)
+        if draw(st.booleans()):
+            parents.append(bits ^ (1 << draw(st.integers(0, n - 1))) ^ (1 << draw(st.integers(0, n - 1))))
+    parents = [SearchState(Bitmap(bits, n)) for bits in dict.fromkeys(parents)]
+    cached = [p for p in parents if draw(st.booleans())]
+    lo = draw(st.integers(-2, 2**n + 1))
+    hi = draw(st.one_of(st.none(), st.integers(-2, 2**n + 1), st.integers(lo - 3, lo)))
+    return (u, draw(st.sampled_from([(), ("t",)])), parents, cached,
+            draw(st.sampled_from([FORWARD, BACKWARD])), lo, hi)
+
+
+class TestFrontierOpGen:
+    """``op_gen`` over a whole frontier against the per-parent reference."""
+
+    @given(frontier_op_gen_calls())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_parent_reference(self, call):
+        u, protected, parents, cached, direction, lo, hi = call
+        space = StateSpace(u, protected)
+        for p in cached:
+            space.row_mask(p.bitmap)
+        got = space.op_gen(parents, direction, lo, hi)
+        reference, first = StateSpace(u, protected), {}  # child -> lowest parent index
+        for index, p in enumerate(parents):
+            for child in reference_op_gen(reference, p, direction, lo, hi):
+                first.setdefault(child, index)
+        assert got == sorted(first.items())
+        # every (mask, count) cached, the O(1) ones included, is the one a
+        # fresh space builds from scratch
+        for bits, entry in space._row_count_cache.items():
+            fresh, bitmap = StateSpace(u, protected), Bitmap(bits, space.n_bits)
+            assert entry == (fresh.row_mask(bitmap), fresh.row_count(bitmap)), hex(bits)
 
 
 class TestSemantics:
@@ -229,7 +324,7 @@ class TestSemantics:
         while frontier:
             nxt = []
             for s in frontier:
-                for child in sp.op_gen(s, FORWARD):
+                for child in children_of(sp, s, FORWARD):
                     if child not in reached:
                         reached.add(child)
                         nxt.append(SearchState(Bitmap(child, sp.n_bits)))

@@ -114,6 +114,31 @@ class TestEnumerateAll:
         assert [upcoming for _, upcoming in calls] == [
             tuple(called[i + 1:i + 4]) for i in range(len(called))]
 
+    def test_each_state_is_looked_up_once(self, monkeypatch):
+        # the hints come from the states pulled ahead, not from a second
+        # pass over the log: one TestLog.get per state, in valuation order
+        gets, calls, get = [], [], TestLog.get
+
+        def counting_get(log, bitmap):
+            gets.append(bitmap.bits)
+            return get(log, bitmap)
+
+        class Recording(LookupEstimator):
+            lookahead = 3
+
+            def estimate(self, state, space, upcoming=()):
+                calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
+                return super().estimate(state, space, upcoming)
+
+        monkeypatch.setattr(TestLog, "get", counting_get)
+        states = enumerate_all(build_toy_universal(), Recording({}, default={
+            n: 0.5 for n in ("m0", "m1", "m2")}), flat_measures())
+        every = [s.bitmap.bits for s in states]
+        assert len(every) == 62 and gets == every
+        # each call is told the next three calls, as when every state was
+        # first looked up to list the calls
+        assert calls == [(bits, tuple(every[i + 1:i + 4])) for i, bits in enumerate(every)]
+
     def test_an_estimator_without_lookahead_is_told_nothing(self):
         hints = []
 

@@ -41,6 +41,7 @@ from conftest import (
     Counting,
     build_pruning_fixture,
     build_toy_universal,
+    children_of,
     make_monotone_instance,
     make_random_instance,
     perf,
@@ -106,7 +107,7 @@ class TestBackSt:
     def test_backward_children_one_per_unset_bit(self, toy_universal):
         space = StateSpace(toy_universal, protected=("t",))
         s = back_st(space, "t")
-        children = space.op_gen(s, BACKWARD)
+        children = children_of(space, s, BACKWARD)
         assert len(children) == space.n_bits - len(space.attr_bits["t"])
 
     def test_feature_needing_estimator_gets_first_literal(self, toy_universal):
@@ -682,7 +683,7 @@ class TestLazyExpansion:
         runner = search_module._Runner(u, ms, est, cfg)
         first_parent = {}
         for state in frontier:
-            for child in runner.space.op_gen(state, direction):
+            for child in children_of(runner.space, state, direction):
                 first_parent.setdefault(child, state.bitmap.bits)
         batches = list(runner.expand(frontier, direction))
         streamed = [c.bitmap.bits for batch in batches for c in batch]
@@ -700,9 +701,9 @@ class TestLazyExpansion:
         runner = search_module._Runner(u, ms, est, cfg)
         built, op_gen = [], StateSpace.op_gen
 
-        def recording_op_gen(space, state, direction, lo=0, hi=None):
-            children = op_gen(space, state, direction, lo, hi)
-            built.extend(children)
+        def recording_op_gen(space, parents, direction, lo=0, hi=None):
+            children = op_gen(space, parents, direction, lo, hi)
+            built.extend(child for child, _ in children)
             return children
 
         streamed = []
@@ -710,12 +711,11 @@ class TestLazyExpansion:
             patch.setattr(StateSpace, "op_gen", recording_op_gen)
             for batch in runner.expand(frontier, direction):
                 streamed += [c.bitmap.bits for c in batch]
-                # no child built so far waits for a later batch; a child
-                # reached from several parents is built once by each
+                # no child built so far waits for a later batch
                 assert set(built) == set(streamed)
-        # and the batches' ranges build each parent's children once
-        assert sorted(built) == sorted(c for s in frontier
-                                       for c in op_gen(runner.space, s, direction))
+        # and the batches' ranges build each distinct child once, however
+        # many parents reach it
+        assert sorted(built) == [c for c, _ in op_gen(runner.space, frontier, direction)]
 
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_one_state_per_distinct_child(self, seed, monkeypatch):
@@ -729,7 +729,7 @@ class TestLazyExpansion:
         def recording_expand(runner, frontier, direction):
             made.clear()
             batches = list(real_expand(runner, frontier, direction))
-            generated = [c for s in frontier for c in runner.space.op_gen(s, direction)]
+            generated = [c for s in frontier for c in children_of(runner.space, s, direction)]
             levels.append((list(made), generated, [c.bitmap.bits for b in batches for c in b]))
             yield from batches
 
@@ -759,35 +759,36 @@ class TestLazyExpansion:
                 used += invoked
                 valuated.append(entry)
                 grid.submit(entry)
-            children = {c for s in valuated for c in space.op_gen(s, FORWARD)}
+            children = {c for s in valuated for c in children_of(space, s, FORWARD)}
             level = [SearchState(Bitmap(b, space.n_bits)) for b in sorted(children)]
         return log, grid
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])
     def test_budget_stop_opens_fewer_parents(self, seed, monkeypatch):
-        opened = []  # (parent bits, children returned) per call
+        opened = []  # (the parents' bits, children returned) per call
         op_gen = StateSpace.op_gen
 
-        def counting_op_gen(space, state, direction, lo=0, hi=None):
-            children = op_gen(space, state, direction, lo, hi)
-            opened.append((state.bitmap.bits, len(children)))
+        def counting_op_gen(space, parents, direction, lo=0, hi=None):
+            children = op_gen(space, parents, direction, lo, hi)
+            opened.append(({p.bitmap.bits for p in parents}, len(children)))
             return children
 
         monkeypatch.setattr(StateSpace, "op_gen", counting_op_gen)
         u, ms, est = make_random_instance(seed)
         space = StateSpace(u, protected=("t",))
-        level_one = op_gen(space, space.root_state(), FORWARD)
+        level_one = {c for c, _ in op_gen(space, [space.root_state()], FORWARD)}
         assert len(level_one) >= 3
         for budget in range(1, 1 + len(level_one) + 4):
             opened.clear()
             res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t",
                                                          budget=budget))
-            # an open parent is asked again for each batch
-            parents = {bits for bits, _ in opened}
-            level_two = sum(n for bits, n in opened if bits in level_one)
-            # the open level-1 parents' whole child lists, as eager generation built
-            eager = sum(len(op_gen(space, SearchState(Bitmap(bits, space.n_bits)), FORWARD))
-                        for bits in parents & set(level_one))
+            # every open parent is asked again for each batch
+            parents = set().union(*(bits for bits, _ in opened))
+            level_two = sum(n for bits, n in opened if bits <= level_one)
+            # the distinct children of the open level-1 parents' whole child
+            # lists, as one unwindowed call builds them
+            eager = len(op_gen(space, [SearchState(Bitmap(bits, space.n_bits))
+                                       for bits in sorted(parents & level_one)], FORWARD))
             log, grid = self.eager_apx(u, ms, est, budget)
             assert [(e.bitmap, e.perf, e.row_count) for e in res.log] == \
                    [(e.bitmap, e.perf, e.row_count) for e in log]

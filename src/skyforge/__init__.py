@@ -33,9 +33,7 @@ from .oracle import (
 )
 from .search import (
     RunResult,
-    RunningGraph,
     SearchConfig,
-    back_st,
     can_prune,
     dis_score,
     diversify_level,
@@ -51,7 +49,6 @@ from .tabular import (
     build_universal,
     compress_rows,
     derive_all_literals,
-    derive_literals,
     ingest_csv,
     kmeans_1d,
 )

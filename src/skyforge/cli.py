@@ -216,10 +216,12 @@ def _with_flag_overrides(raw: dict, args) -> dict:
 
 
 def _provenance(result: RunResult, bitmap: Bitmap) -> list:
-    """One manifest step per path edge, named by the edge's one flipped bit."""
-    space = result.space
-    steps = []
-    for src, dst in result.graph.path_to(bitmap):
+    """One manifest step per edge of the running graph's path from a root to
+    the bitmap, named by the edge's one flipped bit."""
+    space, steps, dst = result.space, [], bitmap.bits
+    root_bits = {b.bits for b in result.roots}
+    while dst not in root_bits:  # the walk records a parent for every child it reaches
+        src = result.parents[dst]
         i = (src ^ dst).bit_length() - 1
         literal = space.bit_literals[i]
         steps.append({
@@ -229,6 +231,8 @@ def _provenance(result: RunResult, bitmap: Bitmap) -> list:
             "from": Bitmap(src, space.n_bits).to_hex(),
             "to": Bitmap(dst, space.n_bits).to_hex(),
         })
+        dst = src
+    steps.reverse()
     return steps
 
 

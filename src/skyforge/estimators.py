@@ -1,12 +1,15 @@
 """Built-in deterministic estimators and the external subprocess protocol.
 
-An estimator maps a search state to raw (un-normalized) measure values in a
-single call, ``estimate(state, space, upcoming=())``; ``upcoming`` is a tuple
-of the next states whose valuations call it, in order, which it may get
-ready while it works on ``state``.  Its class attribute ``lookahead`` says
-how many it can use (0 for the built-ins, which ignore them); the walk names
-that many, across batches, sides and levels, up to a barrier or the budget.
-All built-ins are RNG-free so identical runs stay bit-identical.
+An estimator maps a state, its ``Bitmap``, to raw (un-normalized) measure
+values in a single call, ``estimate(bitmap, space, upcoming=())``;
+``upcoming`` is a tuple of the next bitmaps whose valuations call it, in
+order, which it may get ready while it works on ``bitmap``.  Its class
+attribute ``lookahead`` says how many it can use (0 for the built-ins, which
+ignore them); the walk names that many, across batches, sides and levels, up
+to a barrier or the budget.  All built-ins are RNG-free so identical runs
+stay bit-identical.  No estimator sees a ``SearchState``: that wrapper
+exists only for the ``apply_reduct`` and ``apply_augment`` provenance
+replay.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, EstimatorFailure
-from .operators import SearchState, StateSpace
+from .operators import Bitmap, StateSpace
 from .tabular import write_csv
 
 
@@ -42,8 +45,8 @@ class LookupEstimator:
         self.table = dict(table)
         self.default = default
 
-    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
-        row = self.table.get(state.bitmap.bits, self.default)
+    def estimate(self, bitmap: Bitmap, space: StateSpace, upcoming: tuple = ()) -> dict:
+        row = self.table.get(bitmap.bits, self.default)
         if row is None:
             raise EstimatorFailure("no lookup entry")
         return dict(row)
@@ -90,19 +93,19 @@ class RidgeEstimator:
         self.target = target
         self.lam = lam
 
-    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
-        attrs = space.active_attributes(state.bitmap)
+    def estimate(self, bitmap: Bitmap, space: StateSpace, upcoming: tuple = ()) -> dict:
+        attrs = space.active_attributes(bitmap)
         if self.target not in attrs:
             raise EstimatorFailure(f"target column {self.target!r} missing from state")
         view = space.columns
-        mask = space.row_mask(state.bitmap)
+        mask = space.row_mask(bitmap)
         # a feature has at least one number and nothing else among the rows
         feature_names = [
             a for a in attrs
             if a != self.target and mask & view.number[a] and not mask & view.non_numeric[a]
         ]
         out = {
-            TRAIN_COST: float(space.row_count(state.bitmap)),
+            TRAIN_COST: float(space.row_count(bitmap)),
             MODEL_SIZE: float(len(feature_names)),
         }
         # rows with a numeric target, each repeated by its multiplicity
@@ -223,15 +226,15 @@ class SubprocessEstimator:
         self._children.append(child)
         return child
 
-    def estimate(self, state: SearchState, space: StateSpace, upcoming: tuple = ()) -> dict:
-        ahead, bits = self._ahead, state.bitmap.bits
+    def estimate(self, bitmap: Bitmap, space: StateSpace, upcoming: tuple = ()) -> dict:
+        ahead, bits = self._ahead, bitmap.bits
         while ahead and (ahead[0][0] is not space or ahead[0][1] != bits):
             self._drop(ahead.popleft(), drain=True)
         if ahead:
             request, child, deadline = ahead.popleft()[2:]
         else:
             child = self._idle()  # a new child starts up while the CSV is written
-            request, deadline = self._write(state, space), None
+            request, deadline = self._write(bitmap, space), None
         try:
             if deadline is None:
                 deadline = self._send(child, request)
@@ -255,11 +258,11 @@ class SubprocessEstimator:
         holds the current request).  The first state that cannot be sent
         stops the rest, so ids stay in valuation order."""
         ahead = self._ahead
-        for state in upcoming[len(ahead):MAX_CHILDREN - 1]:
+        for bitmap in upcoming[len(ahead):MAX_CHILDREN - 1]:
             try:
                 # a new child starts up while the CSV is written
                 child = self._idle([current, *(entry[3] for entry in ahead)])
-                request = self._write(state, space)
+                request = self._write(bitmap, space)
             except Exception:
                 return  # the state's own call tries again and reports the error
             try:
@@ -268,7 +271,7 @@ class SubprocessEstimator:
                 _unlink(request["csv_path"])
                 self._reap(child)
                 return
-            ahead.append((space, state.bitmap.bits, request, child, deadline))
+            ahead.append((space, bitmap.bits, request, child, deadline))
 
     def _drop(self, entry: tuple, drain: bool):
         """Discard a request sent ahead: read and ignore its reply, or stop
@@ -285,10 +288,10 @@ class SubprocessEstimator:
                 self._reap(child)
             _unlink(request["csv_path"])
 
-    def _write(self, state: SearchState, space: StateSpace) -> dict:
-        """Write the state's dataset to a new temp CSV and return its
+    def _write(self, bitmap: Bitmap, space: StateSpace) -> dict:
+        """Write the bitmap's dataset to a new temp CSV and return its
         request, whose id the send fills in."""
-        data = space.dataset(state.bitmap)
+        data = space.dataset(bitmap)
         tmpdir = os.environ.get("SKYFORGE_TMPDIR") or tempfile.gettempdir()
         os.makedirs(tmpdir, exist_ok=True)
         fd, csv_path = tempfile.mkstemp(prefix="skyforge_", suffix=".csv", dir=tmpdir)
@@ -300,7 +303,7 @@ class SubprocessEstimator:
             raise
         return {
             "id": None,
-            "bitmap": state.bitmap.to_hex(),
+            "bitmap": bitmap.to_hex(),
             "rows": data.expanded_row_count,
             "cols": len(data.schema),
             "columns": list(data.schema),

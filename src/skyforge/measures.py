@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ArgumentError, EstimatorFailure
-from .operators import Bitmap, SearchState, StateSpace
+from .operators import Bitmap, StateSpace
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
@@ -112,12 +112,12 @@ class TestLog:
         return existing
 
 
-def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
+def valuate(bitmap: Bitmap, estimator, log: TestLog, measures: MeasureSet,
             space: StateSpace, upcoming: tuple = ()):
-    """Return the state's log entry, invoking the estimator at most once.
+    """Return the bitmap's log entry, invoking the estimator at most once.
 
     All measures come back from a single estimator call; repeats on the same
-    bitmap are served from the log.  ``upcoming``, the states the caller
+    bitmap are served from the log.  ``upcoming``, the bitmaps the caller
     valuates next, in order (empty when it knows none), goes to the
     estimator.  Returns ``(entry, invoked)``.
 
@@ -127,11 +127,11 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
     faults, never coerced, and so are non-finite values and ints beyond
     float range.
     """
-    cached = log.get(state.bitmap)
+    cached = log.get(bitmap)
     if cached is not None:
         return cached, False
     try:
-        raw = estimator.estimate(state, space, upcoming)
+        raw = estimator.estimate(bitmap, space, upcoming)
         values, reported = [], {}
         for name, low, high, span, minimize in measures.table:
             if name not in raw:
@@ -148,12 +148,11 @@ def valuate(state: SearchState, estimator, log: TestLog, measures: MeasureSet,
             values.append(1.0 if v > 1.0 else NORMALIZED_FLOOR if v < NORMALIZED_FLOOR else v)
             reported[name] = float(x)
     except EstimatorFailure as exc:  # the one place a failure learns its state
-        exc.bitmap = state.bitmap
+        exc.bitmap = bitmap
         raise
     except Exception as exc:  # protocol violation, such as a reply that is no mapping
-        raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=state.bitmap) from exc
-    return log.append(LogEntry(state.bitmap, tuple(values), space.row_count(state.bitmap),
-                               raw=reported)), True
+        raise EstimatorFailure(f"estimator raised {exc!r}", bitmap=bitmap) from exc
+    return log.append(LogEntry(bitmap, tuple(values), space.row_count(bitmap), raw=reported)), True
 
 
 def _rank(values: Sequence[float]) -> list:

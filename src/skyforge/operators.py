@@ -1,13 +1,15 @@
 """Bitmap-encoded search states and the one-flip Augment/Reduct operators.
 
-A state is fully determined by its bitmap: one bit per (attribute, literal)
-pair of the universal table, attribute presence being implied by having at
-least one value bit set.  Two equal bitmaps always materialize cell-identical
-datasets, so bitmaps serve as state keys everywhere.
+A state is its ``Bitmap``: one bit per (attribute, literal) pair of the
+universal table, attribute presence being implied by having at least one
+value bit set.  Two equal bitmaps always materialize cell-identical datasets,
+so bitmaps serve as state keys everywhere, and estimators are called as
+``estimate(bitmap, space, upcoming=())``.
 
-``StateSpace.op_gen`` expands a whole frontier at once: it returns each
-distinct child once, as a plain ``int`` bitmap with its lowest-index parent,
-and the walk wraps only the children it keeps in a ``SearchState``.
+``StateSpace.op_gen`` expands a whole frontier of ``int`` bitmaps at once: it
+returns each distinct child once, as a plain ``int`` bitmap with its
+lowest-index parent.  ``SearchState`` and ``apply_reduct``/``apply_augment``
+exist only to replay manifest provenance one named literal at a time.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class Bitmap:
 
 @dataclass(frozen=True)
 class SearchState:
-    """An unvaluated node of the running graph: its bitmap.  A valuated
-    state is its ``measures.LogEntry``."""
+    """A bitmap as the provenance replay operators ``apply_reduct`` and
+    ``apply_augment`` take and return it."""
 
     bitmap: Bitmap
 
@@ -218,9 +220,6 @@ class StateSpace:
                 return i
         raise ArgumentError(f"no bit for literal {literal!r}")
 
-    def root_state(self) -> SearchState:
-        return SearchState(self.full_bitmap())
-
     # -- semantics -----------------------------------------------------------
 
     def row_indices(self, mask: int) -> np.ndarray:
@@ -309,13 +308,12 @@ class StateSpace:
             raise ArgumentError(f"value bit for {literal!r} already set")
         return SearchState(Bitmap(bits | bit, state.bitmap.length))
 
-    def op_gen(self, parents: Sequence, direction: str, lo: int = 0,
+    def op_gen(self, parent_bits: Sequence[int], direction: str, lo: int = 0,
                hi: Optional[int] = None) -> list:
         """``(child, index)`` for every distinct applicable one-flip child of
-        the ``parents`` (states or log entries: only their bitmaps are read)
-        with ``lo <= child < hi`` (``hi`` None: no upper limit), in ascending
-        child order, ``index`` being the lowest index of a parent that
-        generates the child.
+        the parents' ``int`` bitmaps with ``lo <= child < hi`` (``hi`` None:
+        no upper limit), in ascending child order, ``index`` being the
+        lowest index of a parent that generates the child.
 
         Forward flips set bits off (reducts), backward flips clear bits on
         (augments).  Children with empty datasets are skipped, as are bits
@@ -340,7 +338,6 @@ class StateSpace:
         forward, free = direction == FORWARD, self.free_bits
         windowed = hi is not None or lo > 0
         hi = 1 << self.n_bits if hi is None else hi  # above every bitmap
-        parent_bits = [p.bitmap.bits for p in parents]
         first: dict = {}  # child bits -> lowest parent index
         for index in range(len(parent_bits) - 1, -1, -1):  # lower indices write last
             bits = parent_bits[index]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ArgumentError, EnumerationCapError
 from .measures import LogEntry, MeasureSet, TestLog, valuate
-from .operators import Bitmap, SearchState, StateSpace
+from .operators import Bitmap, StateSpace
 from .search import PrunedState, div_score
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
@@ -147,9 +147,9 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
 
     Walks the submasks of the free bits in ascending order, each with every
     bit of the protected target, when given.  Each valuation is told up to
-    the estimator's ``lookahead`` next states whose valuations call the
-    estimator (those not already in the log), from a queue of the states
-    pulled ahead of it, as the search's walk does, so each state is looked
+    the estimator's ``lookahead`` next bitmaps whose valuations call the
+    estimator (those not already in the log), from a queue of the bitmaps
+    pulled ahead of it, as the search's walk does, so each bitmap is looked
     up in the log once.  Refuses instances whose bitmap is longer than
     ``max_bits``.
     """
@@ -163,23 +163,23 @@ def enumerate_all(universal: UniversalTable, estimator, measures: MeasureSet,
     while True:
         bitmap = Bitmap(sub | fixed, space.n_bits)
         if not space.is_degenerate(bitmap):
-            todo.append(SearchState(bitmap))
+            todo.append(bitmap)
         if sub == free:
             break
         sub = (sub - free) & free  # the next submask of free, in ascending order
     lookahead = getattr(estimator, "lookahead", 0)
     logged = {entry.bitmap.bits for entry in log}  # valuating these calls no estimator
-    entries, pending, calls = [], deque(), 0  # pulled (state, call) pairs; their calls
-    for state in itertools.chain(todo, (None,)):
-        if state is not None:
-            call = state.bitmap.bits not in logged
-            pending.append((state, call))
+    entries, pending, calls = [], deque(), 0  # pulled (bitmap, call) pairs; their calls
+    for bitmap in itertools.chain(todo, (None,)):
+        if bitmap is not None:
+            call = bitmap.bits not in logged
+            pending.append((bitmap, call))
             calls += call
         # the head goes once ``lookahead`` calls follow it, or at the end
-        while pending and (state is None or calls - pending[0][1] >= lookahead):
+        while pending and (bitmap is None or calls - pending[0][1] >= lookahead):
             head, call = pending.popleft()
             calls -= call
-            upcoming = tuple(s for s, c in pending if c) if calls else ()
+            upcoming = tuple(b for b, c in pending if c) if calls else ()
             entries.append(valuate(head, estimator, log, measures, space, upcoming)[0])
     return entries
 

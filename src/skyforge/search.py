@@ -1,7 +1,8 @@
 """The generation algorithms: one level-wise walk over the running graph.
 
 ``apx``   reduce-from-universal: reducts forward from the full bitmap only.
-``nobi``  bidirectional: reducts forward, augments backward from ``back_st``.
+``nobi``  bidirectional: reducts forward, augments backward from a minimal
+          backward start (the target's clusters, see ``_Runner.batches``).
 ``bi``    bidirectional with correlation-based pruning of sandwiched states.
 ``div``   ``bi`` whose per-level survivors are greedily diversified down to
           k states before expansion continues.
@@ -12,10 +13,13 @@ one place; it reads results only at barriers, so each estimator call is
 told the next calls across batches, sides and levels.  Each batch of a
 level is one ``StateSpace.op_gen`` call over the frontier's open parents,
 which deduplicates their children before it builds any row mask.
-Children stay ``int`` bitmaps through generation, deduplication and
-containment tests; each level builds one ``SearchState`` per distinct child
-it yields.  Once valuated, a state is the log's own ``LogEntry``, wherever
-it is held.
+Frontiers are ``int`` bitmaps, and children stay ints through generation,
+deduplication and containment tests; each level builds one ``Bitmap`` per
+distinct child it yields.  That ``Bitmap`` is the unvaluated state that
+``valuate``, ``can_prune`` and the estimator, as ``estimate(bitmap, space,
+upcoming=())``, take; ``SearchState`` exists only for the ``apply_reduct``
+and ``apply_augment`` provenance replay.  Once valuated, a state is the
+log's own ``LogEntry``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import ArgumentError, EstimatorFailure
 from .measures import (LogEntry, MeasureSet, TestLog, build_correlation_graph, estimate_bounds,
                        valuate)
-from .operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
+from .operators import BACKWARD, FORWARD, Bitmap, StateSpace
 from .skyline import SkylineGrid
 from .tabular import UniversalTable, _row_blocks
 
@@ -78,30 +82,6 @@ class SearchConfig:
             raise ArgumentError("alpha must lie in [0, 1]")
 
 
-@dataclass
-class RunningGraph:
-    """DAG of explored states connected by one-flip transitions."""
-
-    roots: list = field(default_factory=list)
-    # child bits -> first inbound parent bits, for every child the walk reached
-    parents: dict = field(default_factory=dict)
-
-    def path_to(self, bitmap: Bitmap) -> list:
-        """``(parent bits, child bits)`` steps from a root to the bitmap, for
-        provenance replay; each step flips one bit."""
-        path = []
-        bits = bitmap.bits
-        root_bits = {b.bits for b in self.roots}
-        while bits not in root_bits:
-            parent = self.parents.get(bits)
-            if parent is None:
-                raise ArgumentError(f"no recorded path to bitmap {bits:x}")
-            path.append((parent, bits))
-            bits = parent
-        path.reverse()
-        return path
-
-
 @dataclass(frozen=True)
 class PrunedState:
     bitmap: Bitmap
@@ -112,37 +92,21 @@ class PrunedState:
 
 @dataclass
 class RunResult:
+    """What a run found.  ``roots`` and ``parents`` are its running graph:
+    the start bitmaps, and for every child the walk reached, its bits ->
+    its first inbound parent's bits, one flipped bit away."""
+
     grid: SkylineGrid
-    graph: RunningGraph
     log: TestLog
     algorithm: str
     space: StateSpace
+    roots: list
+    parents: dict
     valuations: int = 0
     partial: bool = False
     failure: Optional[str] = None
     pruned: list = field(default_factory=list)
     div_set: list = field(default_factory=list)
-
-
-def back_st(space: StateSpace, target: str, needs_feature: bool = False) -> SearchState:
-    """Minimal backward start: the target attribute with all of its value
-    clusters retained, so no class of the target is missed.
-
-    When the estimator needs a feature column, the first non-target
-    attribute's first literal joins the bitmap (fixed deterministic choice).
-    """
-    u = space.universal
-    if target not in u.schema:
-        raise ArgumentError(f"target {target!r} not in universal schema")
-    bits = list(space.attr_bits[target])
-    if not bits:
-        raise ArgumentError(f"target {target!r} has no literals")
-    if needs_feature:
-        for a in u.schema:
-            if a != target and space.attr_bits[a]:
-                bits.append(space.attr_bits[a][0])
-                break
-    return SearchState(space.bitmap_from_bits(bits))
 
 
 def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
@@ -157,10 +121,10 @@ def param_eps_dominates(a: tuple, b: tuple, eps: float) -> bool:
     return True
 
 
-def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: dict,
+def can_prune(mid: Bitmap, regions: Sequence[tuple], eps: float, graph: dict,
               log: TestLog, measures: MeasureSet, space: StateSpace) -> Optional[tuple]:
-    """The first ``(forward, backward)`` region that certifies skipping
-    ``s_mid`` without valuating it, or None.
+    """The first ``(forward, backward)`` region that certifies skipping the
+    unvaluated bitmap ``mid`` without valuating it, or None.
 
     A region certifies the skip when its bitmaps sandwich the mid by
     containment and its valuated backward endpoint eps-dominates the lower
@@ -171,13 +135,12 @@ def can_prune(s_mid: SearchState, regions: Sequence[tuple], eps: float, graph: d
     falls back to its declared range (an empty correlation graph, or no
     bracketing log entries) it carries no evidence and nothing is pruned.
     """
-    lower = None
-    mid = s_mid.bitmap.bits
+    lower, bits = None, mid.bits
     for fwd, bwd in regions:
-        if mid & ~fwd.bitmap.bits or bwd.bitmap.bits & ~mid:
+        if bits & ~fwd.bitmap.bits or bwd.bitmap.bits & ~bits:
             continue  # the region does not sandwich the mid
         if lower is None:
-            bounds = estimate_bounds(space.row_count(s_mid.bitmap), log, graph, measures)
+            bounds = estimate_bounds(space.row_count(mid), log, graph, measures)
             if all(b == (spec.p_low, spec.p_high) for b, spec in zip(bounds, measures)):
                 return None
             lower = tuple(lo for lo, _ in bounds)
@@ -315,7 +278,8 @@ class _Runner:
         self.cfg = cfg
         self.grid = SkylineGrid(cfg.epsilon, measures)
         self.log = TestLog()
-        self.graph = RunningGraph()
+        self.roots: list = []  # the start bitmaps
+        self.parents: dict = {}  # child bits -> first inbound parent bits
         self.regions: list = []  # validated (forward entry, backward entry) pairs
         self.pruned: list = []
         self.pruned_bits: set = set()  # once pruned, never revisited from either side
@@ -331,9 +295,9 @@ class _Runner:
         return self._corr_cache[1]
 
     def expand(self, frontier: list, direction: str):
-        """Yield the children of the frontier in ascending bitmap order, as
-        sorted batches, and record for each child the lowest-index frontier
-        state that generates it as its parent.
+        """Yield the children of the frontier's ``int`` bitmaps in ascending
+        order, as sorted batches of ``Bitmap``s, and record for each child
+        the lowest-index frontier bitmap that generates it as its parent.
 
         When the unclaimed budget covers every possible child (one per
         flippable bit of each parent), one ``op_gen`` call over the whole
@@ -341,10 +305,9 @@ class _Runner:
         parents open in batches that double from one (see
         ``_bounded_batches``), so a budget stop leaves later parents
         unopened.  Children stay ints until yielded, so a child reached from
-        several parents becomes one ``SearchState``.
+        several parents becomes one ``Bitmap``.
         """
-        n_bits, parents = self.space.n_bits, self.graph.parents
-        parent_bits = [state.bitmap.bits for state in frontier]
+        n_bits, parents = self.space.n_bits, self.parents
         if self.cfg.budget - len(self.claimed) >= len(frontier) * self.space.free_bits.bit_count():
             batches = [self.space.op_gen(frontier, direction)]
         else:
@@ -353,8 +316,8 @@ class _Runner:
             if children:
                 batch = []
                 for bits, index in children:
-                    parents.setdefault(bits, parent_bits[index])
-                    batch.append(SearchState(Bitmap(bits, n_bits)))
+                    parents.setdefault(bits, frontier[index])
+                    batch.append(Bitmap(bits, n_bits))
                 yield batch
 
     def _bounded_batches(self, frontier: list, direction: str):
@@ -373,8 +336,7 @@ class _Runner:
         """
         forward, free = direction == FORWARD, self.space.free_bits
         order = []  # (bound, frontier index) of every parent with a flippable bit
-        for index, state in enumerate(frontier):
-            bits = state.bitmap.bits
+        for index, bits in enumerate(frontier):
             eligible = (bits if forward else ~bits) & free
             if eligible:
                 flip = 1 << (eligible.bit_length() - 1) if forward else eligible & -eligible
@@ -391,12 +353,12 @@ class _Runner:
             lo = hi
             yield [(bits, open_indices[k]) for bits, k in children]
 
-    def try_prune(self, child: SearchState, level: int) -> bool:
+    def try_prune(self, child: Bitmap, level: int) -> bool:
         if not self.regions:
             return False
-        if child.bitmap.bits in self.pruned_bits:
+        if child.bits in self.pruned_bits:
             return True
-        if self.log.get(child.bitmap) is not None:
+        if self.log.get(child) is not None:
             return False  # nothing to save: valuation is a cache hit
         graph = self.corr_graph()
         if not graph:
@@ -405,8 +367,8 @@ class _Runner:
                            self.measures, self.space)
         if region is None:
             return False
-        self.pruned.append(PrunedState(child.bitmap, region[0].bitmap, region[1].bitmap, level))
-        self.pruned_bits.add(child.bitmap.bits)
+        self.pruned.append(PrunedState(child, region[0].bitmap, region[1].bitmap, level))
+        self.pruned_bits.add(child.bits)
         return True
 
     def add_regions(self, valuated_f: list, valuated_b: list):
@@ -424,29 +386,40 @@ class _Runner:
                     self.regions.append((f_state, b_state))
 
     def batches(self):
-        """The walk's states in valuation order, as lists: the roots, then
+        """The walk's bitmaps in valuation order, as lists: the roots, then
         each level's forward and backward sides.  None marks a barrier, the
-        only place the walk reads results: every state yielded before it is
+        only place the walk reads results: every bitmap yielded before it is
         valuated by then, its entry in ``kept``.  A pruning side checks each
         child before it yields any, after a barrier once regions exist, and
         each bi and div level ends at one to admit regions and diversify;
         apx and nobi read only bitmaps, so they have no barrier."""
-        cfg, graph, pruning = self.cfg, self.graph, self.cfg.algorithm in ("bi", "div")
-        root = self.space.root_state()
+        cfg, space, pruning = self.cfg, self.space, self.cfg.algorithm in ("bi", "div")
+        root = space.full_bitmap()
         yield [root]
-        graph.roots.append(root.bitmap)
-        frontiers = [[root], []]
+        self.roots.append(root)
+        frontiers = [[root.bits], []]  # forward and backward, as int bitmaps
         if cfg.algorithm != "apx":
-            needs_feature = bool(getattr(self.estimator, "requires_feature", False))
-            back = back_st(self.space, cfg.target, needs_feature)
-            if back.bitmap.bits == root.bitmap.bits:
+            # minimal backward start: the target attribute with all of its
+            # value clusters retained, so no class of the target is missed
+            bits = list(space.attr_bits[cfg.target])
+            if not bits:
+                raise ArgumentError(f"target {cfg.target!r} has no literals")
+            # when the estimator needs a feature column, the first non-target
+            # attribute's first literal joins the bitmap (fixed deterministic choice)
+            if getattr(self.estimator, "requires_feature", False):
+                for a in space.universal.schema:
+                    if a != cfg.target and space.attr_bits[a]:
+                        bits.append(space.attr_bits[a][0])
+                        break
+            back = space.bitmap_from_bits(bits)
+            if back == root:
                 return
             yield [back]
-            graph.roots.append(back.bitmap)
-            frontiers[1].append(back)
+            self.roots.append(back)
+            frontiers[1].append(back.bits)
         level = 0
         while (frontiers[0] or frontiers[1]) and (cfg.max_len is None or level < cfg.max_len):
-            if {s.bitmap.bits for s in frontiers[0]} & {s.bitmap.bits for s in frontiers[1]}:
+            if not set(frontiers[0]).isdisjoint(frontiers[1]):
                 return  # frontiers met: every candidate between is explored
             sides = []
             for frontier, direction in zip(frontiers, (FORWARD, BACKWARD)):
@@ -459,62 +432,61 @@ class _Runner:
                 sides.append([])
                 for batch in batches:
                     yield batch
-                    sides[-1] += batch
+                    sides[-1] += (child.bits for child in batch)
             frontiers = sides
             if pruning:
                 yield None  # the level's entries are the last ones kept
                 n, kept = len(sides[0]), self.kept[len(self.kept) - len(sides[0]) - len(sides[1]):]
-                frontiers = [kept[:n], kept[n:]]
-                self.add_regions(*frontiers)
+                self.add_regions(kept[:n], kept[n:])
                 if cfg.algorithm == "div":
                     unique = {s.bitmap.bits: s for s in kept}  # both sides may reach a state
                     self.div_set = diversify_level(list(unique.values()), cfg.k, cfg.alpha,
                                                    self.log, self.measures)
                     chosen = {s.bitmap.bits for s in self.div_set}
-                    frontiers = [[s for s in f if s.bitmap.bits in chosen] for f in frontiers]
+                    frontiers = [[bits for bits in f if bits in chosen] for f in frontiers]
             level += 1
 
     def states(self):
-        """The walk as one stream: ``(state, call)`` in valuation order, and
-        None at each barrier; ``call`` says no earlier state has the bitmap,
-        so valuating it calls the estimator.  The stream ends before the
-        first call past the budget, so a cut level reaches no barrier."""
+        """The walk as one stream: ``(bitmap, call)`` in valuation order, and
+        None at each barrier; ``call`` says no earlier bitmap is equal, so
+        valuating it calls the estimator.  The stream ends before the first
+        call past the budget, so a cut level reaches no barrier."""
         claimed, budget = self.claimed, self.cfg.budget
         for batch in self.batches():
             if batch is None:
                 yield None
                 continue
-            for state in batch:
-                call = state.bitmap.bits not in claimed
+            for bitmap in batch:
+                call = bitmap.bits not in claimed
                 if call:
                     if len(claimed) >= budget:
                         return
-                    claimed.add(state.bitmap.bits)
-                yield state, call
+                    claimed.add(bitmap.bits)
+                yield bitmap, call
 
     def walk(self):
         """Valuate the stream in order, telling each estimator call the next
         ``lookahead`` calls of the stream; a barrier, or the stream's end,
-        valuates every state pulled before it.  Each entry goes to the grid
-        at once, so an estimator failure loses no paid valuation; a state
+        valuates every bitmap pulled before it.  Each entry goes to the grid
+        at once, so an estimator failure loses no paid valuation; a bitmap
         the stream yields again is kept from the log, since submitting an
         entry twice changes nothing."""
-        lookahead = getattr(self.estimator, "lookahead", 0)  # upcoming states it can use
+        lookahead = getattr(self.estimator, "lookahead", 0)  # upcoming bitmaps it can use
         submit, kept = self.grid.submit, self.kept
-        pending, calls = deque(), 0  # pulled (state, call) pairs; their calls
+        pending, calls = deque(), 0  # pulled (bitmap, call) pairs; their calls
         for item in chain(self.states(), (None,)):
             if item is not None:
                 pending.append(item)
                 calls += item[1]
             # the head goes once ``lookahead`` calls follow it, or at a barrier
             while pending and (item is None or calls - pending[0][1] >= lookahead):
-                state, call = pending.popleft()
+                bitmap, call = pending.popleft()
                 if not call:  # logged and submitted when the stream first yielded it
-                    kept.append(self.log.get(state.bitmap))
+                    kept.append(self.log.get(bitmap))
                     continue
                 calls -= 1
-                upcoming = tuple(s for s, c in pending if c) if calls else ()
-                entry = valuate(state, self.estimator, self.log, self.measures, self.space,
+                upcoming = tuple(b for b, c in pending if c) if calls else ()
+                entry = valuate(bitmap, self.estimator, self.log, self.measures, self.space,
                                 upcoming)[0]
                 submit(entry)
                 kept.append(entry)
@@ -523,15 +495,16 @@ class _Runner:
 def run_algorithm(universal: UniversalTable, measures: MeasureSet, estimator,
                   cfg: SearchConfig) -> RunResult:
     """Run ``cfg.algorithm``; an estimator failure ends the walk early and
-    returns what was found so far, flagged ``partial``, whose graph may also
-    name states the stream had already yielded past the failing call."""
+    returns what was found so far, flagged ``partial``, whose ``parents``
+    may also name bitmaps the stream had already yielded past the failing
+    call."""
     runner = _Runner(universal, measures, estimator, cfg)
     failure = None
     try:
         runner.walk()
     except EstimatorFailure as exc:
         failure = str(exc)
-    return RunResult(grid=runner.grid, graph=runner.graph, log=runner.log,
-                     algorithm=cfg.algorithm, space=runner.space,
+    return RunResult(grid=runner.grid, log=runner.log, algorithm=cfg.algorithm,
+                     space=runner.space, roots=runner.roots, parents=runner.parents,
                      valuations=len(runner.log), partial=failure is not None,
                      failure=failure, pruned=runner.pruned, div_set=runner.div_set)

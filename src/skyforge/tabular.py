@@ -539,48 +539,41 @@ def kmeans_1d(values: Sequence[float], k: int) -> list:
     return [ordered[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def derive_literals(u: UniversalTable, attribute: str, max_clusters: int) -> list:
-    """One equality literal per value cluster of the attribute.
+def derive_all_literals(u: UniversalTable, max_clusters: int = 30) -> UniversalTable:
+    """A copy of ``u`` whose ``literal_index`` holds one equality literal per
+    value cluster of every attribute.
 
     Numeric attributes cluster their active domain with deterministic 1-D
     k-means (k capped by the domain size) and take the adom member nearest
     each centroid; categorical attributes keep the ``max_clusters`` most
     frequent values.
     """
-    if attribute not in u.schema:
-        raise ArgumentError(f"unknown attribute {attribute!r}")
     if not (isinstance(max_clusters, int) and max_clusters >= 1):  # JSON's 2.0 too
         raise ArgumentError(f"max_clusters must be an integer >= 1, got {max_clusters!r}")
-    adom = u.relation.adom(attribute)
-    if not adom:
-        return []
-    if _all_numbers(adom):
-        clusters = kmeans_1d(adom, min(max_clusters, len(adom)))
-        centroids = [sum(cluster) / len(cluster) for cluster in clusters]
-        reps = []
-        # adom ascends by _sort_key, so the first nearest member is the one
-        # with the least _sort_key
-        for i in _nearest(centroids, adom).tolist():
-            rep = adom[i]
-            if rep not in reps:
-                reps.append(rep)
-        reps.sort(key=_sort_key)
-        return [Literal(attribute, r) for r in reps]
-    counts = {}
-    weights = u.relation.row_weights
-    col = u.relation.column(attribute)
-    for v, w in zip(col, weights):
-        if v is not None:
-            counts[v] = counts.get(v, 0) + w
-    ranked = sorted(adom, key=lambda v: (-counts.get(v, 0), _sort_key(v)))
-    kept = sorted(ranked[:max_clusters], key=_sort_key)
-    return [Literal(attribute, v) for v in kept]
-
-
-def derive_all_literals(u: UniversalTable, max_clusters: int = 30) -> UniversalTable:
-    """A copy of ``u`` whose ``literal_index`` holds every attribute's literals."""
-    return replace(u, literal_index={a: tuple(derive_literals(u, a, max_clusters))
-                                     for a in u.schema})
+    index = {}
+    for attribute in u.schema:
+        adom = u.relation.adom(attribute)
+        if not adom:
+            reps = []
+        elif _all_numbers(adom):
+            clusters = kmeans_1d(adom, min(max_clusters, len(adom)))
+            centroids = [sum(cluster) / len(cluster) for cluster in clusters]
+            reps = []
+            # adom ascends by _sort_key, so the first nearest member is the
+            # one with the least _sort_key
+            for i in _nearest(centroids, adom).tolist():
+                if adom[i] not in reps:
+                    reps.append(adom[i])
+            reps.sort(key=_sort_key)
+        else:
+            counts = {}
+            for v, w in zip(u.relation.column(attribute), u.relation.row_weights):
+                if v is not None:
+                    counts[v] = counts.get(v, 0) + w
+            ranked = sorted(adom, key=lambda v: (-counts.get(v, 0), _sort_key(v)))
+            reps = sorted(ranked[:max_clusters], key=_sort_key)
+        index[attribute] = tuple(Literal(attribute, r) for r in reps)
+    return replace(u, literal_index=index)
 
 
 def compress_rows(u: UniversalTable) -> UniversalTable:

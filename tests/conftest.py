@@ -141,11 +141,11 @@ class Counting:
     def __init__(self, inner, fail_at=None):
         self.inner, self.fail_at, self.calls, self.returned = inner, fail_at, 0, 0
 
-    def estimate(self, state, space, upcoming=()):
+    def estimate(self, bitmap, space, upcoming=()):
         self.calls += 1
         if self.calls == self.fail_at:
-            raise EstimatorFailure("boom", bitmap=state.bitmap)
-        raw = self.inner.estimate(state, space, upcoming)
+            raise EstimatorFailure("boom", bitmap=bitmap)
+        raw = self.inner.estimate(bitmap, space, upcoming)
         self.returned += 1
         return raw
 
@@ -187,10 +187,10 @@ def toy_universal():
     return build_toy_universal()
 
 
-def children_of(space, state, direction, lo=0, hi=None) -> list:
+def children_of(space, bitmap, direction, lo=0, hi=None) -> list:
     """One parent's child bitmaps in ascending order: ``op_gen`` over a
     frontier of that parent alone."""
-    return [child for child, _ in space.op_gen([state], direction, lo, hi)]
+    return [child for child, _ in space.op_gen([bitmap.bits], direction, lo, hi)]
 
 
 def make_random_instance(seed: int):

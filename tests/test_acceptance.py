@@ -18,7 +18,6 @@ from skyforge import (
     MeasureSpec,
     Relation,
     SearchConfig,
-    SearchState,
     TestLog,
     UniversalTable,
     check_div_bound,
@@ -160,8 +159,7 @@ def audit_pruned(result, u, measures, estimator, eps):
     valuated = [e.perf for e in result.log]
     bad = []
     for p in {p.bitmap.bits for p in result.pruned}:
-        got, _ = valuate(SearchState(Bitmap(p, space.n_bits)), estimator,
-                         audit_log, measures, space)
+        got, _ = valuate(Bitmap(p, space.n_bits), estimator, audit_log, measures, space)
         if not any(naive_eps_dominates(v, got.perf, eps) for v in valuated):
             bad.append(p)
     return bad

@@ -21,7 +21,7 @@ finally:
 
 from skyforge import cli
 from skyforge.estimators import LookupEstimator, SubprocessEstimator
-from skyforge.operators import BACKWARD, FORWARD, Bitmap, SearchState, StateSpace
+from skyforge.operators import BACKWARD, FORWARD, StateSpace
 from skyforge.search import SearchConfig, run_algorithm
 from skyforge.tabular import Relation
 
@@ -51,9 +51,8 @@ def test_op_gen_returns_a_list():
     # the tracer counts operators.children with len() of op_gen's result:
     # one (child, parent index) pair per distinct child of the frontier
     space = StateSpace(build_toy_universal(), protected=("t",))
-    back = SearchState(space.bitmap_from_bits(space.attr_bits["t"]))
-    level_one = [SearchState(Bitmap(c, space.n_bits))
-                 for c, _ in space.op_gen([space.root_state()], FORWARD)]
+    back = space.bitmap_from_bits(space.attr_bits["t"]).bits
+    level_one = [c for c, _ in space.op_gen([space.full_bitmap().bits], FORWARD)]
     level_two = space.op_gen(level_one, FORWARD)
     assert isinstance(level_two, list)
     assert len(level_two) == len({c for c, _ in level_two}) > 0
@@ -101,7 +100,7 @@ def test_traced_csv_layers_see_every_dataset_and_row(tmp_path):
         space = StateSpace(u)
         estimator = SubprocessEstimator([sys.executable, str(child)], timeout=10)
         try:
-            assert estimator.estimate(space.root_state(), space) == {"m": 1.0}
+            assert estimator.estimate(space.full_bitmap(), space) == {"m": 1.0}
         finally:
             estimator.close()
         result = run_algorithm(u, three_measures(p_low=0.05), lookup,

@@ -122,11 +122,11 @@ class RowShareEstimator:
     def __init__(self, lookahead, fail_at=None):
         self.lookahead, self.fail_at, self.hints = lookahead, fail_at, []
 
-    def estimate(self, state, space, upcoming=()):
+    def estimate(self, bitmap, space, upcoming=()):
         self.hints.append(len(upcoming))
         if len(self.hints) == self.fail_at:
-            raise EstimatorFailure("boom", bitmap=state.bitmap)
-        share = space.row_count(state.bitmap) / len(space.universal.relation.rows)
+            raise EstimatorFailure("boom", bitmap=bitmap)
+        share = space.row_count(bitmap) / len(space.universal.relation.rows)
         return {"holdout_error": 200 * (0.9 - 0.6 * share),
                 "train_cost": 20 * (0.9 - 0.5 * share), "model_size": 10 * (0.9 - 0.4 * share)}
 
@@ -694,7 +694,7 @@ class TestRunCommand:
         """When call ``i`` of an estimator told three upcoming states fails,
         a bi or div run keeps the serial run's log and manifest, whichever
         barrier, prune check or level the call falls next to.  Only
-        ``result.graph`` may differ: it may also name states the stream had
+        ``result.parents`` may differ: it may also name states the stream had
         already yielded past the failing call, and no manifest reads those."""
         raw = json.loads(base_config(tmp_path).read_text())
         raw["max_clusters"] = 3
@@ -908,17 +908,17 @@ class TestLookupTable:
         first.table[0] = {"m": 9.0, "n": 9.0}
         del first.table[1]
         first.table[2]["m"] = 9.0
-        first.estimate(SearchState(Bitmap(3, 7)), None)["m"] = 9.0
-        assert first.estimate(SearchState(Bitmap(3, 7)), None) == self.TABLE["3"]
+        first.estimate(Bitmap(3, 7), None)["m"] = 9.0
+        assert first.estimate(Bitmap(3, 7), None) == self.TABLE["3"]
         second = cfg.build_estimator()
-        assert {format(bits, "x"): second.estimate(SearchState(Bitmap(bits, 7)), None)
+        assert {format(bits, "x"): second.estimate(Bitmap(bits, 7), None)
                 for bits in range(128)} == self.TABLE
 
     def test_row_written_as_pairs_reads_as_its_object(self, tmp_path):
         path = self.config(tmp_path)
         (tmp_path / "table.json").write_text(json.dumps({"3": [["m", 0.2], ["n", 0.7]]}))
         estimator = RunConfig.from_file(path).build_estimator()
-        assert estimator.estimate(SearchState(Bitmap(3, 7)), None) == {"m": 0.2, "n": 0.7}
+        assert estimator.estimate(Bitmap(3, 7), None) == {"m": 0.2, "n": 0.7}
 
 
 class TestVerifyCommand:

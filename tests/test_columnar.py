@@ -26,7 +26,6 @@ from skyforge import (
     Relation,
     RidgeEstimator,
     SearchConfig,
-    SearchState,
     UniversalTable,
     run_algorithm,
 )
@@ -276,9 +275,9 @@ def assert_ridge_matches(space: StateSpace, est: RidgeEstimator, bitmaps) -> int
             expected = reference_ridge(est, bitmap, space)
         except EstimatorFailure:
             with pytest.raises(EstimatorFailure):
-                est.estimate(SearchState(bitmap), space)
+                est.estimate(bitmap, space)
             continue
-        got = est.estimate(SearchState(bitmap), space)
+        got = est.estimate(bitmap, space)
         assert set(got) == set(MEASURES)
         for name in MEASURES:
             assert got[name] == expected[name], (bitmap.to_hex(), name)
@@ -301,7 +300,7 @@ class TestRidgeDifferential:
         full = space.full_bitmap()
         without_x = without(full, space.bit_of(Literal("m", "x")))
         without_true = without(full, space.bit_of(Literal("b", True)))
-        sizes = [est.estimate(SearchState(bm), space)[MODEL_SIZE]
+        sizes = [est.estimate(bm, space)[MODEL_SIZE]
                  for bm in (full, without_x, without_true)]
         assert sizes == [1.0, 2.0, 2.0]  # ``f``; then ``m`` or ``b`` turns numeric
         assert assert_ridge_matches(space, est, [full, without_x, without_true]) == 3
@@ -330,7 +329,7 @@ class TestRidgeDifferential:
             bitmaps.append(Bitmap(bits, space.n_bits))
         est = RidgeEstimator("y")
         assert assert_ridge_matches(space, est, bitmaps) >= len(free) + 50
-        assert est.estimate(space.root_state(), space)[MODEL_SIZE] == 11.0
+        assert est.estimate(space.full_bitmap(), space)[MODEL_SIZE] == 11.0
 
     def test_feature_numeric_only_on_null_target_rows(self):
         # keeping only the 50.0 cluster of f10 leaves f10 a feature whose
@@ -346,7 +345,7 @@ class TestRidgeDifferential:
         target_rows = space.row_mask(bitmap) & space.columns.number["y"]
         assert not target_rows & space.columns.number["f10"]
         est = RidgeEstimator("y")
-        assert est.estimate(SearchState(bitmap), space)[MODEL_SIZE] == 11.0
+        assert est.estimate(bitmap, space)[MODEL_SIZE] == 11.0
         assert assert_ridge_matches(space, est, [bitmap]) == 1
 
     def test_fewer_than_five_rows_and_no_features(self):
@@ -357,7 +356,7 @@ class TestRidgeDifferential:
         est = RidgeEstimator("y")
         assert assert_ridge_matches(space, est, all_bitmaps(space)) > 10
         only_target = space.bitmap_from_bits(space.attr_bits["y"])
-        out = est.estimate(SearchState(only_target), space)
+        out = est.estimate(only_target, space)
         assert out[MODEL_SIZE] == 0.0 and out[TRAIN_ERROR] == WORST_ERROR
 
     @pytest.mark.parametrize("seed", range(3))
@@ -379,7 +378,7 @@ class TestRidgeDifferential:
         assert any(w > 1 for w in space.universal.relation.row_weights)
         est = RidgeEstimator("y")
         single = [bm for bm in valid_bitmaps(space)
-                  if est.estimate(SearchState(bm), space)[MODEL_SIZE] == 1.0]
+                  if est.estimate(bm, space)[MODEL_SIZE] == 1.0]
         view = space.columns
         many_rows_with_nulls = [
             bm for bm in single
@@ -396,7 +395,7 @@ class TestRidgeDifferential:
                 (4.0, 2.0, 2.0), (6.5, 2.75, 0.5)][:len(weights)]
         space = StateSpace(universal_of(("y", "f", "g"), rows, weights), protected=("y",))
         bitmaps = valid_bitmaps(space)
-        counts = {RidgeEstimator("y").estimate(SearchState(bm), space)[TRAIN_COST]
+        counts = {RidgeEstimator("y").estimate(bm, space)[TRAIN_COST]
                   for bm in bitmaps}
         assert {4.0, 5.0} <= counts
         assert assert_ridge_matches(space, RidgeEstimator("y"), bitmaps) == len(bitmaps)
@@ -418,12 +417,12 @@ class TestRidgeDifferential:
         space = StateSpace(mixed_universal())
         no_target = space.bitmap_from_bits(space.attr_bits["f"])
         with pytest.raises(EstimatorFailure):
-            RidgeEstimator("y").estimate(SearchState(no_target), space)
+            RidgeEstimator("y").estimate(no_target, space)
 
     def test_ridge_reads_no_materialized_dataset(self):
         space = StateSpace(weighted_compressed(0), protected=("y",))
         space.dataset = None  # any materialization would fail loudly
-        out = RidgeEstimator("y").estimate(space.root_state(), space)
+        out = RidgeEstimator("y").estimate(space.full_bitmap(), space)
         assert out[TRAIN_COST] == float(space.row_count(space.full_bitmap()))
 
 
@@ -451,16 +450,15 @@ def test_op_gen_matches_from_scratch_reference(name, space):
     runner.space = space  # expand through the space whose cache is checked below
     for parent in parents:
         for direction in (FORWARD, BACKWARD):
-            state = SearchState(parent)
-            got = children_of(space, state, direction)
+            got = children_of(space, parent, direction)
             assert got == sorted(reference_children(space, parent, direction))
             for child in got:
                 assert 0 < child < 1 << space.n_bits
                 assert (child ^ parent.bits) & protected_bits == 0
-            yielded = [c for batch in runner.expand([state], direction) for c in batch]
-            assert [c.bitmap.bits for c in yielded] == got
+            yielded = [c for batch in runner.expand([parent.bits], direction) for c in batch]
+            assert [c.bits for c in yielded] == got
             for child in yielded:
-                assert child.bitmap.length == space.n_bits
+                assert child.length == space.n_bits
     assert space._row_count_cache
     for bits, entry in space._row_count_cache.items():
         assert entry == reference_mask(space, bits), hex(bits)

@@ -19,7 +19,6 @@ from skyforge import (
     Relation,
     RidgeEstimator,
     SearchConfig,
-    SearchState,
     SubprocessEstimator,
     TestLog,
     UniversalTable,
@@ -48,7 +47,7 @@ class TestLookup:
         space = StateSpace(u)
         est = LookupEstimator({})
         with pytest.raises(EstimatorFailure) as err:
-            valuate(space.root_state(), est, TestLog(), MeasureSet([MeasureSpec("m")]), space)
+            valuate(space.full_bitmap(), est, TestLog(), MeasureSet([MeasureSpec("m")]), space)
         assert err.value.bitmap == space.full_bitmap()
         assert str(err.value) == f"no lookup entry (bitmap {space.full_bitmap().to_hex()})"
 
@@ -56,7 +55,7 @@ class TestLookup:
         u = numeric_universal([[1.0, 2.0]])
         space = StateSpace(u)
         est = LookupEstimator({}, default={"m": 0.4})
-        assert est.estimate(space.root_state(), space) == {"m": 0.4}
+        assert est.estimate(space.full_bitmap(), space) == {"m": 0.4}
 
 
 class TestRidge:
@@ -65,7 +64,7 @@ class TestRidge:
         u = numeric_universal(rows)
         space = StateSpace(u)
         est = RidgeEstimator(target="y")
-        out = est.estimate(space.root_state(), space)
+        out = est.estimate(space.full_bitmap(), space)
         assert out[TRAIN_ERROR] < 1e-8
         assert out[HOLDOUT_ERROR] < 1e-8
         assert out[TRAIN_COST] == 10.0
@@ -76,13 +75,13 @@ class TestRidge:
         u = numeric_universal(rows)
         u = replace(u, relation=Relation("u", u.schema, u.relation.rows, weights=(3, 2)))
         space = StateSpace(u)
-        out = RidgeEstimator(target="y").estimate(space.root_state(), space)
+        out = RidgeEstimator(target="y").estimate(space.full_bitmap(), space)
         assert out[TRAIN_COST] == 5.0
 
     def test_no_feature_columns_returns_worst_error(self):
         u = numeric_universal([[1.0]], schema=("y",))
         space = StateSpace(u)
-        out = RidgeEstimator(target="y").estimate(space.root_state(), space)
+        out = RidgeEstimator(target="y").estimate(space.full_bitmap(), space)
         assert out[TRAIN_ERROR] == out[HOLDOUT_ERROR] == WORST_ERROR
         assert out[MODEL_SIZE] == 0.0
 
@@ -90,7 +89,7 @@ class TestRidge:
         u = numeric_universal([[1.0, 2.0]])
         space = StateSpace(u)
         with pytest.raises(EstimatorFailure):
-            RidgeEstimator(target="zz").estimate(space.root_state(), space)
+            RidgeEstimator(target="zz").estimate(space.full_bitmap(), space)
 
     @pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_negative_or_non_finite_lam_rejected(self, lam):
@@ -100,7 +99,7 @@ class TestRidge:
     def test_zero_lam_accepted(self):
         u = numeric_universal([[float(i), 2.0 * i + 1.0] for i in range(10)])
         space = StateSpace(u)
-        out = RidgeEstimator(target="y", lam=0).estimate(space.root_state(), space)
+        out = RidgeEstimator(target="y", lam=0).estimate(space.full_bitmap(), space)
         assert out[TRAIN_ERROR] < 1e-8
 
     def test_null_features_imputed_deterministically(self):
@@ -108,8 +107,8 @@ class TestRidge:
         u = numeric_universal(rows)
         space = StateSpace(u)
         est = RidgeEstimator(target="y")
-        a = est.estimate(space.root_state(), space)
-        b = est.estimate(space.root_state(), space)
+        a = est.estimate(space.full_bitmap(), space)
+        b = est.estimate(space.full_bitmap(), space)
         assert a == b
 
 
@@ -172,7 +171,7 @@ class TestSubprocess:
         space = StateSpace(u)
         est = self.make(tmp_path, CHILD_OK, timeout=10)
         try:
-            out = est.estimate(space.root_state(), space)
+            out = est.estimate(space.full_bitmap(), space)
         finally:
             est.close()
         assert out == {"rows_seen": 5.0, "cols": 2.0}
@@ -189,7 +188,7 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_SLOW, timeout=0.3)
         try:
             with pytest.raises(EstimatorFailure):
-                est.estimate(space.root_state(), space)
+                est.estimate(space.full_bitmap(), space)
         finally:
             est.close()
 
@@ -198,8 +197,8 @@ class TestSubprocess:
         space = StateSpace(u)
         est = self.make(tmp_path, CHILD_CHUNKED, timeout=5)
         try:
-            assert est.estimate(space.root_state(), space) == {"m": 1.5}
-            assert est.estimate(space.root_state(), space) == {"m": 1.5}
+            assert est.estimate(space.full_bitmap(), space) == {"m": 1.5}
+            assert est.estimate(space.full_bitmap(), space) == {"m": 1.5}
         finally:
             est.close()
 
@@ -209,7 +208,7 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_CLOSES_STDOUT, timeout=5)
         try:
             with pytest.raises(EstimatorFailure, match="closed its stdout"):
-                est.estimate(space.root_state(), space)
+                est.estimate(space.full_bitmap(), space)
         finally:
             est.close()
 
@@ -219,7 +218,7 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_GARBAGE, timeout=5)
         try:
             with pytest.raises(EstimatorFailure):
-                est.estimate(space.root_state(), space)
+                est.estimate(space.full_bitmap(), space)
         finally:
             est.close()
 
@@ -228,7 +227,7 @@ class TestSubprocess:
         space = StateSpace(u)
         est = self.make(tmp_path, CHILD_CRASH, timeout=5)
         with pytest.raises(EstimatorFailure):
-            est.estimate(space.root_state(), space)
+            est.estimate(space.full_bitmap(), space)
         [child] = est._children
         proc = child.proc
         proc.wait(timeout=5)  # dead before close() runs
@@ -243,11 +242,11 @@ class TestSubprocess:
         est = self.make(tmp_path, CHILD_CRASH, timeout=5)
         try:
             with pytest.raises(EstimatorFailure):
-                est.estimate(space.root_state(), space)
+                est.estimate(space.full_bitmap(), space)
             [first] = est._children
             first.proc.wait(timeout=5)
             with pytest.raises(EstimatorFailure):
-                est.estimate(space.root_state(), space)
+                est.estimate(space.full_bitmap(), space)
             [second] = est._children
             assert second is not first
             assert first.proc.stdin.closed and first.proc.stdout.closed
@@ -301,9 +300,8 @@ class TestLookahead:
 
     @staticmethod
     def two_states(space):
-        root = space.root_state()
-        child = children_of(space, root, FORWARD)[0]
-        return root, SearchState(Bitmap(child, space.n_bits))
+        root = space.full_bitmap()
+        return root, Bitmap(children_of(space, root, FORWARD)[0], space.n_bits)
 
     @pytest.mark.parametrize("algorithm, budget", [
         ("nobi", 2**31), ("bi", 2**31), ("div", 2**31), ("nobi", 6), ("bi", 9), ("apx", 2**31),
@@ -367,7 +365,7 @@ class TestLookahead:
         finally:
             est.close()
         assert [r["request"]["bitmap"] for r in self.recorded(tmp_path, "record")] == [
-            root.bitmap.to_hex(), child.bitmap.to_hex()]
+            root.to_hex(), child.to_hex()]
 
     def test_unused_csv_is_discarded(self, tmp_path, monkeypatch, spawned):
         # a call for another state than the one announced drains the reply
@@ -388,8 +386,8 @@ class TestLookahead:
         assert list(tmp.glob("skyforge_*.csv")) == [] and reaped(spawned)
         assert [(r["request"]["id"], r["request"]["bitmap"])
                 for r in self.recorded(tmp_path, "record")] == [
-            (1, child.bitmap.to_hex()), (2, root.bitmap.to_hex()),
-            (3, child.bitmap.to_hex()), (4, root.bitmap.to_hex())]
+            (1, child.to_hex()), (2, root.to_hex()),
+            (3, child.to_hex()), (4, root.to_hex())]
 
     def test_requests_ahead_are_answered_in_order(self, tmp_path, monkeypatch, spawned):
         # a call tops the requests in flight up to three from its hint; a
@@ -397,20 +395,19 @@ class TestLookahead:
         tmp = tmp_path / "tmp"
         monkeypatch.setenv("SKYFORGE_TMPDIR", str(tmp))
         space = StateSpace(numeric_universal([[1.0, 2.0], [2.0, 3.0], [3.0, 1.0]]))
-        root = space.root_state()
-        c = [SearchState(Bitmap(bits, space.n_bits))
-             for bits in children_of(space, root, FORWARD)]
+        root = space.full_bitmap()
+        c = [Bitmap(bits, space.n_bits) for bits in children_of(space, root, FORWARD)]
         est = self.make(tmp_path, "record", timeout=10)
 
         def in_flight():
             return [entry[1] for entry in est._ahead]
         try:
             est.estimate(root, space, tuple(c))  # six named, three sent
-            assert in_flight() == [s.bitmap.bits for s in c[:3]] and est.calls == 4
+            assert in_flight() == [s.bits for s in c[:3]] and est.calls == 4
             est.estimate(c[0], space, tuple(c[1:]))  # one more sent
-            assert in_flight() == [s.bitmap.bits for s in c[1:4]] and est.calls == 5
+            assert in_flight() == [s.bits for s in c[1:4]] and est.calls == 5
             est.estimate(c[2], space)  # c[1]'s reply is read and discarded
-            assert in_flight() == [c[3].bitmap.bits] and est.calls == 5
+            assert in_flight() == [c[3].bits] and est.calls == 5
             assert len(list(tmp.glob("skyforge_*.csv"))) == 1
             est.estimate(c[3], space)
             assert in_flight() == [] and est.calls == 5
@@ -420,7 +417,7 @@ class TestLookahead:
         assert list(tmp.glob("skyforge_*.csv")) == [] and reaped(spawned)
         assert [(r["request"]["id"], r["request"]["bitmap"])
                 for r in self.recorded(tmp_path, "record")] == [
-            (i + 1, s.bitmap.to_hex()) for i, s in enumerate([root, *c[:4]])]
+            (i + 1, s.to_hex()) for i, s in enumerate([root, *c[:4]])]
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_hints_name_only_states_that_call_the_estimator(self, tmp_path, monkeypatch,
@@ -432,9 +429,9 @@ class TestLookahead:
         calls, runners = [], []
         estimate, init = SubprocessEstimator.estimate, search._Runner.__init__
 
-        def recording_estimate(self, state, space, upcoming=()):
-            calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
-            return estimate(self, state, space, upcoming)
+        def recording_estimate(self, bitmap, space, upcoming=()):
+            calls.append((bitmap.bits, tuple(u.bits for u in upcoming)))
+            return estimate(self, bitmap, space, upcoming)
         monkeypatch.setattr(SubprocessEstimator, "estimate", recording_estimate)
         monkeypatch.setattr(search._Runner, "__init__",
                             lambda self, *args: runners.append(self) or init(self, *args))
@@ -460,7 +457,7 @@ class TestLookahead:
         real = space.dataset
 
         def dataset(bitmap):
-            if bitmap.bits == child.bitmap.bits:
+            if bitmap == child:
                 raise OSError("no space left on device")
             return real(bitmap)
 
@@ -473,7 +470,7 @@ class TestLookahead:
             assert not est._ahead
             with pytest.raises(EstimatorFailure, match="no space left") as err:
                 valuate(child, est, log, ms, space)
-            assert err.value.bitmap == child.bitmap and est.calls == 1
+            assert err.value.bitmap == child and est.calls == 1
         finally:
             est.close()
         assert list(tmp.glob("skyforge_*.csv")) == []
@@ -488,7 +485,7 @@ class TestLookahead:
         real = space.dataset
 
         def slow_dataset(bitmap):
-            if bitmap.bits == child.bitmap.bits:
+            if bitmap == child:
                 time.sleep(0.5)
             return real(bitmap)
 
@@ -515,6 +512,6 @@ class TestLookahead:
         for timeout in (MAX_TIMEOUT_S, 2_147_483.0):
             est = self.make(tmp_path, "unused", script=CHILD_OK, timeout=timeout)
             try:
-                assert est.estimate(space.root_state(), space) == {"rows_seen": 1.0, "cols": 2.0}
+                assert est.estimate(space.full_bitmap(), space) == {"rows_seen": 1.0, "cols": 2.0}
             finally:
                 est.close()

@@ -38,9 +38,9 @@ def fingerprint(res) -> dict:
         "cells": sorted((list(p), o.bitmap.bits, list(o.perf))
                         for p, o in res.grid.cells.items()),
         "below_floor": sorted(res.grid.below_floor),
-        "roots": [b.bits for b in res.graph.roots],
+        "roots": [b.bits for b in res.roots],
         "parents": [(bits, parent, "reduct" if parent & ~bits else "augment")
-                    for bits, parent in res.graph.parents.items()],
+                    for bits, parent in res.parents.items()],
         "pruned": [(p.bitmap.bits, p.forward.bits, p.backward.bits, p.level)
                    for p in res.pruned],
         "div_set": [s.bitmap.bits for s in res.div_set],

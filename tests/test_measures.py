@@ -15,7 +15,6 @@ from skyforge import (
     MeasureSet,
     MeasureSpec,
     RidgeEstimator,
-    SearchState,
     TestLog,
     build_correlation_graph,
     estimate_bounds,
@@ -132,11 +131,11 @@ class TestValuate:
         ms = three_measures()
         est = Counting(LookupEstimator({}, default={"rmse": 0.3, "r2_inv": 0.2, "train_cost": 0.1}))
         log = TestLog()
-        s = space.root_state()
+        s = space.full_bitmap()
         first, invoked1 = valuate(s, est, log, ms, space)
         second, invoked2 = valuate(s, est, log, ms, space)
         assert invoked1 and not invoked2
-        assert first is second is log.get(s.bitmap)
+        assert first is second is log.get(s)
         assert est.calls == 1
 
     def test_lookup_returns_example_vector(self, toy_universal):
@@ -145,7 +144,7 @@ class TestValuate:
         bitmap = space.bitmap_from_bits([0, 1, 2])
         est = LookupEstimator({bitmap.bits: dict(zip(ms.names, EXAMPLE_VECTORS["D3"]))})
         log = TestLog()
-        got, _ = valuate(SearchState(bitmap), est, log, ms, space)
+        got, _ = valuate(bitmap, est, log, ms, space)
         assert got.perf == pytest.approx(EXAMPLE_VECTORS["D3"])
 
     def test_missing_measure_is_protocol_violation(self, toy_universal):
@@ -153,7 +152,7 @@ class TestValuate:
         ms = three_measures()
         est = LookupEstimator({}, default={"rmse": 0.5})
         with pytest.raises(EstimatorFailure) as err:
-            valuate(space.root_state(), est, TestLog(), ms, space)
+            valuate(space.full_bitmap(), est, TestLog(), ms, space)
         assert err.value.bitmap is not None
 
     def test_ridge_perfect_fit_hits_floor(self):
@@ -165,7 +164,7 @@ class TestValuate:
         space = StateSpace(u)
         ms = MeasureSet([MeasureSpec(TRAIN_ERROR)])
         est = RidgeEstimator(target="y")
-        got, _ = valuate(space.root_state(), est, TestLog(), ms, space)
+        got, _ = valuate(space.full_bitmap(), est, TestLog(), ms, space)
         assert got.perf[0] == NORMALIZED_FLOOR
 
 
@@ -184,7 +183,7 @@ def valuated_or_refused(specs, raws):
     space = toy_space()
     est = LookupEstimator({}, default={spec.name: raw for spec, raw in zip(specs, raws)})
     try:
-        entry, _ = valuate(space.root_state(), est, TestLog(), MeasureSet(specs), space)
+        entry, _ = valuate(space.full_bitmap(), est, TestLog(), MeasureSet(specs), space)
     except EstimatorFailure as exc:
         return exc.args[0]  # the message without the bitmap valuate attaches
     return entry.perf
@@ -286,7 +285,7 @@ class TestNormalizationTable:
         space = toy_space()
         specs = [MeasureSpec("b"), MeasureSpec("a", raw_high=10)]
         est = LookupEstimator({}, default={"a": 4, "b": Tagged(0.25), "extra": 1})
-        entry, _ = valuate(space.root_state(), est, TestLog(), MeasureSet(specs), space)
+        entry, _ = valuate(space.full_bitmap(), est, TestLog(), MeasureSet(specs), space)
         assert list(entry.raw.items()) == [("b", 0.25), ("a", 4.0)]
         assert all(type(v) is float for v in entry.raw.values())
 

@@ -43,18 +43,18 @@ class TestBitmap:
 
 class TestApplyOperators:
     def test_reduct_drops_matching_rows(self, space):
-        root = space.root_state()
+        root = SearchState(space.full_bitmap())
         child = space.apply_reduct(root, Literal("A", 10))
         data = space.dataset(child.bitmap)
         assert all(r[data.schema.index("A")] in (20, None) for r in data.rows)
 
     def test_reduct_of_last_literal_drops_column(self, space):
-        s = space.apply_reduct(space.root_state(), Literal("A", 10))
+        s = space.apply_reduct(SearchState(space.full_bitmap()), Literal("A", 10))
         s = space.apply_reduct(s, Literal("A", 20))
         assert "A" not in space.dataset(s.bitmap).schema
 
     def test_reduct_requires_set_bit(self, space):
-        s = space.apply_reduct(space.root_state(), Literal("A", 10))
+        s = space.apply_reduct(SearchState(space.full_bitmap()), Literal("A", 10))
         with pytest.raises(ArgumentError, match="already clear"):
             space.apply_reduct(s, Literal("A", 10))
 
@@ -63,7 +63,7 @@ class TestApplyOperators:
         u = UniversalTable(relation=rel, literal_index={"a": (Literal("a", 1),)})
         sp = StateSpace(u)
         with pytest.raises(ArgumentError, match="empties the dataset"):
-            sp.apply_reduct(sp.root_state(), Literal("a", 1))
+            sp.apply_reduct(SearchState(sp.full_bitmap()), Literal("a", 1))
 
     def test_augment_adds_column(self, space):
         back = SearchState(space.bitmap_from_bits(space.attr_bits["t"]))
@@ -72,7 +72,7 @@ class TestApplyOperators:
 
     def test_augment_requires_clear_bit(self, space):
         with pytest.raises(ArgumentError, match="already set"):
-            space.apply_augment(space.root_state(), Literal("A", 10))
+            space.apply_augment(SearchState(space.full_bitmap()), Literal("A", 10))
 
     def test_augment_then_reduct_restores_bitmap(self, space):
         back = SearchState(space.bitmap_from_bits(space.attr_bits["t"]))
@@ -99,7 +99,7 @@ class TestApplyOperators:
             "v": tuple(Literal("v", x) for x in (1, 2, 3, 4)),
         })
         sp = StateSpace(u)
-        s = sp.root_state()
+        s = SearchState(sp.full_bitmap())
         for y in (2001, 2002):  # drop all pre-2003 clusters
             s = sp.apply_reduct(s, Literal("year", y))
         years = sp.dataset(s.bitmap).column("year")
@@ -114,7 +114,7 @@ def universal_of(seed: int) -> UniversalTable:
 
 @st.composite
 def ranged_op_gen_calls(draw):
-    """A universal, protected attributes, a parent state (sometimes one
+    """A universal, protected attributes, a parent bitmap (sometimes one
     bit), a direction and a child range, sometimes empty or inverted, with
     no upper limit when ``hi`` is None."""
     u = universal_of(draw(st.integers(-1, 5)))
@@ -123,8 +123,7 @@ def ranged_op_gen_calls(draw):
     bits = draw(st.one_of(st.integers(0, 2**n - 1), st.sampled_from([1 << i for i in range(n)])))
     lo = draw(st.integers(-2, 2**n + 1))
     hi = draw(st.one_of(st.none(), st.integers(-2, 2**n + 1), st.integers(lo - 3, lo)))
-    return (u, protected, SearchState(Bitmap(bits, n)), draw(st.sampled_from([FORWARD, BACKWARD])),
-            lo, hi)
+    return (u, protected, Bitmap(bits, n), draw(st.sampled_from([FORWARD, BACKWARD])), lo, hi)
 
 
 def scanned_children(space, bits, direction, lo, top):
@@ -145,16 +144,16 @@ class TestOpGen:
     @given(ranged_op_gen_calls())
     @settings(max_examples=300, deadline=None)
     def test_range_keeps_the_unbounded_children_inside_it(self, call):
-        u, protected, state, direction, lo, hi = call
+        u, protected, parent, direction, lo, hi = call
         ranged_space = StateSpace(u, protected)
-        ranged = children_of(ranged_space, state, direction, lo, hi)
-        every = children_of(StateSpace(u, protected), state, direction)
+        ranged = children_of(ranged_space, parent, direction, lo, hi)
+        every = children_of(StateSpace(u, protected), parent, direction)
         top = math.inf if hi is None else hi
         assert ranged == [c for c in every if lo <= c < top]
         scan = StateSpace(u, protected)
         # in ascending child order, whatever the direction
-        assert ranged == sorted(scanned_children(scan, state.bitmap.bits, direction, lo, top))
-        assert every == sorted(scanned_children(scan, state.bitmap.bits, direction, 0, math.inf))
+        assert ranged == sorted(scanned_children(scan, parent.bits, direction, lo, top))
+        assert every == sorted(scanned_children(scan, parent.bits, direction, 0, math.inf))
         # every row mask op_gen cached is the one row_mask builds from scratch
         for bits, (mask, _) in ranged_space._row_count_cache.items():
             assert mask == StateSpace(u, protected).row_mask(Bitmap(bits, scan.n_bits))
@@ -164,47 +163,43 @@ class TestOpGen:
     def test_full_forward_has_one_child_per_bit(self):
         # no protected attribute: every set bit is flippable
         sp = StateSpace(build_toy_universal())
-        children = children_of(sp, sp.root_state(), FORWARD)
+        children = children_of(sp, sp.full_bitmap(), FORWARD)
         assert len(children) == sp.n_bits
 
     def test_zero_bitmap_forward_empty(self, space):
-        s = SearchState(Bitmap(0, space.n_bits))
-        assert space.op_gen([s], FORWARD) == []
+        assert space.op_gen([0], FORWARD) == []
 
     def test_backward_complement_count(self, space):
-        s = SearchState(space.bitmap_from_bits([0, 1, 2]))
-        children = children_of(space, s, BACKWARD)
+        children = children_of(space, space.bitmap_from_bits([0, 1, 2]), BACKWARD)
         assert len(children) == space.n_bits - 3
 
     def test_protected_attribute_not_flipped(self):
         sp = StateSpace(build_toy_universal(), protected=("t",))
-        children = children_of(sp, sp.root_state(), FORWARD)
+        children = children_of(sp, sp.full_bitmap(), FORWARD)
         flipped = {sp.bit_literals[(c ^ sp.full_bitmap().bits).bit_length() - 1].attribute
                    for c in children}
         assert "t" not in flipped
         assert len(children) == sp.n_bits - len(sp.attr_bits["t"])
 
     def test_deterministic_order(self, space):
-        a = space.op_gen([space.root_state()], FORWARD)
-        b = space.op_gen([space.root_state()], FORWARD)
+        a = space.op_gen([space.full_bitmap().bits], FORWARD)
+        b = space.op_gen([space.full_bitmap().bits], FORWARD)
         assert a == b
 
     @given(st.integers(min_value=0, max_value=63))
     @settings(max_examples=64, deadline=None)
     def test_one_flip_property(self, bits):
         sp = StateSpace(build_toy_universal())
-        s = SearchState(Bitmap(bits, sp.n_bits))
         for direction in (FORWARD, BACKWARD):
-            for child in children_of(sp, s, direction):
+            for child in children_of(sp, Bitmap(bits, sp.n_bits), direction):
                 assert (child ^ bits).bit_count() == 1
 
 
-def reference_op_gen(space, state, direction, lo=0, hi=None) -> list:
+def reference_op_gen(space, bits, direction, lo=0, hi=None) -> list:
     """``StateSpace.op_gen`` as it was when it expanded one parent per
-    call: the children of ``state`` in ascending flipped-bit order, each
-    cache miss built from the parent's prefix and suffix masks (built on
-    the call's first miss) and cached."""
-    bits = state.bitmap.bits
+    call: the children of the parent ``bits`` in ascending flipped-bit
+    order, each cache miss built from the parent's prefix and suffix masks
+    (built on the call's first miss) and cached."""
     if direction == FORWARD and not bits & (bits - 1):
         return []  # reducts of at most one set bit leave the empty bitmap
     if hi is None and lo <= 0:  # every bit position is in the window
@@ -260,7 +255,7 @@ def frontier_op_gen_calls(draw):
         parents.append(bits)
         if draw(st.booleans()):
             parents.append(bits ^ (1 << draw(st.integers(0, n - 1))) ^ (1 << draw(st.integers(0, n - 1))))
-    parents = [SearchState(Bitmap(bits, n)) for bits in dict.fromkeys(parents)]
+    parents = list(dict.fromkeys(parents))
     cached = [p for p in parents if draw(st.booleans())]
     lo = draw(st.integers(-2, 2**n + 1))
     hi = draw(st.one_of(st.none(), st.integers(-2, 2**n + 1), st.integers(lo - 3, lo)))
@@ -277,7 +272,7 @@ class TestFrontierOpGen:
         u, protected, parents, cached, direction, lo, hi = call
         space = StateSpace(u, protected)
         for p in cached:
-            space.row_mask(p.bitmap)
+            space.row_mask(Bitmap(p, space.n_bits))
         got = space.op_gen(parents, direction, lo, hi)
         reference, first = StateSpace(u, protected), {}  # child -> lowest parent index
         for index, p in enumerate(parents):
@@ -319,15 +314,15 @@ class TestSemantics:
         non-degenerate intermediate states."""
         sp = StateSpace(build_toy_universal())
         reached = set()
-        frontier = [sp.root_state()]
-        reached.add(frontier[0].bitmap.bits)
+        frontier = [sp.full_bitmap()]
+        reached.add(frontier[0].bits)
         while frontier:
             nxt = []
             for s in frontier:
                 for child in children_of(sp, s, FORWARD):
                     if child not in reached:
                         reached.add(child)
-                        nxt.append(SearchState(Bitmap(child, sp.n_bits)))
+                        nxt.append(Bitmap(child, sp.n_bits))
             frontier = nxt
         expected = {
             bits for bits in range(1, 2 ** sp.n_bits)

@@ -98,9 +98,9 @@ class TestEnumerateAll:
         class Recording(LookupEstimator):
             lookahead = 3
 
-            def estimate(self, state, space, upcoming=()):
-                calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
-                return super().estimate(state, space, upcoming)
+            def estimate(self, bitmap, space, upcoming=()):
+                calls.append((bitmap.bits, tuple(u.bits for u in upcoming)))
+                return super().estimate(bitmap, space, upcoming)
 
         u, ms = build_toy_universal(), flat_measures()
         every = [s.bitmap.bits for s in enumerate_all(u, flat_estimator(), ms)]
@@ -126,9 +126,9 @@ class TestEnumerateAll:
         class Recording(LookupEstimator):
             lookahead = 3
 
-            def estimate(self, state, space, upcoming=()):
-                calls.append((state.bitmap.bits, tuple(u.bitmap.bits for u in upcoming)))
-                return super().estimate(state, space, upcoming)
+            def estimate(self, bitmap, space, upcoming=()):
+                calls.append((bitmap.bits, tuple(u.bits for u in upcoming)))
+                return super().estimate(bitmap, space, upcoming)
 
         monkeypatch.setattr(TestLog, "get", counting_get)
         states = enumerate_all(build_toy_universal(), Recording({}, default={
@@ -143,9 +143,9 @@ class TestEnumerateAll:
         hints = []
 
         class Recording(LookupEstimator):
-            def estimate(self, state, space, upcoming=()):
+            def estimate(self, bitmap, space, upcoming=()):
                 hints.append(upcoming)
-                return super().estimate(state, space, upcoming)
+                return super().estimate(bitmap, space, upcoming)
 
         enumerate_all(build_toy_universal(), Recording({}, default={n: 0.5 for n in (
             "m0", "m1", "m2")}), flat_measures())

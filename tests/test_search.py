@@ -20,7 +20,6 @@ from skyforge import (
     SkylineGrid,
     TestLog,
     UniversalTable,
-    back_st,
     build_correlation_graph,
     can_prune,
     check_eps_cover,
@@ -34,6 +33,7 @@ from skyforge import (
     valuate,
 )
 import skyforge.search as search_module
+from skyforge.cli import _provenance
 from skyforge.measures import LogEntry
 from skyforge.operators import BACKWARD, FORWARD, StateSpace
 
@@ -93,33 +93,45 @@ class TestSearchConfig:
 
 
 class TestBackSt:
+    """The paper's BackSt, the backward root: ``roots[1]`` of a nobi run,
+    valuated second."""
+
+    @staticmethod
+    def backward_root(u, target="t", requires_feature=False):
+        est = LookupEstimator({}, default={"rmse": 0.3, "r2_inv": 0.2, "train_cost": 0.1})
+        est.requires_feature = requires_feature
+        res = run_algorithm(u, three_measures(), est, SearchConfig(
+            epsilon=0.3, target=target, algorithm="nobi", budget=2))
+        return res.space, res.roots[1]
+
     def test_all_target_literals_retained(self, toy_universal):
-        space = StateSpace(toy_universal, protected=("t",))
-        s = back_st(space, "t")
-        assert s.bitmap == space.bitmap_from_bits(space.attr_bits["t"])
+        space, back = self.backward_root(toy_universal)
+        assert back == space.bitmap_from_bits(space.attr_bits["t"])
 
     def test_binary_target_keeps_both_classes(self, toy_universal):
-        space = StateSpace(toy_universal, protected=("t",))
-        s = back_st(space, "t")
-        data = space.dataset(s.bitmap)
+        space, back = self.backward_root(toy_universal)
+        data = space.dataset(back)
         assert set(data.column("t")) == {0, 1}
 
     def test_backward_children_one_per_unset_bit(self, toy_universal):
-        space = StateSpace(toy_universal, protected=("t",))
-        s = back_st(space, "t")
-        children = children_of(space, s, BACKWARD)
+        space, back = self.backward_root(toy_universal)
+        children = children_of(space, back, BACKWARD)
         assert len(children) == space.n_bits - len(space.attr_bits["t"])
 
     def test_feature_needing_estimator_gets_first_literal(self, toy_universal):
-        space = StateSpace(toy_universal, protected=("t",))
-        s = back_st(space, "t", needs_feature=True)
-        extra = s.bitmap.bits & ~space.bitmap_from_bits(space.attr_bits["t"]).bits
+        space, back = self.backward_root(toy_universal, requires_feature=True)
+        extra = back.bits & ~space.bitmap_from_bits(space.attr_bits["t"]).bits
         assert extra == 1 << space.attr_bits["A"][0]
 
     def test_unknown_target(self, toy_universal):
-        space = StateSpace(toy_universal, protected=())
         with pytest.raises(ArgumentError):
-            back_st(space, "nope")
+            self.backward_root(toy_universal, target="nope")
+
+    def test_target_without_literals_is_refused(self, toy_universal):
+        u = UniversalTable(relation=toy_universal.relation,
+                           literal_index={**toy_universal.literal_index, "t": ()})
+        with pytest.raises(ArgumentError, match="has no literals"):
+            self.backward_root(u)
 
 
 def walkthrough_fixture():
@@ -176,7 +188,7 @@ class TestRunApx:
     def test_max_len_limits_depth(self):
         u, ms, est = toy_setup()
         res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", max_len=1))
-        assert all(len(res.graph.path_to(e.bitmap)) <= 1 for e in res.log)
+        assert all(len(_provenance(res, e.bitmap)) <= 1 for e in res.log)
         # root plus its four feature flips
         assert res.valuations == 5
 
@@ -185,10 +197,10 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space, upcoming=None):
+            def estimate(self, bitmap, space, upcoming=None):
                 Flaky.calls += 1
                 if Flaky.calls > 3:
-                    raise EstimatorFailure("boom", bitmap=state.bitmap)
+                    raise EstimatorFailure("boom", bitmap=bitmap)
                 return {"rmse": 0.5, "r2_inv": 0.5, "train_cost": 0.5}
 
         res = run_algorithm(toy_universal, three_measures(p_low=0.05), Flaky(),
@@ -201,18 +213,18 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space, upcoming=None):
+            def estimate(self, bitmap, space, upcoming=None):
                 self.calls += 1
                 if self.calls == 4:
-                    raise EstimatorFailure("boom", bitmap=state.bitmap)
-                spread = (state.bitmap.bits * 37 % 11) / 11
+                    raise EstimatorFailure("boom", bitmap=bitmap)
+                spread = (bitmap.bits * 37 % 11) / 11
                 return {"rmse": 0.1 + 0.8 * spread, "r2_inv": 0.9 - 0.8 * spread,
                         "train_cost": 0.5}
 
         res = run_algorithm(toy_universal, three_measures(p_low=0.05), FailsOnFourthCall(),
                             SearchConfig(epsilon=0.3, target="t"))
         assert res.partial and len(res.log) == res.valuations == 3
-        reached = set(res.graph.parents) | {b.bits for b in res.graph.roots}
+        reached = set(res.parents) | {b.bits for b in res.roots}
         assert {e.bitmap.bits for e in res.log} <= reached
         assert not check_eps_cover(res.grid, list(res.log), 0.3)["eps_cover_violations"]
 
@@ -221,7 +233,7 @@ class TestRunApx:
             requires_feature = False
             calls = 0
 
-            def estimate(self, state, space, upcoming=None):
+            def estimate(self, bitmap, space, upcoming=None):
                 self.calls += 1
                 if self.calls > 2:
                     return None
@@ -253,8 +265,8 @@ class TestRunBi:
         # frontiers meet at the one-literal states; all four states valuated,
         # nothing expanded past the meeting level
         assert res.valuations == 4
-        assert all(len(res.graph.path_to(e.bitmap)) <= 1 for e in res.log)
-        assert len(res.graph.parents) == 2
+        assert all(len(_provenance(res, e.bitmap)) <= 1 for e in res.log)
+        assert len(res.parents) == 2
 
     def test_exhaustive_no_pruning_covers_full_space(self):
         u, ms, est = toy_setup()
@@ -282,7 +294,7 @@ class TestRunBi:
         audit = TestLog()
         valuated = [e.perf for e in res.log]
         for b in pruned_bits:
-            got, _ = valuate(SearchState(Bitmap(b, space.n_bits)), est, audit, ms, space)
+            got, _ = valuate(Bitmap(b, space.n_bits), est, audit, ms, space)
             assert any(naive_eps_dominates(v, got.perf, 0.3) for v in valuated)
 
     def test_pruning_never_breaks_cover_of_the_full_space(self):
@@ -311,10 +323,10 @@ class TestRunBi:
             def __init__(self, inner):
                 self.inner = inner
 
-            def estimate(self, state, space, upcoming=None):
+            def estimate(self, bitmap, space, upcoming=None):
                 if sides:  # the roots are valuated before the first side
                     sides[-1].append("estimate")
-                return self.inner.estimate(state, space, upcoming)
+                return self.inner.estimate(bitmap, space, upcoming)
 
         monkeypatch.setattr(search_module._Runner, "expand", recording_expand)
         monkeypatch.setattr(search_module._Runner, "try_prune", recording_prune)
@@ -437,15 +449,15 @@ class TestCanPrune:
         fwd = sorted(b for b in vectors if Bitmap(b, 5).popcount() == 4)
         bwd = sorted(b for b in vectors if Bitmap(b, 5).popcount() == 2)
         for b in order + fwd + bwd:
-            valuate(SearchState(Bitmap(b, space.n_bits)), est, log, ms, space)
+            valuate(Bitmap(b, space.n_bits), est, log, ms, space)
         graph = build_correlation_graph(log, 0.55, ms)
         return space, ms, names, log, graph, est
 
     def states(self, names, log, space):
         def mk(name_or_bits):
-            # a logged state is its entry, any other an unvaluated state
+            # a logged state is its entry, any other its bare bitmap
             bitmap = Bitmap(names.get(name_or_bits, name_or_bits), space.n_bits)
-            return log.get(bitmap) or SearchState(bitmap)
+            return log.get(bitmap) or bitmap
         return mk
 
     def test_worked_fixture_mid_states_prune(self):
@@ -463,7 +475,7 @@ class TestCanPrune:
         # the backward point is within the factor of those ranges' lower ends
         s2 = mk("s_2")
         region = (mk("s_U"), mk(space.bitmap_from_bits((0, 4)).bits))
-        assert region[0].bitmap.contains(s2.bitmap) and s2.bitmap.contains(region[1].bitmap)
+        assert region[0].bitmap.contains(s2) and s2.contains(region[1].bitmap)
         assert param_eps_dominates(region[1].perf, tuple(s.p_low for s in ms), 5.0)
         assert can_prune(s2, [region], 5.0, graph, log, ms, space) is None
 
@@ -644,12 +656,12 @@ class TestOneRecordPerState:
         everything = enumerate_all(u, est, ms, target="t", log=log)
         assert len(everything) == len(log)
         assert all(entry is log.get(entry.bitmap) for entry in everything)
-        space, state = StateSpace(u, protected=("t",)), SearchState(everything[-1].bitmap)
+        space, bitmap = StateSpace(u, protected=("t",)), everything[-1].bitmap
         fresh = TestLog()
-        first, invoked = valuate(state, est, fresh, ms, space)
-        again, repeated = valuate(state, est, fresh, ms, space)
-        assert invoked and not repeated and first is again is fresh.get(state.bitmap)
-        assert valuate(state, est, log, ms, space)[0] is everything[-1]
+        first, invoked = valuate(bitmap, est, fresh, ms, space)
+        again, repeated = valuate(bitmap, est, fresh, ms, space)
+        assert invoked and not repeated and first is again is fresh.get(bitmap)
+        assert valuate(bitmap, est, log, ms, space)[0] is everything[-1]
 
 
 @st.composite
@@ -671,7 +683,7 @@ def same_level_frontiers(draw):
         if members and outside and draw(st.booleans()):
             drop, add = draw(st.sampled_from(sorted(members))), draw(st.sampled_from(outside))
             frontier.append(bits ^ (1 << drop) ^ (1 << add))
-    frontier = [SearchState(Bitmap(b, n)) for b in dict.fromkeys(frontier)]
+    frontier = list(dict.fromkeys(frontier))
     return u, ms, est, cfg, draw(st.sampled_from([FORWARD, BACKWARD])), frontier
 
 
@@ -682,15 +694,15 @@ class TestLazyExpansion:
         u, ms, est, cfg, direction, frontier = case
         runner = search_module._Runner(u, ms, est, cfg)
         first_parent = {}
-        for state in frontier:
-            for child in children_of(runner.space, state, direction):
-                first_parent.setdefault(child, state.bitmap.bits)
+        for bits in frontier:
+            for child in children_of(runner.space, Bitmap(bits, runner.space.n_bits), direction):
+                first_parent.setdefault(child, bits)
         batches = list(runner.expand(frontier, direction))
-        streamed = [c.bitmap.bits for batch in batches for c in batch]
+        streamed = [c.bits for batch in batches for c in batch]
         assert all(batches)
         assert streamed == sorted(first_parent)
         assert all((bits ^ first_parent[bits]).bit_count() == 1 for bits in streamed)
-        assert runner.graph.parents == first_parent
+        assert runner.parents == first_parent
         if cfg.budget == 2**31:
             assert len(batches) <= 1
 
@@ -710,7 +722,7 @@ class TestLazyExpansion:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(StateSpace, "op_gen", recording_op_gen)
             for batch in runner.expand(frontier, direction):
-                streamed += [c.bitmap.bits for c in batch]
+                streamed += [c.bits for c in batch]
                 # no child built so far waits for a later batch
                 assert set(built) == set(streamed)
         # and the batches' ranges build each distinct child once, however
@@ -720,20 +732,20 @@ class TestLazyExpansion:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_one_state_per_distinct_child(self, seed, monkeypatch):
         made, levels = [], []
-        real_state, real_expand = search_module.SearchState, search_module._Runner.expand
+        real_bitmap, real_expand = search_module.Bitmap, search_module._Runner.expand
 
-        def counting_state(*args, **kwargs):
-            made.append(args[0].bits)
-            return real_state(*args, **kwargs)
+        def counting_bitmap(*args, **kwargs):
+            made.append(args[0])
+            return real_bitmap(*args, **kwargs)
 
         def recording_expand(runner, frontier, direction):
             made.clear()
             batches = list(real_expand(runner, frontier, direction))
-            generated = [c for s in frontier for c in children_of(runner.space, s, direction)]
-            levels.append((list(made), generated, [c.bitmap.bits for b in batches for c in b]))
+            generated = [c for bits in frontier for c, _ in runner.space.op_gen([bits], direction)]
+            levels.append((list(made), generated, [c.bits for b in batches for c in b]))
             yield from batches
 
-        monkeypatch.setattr(search_module, "SearchState", counting_state)
+        monkeypatch.setattr(search_module, "Bitmap", counting_bitmap)
         monkeypatch.setattr(search_module._Runner, "expand", recording_expand)
         u, ms, est = make_monotone_instance(seed)
         run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t", algorithm="bi"))
@@ -749,18 +761,18 @@ class TestLazyExpansion:
         order until the budget is spent."""
         space = StateSpace(u, protected=("t",))
         log, grid = TestLog(), SkylineGrid(0.3, ms)
-        level, used = [space.root_state()], 0
+        level, used = [space.full_bitmap()], 0
         while level:
             valuated = []
-            for state in level:
+            for bitmap in level:
                 if used == budget:
                     return log, grid
-                entry, invoked = valuate(state, est, log, ms, space)
+                entry, invoked = valuate(bitmap, est, log, ms, space)
                 used += invoked
                 valuated.append(entry)
                 grid.submit(entry)
-            children = {c for s in valuated for c in children_of(space, s, FORWARD)}
-            level = [SearchState(Bitmap(b, space.n_bits)) for b in sorted(children)]
+            children = {c for s in valuated for c in children_of(space, s.bitmap, FORWARD)}
+            level = [Bitmap(b, space.n_bits) for b in sorted(children)]
         return log, grid
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 9])
@@ -770,13 +782,13 @@ class TestLazyExpansion:
 
         def counting_op_gen(space, parents, direction, lo=0, hi=None):
             children = op_gen(space, parents, direction, lo, hi)
-            opened.append(({p.bitmap.bits for p in parents}, len(children)))
+            opened.append((set(parents), len(children)))
             return children
 
         monkeypatch.setattr(StateSpace, "op_gen", counting_op_gen)
         u, ms, est = make_random_instance(seed)
         space = StateSpace(u, protected=("t",))
-        level_one = {c for c, _ in op_gen(space, [space.root_state()], FORWARD)}
+        level_one = {c for c, _ in op_gen(space, [space.full_bitmap().bits], FORWARD)}
         assert len(level_one) >= 3
         for budget in range(1, 1 + len(level_one) + 4):
             opened.clear()
@@ -787,8 +799,7 @@ class TestLazyExpansion:
             level_two = sum(n for bits, n in opened if bits <= level_one)
             # the distinct children of the open level-1 parents' whole child
             # lists, as one unwindowed call builds them
-            eager = len(op_gen(space, [SearchState(Bitmap(bits, space.n_bits))
-                                       for bits in sorted(parents & level_one)], FORWARD))
+            eager = len(op_gen(space, sorted(parents & level_one), FORWARD))
             log, grid = self.eager_apx(u, ms, est, budget)
             assert [(e.bitmap, e.perf, e.row_count) for e in res.log] == \
                    [(e.bitmap, e.perf, e.row_count) for e in log]
@@ -812,7 +823,7 @@ class TestDeterminismAndBudget:
             assert {p: o.bitmap.bits for p, o in r1.grid.cells.items()} == \
                    {p: o.bitmap.bits for p, o in r2.grid.cells.items()}
             assert [e.bitmap.bits for e in r1.log] == [e.bitmap.bits for e in r2.log]
-            assert list(r1.graph.parents.items()) == list(r2.graph.parents.items())
+            assert list(r1.parents.items()) == list(r2.parents.items())
 
     @pytest.mark.parametrize("budget", [1, 3, 7])
     def test_budget_compliance(self, budget):
@@ -842,9 +853,9 @@ class TestDeterminismAndBudget:
         space = StateSpace(u, protected=("t",))
         res = run_algorithm(u, ms, est, SearchConfig(epsilon=0.3, target="t"))
         for occupant in res.grid.occupants():
-            path = res.graph.path_to(occupant.bitmap)
-            state = SearchState(res.graph.roots[0])
-            for src, dst in path:
+            state = SearchState(res.roots[0])
+            for step in _provenance(res, occupant.bitmap):
+                src, dst = int(step["from"], 16), int(step["to"], 16)
                 assert src == state.bitmap.bits
                 literal = space.bit_literals[(src ^ dst).bit_length() - 1]
                 if src & ~dst:
@@ -864,9 +875,9 @@ class HintRecorder:
     def __init__(self, inner):
         self.inner, self.calls = inner, []
 
-    def estimate(self, state, space, upcoming=()):
-        self.calls.append((state.bitmap.bits, tuple(s.bitmap.bits for s in upcoming)))
-        return self.inner.estimate(state, space, upcoming)
+    def estimate(self, bitmap, space, upcoming=()):
+        self.calls.append((bitmap.bits, tuple(b.bits for b in upcoming)))
+        return self.inner.estimate(bitmap, space, upcoming)
 
 
 class TestValuationStream:
@@ -896,3 +907,30 @@ class TestValuationStream:
                     assert len(hint) == full
                 short += len(hint) < full
         assert short if algorithm in ("bi", "div") else not short
+
+    def test_estimator_sees_only_bitmaps(self, monkeypatch):
+        # a state is its Bitmap: the walk of every algorithm and the oracle's
+        # enumeration build no SearchState, which only provenance replay uses,
+        # and hand the estimator a Bitmap and a tuple of upcoming Bitmaps
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("SearchState built outside provenance replay")
+
+        monkeypatch.setattr(SearchState, "__init__", refuse)
+        u, ms, est = toy_setup()
+        seen = []
+
+        class Recording(HintRecorder):
+            def estimate(self, bitmap, space, upcoming=()):
+                seen.append((bitmap, upcoming))
+                return super().estimate(bitmap, space, upcoming)
+
+        for algorithm in search_module.ALGORITHMS:
+            res = run_algorithm(u, ms, Recording(est), SearchConfig(
+                epsilon=0.3, target="t", algorithm=algorithm, k=2 if algorithm == "div" else 0))
+            assert not res.partial and res.valuations
+        before = len(seen)
+        assert len(enumerate_all(u, Recording(est), ms, target="t")) == len(seen) - before
+        assert all(type(bitmap) is Bitmap and type(upcoming) is tuple
+                   and all(type(item) is Bitmap for item in upcoming)
+                   for bitmap, upcoming in seen)
+        assert any(upcoming for _, upcoming in seen)

@@ -16,7 +16,6 @@ from skyforge import (
     build_universal,
     compress_rows,
     derive_all_literals,
-    derive_literals,
     ingest_csv,
     kmeans_1d,
 )
@@ -324,16 +323,21 @@ class TestDeriveLiterals:
         r = rel("u", [name], [[v] for v in column])
         return UniversalTable(relation=r)
 
+    @staticmethod
+    def derive(u, max_clusters):
+        """Attribute ``a``'s literals, as ``derive_all_literals`` derives them."""
+        return list(derive_all_literals(u, max_clusters).literal_index["a"])
+
     def test_k_capped_by_adom(self):
         u = self.make_u([1, 2, 3])
-        lits = derive_literals(u, "a", 30)
+        lits = self.derive(u, 30)
         assert len(lits) == 3
         assert [l.value for l in lits] == [1, 2, 3]
 
     def test_two_tight_groups(self):
         values = [0, 0.1, 0.2, 9.8, 9.9, 10.0]
         u = self.make_u(values)
-        lits = derive_literals(u, "a", 2)
+        lits = self.derive(u, 2)
         lo, hi = best_two_means(values)
         expected = set()
         for cluster in (lo, hi):
@@ -352,22 +356,17 @@ class TestDeriveLiterals:
 
     def test_categorical_truncates_by_frequency(self):
         u = self.make_u(["x", "x", "x", "y", "y", "z"])
-        lits = derive_literals(u, "a", 2)
+        lits = self.derive(u, 2)
         assert {l.value for l in lits} == {"x", "y"}
 
     def test_empty_adom_gives_no_literals(self):
         u = self.make_u([None, None])
-        assert derive_literals(u, "a", 5) == []
-
-    def test_unknown_attribute(self):
-        u = self.make_u([1])
-        with pytest.raises(ArgumentError):
-            derive_literals(u, "nope", 3)
+        assert self.derive(u, 5) == []
 
     def test_bad_max_clusters(self):
         u = self.make_u([1])
         with pytest.raises(ArgumentError):
-            derive_literals(u, "a", 0)
+            self.derive(u, 0)
 
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=25),
            st.integers(min_value=1, max_value=8))
@@ -375,7 +374,7 @@ class TestDeriveLiterals:
     def test_literal_values_in_adom(self, column, k):
         u = self.make_u(column)
         adom = set(u.relation.adom("a"))
-        for lit in derive_literals(u, "a", k):
+        for lit in self.derive(u, k):
             assert lit.value in adom
 
     def test_table_is_frozen_and_derivation_copies_it(self):
